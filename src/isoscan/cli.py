@@ -1,4 +1,4 @@
-"""Command-line front end: compute, synth, and bench subcommands.
+"""Command-line front end: compute and synth subcommands.
 
 Exit codes: 0 success, 1 configuration error, 2 missing or malformed data,
 3 internal invariant violation (including oracle-check mismatches).
@@ -41,7 +41,7 @@ CSV_HEADER = "latitude,longitude,elevation_m,isolation_km,ilp_latitude,ilp_longi
 
 @dataclass
 class RunConfig:
-    """Resolved configuration of a compute/bench invocation."""
+    """Resolved configuration of a compute invocation."""
 
     data_dir: Path
     bounds: Quadrilateral
@@ -65,7 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute isolation over an area")
-    _add_compute_args(compute)
+    compute.add_argument("--data-dir", required=True, type=Path)
+    compute.add_argument(
+        "--bounds",
+        required=True,
+        type=int,
+        nargs=4,
+        metavar=("LATMIN", "LATMAX", "LNGMIN", "LNGMAX"),
+    )
+    compute.add_argument("--min-isolation-km", type=float, default=1.0)
+    compute.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    compute.add_argument("--stride", type=int, default=2)
+    compute.add_argument(
+        "--distance-mode", choices=["staged", "great-circle-only"], default="staged"
+    )
+    compute.add_argument(
+        "--mode", choices=["multipass", "single-sweep", "oracle-check"], default="multipass"
+    )
+    compute.add_argument("--output", type=Path, default=None, help="CSV path (default: stdout)")
     compute.set_defaults(func=cmd_compute)
 
     synth = sub.add_parser("synth", help="write synthetic HGT tiles")
@@ -78,33 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--cones", type=int, default=None, help="number of cones (cones profile)")
     synth.add_argument("--overwrite", action="store_true", help="replace existing files")
     synth.set_defaults(func=cmd_synth)
-
-    bench = sub.add_parser("bench", help="timed repetitions with throughput report")
-    _add_compute_args(bench)
-    bench.add_argument("--reps", type=int, default=5)
-    bench.set_defaults(func=cmd_bench)
     return parser
-
-
-def _add_compute_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-dir", required=True, type=Path)
-    p.add_argument(
-        "--bounds",
-        required=True,
-        type=int,
-        nargs=4,
-        metavar=("LATMIN", "LATMAX", "LNGMIN", "LNGMAX"),
-    )
-    p.add_argument("--min-isolation-km", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--stride", type=int, default=2)
-    p.add_argument(
-        "--distance-mode", choices=["staged", "great-circle-only"], default="staged"
-    )
-    p.add_argument(
-        "--mode", choices=["multipass", "single-sweep", "oracle-check"], default="multipass"
-    )
-    p.add_argument("--output", type=Path, default=None, help="CSV path (default: stdout)")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -299,46 +290,6 @@ def cmd_synth(args) -> int:
     for tile, path in zip(tiles, paths):
         save_hgt(tile, path)
     print(f"wrote {len(tiles)} tiles to {out}", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    config = _config_from_args(args)
-    if config.mode == "oracle-check":
-        raise ValueError("bench supports multipass and single-sweep modes")
-    t0 = time.perf_counter()
-    tiles = load_area_tiles(config.data_dir, config.bounds)
-    io_s = time.perf_counter() - t0
-
-    print(
-        "rep,mode,tiles,samples,peaks,bounding_s,highpoint_s,finalization_s,"
-        "compute_s,samples_per_s,peaks_per_s"
-    )
-    sums = PipelineStats()
-    reps = max(1, args.reps)
-    for rep in range(reps):
-        results, stats = _run_mode(config, tiles)
-        print(
-            f"{rep},{config.mode},{stats.tiles},{stats.samples},{stats.peaks_found},"
-            f"{stats.bounding_s:.4f},{stats.highpoint_s:.4f},{stats.finalization_s:.4f},"
-            f"{stats.total_s:.4f},{stats.samples / stats.total_s:.1f},"
-            f"{stats.peaks_found / stats.total_s:.1f}"
-        )
-        sums.samples = stats.samples
-        sums.tiles = stats.tiles
-        sums.peaks_found = stats.peaks_found
-        sums.bounding_s += stats.bounding_s
-        sums.highpoint_s += stats.highpoint_s
-        sums.finalization_s += stats.finalization_s
-        sums.total_s += stats.total_s
-    mean_total = sums.total_s / reps
-    print(
-        f"mean,{config.mode},{sums.tiles},{sums.samples},{sums.peaks_found},"
-        f"{sums.bounding_s / reps:.4f},{sums.highpoint_s / reps:.4f},"
-        f"{sums.finalization_s / reps:.4f},{mean_total:.4f},"
-        f"{sums.samples / mean_total:.1f},{sums.peaks_found / mean_total:.1f}"
-    )
-    print(f"io_s={io_s:.3f} (loaded once, not in compute figures)", file=sys.stderr)
     return 0
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "save_hgt",
     "detect_peaks",
     "detect_peaks_deduped",
-    "lowest_nesw_neighbor",
     "build_events",
     "downsample",
     "generate_synthetic",
@@ -267,24 +266,6 @@ def _lowest_nesw_grid(elev: np.ndarray) -> np.ndarray:
     np.minimum(out[:, 1:], elev[:, :-1], out=out[:, 1:])
     np.minimum(out[:, :-1], elev[:, 1:], out=out[:, :-1])
     return out
-
-
-def lowest_nesw_neighbor(tile: Tile, i: int, j: int) -> int:
-    """Minimum elevation among the up-to-4 existing N/E/S/W neighbors."""
-    rows, cols = tile.shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"sample ({i}, {j}) outside {rows}x{cols} grid")
-    elev = tile.elevations
-    values = []
-    if i > 0:
-        values.append(int(elev[i - 1, j]))
-    if i < rows - 1:
-        values.append(int(elev[i + 1, j]))
-    if j > 0:
-        values.append(int(elev[i, j - 1]))
-    if j < cols - 1:
-        values.append(int(elev[i, j + 1]))
-    return min(values)
 
 
 def detect_peaks(tile: Tile) -> list[Peak]:

@@ -135,6 +135,13 @@ def great_circle_distance_many(
     return 2.0 * model.radius_m * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
+def _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2):
+    # A subnormal s overflows h2 = (3r + 1) / 2s, and inf * 0 is NaN, yet
+    # sin_dphi2 <= s / cos_dlng2 keeps the product f * h2 * cos_mean2 *
+    # sin_dphi2 small; dividing sin_dphi2 by s first keeps it finite.
+    return f * ((3.0 * r + 1.0) * 0.5) * cos_mean2 * (sin_dphi2 / s)
+
+
 def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> float:
     """Flattening-corrected (Andoyer-Lambert style) distance in meters.
 
@@ -170,9 +177,11 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> f
     f = model.flattening
     h1 = (3.0 * r - 1.0) / (2.0 * c)
     correction = f * h1 * sin_mean2 * cos_dphi2
-    if s > 0.0:
-        h2 = (3.0 * r + 1.0) / (2.0 * s)
+    h2 = (3.0 * r + 1.0) / (2.0 * s)  # s > 0 because w > 0
+    if h2 < math.inf:
         correction -= f * h2 * cos_mean2 * sin_dphi2
+    else:
+        correction -= _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2)
     return 2.0 * model.equatorial_radius_m * w * (1.0 + correction)
 
 
@@ -196,12 +205,17 @@ def ellipsoid_distance_many(
     s = sin_dphi2 * cos_dlng2 + cos_mean2 * sin_dlng2
     c = cos_dphi2 * cos_dlng2 + sin_mean2 * sin_dlng2
     w = np.arctan2(np.sqrt(s), np.sqrt(c))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.sqrt(s * c) / w
         f = model.flattening
         h1 = (3.0 * r - 1.0) / (2.0 * c)
         h2 = (3.0 * r + 1.0) / (2.0 * s)
-        correction = f * h1 * sin_mean2 * cos_dphi2 - f * h2 * cos_mean2 * sin_dphi2
+        term2 = np.where(
+            np.isinf(h2),
+            _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2),
+            f * h2 * cos_mean2 * sin_dphi2,
+        )
+        correction = f * h1 * sin_mean2 * cos_dphi2 - term2
     correction = np.where(s > 0.0, correction, 0.0)
     out = 2.0 * model.equatorial_radius_m * w * (1.0 + correction)
     return np.where(w == 0.0, 0.0, out)

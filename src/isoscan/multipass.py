@@ -141,7 +141,11 @@ def area_tile_keys(area: Quadrilateral) -> list[TileKey]:
 def tile_keys_within(
     area: Quadrilateral, center: GeoPoint, radius_m: float, model: EarthModel = WGS84
 ) -> list[TileKey]:
-    """Keys of area tiles whose quadrilateral is within ``radius_m`` of ``center``."""
+    """Keys of area tiles whose quadrilateral is within ``radius_m`` of ``center``.
+
+    A linear scan over the area's tiles: the audit's check on the pipeline's
+    ``TileIndex.tiles_within`` assignment.
+    """
     pad_deg = math.degrees(radius_m / model.radius_m) + 1e-9
     keys = []
     lat_lo = max(int(area.lat_min), int(math.floor(center.lat_deg - pad_deg)))
@@ -172,8 +176,6 @@ def bounding_pass(
     i_min: float,
     model: EarthModel = WGS84,
     distance_mode: str = "staged",
-    leaf_capacity: int = 32,
-    prebuilt_levels: int = 4,
 ) -> BoundingOutcome:
     """Detect peaks at full resolution and bound their isolation locally.
 
@@ -189,9 +191,7 @@ def bounding_pass(
     strided = downsample(tile, stride)
     events = build_events(strided, peaks)
     nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
-    results = run_sweep(
-        events, tile.quad, nn_metric, leaf_capacity=leaf_capacity, prebuilt_levels=prebuilt_levels
-    )
+    results = run_sweep(events, tile.quad, nn_metric)
 
     bounded: list[tuple[Peak, float]] = []
     deferred: list[Peak] = []
@@ -259,8 +259,6 @@ def finalization_pass(
     tile: Tile,
     assigned: Sequence[tuple[Peak, float]],
     metric,
-    leaf_capacity: int = 32,
-    prebuilt_levels: int = 4,
 ) -> list[tuple[GeoPoint, float, GeoPoint]]:
     """Full-resolution candidates for the peaks assigned to this tile.
 
@@ -275,9 +273,7 @@ def finalization_pass(
     if not peaks:
         return []
     events = build_events(tile, peaks)
-    results = run_sweep(
-        events, tile.quad, metric, leaf_capacity=leaf_capacity, prebuilt_levels=prebuilt_levels
-    )
+    results = run_sweep(events, tile.quad, metric)
     return [
         (res.peak.location, res.isolation_m, res.ilp)
         for res in results
@@ -340,39 +336,15 @@ def final_metric(distance_mode: str, model: EarthModel = WGS84):
 
 
 def _bounding_task(args) -> BoundingOutcome:
-    tile, stride, i_min, model, distance_mode, leaf_capacity, prebuilt_levels = args
-    return bounding_pass(
-        tile, stride, i_min, model, distance_mode, leaf_capacity, prebuilt_levels
-    )
+    return bounding_pass(*args)
 
 
 def _finalization_task(args):
-    key, tile, assigned, distance_mode, model, leaf_capacity, prebuilt_levels = args
+    key, tile, assigned, distance_mode, model = args
     metric = final_metric(distance_mode, model)
     start = time.perf_counter()
-    cands = finalization_pass(tile, assigned, metric, leaf_capacity, prebuilt_levels)
+    cands = finalization_pass(tile, assigned, metric)
     return key, cands, time.perf_counter() - start
-
-
-def _highpoint_task(args) -> HighpointOutcome:
-    index, chunk, i_min, model = args
-    return highpoint_pass(index, chunk, i_min, model)
-
-
-def _run_highpoint(pool, workers, index, deferred, i_min, model) -> HighpointOutcome:
-    """Dispatch deferred peaks over the pool; they are mutually independent."""
-    ordered = sorted(deferred, key=lambda p: p.location)
-    if pool is None or len(ordered) < 32:
-        return highpoint_pass(index, ordered, i_min, model)
-    chunks = [ordered[i::workers] for i in range(workers)]
-    merged = HighpointOutcome(assigned=[], no_higher=[], discarded=0)
-    for part in pool.map(_highpoint_task, [(index, c, i_min, model) for c in chunks if c]):
-        merged.assigned.extend(part.assigned)
-        merged.no_higher.extend(part.no_higher)
-        merged.discarded += part.discarded
-    merged.assigned.sort(key=lambda pb: pb[0].location)
-    merged.no_higher.sort(key=lambda p: p.location)
-    return merged
 
 
 def run_pipeline(
@@ -383,8 +355,6 @@ def run_pipeline(
     threads: int = 1,
     distance_mode: str = "staged",
     model: EarthModel = WGS84,
-    leaf_capacity: int = 32,
-    prebuilt_levels: int = 4,
 ) -> PipelineResult:
     """Run bounding, high-point, and finalization passes over an area.
 
@@ -410,10 +380,7 @@ def run_pipeline(
     try:
         # Bounding pass: tile-parallel, merged in key order.
         t0 = time.perf_counter()
-        bound_args = [
-            (tiles[k], stride, i_min, model, distance_mode, leaf_capacity, prebuilt_levels)
-            for k in keys
-        ]
+        bound_args = [(tiles[k], stride, i_min, model, distance_mode) for k in keys]
         if pool is None:
             outcomes = [_bounding_task(a) for a in bound_args]
         else:
@@ -425,53 +392,53 @@ def run_pipeline(
         bounds_by_peak: dict[GeoPoint, list[float]] = {}
         registry: dict[GeoPoint, Peak] = {}
         deferred: list[Peak] = []
-        summaries: list[TileSummary] = []
+        # One immutable tile tree serves both tile assignment and the
+        # high-point pass.
+        summaries = [o.summary for o in outcomes]
+        index = TileIndex(
+            [(s.key, tile_quad(s.key), s.max_elevation_m) for s in summaries], model
+        )
 
         def register(peak: Peak) -> None:
             cur = registry.get(peak.location)
             if cur is None or peak.home_tile < cur.home_tile:
                 registry[peak.location] = peak
 
+        def assign(peak: Peak, bound: float) -> None:
+            register(peak)
+            bounds_by_peak.setdefault(peak.location, []).append(bound)
+            for key in index.tiles_within(peak.location, bound):
+                peaks_map.add(key, peak, bound)
+
         seen_locations: set[GeoPoint] = set()
         for outcome in outcomes:
-            summaries.append(outcome.summary)
             stats.samples += outcome.samples
             stats.discarded += outcome.discarded
-            for pk in outcome.deferred:
-                deferred.append(pk)
+            deferred.extend(outcome.deferred)
             for pk, bound in outcome.bounded:
-                register(pk)
-                bounds_by_peak.setdefault(pk.location, []).append(bound)
-                for key in tile_keys_within(area, pk.location, bound, model):
-                    peaks_map.add(key, pk, bound)
+                assign(pk, bound)
             seen_locations.update(pk.location for pk, _ in outcome.bounded)
             seen_locations.update(pk.location for pk in outcome.deferred)
             seen_locations.update(outcome.discarded_locations)
         stats.peaks_found = len(seen_locations)
 
-        # High-point pass over deferred peaks against the immutable index.
+        # High-point pass: a few peaks per tile, cheaper in this process
+        # than a round trip through the pool.
         t0 = time.perf_counter()
-        index = TileIndex(
-            [(s.key, tile_quad(s.key), s.max_elevation_m) for s in summaries], model
-        )
-        hp = _run_highpoint(pool, threads, index, deferred, i_min, model)
+        hp = highpoint_pass(index, deferred, i_min, model)
         stats.discarded += hp.discarded
         stats.deferred = len(deferred)
         for peak in hp.no_higher:
             register(peak)
         for peak, bound in hp.assigned:
-            register(peak)
-            bounds_by_peak.setdefault(peak.location, []).append(bound)
-            for key in index.tiles_within(peak.location, bound):
-                peaks_map.add(key, peak, bound)
+            assign(peak, bound)
         peaks_map.freeze()
         highpoint_s = time.perf_counter() - t0
 
         # Finalization pass: full resolution, tile-parallel.
         t0 = time.perf_counter()
         final_args = [
-            (k, tiles[k], peaks_map.assigned(k), distance_mode, model, leaf_capacity, prebuilt_levels)
-            for k in peaks_map.keys()
+            (k, tiles[k], peaks_map.assigned(k), distance_mode, model) for k in peaks_map.keys()
         ]
         if pool is None:
             final_out = [_finalization_task(a) for a in final_args]
@@ -504,8 +471,6 @@ def run_merged_sweep(
     area: Quadrilateral,
     tiles: Mapping[TileKey, Tile] | Sequence[Tile],
     metric,
-    leaf_capacity: int = 32,
-    prebuilt_levels: int = 4,
 ) -> list[IlpResult]:
     """Single sweep over the merged area with the pipeline's peak set.
 
@@ -524,23 +489,22 @@ def run_merged_sweep(
     merged = merge_tiles(tile_list)
     peaks = detect_peaks_deduped(tile_list)
     events = build_events(merged, peaks)
-    return run_sweep(
-        events, merged.quad, metric, leaf_capacity=leaf_capacity, prebuilt_levels=prebuilt_levels
-    )
+    return run_sweep(events, merged.quad, metric)
 
 
 def audit_pipeline(outcome: PipelineResult, model: EarthModel = WGS84) -> list[str]:
     """Post-hoc validity audit of bounds and tile assignments.
 
     Checks that every recorded upper bound is at least the final isolation
-    and that every tile closer to a peak than its final isolation received
-    the peak in the map.  Returns human-readable violation descriptions.
+    and that every tile within a peak's final isolation received the peak
+    in the map.  The tiles are found by :func:`tile_keys_within`, a linear
+    scan independent of the ``TileIndex`` the pipeline assigns with.
+    Returns human-readable violation descriptions.
     """
     problems: list[str] = []
     assigned_locations: dict[TileKey, set[GeoPoint]] = {
         key: {loc for loc, _ in entries} for key, entries in outcome.map_snapshot.items()
     }
-    keys = area_tile_keys(outcome.area)
     for res in outcome.results:
         if res.isolation_m is None:
             continue
@@ -551,8 +515,7 @@ def audit_pipeline(outcome: PipelineResult, model: EarthModel = WGS84) -> list[s
                     f"bound {bound:.3f} m below final isolation "
                     f"{res.isolation_m:.3f} m for peak {loc}"
                 )
-        for key in keys:
-            if min_distance(tile_quad(key), loc, model) < res.isolation_m:
-                if loc not in assigned_locations.get(key, set()):
-                    problems.append(f"peak {loc} missing from tile {key} within its isolation")
+        for key in tile_keys_within(outcome.area, loc, res.isolation_m, model):
+            if loc not in assigned_locations.get(key, set()):
+                problems.append(f"peak {loc} missing from tile {key} within its isolation")
     return problems

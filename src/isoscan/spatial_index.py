@@ -45,7 +45,6 @@ __all__ = [
     "PlanarMetric",
     "EllipsoidMetric",
     "SphereKdTree",
-    "prebuild",
     "TileIndex",
 ]
 
@@ -61,6 +60,10 @@ _PRUNE_SLACK_M = 1e-6
 # the great-circle quad bound by a factor below that range keeps pruning
 # sound under the ellipsoid metric.
 _ELLIPSOID_PRUNE_FACTOR = 0.9935
+
+# A leaf whose quadrilateral spans at most one arc-second, the finest HGT
+# sample spacing, overflows instead of splitting further.
+_MIN_SPLIT_SPAN_DEG = 1.0 / 3600.0
 
 
 class OutOfBoundsError(ValueError):
@@ -149,6 +152,25 @@ class EllipsoidMetric:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p, self.model)
 
 
+def _halve(q: Quadrilateral, axis: int) -> tuple[float, Quadrilateral, Quadrilateral]:
+    """Center split of ``q`` along ``axis`` (0 latitude, 1 longitude): (split, low, high)."""
+    lo = 2 * axis  # field index of the axis' minimum: lat_min or lng_min
+    split = (q[lo] + q[lo + 1]) * 0.5
+    low, high = list(q), list(q)
+    low[lo + 1] = high[lo] = split
+    return split, Quadrilateral(*low), Quadrilateral(*high)
+
+
+def _split_axis(q: Quadrilateral) -> Optional[int]:
+    """Axis of the longer ground extent of ``q``; None once ``q`` has collapsed."""
+    extent_lat = q.lat_max - q.lat_min
+    mid_cos = math.cos(math.radians((q.lat_min + q.lat_max) * 0.5))
+    extent_lng = (q.lng_max - q.lng_min) * mid_cos
+    if max(extent_lat, extent_lng) <= _MIN_SPLIT_SPAN_DEG:
+        return None
+    return 0 if extent_lat >= extent_lng else 1
+
+
 class _Node:
     __slots__ = ("quad", "axis", "split", "low", "high", "points", "size", "permanent")
 
@@ -168,9 +190,9 @@ class SphereKdTree:
 
     Points are stored in leaves only; inner nodes carry the quadrilateral
     they cover.  Leaves hold at most ``leaf_capacity`` points, except leaves
-    whose quadrilateral has collapsed below ``min_split_span_deg`` or that
-    hold only duplicates of one coordinate (tile-seam points), which may
-    overflow rather than split forever.
+    whose quadrilateral has collapsed to one arc-second or that hold only
+    duplicates of one coordinate (tile-seam points), which may overflow
+    rather than split forever.
 
     Single-writer: no concurrent mutation; each sweep owns its instance.
     """
@@ -180,7 +202,6 @@ class SphereKdTree:
         bounds: Quadrilateral,
         leaf_capacity: int = 32,
         prebuilt_levels: int = 4,
-        min_split_span_deg: float = 1.0 / 3600.0,
     ):
         if leaf_capacity < 1:
             raise ValueError("leaf_capacity must be >= 1")
@@ -188,8 +209,6 @@ class SphereKdTree:
             raise ValueError("prebuilt_levels must be >= 0")
         self.bounds = bounds
         self.leaf_capacity = leaf_capacity
-        self.prebuilt_levels = prebuilt_levels
-        self.min_split_span_deg = min_split_span_deg
         self._root = _Node(bounds, permanent=False)
         self._prebuild(self._root, 2 * prebuilt_levels)
 
@@ -198,16 +217,8 @@ class SphereKdTree:
         # give the quadtree-like 4^k partition of the bounds.
         if half_levels == 0:
             return
-        q = node.quad
-        axis = (2 * self.prebuilt_levels - half_levels) % 2
-        if axis == 0:
-            split = (q.lat_min + q.lat_max) * 0.5
-            low_q = Quadrilateral(q.lat_min, split, q.lng_min, q.lng_max)
-            high_q = Quadrilateral(split, q.lat_max, q.lng_min, q.lng_max)
-        else:
-            split = (q.lng_min + q.lng_max) * 0.5
-            low_q = Quadrilateral(q.lat_min, q.lat_max, q.lng_min, split)
-            high_q = Quadrilateral(q.lat_min, q.lat_max, split, q.lng_max)
+        axis = half_levels % 2  # the even count at the root splits latitude
+        split, low_q, high_q = _halve(node.quad, axis)
         node.axis = axis
         node.split = split
         node.points = None
@@ -264,22 +275,10 @@ class SphereKdTree:
             first = pts[0]
             if all(pt == first for pt in pts):
                 continue  # duplicate-coordinate overflow
-            q = nd.quad
-            extent_lat = q.lat_max - q.lat_min
-            mid_cos = math.cos(math.radians((q.lat_min + q.lat_max) * 0.5))
-            extent_lng = (q.lng_max - q.lng_min) * mid_cos
-            if max(extent_lat, extent_lng) <= self.min_split_span_deg:
+            axis = _split_axis(nd.quad)
+            if axis is None:
                 continue  # collapsed quadrilateral, allow overflow
-            if extent_lat >= extent_lng:
-                axis = 0
-                split = (q.lat_min + q.lat_max) * 0.5
-                low_q = Quadrilateral(q.lat_min, split, q.lng_min, q.lng_max)
-                high_q = Quadrilateral(split, q.lat_max, q.lng_min, q.lng_max)
-            else:
-                axis = 1
-                split = (q.lng_min + q.lng_max) * 0.5
-                low_q = Quadrilateral(q.lat_min, q.lat_max, q.lng_min, split)
-                high_q = Quadrilateral(q.lat_min, q.lat_max, split, q.lng_max)
+            split, low_q, high_q = _halve(nd.quad, axis)
             low = _Node(low_q)
             high = _Node(high_q)
             for pt in pts:
@@ -363,31 +362,18 @@ class SphereKdTree:
                     assert contains(quad, pt), f"{pt} escapes leaf {quad}"
                 if len(node.points) > self.leaf_capacity:
                     first = node.points[0]
-                    extent_lat = quad.lat_max - quad.lat_min
-                    mid_cos = math.cos(math.radians((quad.lat_min + quad.lat_max) * 0.5))
-                    extent_lng = (quad.lng_max - quad.lng_min) * mid_cos
                     assert (
-                        all(pt == first for pt in node.points)
-                        or max(extent_lat, extent_lng) <= self.min_split_span_deg
+                        all(pt == first for pt in node.points) or _split_axis(quad) is None
                     ), "overfull leaf without collapsed quadrilateral"
                 assert node.size == len(node.points)
                 return node.size
-            if node.axis == 0:
-                low_q = Quadrilateral(quad.lat_min, node.split, quad.lng_min, quad.lng_max)
-                high_q = Quadrilateral(node.split, quad.lat_max, quad.lng_min, quad.lng_max)
-            else:
-                low_q = Quadrilateral(quad.lat_min, quad.lat_max, quad.lng_min, node.split)
-                high_q = Quadrilateral(quad.lat_min, quad.lat_max, node.split, quad.lng_max)
+            split, low_q, high_q = _halve(quad, node.axis)
+            assert node.split == split, f"split {node.split} off the center of {quad}"
             n = walk(node.low, low_q) + walk(node.high, high_q)
             assert node.size == n
             return n
 
         walk(self._root, self.bounds)
-
-
-def prebuild(bounds: Quadrilateral, levels: int, **kwargs) -> SphereKdTree:
-    """Empty tree whose first ``levels`` quadtree levels are pre-split."""
-    return SphereKdTree(bounds, prebuilt_levels=levels, **kwargs)
 
 
 class _TileNode:

@@ -59,8 +59,6 @@ def run_sweep(
     events: Sequence[Event],
     bounds: Quadrilateral,
     metric,
-    leaf_capacity: int = 32,
-    prebuilt_levels: int = 4,
     trace_sink: Optional[list[PeakTrace]] = None,
 ) -> list[IlpResult]:
     """Process a descending event sequence and resolve every peak event.
@@ -76,7 +74,7 @@ def run_sweep(
         One result per peak event, sorted by peak location.  A peak that
         sees no active point (the area's highest) gets ``ilp=None``.
     """
-    tree = SphereKdTree(bounds, leaf_capacity=leaf_capacity, prebuilt_levels=prebuilt_levels)
+    tree = SphereKdTree(bounds)
     results: list[IlpResult] = []
     instrument = trace_sink is not None
     if instrument:

@@ -212,18 +212,6 @@ class TestOracleCheckMode:
         assert "discrepanc" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_reports_rows_and_mean(self, cones_world_dir, capsys):
-        args = compute_args(cones_world_dir)
-        args[0] = "bench"
-        assert main(args + ["--reps", "2"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l]
-        assert lines[0].startswith("rep,mode,")
-        assert len([l for l in lines if l.startswith(("0,", "1,"))]) == 2
-        assert lines[-1].startswith("mean,")
-
-
 class TestWriteCsv:
     def test_formatting(self, tmp_path):
         peak = Peak(GeoPoint(45.123456789, 7.1), 2000, (45, 7))

@@ -15,6 +15,7 @@ from isoscan.dem import (
     HgtFormatError,
     Tile,
     VOID_VALUE,
+    _lowest_nesw_grid,
     build_events,
     detect_peaks,
     detect_peaks_deduped,
@@ -22,7 +23,6 @@ from isoscan.dem import (
     generate_synthetic,
     hgt_filename,
     load_hgt,
-    lowest_nesw_neighbor,
     merge_tiles,
     parse_hgt_filename,
     save_hgt,
@@ -229,17 +229,15 @@ class TestLowestNeighbor:
         grid = np.array(
             [[0, 5, 0], [9, 1, 7], [0, 3, 0]], dtype=np.int16
         )
-        assert lowest_nesw_neighbor(Tile(45, 7, grid, 2), 1, 1) == 3
+        assert _lowest_nesw_grid(grid)[1, 1] == 3
 
     def test_corner_uses_existing_only(self):
         grid = np.array([[1, 8], [2, 9]], dtype=np.int16)
-        assert lowest_nesw_neighbor(Tile(45, 7, grid, 1), 0, 0) == 2  # E=8, S=2
+        assert _lowest_nesw_grid(grid)[0, 0] == 2  # E=8, S=2
 
     def test_flat_tile_equals_own_elevation(self):
         tile = make_tile(np.full((9, 9), 42))
-        for i in range(9):
-            for j in range(9):
-                assert lowest_nesw_neighbor(tile, i, j) == 42
+        assert (_lowest_nesw_grid(tile.elevations) == 42).all()
 
 
 class TestBuildEvents:

@@ -327,3 +327,21 @@ class TestRunPipeline:
         assert outcome.stats.samples == 2 * 31 * 31
         assert outcome.stats.peaks_found == outcome.stats.peaks_kept == len(outcome.results)
         assert outcome.stats.total_s > 0
+
+
+class TestAudit:
+    def test_reports_missing_assignment_and_low_bound(self):
+        area, tiles = world(2, 2, seed=67, n=41)
+        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        assert audit_pipeline(outcome) == []
+        res = next(r for r in outcome.results if r.isolation_m is not None)
+        loc = res.peak.location
+        key = tile_keys_within(area, loc, 0.0)[0]
+        entries = outcome.map_snapshot[key]
+        outcome.map_snapshot[key] = [(l, b) for l, b in entries if l != loc]
+        low = res.isolation_m - 1.0
+        outcome.bounds_by_peak[loc][0] = low
+        assert audit_pipeline(outcome) == [
+            f"bound {low:.3f} m below final isolation {res.isolation_m:.3f} m for peak {loc}",
+            f"peak {loc} missing from tile {key} within its isolation",
+        ]

@@ -20,7 +20,6 @@ from isoscan.spatial_index import (
     PointNotFoundError,
     SphereKdTree,
     TileIndex,
-    prebuild,
 )
 
 BOUNDS = Quadrilateral(40, 50, 0, 10)
@@ -200,11 +199,11 @@ class TestNearestNeighbor:
 
 class TestPrebuild:
     def test_zero_levels_single_leaf(self):
-        tree = prebuild(BOUNDS, 0)
+        tree = SphereKdTree(BOUNDS, prebuilt_levels=0)
         assert tree.node_count() == 1
 
     def test_one_level_four_regions(self):
-        tree = prebuild(BOUNDS, 1)
+        tree = SphereKdTree(BOUNDS, prebuilt_levels=1)
         leaves = []
 
         def collect(node):

@@ -12,14 +12,14 @@ from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
 
 
-def check_world(rows, cols, seed, origin, profile="fractal", n=41, stride=2, **kw):
+def check_world(rows, cols, seed, origin, profile="fractal", n=41, stride=2):
     tiles = generate_synthetic(
         rows, cols, seed=seed, profile=profile, samples_per_side=n, origin=origin
     )
     area = Quadrilateral(origin[0], origin[0] + rows, origin[1], origin[1] + cols)
     by_key = {t.key: t for t in tiles}
     metric = EllipsoidMetric()
-    outcome = run_pipeline(area, by_key, stride=stride, i_min=0.0, threads=1, **kw)
+    outcome = run_pipeline(area, by_key, stride=stride, i_min=0.0, threads=1)
     swept = run_merged_sweep(area, by_key, metric)
     peaks = detect_peaks_deduped(tiles)
     reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles), metric)
@@ -49,11 +49,8 @@ class TestParameters:
     def test_stride_three(self):
         check_world(1, 2, seed=74, origin=(45, 7), n=61, stride=3)
 
-    def test_stride_four_and_small_leaves(self):
-        check_world(1, 1, seed=75, origin=(45, 7), n=41, stride=4, leaf_capacity=4)
-
-    def test_no_prebuilt_levels(self):
-        check_world(1, 1, seed=76, origin=(45, 7), n=41, prebuilt_levels=0)
+    def test_stride_four(self):
+        check_world(1, 1, seed=75, origin=(45, 7), n=41, stride=4)
 
     def test_non_square_world(self):
         check_world(1, 3, seed=77, origin=(45, 7), n=41)
@@ -68,7 +65,7 @@ class TestExtremeDeferral:
     def test_full_span_stride_defers_most_peaks(self):
         # stride equal to the tile span leaves a 2x2 bounding grid, so
         # nearly every peak lacks a strided local bound and takes the
-        # high-point route (chunked across workers when parallel)
+        # high-point route
         tiles = generate_synthetic(2, 2, seed=79, samples_per_side=41, profile="fractal")
         area = Quadrilateral(45, 47, 7, 9)
         by_key = {t.key: t for t in tiles}
