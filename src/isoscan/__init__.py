@@ -1,8 +1,9 @@
 """Peak isolation from tiled digital elevation models.
 
 Computes, for every mountain peak in a search area, the distance to the
-nearest strictly higher ground, using a top-down sweep over a dynamic
-spherical k-d tree, with a tile-parallel three-pass variant and a
+nearest strictly higher ground: a tile-parallel three-pass pipeline that
+queries per-tile max-elevation pyramids, the paper's top-down sweep over a
+dynamic spherical k-d tree as the single-sweep reference, and a
 brute-force oracle for verification.
 """
 

@@ -1,7 +1,8 @@
 """Command-line front end: compute and synth subcommands.
 
 Exit codes: 0 success, 1 configuration error, 2 missing or malformed data,
-3 internal invariant violation (including oracle-check mismatches).
+3 internal invariant violation (including oracle-check mismatches and
+non-finite distances in a nearest-neighbor search).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .multipass import (
 )
 from .oracle import SampleUniverse, brute_force_all
 from .quad import Quadrilateral
+from .spatial_index import NonFiniteDistanceError
 from .sweep import IlpResult, SweepConsistencyError, SweepInvariantError
 
 CSV_HEADER = "latitude,longitude,elevation_m,isolation_km,ilp_latitude,ilp_longitude"
@@ -172,7 +174,8 @@ def _summary(stats: PipelineStats, io_s: float, emitted: int) -> str:
     return (
         f"tiles={stats.tiles} samples={stats.samples} peaks={stats.peaks_found} "
         f"peaks_kept={stats.peaks_kept} emitted={emitted} io_s={io_s:.3f} "
-        f"bounding_s={stats.bounding_s:.3f} highpoint_s={stats.highpoint_s:.3f} "
+        f"bounding_s={stats.bounding_s:.3f} assign_s={stats.assign_s:.3f} "
+        f"highpoint_s={stats.highpoint_s:.3f} "
         f"finalization_s={stats.finalization_s:.3f} compute_s={stats.total_s:.3f}"
     )
 
@@ -307,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"isoscan: i/o error: {exc}", file=sys.stderr)
         return 2
-    except (SweepConsistencyError, SweepInvariantError) as exc:
+    except (SweepConsistencyError, SweepInvariantError, NonFiniteDistanceError) as exc:
         print(f"isoscan: internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,11 +1,12 @@
 """Scalable three-pass isolation pipeline over tiles.
 
-Pass 1 (bounding) sweeps each tile's down-sampled grid with the
-full-resolution peaks, turning every tile-local nearest higher sample into
-an upper bound on that peak's isolation.  Peaks bounded below the
+Pass 1 (bounding) detects each tile's peaks at full resolution and asks an
+:class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
+grid for each peak's nearest strictly higher sample; its distance is an
+upper bound on that peak's isolation.  Peaks bounded below the
 minimum-isolation threshold are discarded; the rest are assigned to every
-tile within their bound.  Peaks with no tile-local higher sample (always
-including the tile high point) are deferred.
+tile within their bound.  Peaks with no higher down-sampled sample in
+their tile (always including the tile high point) are deferred.
 
 Pass 2 (high-point) resolves the deferred peaks against a static tile-level
 index augmented with per-tile maximum elevation: the nearest higher tile's
@@ -13,13 +14,15 @@ maximum distance bounds the peak's isolation, and the peak is assigned to
 all tiles within that bound.  The peak with no higher tile anywhere is the
 search-area high point and gets undefined isolation.
 
-Pass 3 (finalization) sweeps each tile at full resolution with the peaks
-assigned to it and emits per-tile candidates; the final answer per peak is
-the closest candidate.
+Pass 3 (finalization) asks a full-resolution pyramid of each tile for the
+nearest strictly higher sample of every peak assigned to it, under the
+final metric; the final answer per peak is the closest candidate over its
+tiles.
 
 Bounding and finalization run tile-parallel in worker processes; results
 are merged in deterministic key order, so output is identical for any
-worker count.
+worker count.  The event sweep (:func:`run_merged_sweep`) is the paper's
+single-sweep reference path.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .dem import Peak, Tile, build_events, detect_peaks, detect_peaks_deduped, d
 from .geo import EarthModel, GeoPoint, WGS84, great_circle_distance
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
+    ElevationPyramid,
     EllipsoidMetric,
     GreatCircleMetric,
     PlanarMetric,
@@ -82,7 +86,6 @@ class TileSummary:
     """Per-tile digest feeding the high-point pass."""
 
     key: TileKey
-    high_point: Peak
     max_elevation_m: int
 
 
@@ -179,33 +182,32 @@ def bounding_pass(
 ) -> BoundingOutcome:
     """Detect peaks at full resolution and bound their isolation locally.
 
-    The sweep runs on the strided grid; found bounds are recomputed with the
-    great-circle distance and inflated by :data:`BOUND_INFLATION` before the
-    threshold test and tile assignment.
+    Each peak's nearest strictly higher sample of the strided grid is found
+    under the planar metric (great-circle under ``great-circle-only``); its
+    great-circle distance, inflated by :data:`BOUND_INFLATION`, is the bound
+    tested against the threshold and used for tile assignment.
     """
     start = time.perf_counter()
     peaks = detect_peaks(tile)
-    high = min(peaks, key=lambda p: (-p.elevation_m, p.location))
-    summary = TileSummary(tile.key, high, tile.max_elevation_m)
+    summary = TileSummary(tile.key, tile.max_elevation_m)
 
-    strided = downsample(tile, stride)
-    events = build_events(strided, peaks)
+    pyramid = ElevationPyramid(downsample(tile, stride))
     nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
-    results = run_sweep(events, tile.quad, nn_metric)
 
     bounded: list[tuple[Peak, float]] = []
     deferred: list[Peak] = []
     discarded_locations: list[GeoPoint] = []
-    for res in results:
-        if res.ilp is None:
-            deferred.append(res.peak)
+    for peak in peaks:
+        found = pyramid.nearest_higher(peak.location, peak.elevation_m, nn_metric)
+        if found is None:
+            deferred.append(peak)
             continue
-        raw = great_circle_distance(res.peak.location, res.ilp, model)
+        raw = great_circle_distance(peak.location, found[0], model)
         bound = raw * BOUND_INFLATION
         if bound < i_min:
-            discarded_locations.append(res.peak.location)
+            discarded_locations.append(peak.location)
         else:
-            bounded.append((res.peak, bound))
+            bounded.append((peak, bound))
     rows, cols = tile.shape
     return BoundingOutcome(
         summary=summary,
@@ -272,13 +274,12 @@ def finalization_pass(
     peaks = [pk for pk, _bound in assigned if pk.elevation_m < ceiling]
     if not peaks:
         return []
-    events = build_events(tile, peaks)
-    results = run_sweep(events, tile.quad, metric)
-    return [
-        (res.peak.location, res.isolation_m, res.ilp)
-        for res in results
-        if res.ilp is not None
-    ]
+    pyramid = ElevationPyramid(tile)
+    candidates = []
+    for pk in peaks:
+        point, dist = pyramid.nearest_higher(pk.location, pk.elevation_m, metric)
+        candidates.append((pk.location, dist, point))
+    return candidates
 
 
 def finalize(
@@ -312,6 +313,7 @@ class PipelineStats:
     deferred: int = 0
     discarded: int = 0
     bounding_s: float = 0.0
+    assign_s: float = 0.0
     highpoint_s: float = 0.0
     finalization_s: float = 0.0
     total_s: float = 0.0
@@ -387,6 +389,8 @@ def run_pipeline(
             outcomes = list(pool.map(_bounding_task, bound_args))
         bounding_s = time.perf_counter() - t0
 
+        # Tile assignment of the bounded peaks.
+        t0 = time.perf_counter()
         stats = PipelineStats(tiles=len(keys))
         peaks_map = TilePeaksMap()
         bounds_by_peak: dict[GeoPoint, list[float]] = {}
@@ -421,6 +425,7 @@ def run_pipeline(
             seen_locations.update(pk.location for pk in outcome.deferred)
             seen_locations.update(outcome.discarded_locations)
         stats.peaks_found = len(seen_locations)
+        assign_s = time.perf_counter() - t0
 
         # High-point pass: a few peaks per tile, cheaper in this process
         # than a round trip through the pool.
@@ -455,6 +460,7 @@ def run_pipeline(
 
     stats.peaks_kept = len(registry)
     stats.bounding_s = bounding_s
+    stats.assign_s = assign_s
     stats.highpoint_s = highpoint_s
     stats.finalization_s = finalization_s
     stats.total_s = time.perf_counter() - started

@@ -1,9 +1,14 @@
-"""Spatial search structures for the sweep passes.
+"""Spatial search structures for the sweep and the pipeline's passes.
 
 ``SphereKdTree`` is the dynamic point index maintained by the sweep: points
 live in fixed-capacity leaves, overflowing leaves center-split along their
 longer side, and the first levels are pre-built quadtree-style so the early
 (clustered) insertions cannot degenerate the tree.
+
+``ElevationPyramid`` is the static per-tile index of the bounding and
+finalization passes: the maximum elevation of every 8x8 block of samples,
+max-pooled 2x2 up to one root cell, searched best-first for the nearest
+sample strictly higher than a peak.
 
 ``TileIndex`` is the static tile-level tree used by the high-point pass:
 every node carries its quadrilateral and the maximum elevation of its
@@ -18,11 +23,13 @@ soundness is what makes pruned searches exactly equivalent to linear scans.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .dem import Tile
 from .geo import (
     EarthModel,
     GeoPoint,
@@ -41,10 +48,12 @@ __all__ = [
     "OutOfBoundsError",
     "PointNotFoundError",
     "EmptyTreeError",
+    "NonFiniteDistanceError",
     "GreatCircleMetric",
     "PlanarMetric",
     "EllipsoidMetric",
     "SphereKdTree",
+    "ElevationPyramid",
     "TileIndex",
 ]
 
@@ -65,6 +74,9 @@ _ELLIPSOID_PRUNE_FACTOR = 0.9935
 # sample spacing, overflows instead of splitting further.
 _MIN_SPLIT_SPAN_DEG = 1.0 / 3600.0
 
+# Samples per side of an ElevationPyramid leaf block.
+_LEAF_SIDE = 8
+
 
 class OutOfBoundsError(ValueError):
     """Point lies outside the tree's covered quadrilateral."""
@@ -76,6 +88,14 @@ class PointNotFoundError(KeyError):
 
 class EmptyTreeError(LookupError):
     """Nearest-neighbor query against an empty tree."""
+
+
+class NonFiniteDistanceError(ArithmeticError):
+    """A metric gave a NaN or infinite distance or bound during a search.
+
+    A NaN loses every comparison, so the search would silently return a
+    wrong answer; it stops instead.
+    """
 
 
 class GreatCircleMetric:
@@ -374,6 +394,146 @@ class SphereKdTree:
             return n
 
         walk(self._root, self.bounds)
+
+
+def _block_max(grid: np.ndarray, side: int) -> np.ndarray:
+    """Maximum of each ``side`` x ``side`` block; ragged edge blocks are smaller."""
+    rows, cols = grid.shape
+    out_rows, out_cols = -(-rows // side), -(-cols // side)
+    padded = np.full((out_rows * side, out_cols * side), np.iinfo(np.int32).min, dtype=np.int32)
+    padded[:rows, :cols] = grid
+    return padded.reshape(out_rows, side, out_cols, side).max(axis=(1, 3))
+
+
+def _non_finite(what: str, value: float, p: GeoPoint) -> NonFiniteDistanceError:
+    return NonFiniteDistanceError(f"non-finite {what} {value!r} for query point {p}")
+
+
+class ElevationPyramid:
+    """Static max-elevation pyramid over one tile's sample grid.
+
+    Level 0 holds the maximum elevation of each 8x8 block of samples (edge
+    blocks may be smaller); each level above max-pools 2x2 cells of the one
+    below, up to a single root cell.  A cell covers the closed
+    quadrilateral spanned by its samples' coordinates.
+
+    Immutable after construction; safe for concurrent readers.
+    """
+
+    def __init__(self, tile: Tile):
+        self._elevations = tile.elevations
+        self._lats = tile.sample_lats()
+        self._lngs = tile.sample_lngs()
+        rows, cols = tile.shape
+        level = _block_max(tile.elevations, _LEAF_SIDE)
+        levels = [level]
+        while level.shape != (1, 1):
+            level = _block_max(level, 2)
+            levels.append(level)
+        self._maxima = [lvl.tolist() for lvl in levels]
+
+        lats, lngs = self._lats.tolist(), self._lngs.tolist()
+        self._quads: list[list[list[Quadrilateral]]] = []
+        for depth, lvl in enumerate(levels):
+            side = _LEAF_SIDE << depth
+            lat_spans = [
+                (lats[min(r + side, rows) - 1], lats[r]) for r in range(0, lvl.shape[0] * side, side)
+            ]
+            lng_spans = [
+                (lngs[c], lngs[min(c + side, cols) - 1]) for c in range(0, lvl.shape[1] * side, side)
+            ]
+            self._quads.append(
+                [[Quadrilateral(*la, *ln) for ln in lng_spans] for la in lat_spans]
+            )
+
+    def nearest_higher(
+        self, p: GeoPoint, elevation_m: float, metric
+    ) -> Optional[tuple[GeoPoint, float]]:
+        """Nearest sample strictly higher than ``elevation_m`` to ``p``.
+
+        A best-first branch-and-bound descent (Hjaltason & Samet, "Distance
+        browsing in spatial databases", TODS 1999): cells are popped by the
+        metric's quadrilateral lower bound, cells no higher than
+        ``elevation_m`` are skipped, and the search stops once the popped
+        bound exceeds the best distance found.  ``p`` may lie outside the
+        tile.  Ties on distance are broken by ascending (lat, lng) of the
+        sample.
+
+        Returns:
+            (sample, distance), or None when no sample is strictly higher.
+
+        Raises:
+            NonFiniteDistanceError: the metric gave a NaN or infinite
+                distance or bound.
+        """
+        maxima = self._maxima
+        quads = self._quads
+        lower_bound = metric.lower_bound
+        isfinite = math.isfinite
+        heappop, heappush = heapq.heappop, heapq.heappush
+        top = len(maxima) - 1
+        if maxima[top][0][0] <= elevation_m:
+            return None
+        heap = [(0.0, top, 0, 0)]  # the root is always expanded
+        best_d = math.inf
+        best_pt: Optional[GeoPoint] = None
+        while heap:
+            b, depth, i, j = heappop(heap)
+            if b > best_d + _PRUNE_SLACK_M:
+                break
+            if depth == 0:
+                best_d, best_pt = self._scan_leaf(i, j, p, elevation_m, metric, best_d, best_pt)
+                continue
+            below = maxima[depth - 1]
+            below_quads = quads[depth - 1]
+            for ci in range(2 * i, min(2 * i + 2, len(below))):
+                row = below[ci]
+                for cj in range(2 * j, min(2 * j + 2, len(row))):
+                    if row[cj] > elevation_m:
+                        cb = lower_bound(below_quads[ci][cj], p)
+                        if not isfinite(cb):
+                            raise _non_finite("bound", cb, p)
+                        if cb <= best_d + _PRUNE_SLACK_M:
+                            heappush(heap, (cb, depth - 1, ci, cj))
+        return best_pt, best_d
+
+    def _scan_leaf(
+        self,
+        i: int,
+        j: int,
+        p: GeoPoint,
+        elevation_m: float,
+        metric,
+        best_d: float,
+        best_pt: Optional[GeoPoint],
+    ) -> tuple[float, Optional[GeoPoint]]:
+        """Fold the leaf block's strictly higher samples into (best_d, best_pt).
+
+        Vector distances screen the block; the near-minimal samples are
+        re-ranked with the scalar distance, as ``oracle.brute_force_ilp``
+        does, so the answer is bit-identical to a scalar scan.
+        """
+        r0, c0 = i * _LEAF_SIDE, j * _LEAF_SIDE
+        block = self._elevations[r0 : r0 + _LEAF_SIDE, c0 : c0 + _LEAF_SIDE]
+        ii, jj = np.nonzero(block > elevation_m)
+        lats = self._lats[ii + r0]
+        lngs = self._lngs[jj + c0]
+        dists = metric.distance_many(lats, lngs, p)
+        if not np.isfinite(dists).all():
+            raise _non_finite("distance", float(dists[~np.isfinite(dists)][0]), p)
+        # Vector distances may differ from the scalar ones in the last ulps;
+        # samples up to this far above the minimum are re-ranked exactly.
+        lowest = min(float(dists.min()), best_d)
+        cutoff = lowest + 1e-3 + lowest * 1e-9
+        distance = metric.distance
+        for idx in np.nonzero(dists <= cutoff)[0].tolist():
+            pt = GeoPoint(float(lats[idx]), float(lngs[idx]))
+            d = distance(p, pt)
+            if not math.isfinite(d):
+                raise _non_finite("distance", d, p)
+            if d < best_d or (d == best_d and pt < best_pt):
+                best_d, best_pt = d, pt
+        return best_d, best_pt
 
 
 class _TileNode:

@@ -154,7 +154,11 @@ class TestComputeCsv:
         assert main(compute_args(cones_world_dir, tmp_path / "o.csv")) == 0
         err = capsys.readouterr().err
         assert "tiles=4" in err
-        assert "bounding_s=" in err and "finalization_s=" in err and "io_s=" in err
+        names = [tok.split("=")[0] for tok in err.strip().splitlines()[-1].split()]
+        assert names == [
+            "tiles", "samples", "peaks", "peaks_kept", "emitted", "io_s",
+            "bounding_s", "assign_s", "highpoint_s", "finalization_s", "compute_s",
+        ]
 
 
 class TestExitCodes:
@@ -180,6 +184,13 @@ class TestExitCodes:
 
     def test_bad_tiles_argument_exit_1(self, tmp_path):
         assert main(["synth", "--tiles", "2by2", "--out", str(tmp_path)]) == 1
+
+    def test_non_finite_distance_exit_3(self, cones_world_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            EllipsoidMetric, "distance_many", lambda self, lats, lngs, p: np.full(len(lats), np.nan)
+        )
+        assert main(compute_args(cones_world_dir, tmp_path / "o.csv")) == 3
+        assert "distance nan" in capsys.readouterr().err
 
 
 class TestOracleCheckMode:

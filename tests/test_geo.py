@@ -27,8 +27,23 @@ from isoscan.geo import (
     to_cartesian,
     wrap_longitude,
 )
+from isoscan.multipass import BOUND_INFLATION
+from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR
 
 R = WGS84.radius_m
+
+
+def _destination(a: GeoPoint, bearing: float, sigma: float) -> GeoPoint:
+    """Point at central angle ``sigma`` from ``a`` along ``bearing`` (radians)."""
+    phi, lam = math.radians(a.lat_deg), math.radians(a.lng_deg)
+    sin_phi2 = math.sin(phi) * math.cos(sigma) + math.cos(phi) * math.sin(sigma) * math.cos(bearing)
+    phi2 = math.asin(max(-1.0, min(1.0, sin_phi2)))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(sigma) * math.cos(phi),
+        math.cos(sigma) - math.sin(phi) * sin_phi2,
+    )
+    return GeoPoint(math.degrees(phi2), math.degrees(lam2))
+
 
 lat_strategy = st.floats(min_value=-89.5, max_value=89.5)
 lng_strategy = st.floats(min_value=-179.999, max_value=180.0)
@@ -168,19 +183,42 @@ class TestEllipsoid:
         assert np.isfinite(bulk).all()
 
     def test_sphere_ratio_stays_in_curvature_band(self):
-        # The pruning factor in spatial_index relies on this envelope.
-        rng = random.Random(3)
-        for _ in range(2000):
-            a = GeoPoint(rng.uniform(-89, 89), rng.uniform(-180, 180))
-            b = GeoPoint(
-                min(89.0, max(-89.0, a.lat_deg + rng.uniform(-2, 2))),
-                a.lng_deg + rng.uniform(-2, 2),
-            )
+        # Ellipsoid pruning scales great-circle bounds by
+        # _ELLIPSOID_PRUNE_FACTOR, and the pipeline inflates great-circle
+        # isolation bounds by BOUND_INFLATION.  Both are sound only while the
+        # ellipsoid distance, and the geodesic it approximates, stay inside
+        # that band around the great-circle distance: at every latitude and
+        # bearing, from metres up to 0.97 pi R, where the approximation's
+        # contract ends.
+        def in_band(a, b):
             g = great_circle_distance(a, b)
-            if g < 1.0:
+            assert _ELLIPSOID_PRUNE_FACTOR < ellipsoid_distance(a, b) / g < BOUND_INFLATION
+            try:
+                v = vincenty_inverse(a.lat_deg, a.lng_deg, b.lat_deg, b.lng_deg)
+            except VincentyNoConvergence:
+                return False
+            assert _ELLIPSOID_PRUNE_FACTOR < v / g < BOUND_INFLATION
+            return True
+
+        for a, b in [
+            (GeoPoint(90, 0), GeoPoint(0, 0)),
+            (GeoPoint(-90, 0), GeoPoint(80, 17)),
+            (GeoPoint(0, 0), GeoPoint(0, 174)),
+            (GeoPoint(0, 0), GeoPoint(1e-4, 0)),
+            (GeoPoint(89.9, 0), GeoPoint(89.9, 180)),
+        ]:
+            assert in_band(a, b)
+
+        rng = random.Random(3)
+        checked = 0
+        while checked < 3000:
+            a = GeoPoint(math.degrees(math.asin(rng.uniform(-1, 1))), rng.uniform(-180, 180))
+            # alternate uniform and log-uniform separations, so short ones occur
+            scale = rng.random() if checked % 2 else 10 ** rng.uniform(-6, 0)
+            b = _destination(a, rng.uniform(0, 2 * math.pi), 0.97 * math.pi * scale)
+            if not 1.0 <= great_circle_distance(a, b) <= 0.97 * math.pi * R:
                 continue
-            ratio = ellipsoid_distance(a, b) / g
-            assert 0.9935 < ratio < 1.0105
+            checked += in_band(a, b)
 
 
 class TestPlanar:

@@ -105,7 +105,7 @@ class TestHighpointPass:
             tile_a, tile_b = tile_b, tile_a
         # now tile_b holds the higher maximum; a's high point defers to it
         outcome = bounding_pass(tile_a, stride=2, i_min=0.0)
-        high = outcome.summary.high_point
+        (high,) = [p for p in outcome.deferred if p.elevation_m == tile_a.max_elevation_m]
         index = TileIndex(
             [(k, tile_quad(k), t.max_elevation_m) for k, t in tiles.items()]
         )
@@ -327,6 +327,13 @@ class TestRunPipeline:
         assert outcome.stats.samples == 2 * 31 * 31
         assert outcome.stats.peaks_found == outcome.stats.peaks_kept == len(outcome.results)
         assert outcome.stats.total_s > 0
+
+    def test_stage_times_within_total(self):
+        area, tiles = world(2, 2, seed=64, n=41)
+        stats = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1).stats
+        stages = [stats.bounding_s, stats.assign_s, stats.highpoint_s, stats.finalization_s]
+        assert all(s > 0 for s in stages)
+        assert sum(stages) <= stats.total_s
 
 
 class TestAudit:

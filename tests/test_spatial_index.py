@@ -7,14 +7,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_nearest
+from isoscan.dem import Tile
 from isoscan.geo import GeoPoint, WGS84, great_circle_distance
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
+    ElevationPyramid,
     EllipsoidMetric,
     EmptyTreeError,
     GreatCircleMetric,
+    NonFiniteDistanceError,
     OutOfBoundsError,
     PlanarMetric,
     PointNotFoundError,
@@ -343,3 +348,66 @@ class TestTileIndex:
         ent = ((45, 7), Quadrilateral(45, 46, 7, 8), 100)
         with pytest.raises(ValueError):
             TileIndex([ent, ent])
+
+
+METRICS = [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()]
+
+
+@st.composite
+def pyramid_queries(draw):
+    """A tile of a side that is not a multiple of 8, a query point and an elevation.
+
+    Grids draw from one value (a plateau), three values (many exact ties)
+    or many; the query lies on a sample, inside the tile, or outside it, as
+    in the finalization pass.
+    """
+    side = draw(st.sampled_from([2, 3, 9, 17, 41]))
+    spread = draw(st.sampled_from([0, 2, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(1000, 1001 + spread, size=(side, side), dtype=np.int16)
+    tile = Tile(45, 7, grid, side - 1)
+    elevation = draw(st.integers(999, 1001 + spread))
+    where = draw(st.sampled_from(["peak", "inside", "outside"]))
+    if where == "peak":
+        # a query from a sample at its own elevation, as peaks query
+        i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+        p, elevation = tile.sample_point(i, j), int(grid[i, j])
+    elif where == "inside":
+        p = GeoPoint(draw(st.floats(45, 46)), draw(st.floats(7, 8)))
+    else:
+        lng = draw(st.one_of(st.floats(3, 6.99), st.floats(8.01, 12)))
+        p = GeoPoint(draw(st.floats(41, 50)), lng)
+    return tile, p, elevation, draw(st.sampled_from(METRICS))
+
+
+class TestElevationPyramid:
+    @given(pyramid_queries())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_linear_scan_of_higher_samples(self, case):
+        tile, p, elevation, metric = case
+        found = ElevationPyramid(tile).nearest_higher(p, elevation, metric)
+        rows, cols = np.nonzero(tile.elevations > elevation)
+        if len(rows) == 0:
+            assert found is None
+        else:
+            lats, lngs = tile.sample_lats()[rows], tile.sample_lngs()[cols]
+            assert found == exact_nearest(lats, lngs, p, metric)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("method", ["distance", "distance_many", "lower_bound"])
+    def test_non_finite_metric_values_raise(self, method, value):
+        class Broken(PlanarMetric):
+            pass
+
+        real = getattr(PlanarMetric, method)
+
+        def broken(self, *args):
+            out = real(self, *args)
+            return np.full_like(out, value) if isinstance(out, np.ndarray) else value
+
+        setattr(Broken, method, broken)
+        grid = np.random.default_rng(3).integers(0, 100, size=(17, 17)).astype(np.int16)
+        pyramid = ElevationPyramid(Tile(45, 7, grid, 16))
+        word = "bound" if method == "lower_bound" else "distance"
+        with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
+            pyramid.nearest_higher(GeoPoint(45.5, 7.5), 10, Broken())
