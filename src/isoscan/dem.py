@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "HgtFormatError",
     "Tile",
     "Peak",
+    "PeakCells",
     "Event",
     "EVENT_PEAK",
     "EVENT_INSERT",
@@ -174,6 +176,31 @@ class Peak:
     home_tile: tuple[int, int]
 
 
+class PeakCells(Sequence):
+    """One tile's peaks as (row, col) index arrays, in (row, col) order.
+
+    The arrays are what the bounding pass reads.  Indexing or iterating
+    makes the :class:`Peak` of a cell, located by ``Tile.sample_point``: the
+    reference path and the tests take their peaks this way, and the
+    bounding pass does so only for the peaks it queries.
+    """
+
+    __slots__ = ("tile", "rows", "cols")
+
+    def __init__(self, tile: Tile, rows: np.ndarray, cols: np.ndarray):
+        self.tile = tile
+        self.rows = rows
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> Peak:
+        i, j = int(self.rows[k]), int(self.cols[k])
+        tile = self.tile
+        return Peak(tile.sample_point(i, j), int(tile.elevations[i, j]), tile.key)
+
+
 class Event(NamedTuple):
     """Sweep event; the sequence is ordered by descending elevation."""
 
@@ -268,7 +295,7 @@ def _lowest_nesw_grid(elev: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_peaks(tile: Tile) -> list[Peak]:
+def detect_peaks(tile: Tile) -> PeakCells:
     """Samples with all eight neighbors of lower or equal elevation.
 
     Neighbors outside the grid are treated as absent, so boundary samples
@@ -291,9 +318,8 @@ def detect_peaks(tile: Tile) -> list[Peak]:
             qualifies &= nb <= elev
             has_equal |= nb == elev
 
-    cells: list[tuple[int, int]] = [
-        (int(i), int(j)) for i, j in zip(*np.nonzero(qualifies & ~has_equal))
-    ]
+    strict_rows, strict_cols = np.nonzero(qualifies & ~has_equal)
+    flat_reps: list[tuple[int, int]] = []
 
     # Flat summits: walk the whole equal-elevation component (through
     # members that abut higher ground) and keep one qualifying representative.
@@ -317,14 +343,13 @@ def detect_peaks(tile: Tile) -> list[Peak]:
                         if elev[ni, nj] == level:
                             visited[ni, nj] = True
                             stack.append((ni, nj))
-        cells.append(rep)
+        flat_reps.append(rep)
 
-    cells.sort()
-    home = tile.key
-    grid = tile.elevations
-    return [
-        Peak(tile.sample_point(i, j), int(grid[i, j]), home) for (i, j) in cells
-    ]
+    flat_rows, flat_cols = np.array(flat_reps, dtype=np.intp).reshape(-1, 2).T
+    peak_rows = np.concatenate([strict_rows, flat_rows])
+    peak_cols = np.concatenate([strict_cols, flat_cols])
+    order = np.lexsort((peak_cols, peak_rows))
+    return PeakCells(tile, peak_rows[order], peak_cols[order])
 
 
 def detect_peaks_deduped(tiles: Iterable[Tile]) -> list[Peak]:

@@ -19,6 +19,7 @@ __all__ = [
     "Vec3",
     "EarthModel",
     "WGS84",
+    "ELLIPSOID_RATIO_BAND",
     "wrap_longitude",
     "antipode",
     "great_circle_distance",
@@ -91,6 +92,13 @@ class EarthModel:
 
 
 WGS84 = EarthModel()
+
+# Range of ellipsoid_distance (and of the Vincenty geodesic it approximates)
+# divided by great_circle_distance, measured at every latitude and bearing
+# from metres up to 0.97 pi R: the meridian radius of curvature at the
+# equator and the one at the poles, against the mean radius.  Every
+# constant that relates great-circle and ellipsoid distances clears it.
+ELLIPSOID_RATIO_BAND = (0.99440, 1.00449)
 
 
 def antipode(p: GeoPoint) -> GeoPoint:

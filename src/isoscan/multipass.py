@@ -1,12 +1,17 @@
 """Scalable three-pass isolation pipeline over tiles.
 
-Pass 1 (bounding) detects each tile's peaks at full resolution and asks an
+Pass 1 (bounding) detects each tile's peaks at full resolution as (row,
+col) arrays.  A grey-scale dilation of the tile's grid, by a footprint of a
+few rectangles of samples all closer than r = i_min / BOUND_INFLATION,
+discards every peak with a strictly higher sample that close: its
+isolation is below the minimum-isolation threshold, so its row could never
+be emitted.  Each surviving peak asks an
 :class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
-grid for each peak's nearest strictly higher sample; its distance is an
-upper bound on that peak's isolation.  Peaks bounded below the
-minimum-isolation threshold are discarded; the rest are assigned to every
-tile within their bound.  Peaks with no higher down-sampled sample in
-their tile (always including the tile high point) are deferred.
+grid for its nearest strictly higher sample; that distance is an upper
+bound on the peak's isolation.  Peaks bounded below the threshold are
+discarded too; the rest are assigned to every tile within their bound.
+Peaks with no higher down-sampled sample in their tile (always including
+the tile high point) are deferred.
 
 Pass 2 (high-point) resolves the deferred peaks against a static tile-level
 index augmented with per-tile maximum elevation: the nearest higher tile's
@@ -33,7 +38,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .dem import Peak, Tile, build_events, detect_peaks, detect_peaks_deduped, downsample, merge_tiles
+import numpy as np
+
+from .dem import (
+    Peak,
+    PeakCells,
+    Tile,
+    build_events,
+    detect_peaks,
+    detect_peaks_deduped,
+    downsample,
+    merge_tiles,
+)
 from .geo import EarthModel, GeoPoint, WGS84, great_circle_distance
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
@@ -53,6 +69,7 @@ __all__ = [
     "TilePeaksMap",
     "area_tile_keys",
     "tile_keys_within",
+    "dominated_peaks",
     "bounding_pass",
     "highpoint_pass",
     "finalization_pass",
@@ -66,11 +83,15 @@ __all__ = [
 ]
 
 # Upper bounds are found as great-circle distances but the final isolation
-# is an ellipsoid distance.  Their ratio stays within the spread of the
-# ellipsoid's radii of curvature around the mean radius, at most ~1.0102
-# between directions; inflating bounds by 1.1% keeps every bound above the
-# final isolation and every tile closer than the final isolation assigned.
+# is an ellipsoid distance.  Their ratio stays inside geo.ELLIPSOID_RATIO_BAND,
+# whose high end is below 1.011, so inflating bounds by 1.1% keeps every
+# bound above the final isolation and every tile closer than the final
+# isolation assigned.
 BOUND_INFLATION = 1.011
+
+# Rectangles whose union makes the bounding pass's dilation footprint.  Each
+# costs about log2 of its two sides in passes over the tile.
+_DILATION_RECTANGLES = 4
 
 
 class MissingTilesError(RuntimeError):
@@ -161,14 +182,105 @@ def tile_keys_within(
     return keys
 
 
+def _footprint(tile: Tile, radius_m: float, model: EarthModel) -> list[tuple[int, int]]:
+    """Half-sides (rows, cols) of the rectangles that make the dilation footprint.
+
+    Two samples of the tile a rows and b columns apart, for (a, b) inside
+    one of the rectangles, are closer than ``radius_m`` on the sphere.  By
+    the haversine identity hav(d/R) = hav(dphi) + cos(phi1) cos(phi2)
+    hav(dlambda), and with c the largest cosine of latitude over the tile,
+    hav(a step) + c**2 hav(b step) < hav(radius_m / R) gives d < radius_m.
+    The rectangles are corners of that discrete footprint: all of them, or
+    :data:`_DILATION_RECTANGLES` spread over its outline.  Empty when no
+    offset qualifies.
+    """
+    if not radius_m > 0.0:
+        return []
+    rows, cols = tile.shape
+    quad = tile.quad
+    on_equator = quad.lat_min <= 0.0 <= quad.lat_max
+    c = 1.0 if on_equator else math.cos(math.radians(min(abs(quad.lat_min), abs(quad.lat_max))))
+    angle = radius_m / model.radius_m
+    limit = 1.0 if angle >= math.pi else math.sin(angle * 0.5) ** 2
+    step = math.radians(1.0 / tile.steps_per_degree)
+    hav_rows = np.sin(np.arange(rows) * (step * 0.5)) ** 2
+    # The running maximum keeps the search sound (and sorted) even for a
+    # grid spanning more than 180 degrees of longitude.
+    hav_cols = np.maximum.accumulate(c * c * np.sin(np.arange(cols) * (step * 0.5)) ** 2)
+    widest = np.searchsorted(hav_cols, limit - hav_rows, side="left") - 1
+    a = np.flatnonzero(widest >= 0)
+    if not len(a):
+        return []
+    b = widest[a]
+    corner = np.append(b[1:] < b[:-1], True)
+    a, b = a[corner], b[corner]
+    if len(a) > _DILATION_RECTANGLES:
+        # The corners nearest to evenly spaced angles on the outline.
+        k = np.arange(1, _DILATION_RECTANGLES + 1)
+        angles = k * (0.5 * math.pi / (_DILATION_RECTANGLES + 1))
+        pick = np.unique(np.searchsorted(a, a[-1] * np.sin(angles)))
+        a, b = a[pick], b[pick]
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _window_max(grid: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """Maximum over the ``2 * half + 1`` samples centred on each one along ``axis``.
+
+    Windows are clamped to the grid.  Doubling (van Herk, Pattern
+    Recognition Letters 1992; Gil & Werman, IEEE TPAMI 1993): after k steps
+    an entry is the maximum of the 2**k samples from it on, and two
+    overlapping such runs cover the window, so it costs O(log width) passes.
+    """
+    if half == 0:
+        return grid
+
+    def cut(start: int, length: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, start + length),)
+
+    width = 2 * half + 1
+    pad = [(0, 0)] * grid.ndim
+    pad[axis] = (half, half)
+    run = np.pad(grid, pad, constant_values=np.iinfo(grid.dtype).min)
+    span = 1
+    while 2 * span <= width:
+        n = run.shape[axis] - span
+        run = np.maximum(run[cut(0, n)], run[cut(span, n)])
+        span *= 2
+    n = grid.shape[axis]
+    return np.maximum(run[cut(0, n)], run[cut(width - span, n)])
+
+
+def dominated_peaks(
+    tile: Tile, cells: PeakCells, radius_m: float, model: EarthModel = WGS84
+) -> np.ndarray:
+    """Mask of the peaks that have a strictly higher sample closer than ``radius_m``.
+
+    A grey-scale dilation of the tile's own grid by the union of the
+    rectangles of :func:`_footprint`, read at the peaks: a peak is
+    dominated exactly when the dilated value at its sample is above its
+    elevation.  Every higher sample found is in the tile and closer than
+    ``radius_m`` along the great circle.
+    """
+    grid = tile.elevations
+    reach = np.full(len(cells), np.iinfo(grid.dtype).min, dtype=grid.dtype)
+    for a, b in _footprint(tile, radius_m, model):
+        dilated = _window_max(_window_max(grid, a, 0), b, 1)
+        np.maximum(reach, dilated[cells.rows, cells.cols], out=reach)
+    return reach > grid[cells.rows, cells.cols]
+
+
 @dataclass
 class BoundingOutcome:
     summary: TileSummary
-    peaks_found: int
     bounded: list[tuple[Peak, float]]
     deferred: list[Peak]
     discarded: int
-    discarded_locations: list[GeoPoint]
+    # Only peaks on the tile's edge rows and columns can be found by a
+    # neighbouring tile too, so only their locations are kept for the
+    # area's distinct peak count.
+    discarded_on_edge: list[GeoPoint]
+    dilation_discards: int
+    queries: int
     samples: int
     seconds: float
 
@@ -182,22 +294,38 @@ def bounding_pass(
 ) -> BoundingOutcome:
     """Detect peaks at full resolution and bound their isolation locally.
 
-    Each peak's nearest strictly higher sample of the strided grid is found
-    under the planar metric (great-circle under ``great-circle-only``); its
-    great-circle distance, inflated by :data:`BOUND_INFLATION`, is the bound
-    tested against the threshold and used for tile assignment.
+    Peaks dominated within ``i_min / BOUND_INFLATION`` (see
+    :func:`dominated_peaks`) are discarded without a search.  The final
+    isolation of such a peak is at most its ellipsoid distance to the
+    higher sample, and that is below the great-circle distance times the
+    high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
+    ``i_min``.  For every other peak the nearest strictly higher sample of
+    the strided grid is found under the planar metric (great-circle under
+    ``great-circle-only``); its great-circle distance, inflated by
+    :data:`BOUND_INFLATION`, is the bound tested against the threshold and
+    used for tile assignment.
     """
     start = time.perf_counter()
-    peaks = detect_peaks(tile)
+    cells = detect_peaks(tile)
     summary = TileSummary(tile.key, tile.max_elevation_m)
+    rows, cols = tile.shape
+    on_edge = np.isin(cells.rows, (0, rows - 1)) | np.isin(cells.cols, (0, cols - 1))
+    dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION, model)
+    edge_rows, edge_cols = cells.rows[dominated & on_edge], cells.cols[dominated & on_edge]
+    discarded_on_edge = [
+        tile.sample_point(i, j) for i, j in zip(edge_rows.tolist(), edge_cols.tolist())
+    ]
+    survivors = np.flatnonzero(~dominated).tolist()
 
     pyramid = ElevationPyramid(downsample(tile, stride))
     nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
 
     bounded: list[tuple[Peak, float]] = []
     deferred: list[Peak] = []
-    discarded_locations: list[GeoPoint] = []
-    for peak in peaks:
+    dilation_discards = len(cells) - len(survivors)
+    discarded = dilation_discards
+    for k in survivors:
+        peak = cells[k]
         found = pyramid.nearest_higher(peak.location, peak.elevation_m, nn_metric)
         if found is None:
             deferred.append(peak)
@@ -205,17 +333,19 @@ def bounding_pass(
         raw = great_circle_distance(peak.location, found[0], model)
         bound = raw * BOUND_INFLATION
         if bound < i_min:
-            discarded_locations.append(peak.location)
+            discarded += 1
+            if on_edge[k]:
+                discarded_on_edge.append(peak.location)
         else:
             bounded.append((peak, bound))
-    rows, cols = tile.shape
     return BoundingOutcome(
         summary=summary,
-        peaks_found=len(peaks),
         bounded=bounded,
         deferred=deferred,
-        discarded=len(discarded_locations),
-        discarded_locations=discarded_locations,
+        discarded=discarded,
+        discarded_on_edge=discarded_on_edge,
+        dilation_discards=dilation_discards,
+        queries=len(survivors),
         samples=rows * cols,
         seconds=time.perf_counter() - start,
     )
@@ -312,6 +442,10 @@ class PipelineStats:
     peaks_kept: int = 0
     deferred: int = 0
     discarded: int = 0
+    # Bounding pass, summed over tiles: peaks discarded by the dilation, and
+    # pyramid queries made for the others.
+    dilation_discards: int = 0
+    bounding_queries: int = 0
     bounding_s: float = 0.0
     assign_s: float = 0.0
     highpoint_s: float = 0.0
@@ -415,16 +549,20 @@ def run_pipeline(
                 peaks_map.add(key, peak, bound)
 
         seen_locations: set[GeoPoint] = set()
+        interior_discards = 0
         for outcome in outcomes:
             stats.samples += outcome.samples
             stats.discarded += outcome.discarded
+            stats.dilation_discards += outcome.dilation_discards
+            stats.bounding_queries += outcome.queries
             deferred.extend(outcome.deferred)
             for pk, bound in outcome.bounded:
                 assign(pk, bound)
             seen_locations.update(pk.location for pk, _ in outcome.bounded)
             seen_locations.update(pk.location for pk in outcome.deferred)
-            seen_locations.update(outcome.discarded_locations)
-        stats.peaks_found = len(seen_locations)
+            seen_locations.update(outcome.discarded_on_edge)
+            interior_discards += outcome.discarded - len(outcome.discarded_on_edge)
+        stats.peaks_found = len(seen_locations) + interior_discards
         assign_s = time.perf_counter() - t0
 
         # High-point pass: a few peaks per tile, cheaper in this process

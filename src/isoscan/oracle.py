@@ -22,7 +22,8 @@ from .sweep import IlpResult
 __all__ = ["SampleUniverse", "brute_force_ilp", "brute_force_all"]
 
 # Largest possible ratio between the distances two sphere-based metrics
-# assign to the same pair (ellipsoid vs mean-radius great circle); candidate
+# assign to the same pair (ellipsoid vs mean-radius great circle): at least
+# the high end of geo.ELLIPSOID_RATIO_BAND over its low end.  Candidate
 # screening by chord length keeps everything within this factor of the
 # minimum plus an absolute slack, then re-ranks exactly.
 _METRIC_ANISOTROPY = 1.0102

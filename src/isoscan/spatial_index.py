@@ -63,11 +63,8 @@ TileKey = tuple[int, int]
 # bound computations so equal-distance tie candidates are never pruned away.
 _PRUNE_SLACK_M = 1e-6
 
-# Flattening-corrected distances divided by great-circle distances (mean
-# radius) range over roughly [0.9944, 1.0045] globally; the lower end is the
-# meridian radius of curvature at the equator vs the mean radius.  Scaling
-# the great-circle quad bound by a factor below that range keeps pruning
-# sound under the ellipsoid metric.
+# Scaling the great-circle quad bound by a factor below the low end of
+# geo.ELLIPSOID_RATIO_BAND keeps pruning sound under the ellipsoid metric.
 _ELLIPSOID_PRUNE_FACTOR = 0.9935
 
 # A leaf whose quadrilateral spans at most one arc-second, the finest HGT
@@ -317,27 +314,43 @@ class SphereKdTree:
         """Exact nearest active point to ``p`` under ``metric``.
 
         Ties on distance are broken by ascending (lat, lng) of the stored
-        point.  Raises :class:`EmptyTreeError` when no point is active.
+        point.
+
+        Raises:
+            EmptyTreeError: no point is active.
+            NonFiniteDistanceError: the metric gave a NaN or infinite
+                distance or bound.
         """
         if self._root.size == 0:
             raise EmptyTreeError("nearest_neighbor on empty index")
         dist = metric.distance
         bound = metric.lower_bound
+        isfinite = math.isfinite
         best_d = math.inf
         best_pt: Optional[GeoPoint] = None
+
+        def child_bound(child: _Node) -> float:
+            if not child.size:
+                return math.inf
+            b = bound(child.quad, p)
+            if not isfinite(b):
+                raise _non_finite("bound", b, p)
+            return b
 
         def visit(node: _Node) -> None:
             nonlocal best_d, best_pt
             if node.axis is None:
                 for q in node.points:
                     d = dist(p, q)
+                    if not isfinite(d):
+                        raise _non_finite("distance", d, p)
                     if d < best_d or (d == best_d and (best_pt is None or q < best_pt)):
                         best_d = d
                         best_pt = q
                 return
             low, high = node.low, node.high
-            b_low = bound(low.quad, p) if low.size else math.inf
-            b_high = bound(high.quad, p) if high.size else math.inf
+            b_low = child_bound(low)
+            b_high = child_bound(high)
             if b_low <= b_high:
                 first, b_first, second, b_second = low, b_low, high, b_high
             else:

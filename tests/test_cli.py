@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +164,18 @@ class TestComputeCsv:
             "tiles", "samples", "peaks", "peaks_kept", "emitted", "io_s",
             "bounding_s", "assign_s", "highpoint_s", "finalization_s", "compute_s",
         ]
+
+
+class TestEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "isoscan", "compute", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--data-dir" in done.stdout
 
 
 class TestExitCodes:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
 from isoscan.geo import (
+    ELLIPSOID_RATIO_BAND,
     EarthModel,
     GeoPoint,
     Vec3,
@@ -28,6 +29,7 @@ from isoscan.geo import (
     wrap_longitude,
 )
 from isoscan.multipass import BOUND_INFLATION
+from isoscan.oracle import _METRIC_ANISOTROPY
 from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR
 
 R = WGS84.radius_m
@@ -183,21 +185,20 @@ class TestEllipsoid:
         assert np.isfinite(bulk).all()
 
     def test_sphere_ratio_stays_in_curvature_band(self):
-        # Ellipsoid pruning scales great-circle bounds by
-        # _ELLIPSOID_PRUNE_FACTOR, and the pipeline inflates great-circle
-        # isolation bounds by BOUND_INFLATION.  Both are sound only while the
-        # ellipsoid distance, and the geodesic it approximates, stay inside
-        # that band around the great-circle distance: at every latitude and
-        # bearing, from metres up to 0.97 pi R, where the approximation's
-        # contract ends.
+        # The ellipsoid distance, and the geodesic it approximates, stay
+        # inside ELLIPSOID_RATIO_BAND around the great-circle distance: at
+        # every latitude and bearing, from metres up to 0.97 pi R, where the
+        # approximation's contract ends.
+        lo, hi = ELLIPSOID_RATIO_BAND
+
         def in_band(a, b):
             g = great_circle_distance(a, b)
-            assert _ELLIPSOID_PRUNE_FACTOR < ellipsoid_distance(a, b) / g < BOUND_INFLATION
+            assert lo <= ellipsoid_distance(a, b) / g <= hi
             try:
                 v = vincenty_inverse(a.lat_deg, a.lng_deg, b.lat_deg, b.lng_deg)
             except VincentyNoConvergence:
                 return False
-            assert _ELLIPSOID_PRUNE_FACTOR < v / g < BOUND_INFLATION
+            assert lo <= v / g <= hi
             return True
 
         for a, b in [
@@ -219,6 +220,17 @@ class TestEllipsoid:
             if not 1.0 <= great_circle_distance(a, b) <= 0.97 * math.pi * R:
                 continue
             checked += in_band(a, b)
+
+    def test_pruning_constants_clear_the_ratio_band(self):
+        # Ellipsoid pruning scales great-circle bounds down by
+        # _ELLIPSOID_PRUNE_FACTOR, the pipeline inflates great-circle
+        # isolation bounds by BOUND_INFLATION, and the oracle screens
+        # candidates within _METRIC_ANISOTROPY of the nearest: each is sound
+        # only while it clears the band.
+        lo, hi = ELLIPSOID_RATIO_BAND
+        assert _ELLIPSOID_PRUNE_FACTOR < lo
+        assert hi < BOUND_INFLATION
+        assert hi / lo <= _METRIC_ANISOTROPY
 
 
 class TestPlanar:

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import results_by_location
-from isoscan.dem import detect_peaks, detect_peaks_deduped, generate_synthetic
-from isoscan.geo import GeoPoint
+from isoscan.dem import PeakCells, Tile, detect_peaks, detect_peaks_deduped, generate_synthetic
+from isoscan.geo import GeoPoint, great_circle_distance, great_circle_distance_many
 from isoscan.multipass import (
     BOUND_INFLATION,
     MissingTilesError,
@@ -17,6 +19,7 @@ from isoscan.multipass import (
     area_tile_keys,
     audit_pipeline,
     bounding_pass,
+    dominated_peaks,
     finalization_pass,
     finalize,
     highpoint_pass,
@@ -85,6 +88,75 @@ class TestBoundingPass:
         for peak, bound in outcome.bounded:
             ref = reference[peak.location]
             assert ref.isolation_m <= bound <= ref.isolation_m * BOUND_INFLATION * 1.001
+
+
+@st.composite
+def spiked_tiles(draw):
+    """A flat tile with seeded spikes, and cells to test: every spike plus random samples.
+
+    Origins cover both hemispheres, a tile touching the equator and tiles
+    beyond 60 degrees; steps per degree cover 1", 3" and coarse grids.
+    """
+    lat = draw(st.sampled_from([-75, -46, -1, 0, 45, 61]))
+    spd = draw(st.sampled_from([3600, 1200, 120, 8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((spd + 1, spd + 1), dtype=np.int16)
+    spikes = int(rng.integers(1, 400))
+    spike_rows = rng.integers(0, spd + 1, spikes)
+    spike_cols = rng.integers(0, spd + 1, spikes)
+    grid[spike_rows, spike_cols] = rng.integers(1, 1000, spikes)
+    rows = np.concatenate([spike_rows, rng.integers(0, spd + 1, 200)])
+    cols = np.concatenate([spike_cols, rng.integers(0, spd + 1, 200)])
+    tile = Tile(lat, 7, grid, spd)
+    return tile, PeakCells(tile, rows, cols)
+
+
+class TestDilationDiscard:
+    @given(spiked_tiles(), st.sampled_from([0.0, 1000.0, 20000.0, math.inf]))
+    @settings(max_examples=30, deadline=None)
+    def test_every_discard_has_a_closer_higher_sample(self, case, i_min):
+        tile, cells = case
+        radius = i_min / BOUND_INFLATION
+        dominated = dominated_peaks(tile, cells, radius)
+        if i_min == 0.0:
+            assert not dominated.any()
+        lats, lngs = tile.sample_lats(), tile.sample_lngs()
+        higher_rows, higher_cols = np.nonzero(tile.elevations)
+        heights = tile.elevations[higher_rows, higher_cols]
+        for k in np.flatnonzero(dominated).tolist():
+            peak = cells[k]
+            higher = heights > peak.elevation_m
+            dists = great_circle_distance_many(
+                lats[higher_rows[higher]], lngs[higher_cols[higher]], peak.location
+            )
+            assert dists.min() < radius
+
+    @pytest.mark.parametrize("margin, discarded", [(1e-6, True), (-1e-6, False)])
+    def test_higher_sample_at_the_radius(self, margin, discarded):
+        # Both samples lie on the tile's equatorward edge, where the
+        # footprint's distance bound is exact, three columns apart.
+        grid = np.zeros((121, 121), dtype=np.int16)
+        grid[120, 40], grid[120, 43] = 100, 200
+        tile = Tile(45, 7, grid, 120)
+        cells = detect_peaks(tile)
+        peak = next(k for k in range(len(cells)) if cells[k].elevation_m == 100)
+        d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
+        i_min = d * BOUND_INFLATION * (1.0 + margin)
+        assert dominated_peaks(tile, cells, i_min / BOUND_INFLATION)[peak] == discarded
+        outcome = bounding_pass(tile, stride=1, i_min=i_min)
+        assert outcome.dilation_discards == int(discarded)
+        assert outcome.queries == len(cells) - int(discarded)
+        bounded = [pk.location for pk, _bound in outcome.bounded]
+        assert (tile.sample_point(120, 40) in bounded) == (not discarded)
+
+    def test_counts_add_up_to_the_peaks_of_a_tile(self):
+        area, tiles = world(1, 1, seed=68, n=121)
+        stats = run_pipeline(area, tiles, stride=2, i_min=5000.0, threads=1).stats
+        assert stats.dilation_discards > 0
+        assert stats.bounding_queries > 0
+        assert stats.dilation_discards + stats.bounding_queries == stats.peaks_found
+        assert stats.peaks_found == len(detect_peaks(tiles[(45, 7)]))
 
 
 class TestHighpointPass:

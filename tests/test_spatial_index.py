@@ -201,6 +201,20 @@ class TestNearestNeighbor:
         for q in random_points(100, seed=10):
             assert tree.nearest_neighbor(q, metric) == exact_nearest(lats, lngs, q, metric)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("method", ["distance", "lower_bound"])
+    def test_non_finite_metric_values_raise(self, method, value):
+        class Broken(PlanarMetric):
+            pass
+
+        setattr(Broken, method, lambda self, *args: value)
+        tree = SphereKdTree(BOUNDS, leaf_capacity=4, prebuilt_levels=1)
+        for p in random_points(50, seed=11):
+            tree.insert(p)
+        word = "bound" if method == "lower_bound" else "distance"
+        with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
+            tree.nearest_neighbor(GeoPoint(45.0, 5.0), Broken())
+
 
 class TestPrebuild:
     def test_zero_levels_single_leaf(self):
