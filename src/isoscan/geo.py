@@ -29,8 +29,6 @@ __all__ = [
     "planar_distance",
     "planar_distance_many",
     "to_cartesian",
-    "from_cartesian",
-    "nearest_point_on_meridian_arc",
 ]
 
 
@@ -261,77 +259,3 @@ def to_cartesian(p: GeoPoint) -> Vec3:
     lng = math.radians(p.lng_deg)
     cos_lat = math.cos(lat)
     return Vec3(cos_lat * math.cos(lng), cos_lat * math.sin(lng), math.sin(lat))
-
-
-def from_cartesian(v: Vec3) -> GeoPoint:
-    """Back-transform of a (near) unit vector to degrees.
-
-    The input is normalized defensively.  Longitude at the poles is
-    canonicalized to 0 since it is undefined there.
-    """
-    norm = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
-    if norm == 0.0:
-        raise ValueError("cannot convert the zero vector to a surface point")
-    z = v.z / norm
-    z = max(-1.0, min(1.0, z))
-    lat = math.degrees(math.asin(z))
-    if abs(lat) >= 90.0:
-        return GeoPoint(math.copysign(90.0, lat), 0.0)
-    return GeoPoint(lat, math.degrees(math.atan2(v.y, v.x)))
-
-
-def _cross(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(
-        a.y * b.z - a.z * b.y,
-        a.z * b.x - a.x * b.z,
-        a.x * b.y - a.y * b.x,
-    )
-
-
-_DEGENERATE_NORM2 = 1e-24
-
-
-def nearest_point_on_meridian_arc(
-    p: GeoPoint, south_end: GeoPoint, north_end: GeoPoint
-) -> GeoPoint:
-    """Closest point of a meridian arc to ``p``, on the unit sphere.
-
-    The foot of the perpendicular great circle through ``p`` onto the great
-    circle through the arc is found with cross products; if it falls outside
-    the arc's latitude span, the result clamps to the nearer endpoint.
-
-    Args:
-        p: query point.
-        south_end, north_end: arc endpoints sharing a longitude, with
-            ``south_end.lat_deg < north_end.lat_deg``.
-    """
-    lng = south_end.lng_deg
-    lat_lo = south_end.lat_deg
-    lat_hi = north_end.lat_deg
-
-    axis = _cross(to_cartesian(south_end), to_cartesian(north_end))
-    pv = to_cartesian(p)
-    # foot = component of p within the great-circle plane (axis x (p x axis))
-    perp = _cross(pv, axis)
-    foot = _cross(axis, perp)
-    norm2 = foot.x * foot.x + foot.y * foot.y + foot.z * foot.z
-    if norm2 < _DEGENERATE_NORM2:
-        # p is (anti)parallel to the circle's axis: every arc point is
-        # equidistant, return the latitude-clamped projection of p.
-        return GeoPoint(min(max(p.lat_deg, lat_lo), lat_hi), lng)
-
-    s = from_cartesian(foot)
-    # The foot can land on the far half of the great circle (the opposite
-    # meridian); there the nearest arc point is whichever endpoint is closer.
-    if abs(wrap_longitude(s.lng_deg - lng)) > 90.0 and abs(s.lat_deg) < 90.0:
-        d_south = great_circle_distance(p, south_end)
-        d_north = great_circle_distance(p, north_end)
-        if d_north < d_south or (d_north == d_south and north_end < south_end):
-            return GeoPoint(lat_hi, lng)
-        return GeoPoint(lat_lo, lng)
-
-    if s.lat_deg > lat_hi:
-        return GeoPoint(lat_hi, lng)
-    if s.lat_deg < lat_lo:
-        return GeoPoint(lat_lo, lng)
-    return GeoPoint(s.lat_deg, lng)

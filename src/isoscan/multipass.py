@@ -65,7 +65,6 @@ from .sweep import IlpResult, run_sweep
 __all__ = [
     "BOUND_INFLATION",
     "MissingTilesError",
-    "TileSummary",
     "TilePeaksMap",
     "area_tile_keys",
     "tile_keys_within",
@@ -100,14 +99,6 @@ class MissingTilesError(RuntimeError):
     def __init__(self, missing: Sequence[TileKey]):
         self.missing = sorted(missing)
         super().__init__(f"missing tiles: {self.missing}")
-
-
-@dataclass(frozen=True)
-class TileSummary:
-    """Per-tile digest feeding the high-point pass."""
-
-    key: TileKey
-    max_elevation_m: int
 
 
 class TilePeaksMap:
@@ -271,7 +262,8 @@ def dominated_peaks(
 
 @dataclass
 class BoundingOutcome:
-    summary: TileSummary
+    key: TileKey
+    max_elevation_m: int
     bounded: list[tuple[Peak, float]]
     deferred: list[Peak]
     discarded: int
@@ -307,7 +299,6 @@ def bounding_pass(
     """
     start = time.perf_counter()
     cells = detect_peaks(tile)
-    summary = TileSummary(tile.key, tile.max_elevation_m)
     rows, cols = tile.shape
     on_edge = np.isin(cells.rows, (0, rows - 1)) | np.isin(cells.cols, (0, cols - 1))
     dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION, model)
@@ -339,7 +330,8 @@ def bounding_pass(
         else:
             bounded.append((peak, bound))
     return BoundingOutcome(
-        summary=summary,
+        key=tile.key,
+        max_elevation_m=tile.max_elevation_m,
         bounded=bounded,
         deferred=deferred,
         discarded=discarded,
@@ -497,8 +489,8 @@ def run_pipeline(
     Args:
         area: integer-degree aligned search area.
         tiles: the 1-degree tiles covering it, keyed by SW corner.
-        threads: worker processes for the tile passes; output is identical
-            for any value.
+        threads: worker processes for the tile passes, at most one per
+            tile; output is identical for any value.
 
     Raises:
         MissingTilesError: a tile inside the area is unavailable.
@@ -512,7 +504,9 @@ def run_pipeline(
     if missing:
         raise MissingTilesError(missing)
 
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    # More workers than tiles would only start idle processes.
+    workers = min(threads, len(keys))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         # Bounding pass: tile-parallel, merged in key order.
         t0 = time.perf_counter()
@@ -532,9 +526,8 @@ def run_pipeline(
         deferred: list[Peak] = []
         # One immutable tile tree serves both tile assignment and the
         # high-point pass.
-        summaries = [o.summary for o in outcomes]
         index = TileIndex(
-            [(s.key, tile_quad(s.key), s.max_elevation_m) for s in summaries], model
+            [(o.key, tile_quad(o.key), o.max_elevation_m) for o in outcomes], model
         )
 
         def register(peak: Peak) -> None:

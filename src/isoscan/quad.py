@@ -17,7 +17,6 @@ from .geo import (
     WGS84,
     antipode,
     great_circle_distance,
-    nearest_point_on_meridian_arc,
     wrap_longitude,
 )
 
@@ -56,10 +55,17 @@ def contains(q: Quadrilateral, p: GeoPoint) -> bool:
 def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> float:
     """Great-circle distance from ``p`` to the closest point of ``q``, in meters.
 
-    Four configurations: inside (zero); between the longitude edges (shorter
-    meridian arc to the north or south latitude edge); otherwise the foot of
-    the perpendicular onto the nearer longitude edge, clamping to a corner
-    when the foot falls outside the edge's latitude span.
+    Inside ``q`` the distance is zero; between the longitude edges it is the
+    meridian arc to the nearer latitude edge.  Otherwise the closest point
+    lies on the nearer longitude edge, at longitude ``lng``.  On that
+    meridian the cosine of the distance from ``p`` to latitude ``t`` is
+    proportional to ``cos(t - t0)``, with ``t0 = atan2(sin(p.lat),
+    cos(p.lat) * cos(p.lng - lng))``.  When ``cos(p.lng - lng) > 0``, ``t0`` is
+    the foot of the perpendicular from ``p`` and the distance grows away from
+    it, so the closest point is the foot clamped to the edge.  Otherwise the
+    foot lies on the opposite meridian and ``t0 + 180``, where the distance
+    peaks, lies within [-90, 90]; the distance falls toward both ends of the
+    edge, so the closest point is the nearer corner.
     """
     if q.lng_min <= p.lng_deg <= q.lng_max:
         if p.lat_deg > q.lat_max:
@@ -73,13 +79,16 @@ def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> fl
     # because q never spans the antimeridian.
     rotated = wrap_longitude(p.lng_deg - q.center_lng)
     edge_lng = q.lng_max if rotated > 0.0 else q.lng_min
-    south = GeoPoint(q.lat_min, edge_lng)
-    north = GeoPoint(q.lat_max, edge_lng)
-    if q.lat_min == q.lat_max:
-        # Degenerate latitude band: the edge is a single point.
-        return great_circle_distance(p, south, model)
-    foot = nearest_point_on_meridian_arc(p, south, north)
-    return great_circle_distance(p, foot, model)
+    cos_dlng = math.cos(math.radians(p.lng_deg - edge_lng))
+    if cos_dlng > 0.0:
+        phi = math.radians(p.lat_deg)
+        foot = math.degrees(math.atan2(math.sin(phi), math.cos(phi) * cos_dlng))
+        lat = min(max(foot, q.lat_min), q.lat_max)
+        return great_circle_distance(p, GeoPoint(lat, edge_lng), model)
+    return min(
+        great_circle_distance(p, GeoPoint(q.lat_min, edge_lng), model),
+        great_circle_distance(p, GeoPoint(q.lat_max, edge_lng), model),
+    )
 
 
 def max_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> float:

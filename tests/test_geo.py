@@ -1,4 +1,4 @@
-"""Distance functions, Cartesian transforms, and the meridian-arc projection."""
+"""Distance functions and the Cartesian transform."""
 
 from __future__ import annotations
 
@@ -15,15 +15,12 @@ from isoscan.geo import (
     ELLIPSOID_RATIO_BAND,
     EarthModel,
     GeoPoint,
-    Vec3,
     WGS84,
     antipode,
     ellipsoid_distance,
     ellipsoid_distance_many,
-    from_cartesian,
     great_circle_distance,
     great_circle_distance_many,
-    nearest_point_on_meridian_arc,
     planar_distance,
     to_cartesian,
     wrap_longitude,
@@ -263,92 +260,11 @@ class TestCartesian:
         assert to_cartesian(GeoPoint(0, 90)) == pytest.approx((0, 1, 0), abs=1e-15)
         assert to_cartesian(GeoPoint(90, 123)) == pytest.approx((0, 0, 1), abs=1e-15)
 
-    def test_back_transform_axes(self):
-        assert from_cartesian(Vec3(1, 0, 0)) == GeoPoint(0, 0)
-        assert from_cartesian(Vec3(0, 0, 1)) == GeoPoint(90, 0)  # pole longitude convention
-
     @given(points)
     @settings(max_examples=200)
     def test_unit_norm(self, p):
         v = to_cartesian(p)
         assert math.sqrt(v.x**2 + v.y**2 + v.z**2) == pytest.approx(1.0, abs=1e-12)
-
-    @given(points)
-    @settings(max_examples=200)
-    def test_round_trip(self, p):
-        q = from_cartesian(to_cartesian(p))
-        assert abs(q.lat_deg - p.lat_deg) < 1e-10
-        assert abs(wrap_longitude(q.lng_deg - p.lng_deg)) < 1e-10
-
-    def test_round_trip_bulk(self):
-        rng = random.Random(11)
-        worst = 0.0
-        for _ in range(10_000):
-            p = GeoPoint(rng.uniform(-89.99, 89.99), rng.uniform(-179.99, 180))
-            q = from_cartesian(to_cartesian(p))
-            worst = max(worst, abs(q.lat_deg - p.lat_deg), abs(q.lng_deg - p.lng_deg))
-        assert worst < 1e-10
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            from_cartesian(Vec3(0, 0, 0))
-
-
-def _sample_arc(lng: float, lat_lo: float, lat_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    lats = np.linspace(lat_lo, lat_hi, n)
-    return lats, np.full(n, float(lng))
-
-
-class TestMeridianArcProjection:
-    def test_point_on_arc_projects_to_itself(self):
-        p = GeoPoint(10, 20)
-        s = nearest_point_on_meridian_arc(p, GeoPoint(0, 20), GeoPoint(30, 20))
-        assert s.lng_deg == 20
-        assert s.lat_deg == pytest.approx(10, abs=1e-9)
-
-    def test_equatorial_symmetry(self):
-        s = nearest_point_on_meridian_arc(GeoPoint(0, 10), GeoPoint(-30, 0), GeoPoint(30, 0))
-        assert s.lat_deg == pytest.approx(0.0, abs=1e-9)
-        assert s.lng_deg == 0
-
-    def test_clamps_to_north_end(self):
-        p = GeoPoint(50, 10)
-        s = nearest_point_on_meridian_arc(p, GeoPoint(0, 0), GeoPoint(40, 0))
-        assert s == GeoPoint(40, 0)
-        # dense sampling of the arc confirms the clamp is the minimum
-        lats, lngs = _sample_arc(0, 0, 40, 400_001)  # 1e-4 degree steps
-        sampled = great_circle_distance_many(lats, lngs, p).min()
-        assert great_circle_distance(p, s) <= sampled + 1e-3
-
-    def test_degenerate_query_at_circle_pole(self):
-        # p at (0, 90) is equidistant from every point of the lng=0 circle
-        s = nearest_point_on_meridian_arc(GeoPoint(0, 90), GeoPoint(-20, 0), GeoPoint(45, 0))
-        assert s == GeoPoint(0.0, 0)
-        d = great_circle_distance(GeoPoint(0, 90), s)
-        assert d == pytest.approx(math.pi * R / 2.0, rel=1e-9)
-
-    def test_foot_on_opposite_half_clamps_to_nearer_endpoint(self):
-        p = GeoPoint(5.0, 170.0)
-        south, north = GeoPoint(10, 0), GeoPoint(40, 0)
-        s = nearest_point_on_meridian_arc(p, south, north)
-        assert s in (south, north)
-        assert great_circle_distance(p, s) == min(
-            great_circle_distance(p, south), great_circle_distance(p, north)
-        )
-
-    def test_better_than_dense_sampling_random_configs(self):
-        rng = random.Random(21)
-        for _ in range(25):
-            lng = rng.uniform(-170, 170)
-            lat_lo = rng.uniform(-60, 30)
-            lat_hi = lat_lo + rng.uniform(1, 50)
-            p = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
-            s = nearest_point_on_meridian_arc(p, GeoPoint(lat_lo, lng), GeoPoint(lat_hi, lng))
-            assert abs(s.lng_deg - lng) < 1e-9
-            assert lat_lo - 1e-12 <= s.lat_deg <= lat_hi + 1e-12
-            lats, lngs = _sample_arc(lng, lat_lo, lat_hi, 100_001)
-            sampled = great_circle_distance_many(lats, lngs, p).min()
-            assert great_circle_distance(p, s) <= sampled + 1e-3
 
 
 class TestEarthModel:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import results_by_location
+from isoscan import multipass
 from isoscan.dem import PeakCells, Tile, detect_peaks, detect_peaks_deduped, generate_synthetic
 from isoscan.geo import GeoPoint, great_circle_distance, great_circle_distance_many
 from isoscan.multipass import (
@@ -68,7 +69,7 @@ class TestBoundingPass:
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
         outcome = bounding_pass(tile, stride=2, i_min=0.0)
-        assert outcome.summary.max_elevation_m == tile.max_elevation_m
+        assert outcome.max_elevation_m == tile.max_elevation_m
         deferred_elevs = {p.elevation_m for p in outcome.deferred}
         assert tile.max_elevation_m in deferred_elevs
 
@@ -336,6 +337,31 @@ class TestRunPipeline:
         parallel = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=2)
         assert serial.results == parallel.results
         assert serial.map_snapshot == parallel.map_snapshot
+
+    @pytest.mark.parametrize(
+        "rows, cols, threads, workers", [(1, 1, 8, None), (2, 1, 8, 2), (2, 2, 3, 3)]
+    )
+    def test_at_most_one_worker_per_tile(self, monkeypatch, rows, cols, threads, workers):
+        # The stub records the pool size and runs tasks in this process, so
+        # no worker process is ever started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(multipass, "ProcessPoolExecutor", InlinePool)
+        area, tiles = world(rows, cols, seed=61, n=21)
+        pooled = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=threads)
+        assert sizes == ([] if workers is None else [workers])
+        serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)
+        assert pooled.results == serial.results
 
     def test_threshold_keeps_all_significant_peaks(self):
         area, tiles = world(2, 2, seed=60, n=41)

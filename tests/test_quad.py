@@ -39,6 +39,11 @@ def boundary_samples(q: Quadrilateral, per_edge: int) -> tuple[np.ndarray, np.nd
     return all_lats, all_lngs
 
 
+def _meridian_arc(lng: float, lat_lo: float, lat_hi: float, n: int):
+    """``n`` evenly spaced points of the meridian arc at ``lng``."""
+    return np.linspace(lat_lo, lat_hi, n), np.full(n, float(lng))
+
+
 def interior_grid(q: Quadrilateral, per_side: int) -> tuple[np.ndarray, np.ndarray]:
     lats = np.linspace(q.lat_min, q.lat_max, per_side)
     lngs = np.linspace(q.lng_min, q.lng_max, per_side)
@@ -89,18 +94,17 @@ class TestMinDistance:
 
     def test_corner_case_clamps(self):
         q = Quadrilateral(0, 40, 0, 10)
-        p = GeoPoint(50, 20)
-        expected = great_circle_distance(p, GeoPoint(40, 10))
-        assert min_distance(q, p) == pytest.approx(expected, rel=1e-12)
+        p = GeoPoint(50, 20)  # the foot lies north of the east edge
+        assert min_distance(q, p) == great_circle_distance(p, GeoPoint(40, 10))
         lats, lngs = boundary_samples(q, 25_000)
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        lats, lngs = _meridian_arc(10, 0, 40, 400_001)  # 1e-4 degree steps
         assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
 
     def test_longitude_edge_interior_foot(self):
         q = Quadrilateral(-40, 40, -10, 10)
         p = GeoPoint(0, 50)  # due east, foot on the east edge at the equator
-        assert min_distance(q, p) == pytest.approx(
-            great_circle_distance(p, GeoPoint(0, 10)), rel=1e-12
-        )
+        assert min_distance(q, p) == great_circle_distance(p, GeoPoint(0, 10))
 
     def test_antimeridian_side_selection(self):
         q = Quadrilateral(10, 20, -180, -179)
@@ -117,6 +121,106 @@ class TestMinDistance:
         q = Quadrilateral(10, 20, 30, 40)
         for p in (GeoPoint(20.001, 35), GeoPoint(9.2, 29.0), GeoPoint(45, 41)):
             assert min_distance(q, p) > 0.0
+
+    def test_foot_inside_the_edge(self):
+        q = Quadrilateral(0, 30, 0, 20)
+        p = GeoPoint(10, 50)  # foot on the east edge near latitude 11.5
+        d = min_distance(q, p)
+        corners = [great_circle_distance(p, GeoPoint(lat, 20)) for lat in (0, 30)]
+        assert d < min(corners)
+        sampled = great_circle_distance_many(*_meridian_arc(20, 0, 30, 300_001), p).min()
+        assert sampled - 1e-3 <= d <= sampled + 1e-3
+
+    def test_foot_on_the_opposite_meridian_gives_the_nearer_corner(self):
+        q = Quadrilateral(10, 40, -10, 0)
+        p = GeoPoint(5.0, 170.0)
+        corners = [great_circle_distance(p, GeoPoint(lat, 0)) for lat in (10, 40)]
+        assert min_distance(q, p) == min(corners)
+        lats, lngs = boundary_samples(q, 25_000)
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+
+    def test_short_edge_across_the_pole(self):
+        # A 0.18" edge seen over the south pole: the nearer corner is the
+        # southern one, 5.5 m closer than the northern.
+        q = Quadrilateral(-86.1, -86.09995, -168, -167.9999)
+        p = GeoPoint(-47, 15)
+        assert min_distance(q, p) == great_circle_distance(p, GeoPoint(-86.1, -168))
+        lats, lngs = boundary_samples(q, 10_001)
+        sampled = great_circle_distance_many(lats, lngs, p).min()
+        assert sampled - 1e-3 <= min_distance(q, p) <= sampled + 1e-3
+
+    @pytest.mark.parametrize("lng", [90.0, -100.0])
+    def test_query_at_the_pole_of_the_edge_circle(self, lng):
+        # (0, edge +- 90) is a quarter circle from every point of the edge's meridian
+        q = Quadrilateral(-20, 45, -10, 0)
+        assert min_distance(q, GeoPoint(0, lng)) == pytest.approx(math.pi * R / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lat, nearest_lat", [(30, 45), (-30, -20)])
+    @pytest.mark.parametrize("lng, edge_lng", [(100, 10), (-90, 0)])
+    def test_edge_ninety_degrees_away(self, lat, nearest_lat, lng, edge_lng):
+        q = Quadrilateral(-20, 45, 0, 10)
+        p = GeoPoint(lat, lng)
+        expected = great_circle_distance(p, GeoPoint(nearest_lat, edge_lng))
+        assert min_distance(q, p) == pytest.approx(expected, rel=1e-12)
+        lats, lngs = boundary_samples(q, 25_000)
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+
+    @pytest.mark.parametrize("lat, arc_deg", [(90, 50), (-90, 100)])
+    @pytest.mark.parametrize("lng", [0, 180])
+    def test_query_at_a_pole(self, lat, arc_deg, lng):
+        q = Quadrilateral(10, 40, 20, 30)
+        assert min_distance(q, GeoPoint(lat, lng)) == pytest.approx(
+            R * math.radians(arc_deg), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("p", [GeoPoint(25, 3), GeoPoint(-5, -30), GeoPoint(12, 175)])
+    def test_zero_height_band(self, p):
+        q = Quadrilateral(10, 10, 0, 5)
+        lats, lngs = boundary_samples(q, 50_001)
+        sampled = great_circle_distance_many(lats, lngs, p).min()
+        assert sampled - 1e-3 <= min_distance(q, p) <= sampled + 1e-3
+
+    def test_meridian_arcs_against_dense_sampling(self):
+        # Zero-width quadrilaterals: the distance to one meridian arc.
+        rng = random.Random(21)
+        for _ in range(25):
+            lng = rng.uniform(-170, 170)
+            lat_lo = rng.uniform(-60, 30)
+            lat_hi = lat_lo + rng.uniform(1, 50)
+            p = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
+            arc = _meridian_arc(lng, lat_lo, lat_hi, 100_001)
+            sampled = great_circle_distance_many(*arc, p).min()
+            d = min_distance(Quadrilateral(lat_lo, lat_hi, lng, lng), p)
+            assert sampled - 1e-3 <= d <= sampled + 1e-3
+
+    @given(
+        st.floats(-90, 90),
+        st.floats(-180, 180),
+        st.floats(-4, math.log10(180)),
+        st.floats(0, 1),
+        st.floats(0, 1),
+        st.floats(-90, 90),
+        st.floats(-180, 180),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sound_and_tight_against_dense_sampling(self, lat0, lng0, scale, fh, fw, plat, plng):
+        size = 10.0**scale
+        lat_min = min(lat0, 90 - fh * size)
+        lng_min = min(lng0, 180 - fw * size)
+        q = Quadrilateral(lat_min, lat_min + fh * size, lng_min, lng_min + fw * size)
+        p = GeoPoint(plat, plng)
+        d = min_distance(q, p)
+        if contains(q, p):
+            assert d == 0.0
+            return
+        per_edge = 20_001
+        lats, lngs = boundary_samples(q, per_edge)
+        sampled = great_circle_distance_many(lats, lngs, p).min()
+        side = max(q.lat_max - q.lat_min, q.lng_max - q.lng_min)
+        half_spacing = R * math.radians(side) / (per_edge - 1) / 2.0
+        assert d <= sampled + 1e-3
+        # 1e-6 m covers rounding: the sampled minimum is the vector haversine.
+        assert d >= sampled - half_spacing - 1e-6
 
 
 class TestMaxDistance:
