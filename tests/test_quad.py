@@ -98,13 +98,24 @@ class TestMinDistance:
         assert min_distance(q, p) == great_circle_distance(p, GeoPoint(40, 10))
         lats, lngs = boundary_samples(q, 25_000)
         assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
-        lats, lngs = _meridian_arc(10, 0, 40, 400_001)  # 1e-4 degree steps
+
+    def test_meridian_arc_clamps_to_its_north_end(self):
+        q = Quadrilateral(0, 40, 0, 0)  # the meridian arc at lng 0
+        p = GeoPoint(50, 10)
+        assert min_distance(q, p) == great_circle_distance(p, GeoPoint(40, 0))
+        lats, lngs = _meridian_arc(0, 0, 40, 400_001)  # 1e-4 degree steps
         assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
 
     def test_longitude_edge_interior_foot(self):
         q = Quadrilateral(-40, 40, -10, 10)
         p = GeoPoint(0, 50)  # due east, foot on the east edge at the equator
         assert min_distance(q, p) == great_circle_distance(p, GeoPoint(0, 10))
+
+    def test_equatorial_foot_of_a_symmetric_meridian_arc(self):
+        q = Quadrilateral(-30, 30, 0, 0)  # the meridian arc at lng 0
+        for lng in (10, -10):
+            p = GeoPoint(0, lng)
+            assert min_distance(q, p) == great_circle_distance(p, GeoPoint(0, 0))
 
     def test_antimeridian_side_selection(self):
         q = Quadrilateral(10, 20, -180, -179)
