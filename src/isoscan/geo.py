@@ -21,6 +21,7 @@ __all__ = [
     "WGS84",
     "ELLIPSOID_RATIO_BAND",
     "wrap_longitude",
+    "wrap_longitude_many",
     "antipode",
     "great_circle_distance",
     "great_circle_distance_many",
@@ -42,6 +43,12 @@ def wrap_longitude(lng_deg: float) -> float:
     elif lng > 180.0:
         lng -= 360.0
     return lng
+
+
+def wrap_longitude_many(lng_deg):
+    """:func:`wrap_longitude` for longitude differences in (-360, 360), elementwise."""
+    lng_deg = np.where(lng_deg <= -180.0, lng_deg + 360.0, lng_deg)
+    return np.where(lng_deg > 180.0, lng_deg - 360.0, lng_deg)
 
 
 class GeoPoint(namedtuple("GeoPoint", ["lat_deg", "lng_deg"])):
@@ -125,19 +132,25 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -
 
 
 def great_circle_distance_many(
-    lats_deg: np.ndarray, lngs_deg: np.ndarray, p: GeoPoint, model: EarthModel = WGS84
+    lats_deg: np.ndarray,
+    lngs_deg: np.ndarray,
+    p_lats_deg,
+    p_lngs_deg,
+    model: EarthModel = WGS84,
 ) -> np.ndarray:
-    """Vectorized haversine from arrays of points to a single point.
+    """Vectorized haversine from arrays of points to query points.
 
-    Bulk twin of :func:`great_circle_distance` for oracle-style scans; exact
+    Bulk twin of :func:`great_circle_distance` for oracle-style scans and
+    the pyramid's batched descent.  The query coordinates are arrays that
+    broadcast against the points, or one point as two scalars.  Exact
     comparisons must re-check candidates with the scalar function.
     """
     phi = np.radians(lats_deg)
-    phi_p = math.radians(p.lat_deg)
+    phi_p = np.radians(p_lats_deg)
     sin_dphi = np.sin((phi_p - phi) * 0.5)
-    sin_dlng = np.sin(np.radians(p.lng_deg - lngs_deg) * 0.5)
-    h = sin_dphi * sin_dphi + np.cos(phi) * math.cos(phi_p) * sin_dlng * sin_dlng
-    np.clip(h, 0.0, 1.0, out=h)
+    sin_dlng = np.sin(np.radians(p_lngs_deg - lngs_deg) * 0.5)
+    h = sin_dphi * sin_dphi + np.cos(phi) * np.cos(phi_p) * sin_dlng * sin_dlng
+    h = np.clip(h, 0.0, 1.0)
     return 2.0 * model.radius_m * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
@@ -192,13 +205,18 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> f
 
 
 def ellipsoid_distance_many(
-    lats_deg: np.ndarray, lngs_deg: np.ndarray, p: GeoPoint, model: EarthModel = WGS84
+    lats_deg: np.ndarray,
+    lngs_deg: np.ndarray,
+    p_lats_deg,
+    p_lngs_deg,
+    model: EarthModel = WGS84,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`ellipsoid_distance`."""
+    """Vectorized twin of :func:`ellipsoid_distance`; query points as in
+    :func:`great_circle_distance_many`."""
     phi1 = np.radians(lats_deg)
-    phi2 = math.radians(p.lat_deg)
+    phi2 = np.radians(p_lats_deg)
     dphi = (phi2 - phi1) * 0.5
-    dlng = np.radians(p.lng_deg - lngs_deg) * 0.5
+    dlng = np.radians(p_lngs_deg - lngs_deg) * 0.5
     mean_phi = (phi1 + phi2) * 0.5
 
     sin_dphi2 = np.sin(dphi) ** 2
@@ -241,15 +259,17 @@ def planar_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> floa
 
 
 def planar_distance_many(
-    lats_deg: np.ndarray, lngs_deg: np.ndarray, p: GeoPoint, model: EarthModel = WGS84
+    lats_deg: np.ndarray,
+    lngs_deg: np.ndarray,
+    p_lats_deg,
+    p_lngs_deg,
+    model: EarthModel = WGS84,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`planar_distance`."""
-    dlat = np.radians(p.lat_deg - lats_deg)
-    dlng_deg = p.lng_deg - lngs_deg
-    dlng_deg = np.where(dlng_deg <= -180.0, dlng_deg + 360.0, dlng_deg)
-    dlng_deg = np.where(dlng_deg > 180.0, dlng_deg - 360.0, dlng_deg)
-    dlng = np.radians(dlng_deg)
-    mean_phi = np.radians(lats_deg + p.lat_deg) * 0.5
+    """Vectorized twin of :func:`planar_distance`; query points as in
+    :func:`great_circle_distance_many`."""
+    dlat = np.radians(p_lats_deg - lats_deg)
+    dlng = np.radians(wrap_longitude_many(p_lngs_deg - lngs_deg))
+    mean_phi = np.radians(lats_deg + p_lats_deg) * 0.5
     return model.radius_m * np.hypot(dlat, dlng * np.cos(mean_phi))
 
 

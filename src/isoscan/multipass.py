@@ -5,11 +5,12 @@ col) arrays.  A grey-scale dilation of the tile's grid, by a footprint of a
 few rectangles of samples all closer than r = i_min / BOUND_INFLATION,
 discards every peak with a strictly higher sample that close: its
 isolation is below the minimum-isolation threshold, so its row could never
-be emitted.  Each surviving peak asks an
+be emitted.  The surviving peaks ask an
 :class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
-grid for its nearest strictly higher sample; that distance is an upper
-bound on the peak's isolation.  Peaks bounded below the threshold are
-discarded too; the rest are assigned to every tile within their bound.
+grid, in one batched search per tile, for their nearest strictly higher
+samples; each distance is an upper bound on its peak's isolation.  Peaks
+bounded below the threshold are discarded too; the rest are assigned to
+every tile within their bound.
 Peaks with no higher down-sampled sample in their tile (always including
 the tile high point) are deferred.
 
@@ -19,10 +20,11 @@ maximum distance bounds the peak's isolation, and the peak is assigned to
 all tiles within that bound.  The peak with no higher tile anywhere is the
 search-area high point and gets undefined isolation.
 
-Pass 3 (finalization) asks a full-resolution pyramid of each tile for the
-nearest strictly higher sample of every peak assigned to it, under the
-final metric; the final answer per peak is the closest candidate over its
-tiles.
+Pass 3 (finalization) asks a full-resolution pyramid of each tile, in one
+batched search, for the nearest strictly higher sample of every peak
+assigned to it, under the final metric; the final answer per peak is the
+closest candidate over its tiles.  Both searches count their work
+(:class:`~isoscan.spatial_index.SearchWork`) into :class:`PipelineStats`.
 
 Bounding and finalization run tile-parallel in worker processes; results
 are merged in deterministic key order, so output is identical for any
@@ -57,6 +59,7 @@ from .spatial_index import (
     EllipsoidMetric,
     GreatCircleMetric,
     PlanarMetric,
+    SearchWork,
     TileIndex,
     TileKey,
 )
@@ -272,7 +275,8 @@ class BoundingOutcome:
     # area's distinct peak count.
     discarded_on_edge: list[GeoPoint]
     dilation_discards: int
-    queries: int
+    # Pyramid search counts of the peaks the dilation kept.
+    search: SearchWork
     samples: int
     seconds: float
 
@@ -307,21 +311,22 @@ def bounding_pass(
         tile.sample_point(i, j) for i, j in zip(edge_rows.tolist(), edge_cols.tolist())
     ]
     survivors = np.flatnonzero(~dominated).tolist()
+    peaks = [cells[k] for k in survivors]
 
     pyramid = ElevationPyramid(downsample(tile, stride))
     nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
+    search = SearchWork()
+    found = pyramid.nearest_higher_many(*_query_arrays(peaks), nn_metric, search)
 
     bounded: list[tuple[Peak, float]] = []
     deferred: list[Peak] = []
     dilation_discards = len(cells) - len(survivors)
     discarded = dilation_discards
-    for k in survivors:
-        peak = cells[k]
-        found = pyramid.nearest_higher(peak.location, peak.elevation_m, nn_metric)
-        if found is None:
+    for k, peak, hit in zip(survivors, peaks, found):
+        if hit is None:
             deferred.append(peak)
             continue
-        raw = great_circle_distance(peak.location, found[0], model)
+        raw = great_circle_distance(peak.location, hit[0], model)
         bound = raw * BOUND_INFLATION
         if bound < i_min:
             discarded += 1
@@ -337,9 +342,18 @@ def bounding_pass(
         discarded=discarded,
         discarded_on_edge=discarded_on_edge,
         dilation_discards=dilation_discards,
-        queries=len(survivors),
+        search=search,
         samples=rows * cols,
         seconds=time.perf_counter() - start,
+    )
+
+
+def _query_arrays(peaks: Sequence[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latitudes, longitudes and elevations of ``peaks``, for a batched pyramid search."""
+    return (
+        np.array([pk.location.lat_deg for pk in peaks], dtype=np.float64),
+        np.array([pk.location.lng_deg for pk in peaks], dtype=np.float64),
+        np.array([pk.elevation_m for pk in peaks], dtype=np.int64),
     )
 
 
@@ -383,11 +397,14 @@ def finalization_pass(
     tile: Tile,
     assigned: Sequence[tuple[Peak, float]],
     metric,
+    search: SearchWork | None = None,
 ) -> list[tuple[GeoPoint, float, GeoPoint]]:
     """Full-resolution candidates for the peaks assigned to this tile.
 
     Assigned peaks may lie outside the tile.  Peaks at or above the tile's
-    maximum elevation cannot have a candidate here and are skipped up front.
+    maximum elevation cannot have a candidate here and are skipped up front;
+    the rest are answered by one batched pyramid search, whose counts are
+    added to ``search`` if given.
 
     Returns:
         (peak location, distance, candidate point) triples.
@@ -396,12 +413,8 @@ def finalization_pass(
     peaks = [pk for pk, _bound in assigned if pk.elevation_m < ceiling]
     if not peaks:
         return []
-    pyramid = ElevationPyramid(tile)
-    candidates = []
-    for pk in peaks:
-        point, dist = pyramid.nearest_higher(pk.location, pk.elevation_m, metric)
-        candidates.append((pk.location, dist, point))
-    return candidates
+    found = ElevationPyramid(tile).nearest_higher_many(*_query_arrays(peaks), metric, search)
+    return [(pk.location, dist, point) for pk, (point, dist) in zip(peaks, found)]
 
 
 def finalize(
@@ -435,9 +448,15 @@ class PipelineStats:
     deferred: int = 0
     discarded: int = 0
     # Bounding pass, summed over tiles: peaks discarded by the dilation, and
-    # pyramid queries made for the others.
+    # the pyramid search of the others.
     dilation_discards: int = 0
     bounding_queries: int = 0
+    # Pyramid search counts (see SearchWork), summed over tiles, per pass.
+    bounding_pairs: int = 0
+    bounding_leaf_samples: int = 0
+    finalization_queries: int = 0
+    finalization_pairs: int = 0
+    finalization_leaf_samples: int = 0
     bounding_s: float = 0.0
     assign_s: float = 0.0
     highpoint_s: float = 0.0
@@ -471,8 +490,9 @@ def _finalization_task(args):
     key, tile, assigned, distance_mode, model = args
     metric = final_metric(distance_mode, model)
     start = time.perf_counter()
-    cands = finalization_pass(tile, assigned, metric)
-    return key, cands, time.perf_counter() - start
+    search = SearchWork()
+    cands = finalization_pass(tile, assigned, metric, search)
+    return key, cands, search, time.perf_counter() - start
 
 
 def run_pipeline(
@@ -547,7 +567,9 @@ def run_pipeline(
             stats.samples += outcome.samples
             stats.discarded += outcome.discarded
             stats.dilation_discards += outcome.dilation_discards
-            stats.bounding_queries += outcome.queries
+            stats.bounding_queries += outcome.search.queries
+            stats.bounding_pairs += outcome.search.pairs
+            stats.bounding_leaf_samples += outcome.search.leaf_samples
             deferred.extend(outcome.deferred)
             for pk, bound in outcome.bounded:
                 assign(pk, bound)
@@ -581,8 +603,11 @@ def run_pipeline(
         else:
             final_out = list(pool.map(_finalization_task, final_args))
         candidates: list[tuple[GeoPoint, float, GeoPoint]] = []
-        for _key, cands, _secs in sorted(final_out, key=lambda item: item[0]):
+        for _key, cands, search, _secs in sorted(final_out, key=lambda item: item[0]):
             candidates.extend(cands)
+            stats.finalization_queries += search.queries
+            stats.finalization_pairs += search.pairs
+            stats.finalization_leaf_samples += search.leaf_samples
         results = finalize(registry, candidates)
         finalization_s = time.perf_counter() - t0
     finally:

@@ -127,7 +127,7 @@ def brute_force_ilp(peak: Peak, universe: SampleUniverse, metric) -> IlpResult:
             universe, start, peak.location, metric.model.radius_m, anisotropy
         )
     else:
-        dists = metric.distance_many(lats, lngs, peak.location)
+        dists = metric.distance_many(lats, lngs, *peak.location)
         lowest = float(dists.min())
         candidates = np.nonzero(dists <= lowest + 1e-3 + lowest * 1e-9)[0]
     # Re-rank candidates with the exact scalar distance so the result is

@@ -11,16 +11,20 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+import numpy as np
+
 from .geo import (
     EarthModel,
     GeoPoint,
     WGS84,
     antipode,
     great_circle_distance,
+    great_circle_distance_many,
     wrap_longitude,
+    wrap_longitude_many,
 )
 
-__all__ = ["Quadrilateral", "contains", "min_distance", "max_distance"]
+__all__ = ["Quadrilateral", "contains", "min_distance", "min_distance_many", "max_distance"]
 
 
 class Quadrilateral(namedtuple("Quadrilateral", ["lat_min", "lat_max", "lng_min", "lng_max"])):
@@ -89,6 +93,43 @@ def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> fl
         great_circle_distance(p, GeoPoint(q.lat_min, edge_lng), model),
         great_circle_distance(p, GeoPoint(q.lat_max, edge_lng), model),
     )
+
+
+def min_distance_many(
+    lat_min: np.ndarray,
+    lat_max: np.ndarray,
+    lng_min: np.ndarray,
+    lng_max: np.ndarray,
+    p_lats: np.ndarray,
+    p_lngs: np.ndarray,
+    model: EarthModel = WGS84,
+) -> np.ndarray:
+    """:func:`min_distance` from each point to its quadrilateral, elementwise.
+
+    The same closed form on arrays of one shape: the nearest point is the
+    point clamped into the latitude span when it lies between the
+    longitude edges, else the foot clamped to the nearer edge when
+    ``cos(p.lng - lng) > 0``, else the nearer corner of that edge.  Agrees
+    with the scalar function to the last few ulps.
+    """
+    between = (lng_min <= p_lngs) & (p_lngs <= lng_max)
+    rotated = wrap_longitude_many(p_lngs - (lng_min + lng_max) * 0.5)
+    edge_lng = np.where(rotated > 0.0, lng_max, lng_min)
+    cos_dlng = np.cos(np.radians(p_lngs - edge_lng))
+    phi = np.radians(p_lats)
+    foot = np.degrees(np.arctan2(np.sin(phi), np.cos(phi) * cos_dlng))
+    # Where cos_dlng <= 0 this is the south corner; the north one follows.
+    lat = np.where(between, p_lats, np.where(cos_dlng > 0.0, foot, lat_min))
+    lat = np.minimum(np.maximum(lat, lat_min), lat_max)
+    lng = np.where(between, p_lngs, edge_lng)
+    out = great_circle_distance_many(lat, lng, p_lats, p_lngs, model)
+    corner = np.flatnonzero(~between & (cos_dlng <= 0.0))
+    if len(corner):
+        north = great_circle_distance_many(
+            lat_max[corner], edge_lng[corner], p_lats[corner], p_lngs[corner], model
+        )
+        out[corner] = np.minimum(out[corner], north)
+    return out
 
 
 def max_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> float:

@@ -7,8 +7,10 @@ longer side, and the first levels are pre-built quadtree-style so the early
 
 ``ElevationPyramid`` is the static per-tile index of the bounding and
 finalization passes: the maximum elevation of every 8x8 block of samples,
-max-pooled 2x2 up to one root cell, searched best-first for the nearest
-sample strictly higher than a peak.
+and a sample that attains it, max-pooled 2x2 up to one root cell, stored
+as numpy arrays per level.  It answers a whole tile's queries for the
+nearest strictly higher sample in one level-synchronous descent over
+(query, cell) pair arrays.
 
 ``TileIndex`` is the static tile-level tree used by the high-point pass:
 every node carries its quadrilateral and the maximum elevation of its
@@ -19,13 +21,15 @@ Nearest-neighbor queries take a distance metric object.  Every metric pairs
 its point-to-point distance with a quadrilateral lower bound that never
 exceeds the metric's distance to any point inside the quadrilateral; that
 soundness is what makes pruned searches exactly equivalent to linear scans.
+Each also has elementwise vector twins, ``distance_many`` and
+``lower_bound_many``, for the pyramid's batched descent.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +45,9 @@ from .geo import (
     planar_distance,
     planar_distance_many,
     wrap_longitude,
+    wrap_longitude_many,
 )
-from .quad import Quadrilateral, contains, min_distance
+from .quad import Quadrilateral, contains, min_distance, min_distance_many
 
 __all__ = [
     "OutOfBoundsError",
@@ -53,6 +58,7 @@ __all__ = [
     "PlanarMetric",
     "EllipsoidMetric",
     "SphereKdTree",
+    "SearchWork",
     "ElevationPyramid",
     "TileIndex",
 ]
@@ -73,6 +79,10 @@ _MIN_SPLIT_SPAN_DEG = 1.0 / 3600.0
 
 # Samples per side of an ElevationPyramid leaf block.
 _LEAF_SIDE = 8
+
+# Queries per batched pyramid descent: bounds the (query, cell) pair arrays
+# when queries with loose upper bounds fan out.
+_QUERY_CHUNK = 256
 
 
 class OutOfBoundsError(ValueError):
@@ -104,11 +114,14 @@ class GreatCircleMetric:
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
         return great_circle_distance(a, b, self.model)
 
-    def distance_many(self, lats: np.ndarray, lngs: np.ndarray, p: GeoPoint) -> np.ndarray:
-        return great_circle_distance_many(lats, lngs, p, self.model)
+    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
+        return great_circle_distance_many(lats, lngs, p_lats, p_lngs, self.model)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return min_distance(q, p, self.model)
+
+    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
+        return min_distance_many(lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs, self.model)
 
 
 class PlanarMetric:
@@ -120,8 +133,8 @@ class PlanarMetric:
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
         return planar_distance(a, b, self.model)
 
-    def distance_many(self, lats: np.ndarray, lngs: np.ndarray, p: GeoPoint) -> np.ndarray:
-        return planar_distance_many(lats, lngs, p, self.model)
+    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
+        return planar_distance_many(lats, lngs, p_lats, p_lngs, self.model)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         lat = p.lat_deg
@@ -152,6 +165,21 @@ class PlanarMetric:
             math.radians(gap_lat), math.radians(gap_lng) * c
         )
 
+    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
+        """:meth:`lower_bound` from each point to its quadrilateral, elementwise."""
+        gap_lat = np.maximum(np.maximum(p_lats - lat_max, lat_min - p_lats), 0.0)
+        gap_lng = np.minimum(
+            np.abs(wrap_longitude_many(p_lngs - lng_min)),
+            np.abs(wrap_longitude_many(p_lngs - lng_max)),
+        )
+        gap_lng = np.where((lng_min <= p_lngs) & (p_lngs <= lng_max), 0.0, gap_lng)
+        c = np.minimum(
+            np.cos(np.radians((p_lats + lat_min) * 0.5)),
+            np.cos(np.radians((p_lats + lat_max) * 0.5)),
+        )
+        c = np.maximum(c, 0.0)
+        return self.model.radius_m * np.hypot(np.radians(gap_lat), np.radians(gap_lng) * c)
+
 
 class EllipsoidMetric:
     """Flattening-corrected distance; bound is a safely scaled sphere bound."""
@@ -162,11 +190,16 @@ class EllipsoidMetric:
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
         return ellipsoid_distance(a, b, self.model)
 
-    def distance_many(self, lats: np.ndarray, lngs: np.ndarray, p: GeoPoint) -> np.ndarray:
-        return ellipsoid_distance_many(lats, lngs, p, self.model)
+    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
+        return ellipsoid_distance_many(lats, lngs, p_lats, p_lngs, self.model)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p, self.model)
+
+    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
+        return _ELLIPSOID_PRUNE_FACTOR * min_distance_many(
+            lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs, self.model
+        )
 
 
 def _halve(q: Quadrilateral, axis: int) -> tuple[float, Quadrilateral, Quadrilateral]:
@@ -409,17 +442,92 @@ class SphereKdTree:
         walk(self._root, self.bounds)
 
 
-def _block_max(grid: np.ndarray, side: int) -> np.ndarray:
-    """Maximum of each ``side`` x ``side`` block; ragged edge blocks are smaller."""
-    rows, cols = grid.shape
-    out_rows, out_cols = -(-rows // side), -(-cols // side)
-    padded = np.full((out_rows * side, out_cols * side), np.iinfo(np.int32).min, dtype=np.int32)
-    padded[:rows, :cols] = grid
-    return padded.reshape(out_rows, side, out_cols, side).max(axis=(1, 3))
-
-
 def _non_finite(what: str, value: float, p: GeoPoint) -> NonFiniteDistanceError:
     return NonFiniteDistanceError(f"non-finite {what} {value!r} for query point {p}")
+
+
+def _check_finite(what: str, values: np.ndarray, p_lats: np.ndarray, p_lngs: np.ndarray) -> None:
+    """Raise for the first NaN or infinite entry of ``values``, naming its query point."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(bad.argmax())
+        p = GeoPoint(float(p_lats[k]), float(p_lngs[k]))
+        raise _non_finite(what, float(values[k]), p)
+
+
+def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of each array where ``keep`` holds."""
+    return tuple(a[keep] for a in arrays)
+
+
+def _within_slack(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``lower <= upper`` up to the slack that absorbs vector-versus-scalar ulps.
+
+    Vector distances and bounds may differ from the scalar ones in the last
+    ulps, so nothing within 1e-3 m plus 1e-9 times ``upper`` is pruned, and
+    samples that close to the smallest vector distance are re-ranked with
+    the scalar distance, as ``oracle.brute_force_ilp`` does.
+    """
+    return lower <= upper + 1e-3 + upper * 1e-9
+
+
+@dataclass
+class SearchWork:
+    """Work counts of :meth:`ElevationPyramid.nearest_higher_many`, summed over calls.
+
+    ``pairs`` counts the (query, cell) pairs that survive pruning, over all
+    levels; ``leaf_samples`` the samples whose distance was computed.
+    """
+
+    queries: int = 0
+    pairs: int = 0
+    leaf_samples: int = 0
+
+
+class _Level(NamedTuple):
+    """One pyramid level.
+
+    ``maxima[i, j]`` is the highest elevation of cell (i, j), and
+    (``arg_rows[i, j]``, ``arg_cols[i, j]``) a sample of the tile that
+    attains it.  Cell row ``i`` spans latitudes [``lat_min[i]``,
+    ``lat_max[i]``] and cell column ``j`` longitudes [``lng_min[j]``,
+    ``lng_max[j]``].
+    """
+
+    maxima: np.ndarray
+    arg_rows: np.ndarray
+    arg_cols: np.ndarray
+    lat_min: np.ndarray
+    lat_max: np.ndarray
+    lng_min: np.ndarray
+    lng_max: np.ndarray
+
+
+def _pool(values: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum of each ``side`` x ``side`` block, and the (row, col) in ``values`` of
+    an entry that attains it.
+
+    Ragged edge blocks are smaller; their missing entries never win.
+    """
+    rows, cols = values.shape
+    out_rows, out_cols = -(-rows // side), -(-cols // side)
+    padded = np.full((out_rows * side, out_cols * side), np.iinfo(np.int32).min, dtype=np.int32)
+    padded[:rows, :cols] = values
+    blocks = padded.reshape(out_rows, side, out_cols, side).transpose(0, 2, 1, 3)
+    blocks = blocks.reshape(out_rows, out_cols, side * side)
+    arg = blocks.argmax(axis=2)
+    block_rows, block_cols = np.indices(arg.shape)
+    return (
+        np.take_along_axis(blocks, arg[..., None], axis=2)[..., 0],
+        block_rows * side + arg // side,
+        block_cols * side + arg % side,
+    )
+
+
+# Child offsets (row, col) of a cell's 2 x 2 children, and the (row, col)
+# offsets of a leaf block's samples, in row-major order.
+_CHILD_ROWS, _CHILD_COLS = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+_LEAF_ROWS, _LEAF_COLS = np.divmod(np.arange(_LEAF_SIDE * _LEAF_SIDE), _LEAF_SIDE)
 
 
 class ElevationPyramid:
@@ -427,7 +535,8 @@ class ElevationPyramid:
 
     Level 0 holds the maximum elevation of each 8x8 block of samples (edge
     blocks may be smaller); each level above max-pools 2x2 cells of the one
-    below, up to a single root cell.  A cell covers the closed
+    below, up to a single root cell.  Every cell also keeps the (row, col)
+    of one sample that attains its maximum.  A cell covers the closed
     quadrilateral spanned by its samples' coordinates.
 
     Immutable after construction; safe for concurrent readers.
@@ -438,115 +547,131 @@ class ElevationPyramid:
         self._lats = tile.sample_lats()
         self._lngs = tile.sample_lngs()
         rows, cols = tile.shape
-        level = _block_max(tile.elevations, _LEAF_SIDE)
-        levels = [level]
-        while level.shape != (1, 1):
-            level = _block_max(level, 2)
-            levels.append(level)
-        self._maxima = [lvl.tolist() for lvl in levels]
-
-        lats, lngs = self._lats.tolist(), self._lngs.tolist()
-        self._quads: list[list[list[Quadrilateral]]] = []
-        for depth, lvl in enumerate(levels):
-            side = _LEAF_SIDE << depth
-            lat_spans = [
-                (lats[min(r + side, rows) - 1], lats[r]) for r in range(0, lvl.shape[0] * side, side)
-            ]
-            lng_spans = [
-                (lngs[c], lngs[min(c + side, cols) - 1]) for c in range(0, lvl.shape[1] * side, side)
-            ]
-            self._quads.append(
-                [[Quadrilateral(*la, *ln) for ln in lng_spans] for la in lat_spans]
+        maxima, arg_rows, arg_cols = _pool(tile.elevations, _LEAF_SIDE)
+        self.levels: list[_Level] = []
+        while True:
+            side = _LEAF_SIDE << len(self.levels)
+            first = np.arange(0, maxima.shape[0] * side, side)
+            last = np.minimum(first + side, rows) - 1
+            lat_min, lat_max = self._lats[last], self._lats[first]  # row 0 is north
+            first = np.arange(0, maxima.shape[1] * side, side)
+            last = np.minimum(first + side, cols) - 1
+            lng_min, lng_max = self._lngs[first], self._lngs[last]
+            self.levels.append(
+                _Level(maxima, arg_rows, arg_cols, lat_min, lat_max, lng_min, lng_max)
             )
+            if maxima.shape == (1, 1):
+                break
+            maxima, child_rows, child_cols = _pool(maxima, 2)
+            arg_rows, arg_cols = arg_rows[child_rows, child_cols], arg_cols[child_rows, child_cols]
 
-    def nearest_higher(
-        self, p: GeoPoint, elevation_m: float, metric
-    ) -> Optional[tuple[GeoPoint, float]]:
-        """Nearest sample strictly higher than ``elevation_m`` to ``p``.
+    def nearest_higher_many(
+        self,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        elevations: np.ndarray,
+        metric,
+        work: Optional[SearchWork] = None,
+    ) -> list[Optional[tuple[GeoPoint, float]]]:
+        """Nearest sample strictly higher than each query's elevation.
 
-        A best-first branch-and-bound descent (Hjaltason & Samet, "Distance
-        browsing in spatial databases", TODS 1999): cells are popped by the
-        metric's quadrilateral lower bound, cells no higher than
-        ``elevation_m`` are skipped, and the search stops once the popped
-        bound exceeds the best distance found.  ``p`` may lie outside the
-        tile.  Ties on distance are broken by ascending (lat, lng) of the
-        sample.
+        A level-synchronous branch and bound over (query, cell) pair
+        arrays, :data:`_QUERY_CHUNK` queries at a time.  At each level every
+        pair expands to the children whose maximum is strictly above its
+        query's elevation; a child is pruned when the metric's vector
+        quadrilateral bound (``lower_bound_many``) exceeds the query's
+        smallest upper bound.  A cell's upper bound is the distance to its
+        stored maximum sample, which is strictly higher than the query, so
+        it is sound under every metric.  The leaves' strictly higher samples
+        are screened with the vector distance and the near-minimal ones
+        re-ranked with the scalar one, ties broken by ascending (lat, lng),
+        so each answer is bit-identical to a scalar scan.  Queries may lie
+        outside the tile.  ``work``, if given, accumulates the search's
+        counts.
 
         Returns:
-            (sample, distance), or None when no sample is strictly higher.
+            One (sample, distance) per query, or None when no sample is
+            strictly higher.
 
         Raises:
             NonFiniteDistanceError: the metric gave a NaN or infinite
                 distance or bound.
         """
-        maxima = self._maxima
-        quads = self._quads
-        lower_bound = metric.lower_bound
-        isfinite = math.isfinite
-        heappop, heappush = heapq.heappop, heapq.heappush
-        top = len(maxima) - 1
-        if maxima[top][0][0] <= elevation_m:
-            return None
-        heap = [(0.0, top, 0, 0)]  # the root is always expanded
-        best_d = math.inf
-        best_pt: Optional[GeoPoint] = None
-        while heap:
-            b, depth, i, j = heappop(heap)
-            if b > best_d + _PRUNE_SLACK_M:
-                break
-            if depth == 0:
-                best_d, best_pt = self._scan_leaf(i, j, p, elevation_m, metric, best_d, best_pt)
-                continue
-            below = maxima[depth - 1]
-            below_quads = quads[depth - 1]
-            for ci in range(2 * i, min(2 * i + 2, len(below))):
-                row = below[ci]
-                for cj in range(2 * j, min(2 * j + 2, len(row))):
-                    if row[cj] > elevation_m:
-                        cb = lower_bound(below_quads[ci][cj], p)
-                        if not isfinite(cb):
-                            raise _non_finite("bound", cb, p)
-                        if cb <= best_d + _PRUNE_SLACK_M:
-                            heappush(heap, (cb, depth - 1, ci, cj))
-        return best_pt, best_d
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = np.asarray(lngs, dtype=np.float64)
+        elevations = np.asarray(elevations)
+        work = SearchWork() if work is None else work
+        found: list[Optional[tuple[GeoPoint, float]]] = []
+        for start in range(0, len(lats), _QUERY_CHUNK):
+            part = slice(start, start + _QUERY_CHUNK)
+            found.extend(self._descend(lats[part], lngs[part], elevations[part], metric, work))
+        return found
 
-    def _scan_leaf(
-        self,
-        i: int,
-        j: int,
-        p: GeoPoint,
-        elevation_m: float,
-        metric,
-        best_d: float,
-        best_pt: Optional[GeoPoint],
-    ) -> tuple[float, Optional[GeoPoint]]:
-        """Fold the leaf block's strictly higher samples into (best_d, best_pt).
+    def _descend(self, p_lats, p_lngs, elevations, metric, work):
+        """Descend the pyramid with one chunk of queries, down to the leaf blocks."""
+        n = len(p_lats)
+        work.queries += n
+        best = np.full(n, np.inf)  # each query's smallest upper bound so far
+        # Every query starts at a virtual cell whose child (0, 0) is the root.
+        q = np.arange(n)
+        i = j = np.zeros(n, dtype=np.intp)
+        for level in reversed(self.levels):
+            q = np.repeat(q, 4)
+            i = (2 * i[:, None] + _CHILD_ROWS).ravel()
+            j = (2 * j[:, None] + _CHILD_COLS).ravel()
+            rows, cols = level.maxima.shape
+            q, i, j = _select((i < rows) & (j < cols), q, i, j)
+            q, i, j = _select(level.maxima[i, j] > elevations[q], q, i, j)
+            p_lat, p_lng = p_lats[q], p_lngs[q]
+            lb = metric.lower_bound_many(
+                level.lat_min[i], level.lat_max[i], level.lng_min[j], level.lng_max[j], p_lat, p_lng
+            )
+            _check_finite("bound", lb, p_lat, p_lng)
+            q, i, j, lb = _select(_within_slack(lb, best[q]), q, i, j, lb)
+            p_lat, p_lng = p_lats[q], p_lngs[q]
+            ub = metric.distance_many(
+                self._lats[level.arg_rows[i, j]], self._lngs[level.arg_cols[i, j]], p_lat, p_lng
+            )
+            _check_finite("distance", ub, p_lat, p_lng)
+            np.minimum.at(best, q, ub)
+            q, i, j = _select(_within_slack(lb, best[q]), q, i, j)
+            work.pairs += len(q)
+        return self._scan_leaves(q, i, j, p_lats, p_lngs, elevations, metric, work)
 
-        Vector distances screen the block; the near-minimal samples are
-        re-ranked with the scalar distance, as ``oracle.brute_force_ilp``
-        does, so the answer is bit-identical to a scalar scan.
-        """
-        r0, c0 = i * _LEAF_SIDE, j * _LEAF_SIDE
-        block = self._elevations[r0 : r0 + _LEAF_SIDE, c0 : c0 + _LEAF_SIDE]
-        ii, jj = np.nonzero(block > elevation_m)
-        lats = self._lats[ii + r0]
-        lngs = self._lngs[jj + c0]
-        dists = metric.distance_many(lats, lngs, p)
-        if not np.isfinite(dists).all():
-            raise _non_finite("distance", float(dists[~np.isfinite(dists)][0]), p)
-        # Vector distances may differ from the scalar ones in the last ulps;
-        # samples up to this far above the minimum are re-ranked exactly.
-        lowest = min(float(dists.min()), best_d)
-        cutoff = lowest + 1e-3 + lowest * 1e-9
+    def _scan_leaves(self, q, i, j, p_lats, p_lngs, elevations, metric, work):
+        """Answers from the strictly higher samples of each pair's leaf block."""
+        n = len(p_lats)
+        q = np.repeat(q, len(_LEAF_ROWS))
+        rows = (i[:, None] * _LEAF_SIDE + _LEAF_ROWS).ravel()
+        cols = (j[:, None] * _LEAF_SIDE + _LEAF_COLS).ravel()
+        grid_rows, grid_cols = self._elevations.shape
+        q, rows, cols = _select((rows < grid_rows) & (cols < grid_cols), q, rows, cols)
+        q, rows, cols = _select(self._elevations[rows, cols] > elevations[q], q, rows, cols)
+        lats, lngs = self._lats[rows], self._lngs[cols]
+        p_lat, p_lng = p_lats[q], p_lngs[q]
+        dists = metric.distance_many(lats, lngs, p_lat, p_lng)
+        _check_finite("distance", dists, p_lat, p_lng)
+        work.leaf_samples += len(dists)
+        lowest = np.full(n, np.inf)
+        np.minimum.at(lowest, q, dists)
+        near = np.flatnonzero(_within_slack(dists, lowest[q]))
+
+        found: list[Optional[tuple[GeoPoint, float]]] = [None] * n
         distance = metric.distance
-        for idx in np.nonzero(dists <= cutoff)[0].tolist():
-            pt = GeoPoint(float(lats[idx]), float(lngs[idx]))
+        isfinite = math.isfinite
+        query_lats, query_lngs = p_lats.tolist(), p_lngs.tolist()
+        current, p = -1, None
+        for k, lat, lng in zip(q[near].tolist(), lats[near].tolist(), lngs[near].tolist()):
+            if k != current:
+                current, p = k, GeoPoint(query_lats[k], query_lngs[k])
+            pt = GeoPoint(lat, lng)
             d = distance(p, pt)
-            if not math.isfinite(d):
+            if not isfinite(d):
                 raise _non_finite("distance", d, p)
-            if d < best_d or (d == best_d and pt < best_pt):
-                best_d, best_pt = d, pt
-        return best_d, best_pt
+            cur = found[k]
+            if cur is None or d < cur[1] or (d == cur[1] and pt < cur[0]):
+                found[k] = (pt, d)
+        return found
 
 
 class _TileNode:

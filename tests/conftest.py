@@ -108,7 +108,7 @@ def exact_nearest(lats: np.ndarray, lngs: np.ndarray, query: GeoPoint, metric):
     Vector prefilter plus scalar re-ranking of near-minimal candidates,
     with the (distance, lat, lng) tie-break.
     """
-    dists = metric.distance_many(lats, lngs, query)
+    dists = metric.distance_many(lats, lngs, *query)
     lowest = float(dists.min())
     candidates = np.nonzero(dists <= lowest + 1e-3 + lowest * 1e-9)[0]
     best = None

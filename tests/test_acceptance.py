@@ -179,7 +179,7 @@ def test_c05_geometry_tolerances():
         lngs = np.concatenate(
             [edge_lngs, edge_lngs, np.full(25_000, q.lng_min), np.full(25_000, q.lng_max)]
         )
-        dists = great_circle_distance_many(lats, lngs, p)
+        dists = great_circle_distance_many(lats, lngs, *p)
         assert min_distance(q, p) <= dists.min() + 1e-3
         assert max_distance(q, p) >= dists.max() - 1e-3
     _verdict(
@@ -275,18 +275,23 @@ def test_c09_throughput_constancy():
             rows, cols, seed=107, profile="fractal", samples_per_side=121
         )
         area = Quadrilateral(45, 45 + rows, 7, 7 + cols)
-        # Freeze the objects the session already holds, mostly the shared
-        # fixtures, so that a full collection inside the timed run scans
-        # only the run's own objects.
-        gc.collect()
-        gc.freeze()
-        try:
-            outcome = run_pipeline(
-                area, {t.key: t for t in tiles}, stride=2, i_min=1000.0, threads=1
-            )
-        finally:
-            gc.unfreeze()
-        throughputs[rows * cols] = outcome.stats.samples / outcome.stats.total_s
+        # The fastest of three runs: a stall from elsewhere on the host
+        # lengthens one run, not all three.
+        best = 0.0
+        for _ in range(3):
+            # Freeze the objects the session already holds, mostly the
+            # shared fixtures, so that a full collection inside the timed
+            # run scans only the run's own objects.
+            gc.collect()
+            gc.freeze()
+            try:
+                outcome = run_pipeline(
+                    area, {t.key: t for t in tiles}, stride=2, i_min=1000.0, threads=1
+                )
+            finally:
+                gc.unfreeze()
+            best = max(best, outcome.stats.samples / outcome.stats.total_s)
+        throughputs[rows * cols] = best
     band = max(throughputs.values()) / min(throughputs.values())
     assert band <= 2.0, f"throughput spread {band:.2f}x over {throughputs}"
     _verdict(

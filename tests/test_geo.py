@@ -22,6 +22,7 @@ from isoscan.geo import (
     great_circle_distance,
     great_circle_distance_many,
     planar_distance,
+    planar_distance_many,
     to_cartesian,
     wrap_longitude,
 )
@@ -123,7 +124,7 @@ class TestGreatCircle:
         lats = rng.uniform(-80, 80, 300)
         lngs = rng.uniform(-180, 180, 300)
         p = GeoPoint(12.0, -34.0)
-        bulk = great_circle_distance_many(lats, lngs, p)
+        bulk = great_circle_distance_many(lats, lngs, *p)
         for i in range(0, 300, 17):
             scalar = great_circle_distance(GeoPoint(lats[i], lngs[i]), p)
             assert bulk[i] == pytest.approx(scalar, rel=1e-12, abs=1e-6)
@@ -178,7 +179,7 @@ class TestEllipsoid:
         d = ellipsoid_distance(a, b)
         assert math.isfinite(d)
         assert d == ellipsoid_distance(b, a)
-        bulk = ellipsoid_distance_many(np.array([a.lat_deg]), np.array([a.lng_deg]), b)
+        bulk = ellipsoid_distance_many(np.array([a.lat_deg]), np.array([a.lng_deg]), *b)
         assert np.isfinite(bulk).all()
 
     def test_sphere_ratio_stays_in_curvature_band(self):
@@ -252,6 +253,37 @@ class TestPlanar:
     @settings(max_examples=100)
     def test_symmetry_exact(self, a, b):
         assert planar_distance(a, b) == planar_distance(b, a)
+
+
+VECTOR_TWINS = [great_circle_distance_many, ellipsoid_distance_many, planar_distance_many]
+
+
+class TestVectorTwinQueryPoints:
+    """Array query points give bit for bit what the one-point call gives."""
+
+    @pytest.mark.parametrize("twin", VECTOR_TWINS)
+    def test_one_query_broadcast_equals_scalar_call(self, twin):
+        rng = np.random.default_rng(21)
+        lats, lngs = rng.uniform(-90, 90, 500), rng.uniform(-180, 180, 500)
+        for p in (GeoPoint(12.0, -34.0), GeoPoint(-89.9, 179.5), GeoPoint(0.0, 0.0)):
+            one = twin(lats, lngs, p.lat_deg, p.lng_deg)
+            spread = twin(lats, lngs, np.full(500, p.lat_deg), np.full(500, p.lng_deg))
+            assert np.array_equal(one, spread)
+
+    @pytest.mark.parametrize("twin", VECTOR_TWINS)
+    def test_per_point_queries_equal_one_point_calls(self, twin):
+        rng = np.random.default_rng(22)
+        n = 300
+        lats, lngs = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+        p_lats, p_lngs = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+        # near neighbours, and the subnormal-s case the ellipsoid guards
+        p_lats[:100], p_lngs[:100] = lats[:100] + 1e-6, lngs[:100] - 1e-6
+        lats[100], lngs[100], p_lats[100], p_lngs[100] = 8.38e-153, 0.0, 8.38e-153, 8.38e-153
+        batch = twin(lats, lngs, p_lats, p_lngs)
+        assert np.isfinite(batch).all()
+        for k in range(n):
+            one = twin(lats[k : k + 1], lngs[k : k + 1], float(p_lats[k]), float(p_lngs[k]))
+            assert batch[k] == one[0]
 
 
 class TestCartesian:

@@ -31,7 +31,13 @@ from isoscan.multipass import (
 )
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral, max_distance
-from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, TileIndex
+from isoscan.spatial_index import (
+    ElevationPyramid,
+    EllipsoidMetric,
+    GreatCircleMetric,
+    SearchWork,
+    TileIndex,
+)
 from isoscan.sweep import run_sweep
 from isoscan.dem import build_events
 
@@ -129,7 +135,7 @@ class TestDilationDiscard:
             peak = cells[k]
             higher = heights > peak.elevation_m
             dists = great_circle_distance_many(
-                lats[higher_rows[higher]], lngs[higher_cols[higher]], peak.location
+                lats[higher_rows[higher]], lngs[higher_cols[higher]], *peak.location
             )
             assert dists.min() < radius
 
@@ -147,7 +153,7 @@ class TestDilationDiscard:
         assert dominated_peaks(tile, cells, i_min / BOUND_INFLATION)[peak] == discarded
         outcome = bounding_pass(tile, stride=1, i_min=i_min)
         assert outcome.dilation_discards == int(discarded)
-        assert outcome.queries == len(cells) - int(discarded)
+        assert outcome.search.queries == len(cells) - int(discarded)
         bounded = [pk.location for pk, _bound in outcome.bounded]
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
@@ -158,6 +164,22 @@ class TestDilationDiscard:
         assert stats.bounding_queries > 0
         assert stats.dilation_discards + stats.bounding_queries == stats.peaks_found
         assert stats.peaks_found == len(detect_peaks(tiles[(45, 7)]))
+
+    def test_search_counts_of_a_one_tile_run(self):
+        area, tiles = world(1, 1, seed=68, n=121)
+        outcome = run_pipeline(area, tiles, stride=2, i_min=2000.0, threads=1)
+        stats = outcome.stats
+        assert stats.bounding_queries == stats.peaks_found - stats.dilation_discards
+        # In one tile every kept peak but the high point gets one candidate.
+        candidates = sum(1 for r in outcome.results if r.ilp is not None)
+        assert stats.finalization_queries == candidates > 0
+        # A query with a higher sample keeps at least one pair per level and
+        # computes at least one leaf distance; the deferred peaks have none.
+        answered = stats.bounding_queries - stats.deferred
+        assert stats.bounding_pairs >= answered and stats.bounding_leaf_samples >= answered
+        levels = len(ElevationPyramid(tiles[(45, 7)]).levels)
+        assert stats.finalization_pairs >= candidates * levels
+        assert stats.finalization_leaf_samples >= candidates
 
 
 class TestHighpointPass:
@@ -215,7 +237,9 @@ class TestFinalizationPass:
         metric = EllipsoidMetric()
         peaks = detect_peaks(tile)
         swept = run_sweep(build_events(tile, peaks), tile.quad, metric)
-        cands = finalization_pass(tile, [(p, 1e9) for p in peaks], metric)
+        search = SearchWork()
+        cands = finalization_pass(tile, [(p, 1e9) for p in peaks], metric, search)
+        assert search.queries == len(cands)
         by_loc = {loc: (d, pt) for loc, d, pt in cands}
         for res in swept:
             if res.ilp is None:

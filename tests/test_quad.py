@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoscan.geo import GeoPoint, WGS84, antipode, great_circle_distance, great_circle_distance_many
-from isoscan.quad import Quadrilateral, contains, max_distance, min_distance
+from isoscan.geo import (
+    GeoPoint,
+    WGS84,
+    antipode,
+    great_circle_distance,
+    great_circle_distance_many,
+    wrap_longitude,
+)
+from isoscan.quad import Quadrilateral, contains, max_distance, min_distance, min_distance_many
 
 R = WGS84.radius_m
 
@@ -85,7 +92,7 @@ class TestMinDistance:
         expected = great_circle_distance(p, GeoPoint(20, 35))
         assert min_distance(q, p) == expected
         lats, lngs = boundary_samples(q, 25_000)
-        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, *p).min() + 1e-3
 
     def test_below_southern_edge(self):
         q = Quadrilateral(10, 20, 30, 40)
@@ -97,14 +104,14 @@ class TestMinDistance:
         p = GeoPoint(50, 20)  # the foot lies north of the east edge
         assert min_distance(q, p) == great_circle_distance(p, GeoPoint(40, 10))
         lats, lngs = boundary_samples(q, 25_000)
-        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, *p).min() + 1e-3
 
     def test_meridian_arc_clamps_to_its_north_end(self):
         q = Quadrilateral(0, 40, 0, 0)  # the meridian arc at lng 0
         p = GeoPoint(50, 10)
         assert min_distance(q, p) == great_circle_distance(p, GeoPoint(40, 0))
         lats, lngs = _meridian_arc(0, 0, 40, 400_001)  # 1e-4 degree steps
-        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, *p).min() + 1e-3
 
     def test_longitude_edge_interior_foot(self):
         q = Quadrilateral(-40, 40, -10, 10)
@@ -124,7 +131,7 @@ class TestMinDistance:
         # the nearby west edge (lng -180) must win over the east edge
         assert d < great_circle_distance(p, GeoPoint(15, -179))
         lats, lngs = boundary_samples(q, 25_000)
-        sampled = great_circle_distance_many(lats, lngs, p).min()
+        sampled = great_circle_distance_many(lats, lngs, *p).min()
         assert d <= sampled + 1e-3
         assert d >= sampled - 1e-3
 
@@ -139,7 +146,7 @@ class TestMinDistance:
         d = min_distance(q, p)
         corners = [great_circle_distance(p, GeoPoint(lat, 20)) for lat in (0, 30)]
         assert d < min(corners)
-        sampled = great_circle_distance_many(*_meridian_arc(20, 0, 30, 300_001), p).min()
+        sampled = great_circle_distance_many(*_meridian_arc(20, 0, 30, 300_001), *p).min()
         assert sampled - 1e-3 <= d <= sampled + 1e-3
 
     def test_foot_on_the_opposite_meridian_gives_the_nearer_corner(self):
@@ -148,7 +155,7 @@ class TestMinDistance:
         corners = [great_circle_distance(p, GeoPoint(lat, 0)) for lat in (10, 40)]
         assert min_distance(q, p) == min(corners)
         lats, lngs = boundary_samples(q, 25_000)
-        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, *p).min() + 1e-3
 
     def test_short_edge_across_the_pole(self):
         # A 0.18" edge seen over the south pole: the nearer corner is the
@@ -157,7 +164,7 @@ class TestMinDistance:
         p = GeoPoint(-47, 15)
         assert min_distance(q, p) == great_circle_distance(p, GeoPoint(-86.1, -168))
         lats, lngs = boundary_samples(q, 10_001)
-        sampled = great_circle_distance_many(lats, lngs, p).min()
+        sampled = great_circle_distance_many(lats, lngs, *p).min()
         assert sampled - 1e-3 <= min_distance(q, p) <= sampled + 1e-3
 
     @pytest.mark.parametrize("lng", [90.0, -100.0])
@@ -174,7 +181,7 @@ class TestMinDistance:
         expected = great_circle_distance(p, GeoPoint(nearest_lat, edge_lng))
         assert min_distance(q, p) == pytest.approx(expected, rel=1e-12)
         lats, lngs = boundary_samples(q, 25_000)
-        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, p).min() + 1e-3
+        assert min_distance(q, p) <= great_circle_distance_many(lats, lngs, *p).min() + 1e-3
 
     @pytest.mark.parametrize("lat, arc_deg", [(90, 50), (-90, 100)])
     @pytest.mark.parametrize("lng", [0, 180])
@@ -188,7 +195,7 @@ class TestMinDistance:
     def test_zero_height_band(self, p):
         q = Quadrilateral(10, 10, 0, 5)
         lats, lngs = boundary_samples(q, 50_001)
-        sampled = great_circle_distance_many(lats, lngs, p).min()
+        sampled = great_circle_distance_many(lats, lngs, *p).min()
         assert sampled - 1e-3 <= min_distance(q, p) <= sampled + 1e-3
 
     def test_meridian_arcs_against_dense_sampling(self):
@@ -200,7 +207,7 @@ class TestMinDistance:
             lat_hi = lat_lo + rng.uniform(1, 50)
             p = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             arc = _meridian_arc(lng, lat_lo, lat_hi, 100_001)
-            sampled = great_circle_distance_many(*arc, p).min()
+            sampled = great_circle_distance_many(*arc, *p).min()
             d = min_distance(Quadrilateral(lat_lo, lat_hi, lng, lng), p)
             assert sampled - 1e-3 <= d <= sampled + 1e-3
 
@@ -226,12 +233,62 @@ class TestMinDistance:
             return
         per_edge = 20_001
         lats, lngs = boundary_samples(q, per_edge)
-        sampled = great_circle_distance_many(lats, lngs, p).min()
+        sampled = great_circle_distance_many(lats, lngs, *p).min()
         side = max(q.lat_max - q.lat_min, q.lng_max - q.lng_min)
         half_spacing = R * math.radians(side) / (per_edge - 1) / 2.0
         assert d <= sampled + 1e-3
         # 1e-6 m covers rounding: the sampled minimum is the vector haversine.
         assert d >= sampled - half_spacing - 1e-6
+
+
+@st.composite
+def quad_point_pairs(draw):
+    """A quadrilateral of 1e-4 to 180 degrees and a point, in a chosen case.
+
+    The point's longitude lies between the edges, within 90 degrees of the
+    nearer edge (cos dlng > 0), or at least 90 degrees from both
+    (cos dlng <= 0).  Its latitude is anywhere, at a pole or on the
+    equator, and the quadrilateral may touch a pole or straddle the
+    equator.
+    """
+    size = 10.0 ** draw(st.floats(-4, math.log10(180)))
+    h, w = draw(st.floats(0, 1)) * size, draw(st.floats(0, 1)) * size
+    place = draw(st.sampled_from(["any", "north pole", "south pole", "equator"]))
+    if place == "north pole":
+        lat_min = 90.0 - h
+    elif place == "south pole":
+        lat_min = -90.0
+    elif place == "equator":
+        lo, hi = max(-90.0, -h), min(0.0, 90.0 - h)
+        lat_min = lo + draw(st.floats(0, 1)) * (hi - lo)
+    else:
+        lat_min = draw(st.floats(-90, 90 - h))
+    lng_min = draw(st.floats(-180, 180 - w))
+    q = Quadrilateral(lat_min, lat_min + h, lng_min, lng_min + w)
+
+    case = draw(st.sampled_from(["between", "cos > 0", "cos <= 0"]))
+    if case == "between":
+        lng = lng_min + draw(st.floats(0, 1)) * w
+    elif case == "cos > 0":
+        lng = q.lng_max + draw(st.floats(0, 1, exclude_min=True)) * min(89.9, (360 - w) / 2)
+    else:
+        # Both edges lie at least 90 degrees away from the far side's centre.
+        lng = q.center_lng + 180 + draw(st.floats(-1, 1)) * (90 - w / 2)
+    lat = draw(st.sampled_from([None, 90.0, -90.0, 0.0]))
+    if lat is None:
+        lat = draw(st.floats(-90, 90))
+    return q, GeoPoint(lat, wrap_longitude(lng))
+
+
+class TestMinDistanceMany:
+    @given(st.lists(quad_point_pairs(), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_min_distance(self, pairs):
+        quads = np.array([q for q, _ in pairs])
+        points = np.array([p for _, p in pairs])
+        got = min_distance_many(*quads.T, *points.T)
+        want = [min_distance(q, p) for q, p in pairs]
+        assert np.abs(got - want).max() <= 1e-6
 
 
 class TestMaxDistance:
@@ -249,7 +306,7 @@ class TestMaxDistance:
         q = Quadrilateral(10, 20, 30, 40)
         p = GeoPoint(25, 35)
         lats, lngs = boundary_samples(q, 25_000)
-        sampled = great_circle_distance_many(lats, lngs, p).max()
+        sampled = great_circle_distance_many(lats, lngs, *p).max()
         d = max_distance(q, p)
         assert d >= sampled - 1e-3
         assert d <= sampled + 1e-3  # duality makes the bound tight
@@ -258,7 +315,7 @@ class TestMaxDistance:
         q = Quadrilateral(44, 47, 6, 10)
         p = GeoPoint(-20, -100)
         lats, lngs = interior_grid(q, 150)
-        assert max_distance(q, p) >= great_circle_distance_many(lats, lngs, p).max() - 1e-3
+        assert max_distance(q, p) >= great_circle_distance_many(lats, lngs, *p).max() - 1e-3
 
 
 class TestDenseSamplingProperties:
@@ -272,12 +329,12 @@ class TestDenseSamplingProperties:
             )
             p = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             lats, lngs = boundary_samples(q, 2_500)
-            dists = great_circle_distance_many(lats, lngs, p)
+            dists = great_circle_distance_many(lats, lngs, *p)
             lo, hi = min_distance(q, p), max_distance(q, p)
             assert lo <= dists.min() + 1e-3
             assert hi >= dists.max() - 1e-3
             ilats, ilngs = interior_grid(q, 60)
-            idists = great_circle_distance_many(ilats, ilngs, p)
+            idists = great_circle_distance_many(ilats, ilngs, *p)
             assert lo <= idists.min() + 1e-3
             assert hi >= idists.max() - 1e-3
             if contains(q, p):

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_nearest
+from isoscan import spatial_index
 from isoscan.dem import Tile
-from isoscan.geo import GeoPoint, WGS84, great_circle_distance
+from isoscan.geo import GeoPoint, WGS84, great_circle_distance, wrap_longitude
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
     ElevationPyramid,
@@ -23,6 +24,7 @@ from isoscan.spatial_index import (
     OutOfBoundsError,
     PlanarMetric,
     PointNotFoundError,
+    SearchWork,
     SphereKdTree,
     TileIndex,
 )
@@ -367,48 +369,132 @@ class TestTileIndex:
 METRICS = [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()]
 
 
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+def test_lower_bound_many_matches_scalar_lower_bound(metric):
+    # Cells of 1e-4 to 180 degrees; points between their longitude edges,
+    # near them, or across the antimeridian from them.
+    rng = np.random.default_rng(31)
+    n = 4000
+    size = 10.0 ** rng.uniform(-4, math.log10(180), n)
+    h, w = rng.uniform(0, 1, n) * size, rng.uniform(0, 1, n) * size
+    lat_min = rng.uniform(-90, 90 - h)
+    lng_min = rng.uniform(-180, 180 - w)
+    p_lats = np.where(rng.random(n) < 0.1, rng.choice([-90.0, 0.0, 90.0], n), rng.uniform(-90, 90, n))
+    offset = rng.choice([0.0, 1.0, 180.0], n) * size + rng.uniform(0, 1, n) * w
+    p_lngs = np.array([wrap_longitude(v) for v in (lng_min + offset).tolist()])
+    got = metric.lower_bound_many(lat_min, lat_min + h, lng_min, lng_min + w, p_lats, p_lngs)
+    for k in range(n):
+        q = Quadrilateral(lat_min[k], lat_min[k] + h[k], lng_min[k], lng_min[k] + w[k])
+        assert abs(got[k] - metric.lower_bound(q, GeoPoint(p_lats[k], p_lngs[k]))) <= 1e-6
+
+
 @st.composite
-def pyramid_queries(draw):
-    """A tile of a side that is not a multiple of 8, a query point and an elevation.
+def pyramid_batches(draw):
+    """A tile of a side that is not a multiple of 8, 1-20 queries and a metric.
 
     Grids draw from one value (a plateau), three values (many exact ties)
-    or many; the query lies on a sample, inside the tile, or outside it, as
-    in the finalization pass.
+    or many.  Each query lies on a sample at its own elevation (as peaks
+    query), inside the tile or outside it (as in the finalization pass),
+    repeats an earlier query, or stands at the tile's maximum, where no
+    sample is strictly higher.
     """
     side = draw(st.sampled_from([2, 3, 9, 17, 41]))
     spread = draw(st.sampled_from([0, 2, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = rng.integers(1000, 1001 + spread, size=(side, side), dtype=np.int16)
     tile = Tile(45, 7, grid, side - 1)
-    elevation = draw(st.integers(999, 1001 + spread))
-    where = draw(st.sampled_from(["peak", "inside", "outside"]))
-    if where == "peak":
-        # a query from a sample at its own elevation, as peaks query
-        i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
-        p, elevation = tile.sample_point(i, j), int(grid[i, j])
-    elif where == "inside":
-        p = GeoPoint(draw(st.floats(45, 46)), draw(st.floats(7, 8)))
-    else:
-        lng = draw(st.one_of(st.floats(3, 6.99), st.floats(8.01, 12)))
-        p = GeoPoint(draw(st.floats(41, 50)), lng)
-    return tile, p, elevation, draw(st.sampled_from(METRICS))
+    queries: list[tuple[GeoPoint, int]] = []
+    for _ in range(draw(st.integers(1, 20))):
+        where = draw(st.sampled_from(["peak", "inside", "outside", "repeat", "top"]))
+        elevation = draw(st.integers(999, 1001 + spread))
+        if where == "repeat" and queries:
+            queries.append(queries[draw(st.integers(0, len(queries) - 1))])
+            continue
+        if where == "peak":
+            i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+            p, elevation = tile.sample_point(i, j), int(grid[i, j])
+        elif where == "outside":
+            lng = draw(st.one_of(st.floats(3, 6.99), st.floats(8.01, 12)))
+            p = GeoPoint(draw(st.floats(41, 50)), lng)
+        else:
+            p = GeoPoint(draw(st.floats(45, 46)), draw(st.floats(7, 8)))
+            if where == "top":
+                elevation = int(grid.max())
+        queries.append((p, elevation))
+    return tile, queries, draw(st.sampled_from(METRICS))
+
+
+def query_batch(pyramid, queries, metric, work=None):
+    lats = [p.lat_deg for p, _ in queries]
+    lngs = [p.lng_deg for p, _ in queries]
+    return pyramid.nearest_higher_many(lats, lngs, [e for _, e in queries], metric, work)
+
+
+def assert_matches_linear_scan(tile, queries, found, metric):
+    assert len(found) == len(queries)
+    for (p, elevation), got in zip(queries, found):
+        rows, cols = np.nonzero(tile.elevations > elevation)
+        if len(rows) == 0:
+            assert got is None
+        else:
+            lats, lngs = tile.sample_lats()[rows], tile.sample_lngs()[cols]
+            assert got == exact_nearest(lats, lngs, p, metric)
 
 
 class TestElevationPyramid:
-    @given(pyramid_queries())
+    @given(pyramid_batches())
     @settings(max_examples=400, deadline=None)
     def test_matches_linear_scan_of_higher_samples(self, case):
-        tile, p, elevation, metric = case
-        found = ElevationPyramid(tile).nearest_higher(p, elevation, metric)
-        rows, cols = np.nonzero(tile.elevations > elevation)
-        if len(rows) == 0:
-            assert found is None
-        else:
-            lats, lngs = tile.sample_lats()[rows], tile.sample_lngs()[cols]
-            assert found == exact_nearest(lats, lngs, p, metric)
+        tile, queries, metric = case
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        assert work.queries == len(queries)
+
+    def test_chunk_boundaries_inside_one_call(self, monkeypatch):
+        monkeypatch.setattr(spatial_index, "_QUERY_CHUNK", 3)
+        grid = np.random.default_rng(8).integers(0, 50, size=(41, 41)).astype(np.int16)
+        tile = Tile(45, 7, grid, 40)
+        rng = np.random.default_rng(9)
+        queries = [
+            (GeoPoint(float(lat), float(lng)), int(e))
+            for lat, lng, e in zip(
+                rng.uniform(44.5, 46.5, 20), rng.uniform(6.5, 8.5, 20), rng.integers(0, 51, 20)
+            )
+        ]
+        queries[5] = queries[4]  # a duplicate across the chunk boundary
+        for k in (2, 7, 11):
+            queries[k] = (queries[k][0], int(grid.max()))  # no higher sample
+        work = SearchWork()
+        for metric in METRICS:
+            found = query_batch(ElevationPyramid(tile), queries, metric, work)
+            assert_matches_linear_scan(tile, queries, found, metric)
+        assert any(got is None for got in found) and any(got is not None for got in found)
+        assert work.queries == 3 * len(queries)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (9, 9), (17, 33), (41, 41), (131, 131)])
+    def test_cells_store_a_maximum_sample_inside_them(self, shape):
+        rows, cols = shape
+        grid = np.random.default_rng(rows).integers(0, 5, size=shape).astype(np.int16)
+        tile = Tile(45, 7, grid, rows - 1)
+        levels = ElevationPyramid(tile).levels
+        lats, lngs = tile.sample_lats(), tile.sample_lngs()
+        for depth, level in enumerate(levels):
+            side = 8 << depth
+            for i in range(level.maxima.shape[0]):
+                r0, r1 = i * side, min((i + 1) * side, rows) - 1
+                assert (level.lat_min[i], level.lat_max[i]) == (lats[r1], lats[r0])
+                for j in range(level.maxima.shape[1]):
+                    c0, c1 = j * side, min((j + 1) * side, cols) - 1
+                    assert (level.lng_min[j], level.lng_max[j]) == (lngs[c0], lngs[c1])
+                    r, c = level.arg_rows[i, j], level.arg_cols[i, j]
+                    assert r0 <= r <= r1 and c0 <= c <= c1
+                    block_max = grid[r0 : r1 + 1, c0 : c1 + 1].max()
+                    assert level.maxima[i, j] == grid[r, c] == block_max
+        assert levels[-1].maxima.shape == (1, 1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("method", ["distance", "distance_many", "lower_bound"])
+    @pytest.mark.parametrize("method", ["distance", "distance_many", "lower_bound_many"])
     def test_non_finite_metric_values_raise(self, method, value):
         class Broken(PlanarMetric):
             pass
@@ -422,6 +508,6 @@ class TestElevationPyramid:
         setattr(Broken, method, broken)
         grid = np.random.default_rng(3).integers(0, 100, size=(17, 17)).astype(np.int16)
         pyramid = ElevationPyramid(Tile(45, 7, grid, 16))
-        word = "bound" if method == "lower_bound" else "distance"
+        word = "bound" if method == "lower_bound_many" else "distance"
         with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
-            pyramid.nearest_higher(GeoPoint(45.5, 7.5), 10, Broken())
+            pyramid.nearest_higher_many([45.6, 45.5], [7.4, 7.5], [50, 10], Broken())
