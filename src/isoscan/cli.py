@@ -104,6 +104,10 @@ def _config_from_args(args) -> RunConfig:
     lat_min, lat_max, lng_min, lng_max = args.bounds
     if lat_min >= lat_max or lng_min >= lng_max:
         raise ValueError("bounds must satisfy LATMIN < LATMAX and LNGMIN < LNGMAX")
+    # A NaN threshold loses every comparison and a negative one acts as 0:
+    # both would quietly emit every peak.
+    if not args.min_isolation_km >= 0.0:
+        raise ValueError(f"--min-isolation-km must be >= 0, got {args.min_isolation_km}")
     return RunConfig(
         data_dir=args.data_dir,
         bounds=Quadrilateral(lat_min, lat_max, lng_min, lng_max),

@@ -9,16 +9,20 @@ be emitted.  The surviving peaks ask an
 :class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
 grid, in one batched search per tile, for their nearest strictly higher
 samples; each distance is an upper bound on its peak's isolation.  Peaks
-bounded below the threshold are discarded too; the rest are assigned to
-every tile within their bound.
-Peaks with no higher down-sampled sample in their tile (always including
-the tile high point) are deferred.
+bounded below the threshold are discarded too.  Peaks with no higher
+down-sampled sample in their tile (always including the tile high point)
+are deferred.
 
-Pass 2 (high-point) resolves the deferred peaks against a static tile-level
-index augmented with per-tile maximum elevation: the nearest higher tile's
-maximum distance bounds the peak's isolation, and the peak is assigned to
-all tiles within that bound.  The peak with no higher tile anywhere is the
-search-area high point and gets undefined isolation.
+Pass 2 (high-point) resolves the deferred peaks against the
+:class:`~isoscan.spatial_index.TileIndex` of per-tile maximum elevations:
+the maximum distance to the nearest higher tile bounds the peak's
+isolation.  The peak with no higher tile anywhere is the search-area high
+point and gets undefined isolation.
+
+Tile assignment then sends every bounded peak, in one batched
+``TileIndex.tiles_within`` query, to every tile within its bound.  A peak
+is its location: a seam peak found by several tiles is one peak, with the
+smallest home tile, and each (tile, peak) pair keeps its smallest bound.
 
 Pass 3 (finalization) asks a full-resolution pyramid of each tile, in one
 batched search, for the nearest strictly higher sample of every peak
@@ -26,6 +30,9 @@ assigned to it, under the final metric; the final answer per peak is the
 closest candidate over its tiles.  Both searches count their work
 (:class:`~isoscan.spatial_index.SearchWork`) into :class:`PipelineStats`.
 
+Peaks and candidates cross between the passes, and to and from the worker
+processes, as structured numpy arrays (:data:`PEAK_DTYPE`,
+:data:`CANDIDATE_DTYPE`); ``Peak`` objects are made only for the results.
 Bounding and finalization run tile-parallel in worker processes; results
 are merged in deterministic key order, so output is identical for any
 worker count.  The event sweep (:func:`run_merged_sweep`) is the paper's
@@ -37,8 +44,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +60,7 @@ from .dem import (
     downsample,
     merge_tiles,
 )
-from .geo import EarthModel, GeoPoint, WGS84, great_circle_distance
+from .geo import EarthModel, GeoPoint, WGS84, great_circle_distance, wrap_longitude_many
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
     ElevationPyramid,
@@ -67,22 +75,48 @@ from .sweep import IlpResult, run_sweep
 
 __all__ = [
     "BOUND_INFLATION",
+    "PEAK_DTYPE",
+    "CANDIDATE_DTYPE",
     "MissingTilesError",
-    "TilePeaksMap",
     "area_tile_keys",
     "tile_keys_within",
     "dominated_peaks",
+    "peak_rows",
     "bounding_pass",
     "highpoint_pass",
+    "distinct_peaks",
+    "assign_tiles",
     "finalization_pass",
     "finalize",
     "final_metric",
     "run_pipeline",
     "run_merged_sweep",
+    "Assignment",
     "PipelineResult",
     "PipelineStats",
     "audit_pipeline",
 ]
+
+# One peak as found by one tile, between the passes: location (longitude
+# wrapped into (-180, 180] as GeoPoint wraps it, so a sample has one
+# location whichever tile finds it), elevation, home tile (the SW corner of
+# the tile that found it) and the bound on its isolation (inf while none).
+PEAK_DTYPE = np.dtype(
+    [
+        ("lat", np.float64),
+        ("lng", np.float64),
+        ("elevation", np.int32),
+        ("home_lat", np.int32),
+        ("home_lng", np.int32),
+        ("bound", np.float64),
+    ]
+)
+
+# One finalization candidate: the row of its peak in the peak array it was
+# found for, the distance, and the location of the higher sample.
+CANDIDATE_DTYPE = np.dtype(
+    [("peak", np.int64), ("distance", np.float64), ("lat", np.float64), ("lng", np.float64)]
+)
 
 # Upper bounds are found as great-circle distances but the final isolation
 # is an ellipsoid distance.  Their ratio stays inside geo.ELLIPSOID_RATIO_BAND,
@@ -102,42 +136,6 @@ class MissingTilesError(RuntimeError):
     def __init__(self, missing: Sequence[TileKey]):
         self.missing = sorted(missing)
         super().__init__(f"missing tiles: {self.missing}")
-
-
-class TilePeaksMap:
-    """Tile key -> peaks that may have their isolation limit point there.
-
-    Append-only while the first two passes run, frozen before finalization
-    reads it.  A peak appears at most once per tile (smallest bound kept).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[TileKey, dict[GeoPoint, tuple[Peak, float]]] = {}
-        self._frozen = False
-
-    def add(self, key: TileKey, peak: Peak, bound_m: float) -> None:
-        if self._frozen:
-            raise RuntimeError("map is frozen")
-        slot = self._entries.setdefault(key, {})
-        cur = slot.get(peak.location)
-        if cur is None or bound_m < cur[1]:
-            slot[peak.location] = (peak, bound_m)
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    def assigned(self, key: TileKey) -> list[tuple[Peak, float]]:
-        slot = self._entries.get(key, {})
-        return [slot[loc] for loc in sorted(slot)]
-
-    def keys(self) -> list[TileKey]:
-        return sorted(self._entries)
-
-    def snapshot(self) -> dict[TileKey, list[tuple[GeoPoint, float]]]:
-        return {
-            key: [(loc, slot[loc][1]) for loc in sorted(slot)]
-            for key, slot in self._entries.items()
-        }
 
 
 def tile_quad(key: TileKey) -> Quadrilateral:
@@ -263,17 +261,39 @@ def dominated_peaks(
     return reach > grid[cells.rows, cells.cols]
 
 
+def _starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``columns`` that differ from the one before in any column."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
+
+
+def peak_rows(tile: Tile, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """:data:`PEAK_DTYPE` rows, with no bound yet, of the tile's samples (``rows``, ``cols``)."""
+    out = np.empty(len(rows), dtype=PEAK_DTYPE)
+    out["lat"] = tile.sample_lats()[rows]
+    out["lng"] = wrap_longitude_many(tile.sample_lngs()[cols])
+    out["elevation"] = tile.elevations[rows, cols]
+    out["home_lat"], out["home_lng"] = tile.key
+    out["bound"] = np.inf
+    return out
+
+
 @dataclass
 class BoundingOutcome:
+    """One tile's bounding pass; the peaks are :data:`PEAK_DTYPE` rows."""
+
     key: TileKey
     max_elevation_m: int
-    bounded: list[tuple[Peak, float]]
-    deferred: list[Peak]
+    bounded: np.ndarray
+    deferred: np.ndarray
     discarded: int
     # Only peaks on the tile's edge rows and columns can be found by a
-    # neighbouring tile too, so only their locations are kept for the
-    # area's distinct peak count.
-    discarded_on_edge: list[GeoPoint]
+    # neighbouring tile too, so only they are kept, for the area's distinct
+    # peak count.
+    discarded_on_edge: np.ndarray
     dilation_discards: int
     # Pyramid search counts of the peaks the dilation kept.
     search: SearchWork
@@ -304,138 +324,187 @@ def bounding_pass(
     start = time.perf_counter()
     cells = detect_peaks(tile)
     rows, cols = tile.shape
+    peaks = peak_rows(tile, cells.rows, cells.cols)
     on_edge = np.isin(cells.rows, (0, rows - 1)) | np.isin(cells.cols, (0, cols - 1))
     dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION, model)
-    edge_rows, edge_cols = cells.rows[dominated & on_edge], cells.cols[dominated & on_edge]
-    discarded_on_edge = [
-        tile.sample_point(i, j) for i, j in zip(edge_rows.tolist(), edge_cols.tolist())
-    ]
-    survivors = np.flatnonzero(~dominated).tolist()
-    peaks = [cells[k] for k in survivors]
+    searched = np.flatnonzero(~dominated)
+    queries = peaks[searched]
 
     pyramid = ElevationPyramid(downsample(tile, stride))
     nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
     search = SearchWork()
-    found = pyramid.nearest_higher_many(*_query_arrays(peaks), nn_metric, search)
-
-    bounded: list[tuple[Peak, float]] = []
-    deferred: list[Peak] = []
-    dilation_discards = len(cells) - len(survivors)
-    discarded = dilation_discards
-    for k, peak, hit in zip(survivors, peaks, found):
-        if hit is None:
-            deferred.append(peak)
-            continue
-        raw = great_circle_distance(peak.location, hit[0], model)
-        bound = raw * BOUND_INFLATION
-        if bound < i_min:
-            discarded += 1
-            if on_edge[k]:
-                discarded_on_edge.append(peak.location)
-        else:
-            bounded.append((peak, bound))
+    found = pyramid.nearest_higher_many(
+        queries["lat"], queries["lng"], queries["elevation"], nn_metric, search
+    )
+    answered = np.array([hit is not None for hit in found], dtype=bool)
+    peaks["bound"][searched[answered]] = [
+        great_circle_distance(GeoPoint(lat, lng), hit[0], model) * BOUND_INFLATION
+        for lat, lng, hit in zip(queries["lat"].tolist(), queries["lng"].tolist(), found)
+        if hit is not None
+    ]
+    deferred = np.zeros(len(peaks), dtype=bool)
+    deferred[searched[~answered]] = True
+    bounded = ~dominated & ~deferred & ~(peaks["bound"] < i_min)
+    discarded = ~(bounded | deferred)
     return BoundingOutcome(
         key=tile.key,
         max_elevation_m=tile.max_elevation_m,
-        bounded=bounded,
-        deferred=deferred,
-        discarded=discarded,
-        discarded_on_edge=discarded_on_edge,
-        dilation_discards=dilation_discards,
+        bounded=peaks[bounded],
+        deferred=peaks[deferred],
+        discarded=int(discarded.sum()),
+        discarded_on_edge=peaks[discarded & on_edge],
+        dilation_discards=int(dominated.sum()),
         search=search,
         samples=rows * cols,
         seconds=time.perf_counter() - start,
     )
 
 
-def _query_arrays(peaks: Sequence[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latitudes, longitudes and elevations of ``peaks``, for a batched pyramid search."""
-    return (
-        np.array([pk.location.lat_deg for pk in peaks], dtype=np.float64),
-        np.array([pk.location.lng_deg for pk in peaks], dtype=np.float64),
-        np.array([pk.elevation_m for pk in peaks], dtype=np.int64),
-    )
-
-
 @dataclass
 class HighpointOutcome:
-    assigned: list[tuple[Peak, float]]
-    no_higher: list[Peak]
+    """The deferred peaks a higher tile bounds (with their bounds), and those
+    with no higher tile anywhere; :data:`PEAK_DTYPE` rows."""
+
+    assigned: np.ndarray
+    no_higher: np.ndarray
     discarded: int
 
 
 def highpoint_pass(
     index: TileIndex,
-    deferred: Sequence[Peak],
+    deferred: np.ndarray,
     i_min: float,
     model: EarthModel = WGS84,
 ) -> HighpointOutcome:
     """Bound deferred peaks via the nearest tile holding higher ground.
 
-    Each peak is processed independently: the maximum distance to the
-    closest higher tile is an upper bound on its isolation.  Peaks with no
-    higher tile anywhere are the search-area high points.
+    One batched ``TileIndex.nearest_higher_tile`` query: the maximum
+    distance to the closest higher tile is an upper bound on a peak's
+    isolation.  Peaks with no higher tile anywhere are the search-area high
+    points.
     """
-    assigned: list[tuple[Peak, float]] = []
-    no_higher: list[Peak] = []
-    discarded = 0
-    for peak in sorted(deferred, key=lambda p: p.location):
-        found = index.nearest_higher_tile(peak.location, peak.elevation_m)
-        if found is None:
-            no_higher.append(peak)
-            continue
-        key, _dist = found
-        bound = max_distance(tile_quad(key), peak.location, model) * BOUND_INFLATION
-        if bound < i_min:
-            discarded += 1
-            continue
-        assigned.append((peak, bound))
-    return HighpointOutcome(assigned=assigned, no_higher=no_higher, discarded=discarded)
+    tiles, _dist = index.nearest_higher_tile(
+        deferred["lat"], deferred["lng"], deferred["elevation"]
+    )
+    bounded = deferred[tiles >= 0]
+    bounded["bound"] = [
+        max_distance(tile_quad(index.keys[t]), GeoPoint(lat, lng), model) * BOUND_INFLATION
+        for t, lat, lng in zip(
+            tiles[tiles >= 0].tolist(), bounded["lat"].tolist(), bounded["lng"].tolist()
+        )
+    ]
+    low = bounded["bound"] < i_min
+    return HighpointOutcome(
+        assigned=bounded[~low], no_higher=deferred[tiles < 0], discarded=int(low.sum())
+    )
+
+
+def distinct_peaks(peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct peaks of ``peaks`` in location order, and each row's index among them.
+
+    A peak is its location: the rows of a seam peak found by several tiles
+    make one peak, with the smallest home tile.
+    """
+    order = np.lexsort((peaks["home_lng"], peaks["home_lat"], peaks["lng"], peaks["lat"]))
+    ordered = peaks[order]
+    first = _starts(ordered["lat"], ordered["lng"])
+    ids = np.empty(len(peaks), dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
+class Assignment(NamedTuple):
+    """Peaks and the tiles they are assigned to.
+
+    ``peaks`` are the distinct peaks in location order (:data:`PEAK_DTYPE`);
+    the (tile, peak) pairs are parallel arrays of tile ordinals (into
+    ``TileIndex.keys``), rows of ``peaks`` and each pair's smallest bound,
+    in (tile, location) order.
+    """
+
+    peaks: np.ndarray
+    tiles: np.ndarray
+    peak_rows: np.ndarray
+    bounds: np.ndarray
+
+
+def assign_tiles(
+    index: TileIndex,
+    found: np.ndarray,
+    unbounded: np.ndarray,
+    work: Optional[SearchWork] = None,
+) -> Assignment:
+    """Assign every bound found to the tiles within it, in one batched query.
+
+    ``found`` holds the bounded peaks and ``unbounded`` the search-area high
+    points, which no tile is assigned; both are :data:`PEAK_DTYPE` rows, and
+    a peak may have several.  ``work``, if given, counts the
+    ``tiles_within`` work.
+    """
+    peaks, rows = distinct_peaks(np.concatenate([found, unbounded]))
+    entry, tiles = index.tiles_within(found["lat"], found["lng"], found["bound"], work)
+    rows, bounds = rows[entry], found["bound"][entry]
+    order = np.lexsort((bounds, rows, tiles))
+    tiles, rows, bounds = tiles[order], rows[order], bounds[order]
+    first = _starts(tiles, rows)
+    return Assignment(peaks, tiles[first], rows[first], bounds[first])
 
 
 def finalization_pass(
     tile: Tile,
-    assigned: Sequence[tuple[Peak, float]],
+    peaks: np.ndarray,
     metric,
     search: SearchWork | None = None,
-) -> list[tuple[GeoPoint, float, GeoPoint]]:
+) -> np.ndarray:
     """Full-resolution candidates for the peaks assigned to this tile.
 
-    Assigned peaks may lie outside the tile.  Peaks at or above the tile's
-    maximum elevation cannot have a candidate here and are skipped up front;
-    the rest are answered by one batched pyramid search, whose counts are
-    added to ``search`` if given.
+    ``peaks`` are :data:`PEAK_DTYPE` rows and may lie outside the tile.
+    Peaks at or above the tile's maximum elevation cannot have a candidate
+    here and are skipped up front; the rest are answered by one batched
+    pyramid search, whose counts are added to ``search`` if given.
 
     Returns:
-        (peak location, distance, candidate point) triples.
+        One :data:`CANDIDATE_DTYPE` row per answered peak, ``peak`` being
+        its row in ``peaks``.
     """
-    ceiling = tile.max_elevation_m
-    peaks = [pk for pk, _bound in assigned if pk.elevation_m < ceiling]
-    if not peaks:
-        return []
-    found = ElevationPyramid(tile).nearest_higher_many(*_query_arrays(peaks), metric, search)
-    return [(pk.location, dist, point) for pk, (point, dist) in zip(peaks, found)]
+    below = np.flatnonzero(peaks["elevation"] < tile.max_elevation_m)
+    out = np.empty(len(below), dtype=CANDIDATE_DTYPE)
+    if not len(below):
+        return out
+    queries = peaks[below]
+    found = ElevationPyramid(tile).nearest_higher_many(
+        queries["lat"], queries["lng"], queries["elevation"], metric, search
+    )
+    out["peak"] = below
+    out["distance"] = [dist for _point, dist in found]
+    out["lat"] = [point.lat_deg for point, _dist in found]
+    out["lng"] = [point.lng_deg for point, _dist in found]
+    return out
 
 
-def finalize(
-    peaks_by_location: Mapping[GeoPoint, Peak],
-    candidates: Iterable[tuple[GeoPoint, float, GeoPoint]],
-) -> list[IlpResult]:
-    """Pick the closest candidate per peak; no candidate means undefined."""
-    best: dict[GeoPoint, tuple[float, GeoPoint]] = {}
-    for location, dist, point in candidates:
-        cand = (dist, point)
-        cur = best.get(location)
-        if cur is None or cand < cur:
-            best[location] = cand
+def finalize(peaks: np.ndarray, candidates: np.ndarray) -> list[IlpResult]:
+    """Pick the closest candidate per peak; no candidate means undefined.
+
+    ``peaks`` are :data:`PEAK_DTYPE` rows, one per peak, in the order of the
+    results; the ``peak`` of each :data:`CANDIDATE_DTYPE` row indexes them.
+    A peak's answer is its candidate of smallest (distance, lat, lng).
+    """
+    order = np.lexsort(
+        (candidates["lng"], candidates["lat"], candidates["distance"], candidates["peak"])
+    )
+    best = candidates[order]
+    best = best[_starts(best["peak"])]
+    which = np.full(len(peaks), -1, dtype=np.intp)
+    which[best["peak"]] = np.arange(len(best))
+    answers = best[["distance", "lat", "lng"]].tolist()
     results = []
-    for location in sorted(peaks_by_location):
-        peak = peaks_by_location[location]
-        found = best.get(location)
-        if found is None:
+    for (lat, lng, elevation, home_lat, home_lng, _bound), k in zip(peaks.tolist(), which.tolist()):
+        peak = Peak(GeoPoint(lat, lng), elevation, (home_lat, home_lng))
+        if k < 0:
             results.append(IlpResult(peak, None, None))
         else:
-            results.append(IlpResult(peak, found[1], found[0]))
+            dist, ilp_lat, ilp_lng = answers[k]
+            results.append(IlpResult(peak, GeoPoint(ilp_lat, ilp_lng), dist))
     return results
 
 
@@ -457,11 +526,19 @@ class PipelineStats:
     finalization_queries: int = 0
     finalization_pairs: int = 0
     finalization_leaf_samples: int = 0
+    # Tile assignment: (peak, tile) pairs whose vector distance was computed,
+    # and the pairs kept after deduplication.
+    assign_candidates: int = 0
+    assigned_pairs: int = 0
+    # Wall time of each stage, in this process.
     bounding_s: float = 0.0
     assign_s: float = 0.0
     highpoint_s: float = 0.0
     finalization_s: float = 0.0
     total_s: float = 0.0
+    # Worker seconds of the tile tasks, summed over tasks.
+    bounding_task_s: float = 0.0
+    finalization_task_s: float = 0.0
 
 
 @dataclass
@@ -469,8 +546,36 @@ class PipelineResult:
     results: list[IlpResult]
     stats: PipelineStats
     area: Quadrilateral
-    bounds_by_peak: dict[GeoPoint, list[float]] = field(default_factory=dict)
-    map_snapshot: dict[TileKey, list[tuple[GeoPoint, float]]] = field(default_factory=dict)
+    # What the two audit views below are built from, on first use: every
+    # bound found (PEAK_DTYPE rows, in the order found), and the assignment
+    # over the tiles of tile_keys.
+    found: np.ndarray
+    assignment: Assignment
+    tile_keys: list[TileKey]
+
+    @cached_property
+    def bounds_by_peak(self) -> dict[GeoPoint, list[float]]:
+        """Every bound found per peak location, in the order found."""
+        found = self.found
+        out: dict[GeoPoint, list[float]] = {}
+        for lat, lng, bound in zip(
+            found["lat"].tolist(), found["lng"].tolist(), found["bound"].tolist()
+        ):
+            out.setdefault(GeoPoint(lat, lng), []).append(bound)
+        return out
+
+    @cached_property
+    def map_snapshot(self) -> dict[TileKey, list[tuple[GeoPoint, float]]]:
+        """Per tile, the (location, smallest bound) of each peak assigned to it,
+        in location order."""
+        peaks, tiles, rows, bounds = self.assignment
+        locations = [
+            GeoPoint(lat, lng) for lat, lng in zip(peaks["lat"].tolist(), peaks["lng"].tolist())
+        ]
+        out: dict[TileKey, list[tuple[GeoPoint, float]]] = {}
+        for t, k, bound in zip(tiles.tolist(), rows.tolist(), bounds.tolist()):
+            out.setdefault(self.tile_keys[t], []).append((locations[k], bound))
+        return out
 
 
 def final_metric(distance_mode: str, model: EarthModel = WGS84):
@@ -487,12 +592,12 @@ def _bounding_task(args) -> BoundingOutcome:
 
 
 def _finalization_task(args):
-    key, tile, assigned, distance_mode, model = args
+    tile, peaks, distance_mode, model = args
     metric = final_metric(distance_mode, model)
     start = time.perf_counter()
     search = SearchWork()
-    cands = finalization_pass(tile, assigned, metric, search)
-    return key, cands, search, time.perf_counter() - start
+    cands = finalization_pass(tile, peaks, metric, search)
+    return cands, search, time.perf_counter() - start
 
 
 def run_pipeline(
@@ -537,32 +642,7 @@ def run_pipeline(
             outcomes = list(pool.map(_bounding_task, bound_args))
         bounding_s = time.perf_counter() - t0
 
-        # Tile assignment of the bounded peaks.
-        t0 = time.perf_counter()
         stats = PipelineStats(tiles=len(keys))
-        peaks_map = TilePeaksMap()
-        bounds_by_peak: dict[GeoPoint, list[float]] = {}
-        registry: dict[GeoPoint, Peak] = {}
-        deferred: list[Peak] = []
-        # One immutable tile tree serves both tile assignment and the
-        # high-point pass.
-        index = TileIndex(
-            [(o.key, tile_quad(o.key), o.max_elevation_m) for o in outcomes], model
-        )
-
-        def register(peak: Peak) -> None:
-            cur = registry.get(peak.location)
-            if cur is None or peak.home_tile < cur.home_tile:
-                registry[peak.location] = peak
-
-        def assign(peak: Peak, bound: float) -> None:
-            register(peak)
-            bounds_by_peak.setdefault(peak.location, []).append(bound)
-            for key in index.tiles_within(peak.location, bound):
-                peaks_map.add(key, peak, bound)
-
-        seen_locations: set[GeoPoint] = set()
-        interior_discards = 0
         for outcome in outcomes:
             stats.samples += outcome.samples
             stats.discarded += outcome.discarded
@@ -570,51 +650,62 @@ def run_pipeline(
             stats.bounding_queries += outcome.search.queries
             stats.bounding_pairs += outcome.search.pairs
             stats.bounding_leaf_samples += outcome.search.leaf_samples
-            deferred.extend(outcome.deferred)
-            for pk, bound in outcome.bounded:
-                assign(pk, bound)
-            seen_locations.update(pk.location for pk, _ in outcome.bounded)
-            seen_locations.update(pk.location for pk in outcome.deferred)
-            seen_locations.update(outcome.discarded_on_edge)
-            interior_discards += outcome.discarded - len(outcome.discarded_on_edge)
-        stats.peaks_found = len(seen_locations) + interior_discards
-        assign_s = time.perf_counter() - t0
+            stats.bounding_task_s += outcome.seconds
 
         # High-point pass: a few peaks per tile, cheaper in this process
         # than a round trip through the pool.
         t0 = time.perf_counter()
+        index = TileIndex([(o.key, o.max_elevation_m) for o in outcomes], model)
+        deferred = np.concatenate([o.deferred for o in outcomes])
         hp = highpoint_pass(index, deferred, i_min, model)
         stats.discarded += hp.discarded
         stats.deferred = len(deferred)
-        for peak in hp.no_higher:
-            register(peak)
-        for peak, bound in hp.assigned:
-            assign(peak, bound)
-        peaks_map.freeze()
         highpoint_s = time.perf_counter() - t0
+
+        # Tile assignment of every bound found.
+        t0 = time.perf_counter()
+        bounded = [o.bounded for o in outcomes]
+        seen, _rows = distinct_peaks(
+            np.concatenate(bounded + [deferred] + [o.discarded_on_edge for o in outcomes])
+        )
+        interior_discards = sum(o.discarded - len(o.discarded_on_edge) for o in outcomes)
+        stats.peaks_found = len(seen) + interior_discards
+        found = np.concatenate(bounded + [hp.assigned])
+        work = SearchWork()
+        assignment = assign_tiles(index, found, hp.no_higher, work)
+        stats.assign_candidates = work.pairs
+        stats.assigned_pairs = len(assignment.tiles)
+        stats.peaks_kept = len(assignment.peaks)
+        assign_s = time.perf_counter() - t0
 
         # Finalization pass: full resolution, tile-parallel.
         t0 = time.perf_counter()
-        final_args = [
-            (k, tiles[k], peaks_map.assigned(k), distance_mode, model) for k in peaks_map.keys()
-        ]
+        peaks, pair_tiles, pair_rows, pair_bounds = assignment
+        starts = np.flatnonzero(_starts(pair_tiles)).tolist()
+        spans = list(zip(starts, starts[1:] + [len(pair_tiles)]))
+        final_args = []
+        for a, b in spans:
+            assigned = peaks[pair_rows[a:b]]
+            assigned["bound"] = pair_bounds[a:b]
+            final_args.append((tiles[index.keys[pair_tiles[a]]], assigned, distance_mode, model))
         if pool is None:
             final_out = [_finalization_task(a) for a in final_args]
         else:
             final_out = list(pool.map(_finalization_task, final_args))
-        candidates: list[tuple[GeoPoint, float, GeoPoint]] = []
-        for _key, cands, search, _secs in sorted(final_out, key=lambda item: item[0]):
-            candidates.extend(cands)
+        candidates = [np.empty(0, dtype=CANDIDATE_DTYPE)]
+        for (a, _b), (cands, search, seconds) in zip(spans, final_out):
+            cands["peak"] = pair_rows[a + cands["peak"]]
+            candidates.append(cands)
             stats.finalization_queries += search.queries
             stats.finalization_pairs += search.pairs
             stats.finalization_leaf_samples += search.leaf_samples
-        results = finalize(registry, candidates)
+            stats.finalization_task_s += seconds
+        results = finalize(peaks, np.concatenate(candidates))
         finalization_s = time.perf_counter() - t0
     finally:
         if pool is not None:
             pool.shutdown()
 
-    stats.peaks_kept = len(registry)
     stats.bounding_s = bounding_s
     stats.assign_s = assign_s
     stats.highpoint_s = highpoint_s
@@ -624,8 +715,9 @@ def run_pipeline(
         results=results,
         stats=stats,
         area=area,
-        bounds_by_peak=bounds_by_peak,
-        map_snapshot=peaks_map.snapshot(),
+        found=found,
+        assignment=assignment,
+        tile_keys=index.keys,
     )
 
 

@@ -12,10 +12,12 @@ as numpy arrays per level.  It answers a whole tile's queries for the
 nearest strictly higher sample in one level-synchronous descent over
 (query, cell) pair arrays.
 
-``TileIndex`` is the static tile-level tree used by the high-point pass:
-every node carries its quadrilateral and the maximum elevation of its
-subtree, enabling branch-and-bound searches for the nearest tile containing
-higher ground.
+``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
+and maximum elevations).  It answers, for arrays of points at once, the
+high-point pass's query for the nearest tile holding strictly higher
+ground, and the tile assignment's query for the tiles within each point's
+radius: an integer tile box of each spherical cap, then the vector
+quadrilateral distance.
 
 Nearest-neighbor queries take a distance metric object.  Every metric pairs
 its point-to-point distance with a quadrilateral lower bound that never
@@ -473,10 +475,13 @@ def _within_slack(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SearchWork:
-    """Work counts of :meth:`ElevationPyramid.nearest_higher_many`, summed over calls.
+    """Work counts of a batched search, summed over calls.
 
-    ``pairs`` counts the (query, cell) pairs that survive pruning, over all
-    levels; ``leaf_samples`` the samples whose distance was computed.
+    For :meth:`ElevationPyramid.nearest_higher_many`, ``pairs`` counts the
+    (query, cell) pairs that survive pruning, over all levels, and
+    ``leaf_samples`` the samples whose distance was computed.  For
+    :meth:`TileIndex.tiles_within`, ``pairs`` counts the (query, tile)
+    pairs whose vector distance was computed.
     """
 
     queries: int = 0
@@ -674,108 +679,164 @@ class ElevationPyramid:
         return found
 
 
-class _TileNode:
-    __slots__ = ("quad", "max_elevation", "key", "left", "right")
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of each range [``starts[k]``, ``stops[k]``), and its ``k``."""
+    counts = np.maximum(stops - starts, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offsets
 
-    def __init__(self, quad, max_elevation, key=None, left=None, right=None):
-        self.quad = quad
-        self.max_elevation = max_elevation
-        self.key = key
-        self.left = left
-        self.right = right
+
+# Padding (degrees) of the tile boxes of tiles_within: absorbs the rounding
+# of the spherical-cap extents.
+_CAP_PAD_DEG = 1e-9
+
+# Cap longitude half-widths beyond this many degrees scan every tile column:
+# the three shifted column ranges of tiles_within then never overlap.
+_CAP_FULL_WIDTH_DEG = 90.0
+
+# Bounds the (query, tile) arrays of nearest_higher_tile.
+_TILE_PAIR_CHUNK = 1 << 20
 
 
 class TileIndex:
-    """Static tree over tiles, augmented with subtree maximum elevation.
+    """The area's 1-degree tiles as flat arrays, in ascending key order.
+
+    Tile ``t`` has SW corner ``keys[t]``, covers the closed quadrilateral
+    ``[lat, lat + 1] x [lng, lng + 1]`` of that corner and holds maximum
+    elevation ``max_elevations[t]``.  Both queries take arrays of query
+    points and answer them all at once.
 
     Immutable after construction; safe for concurrent readers.
     """
 
-    def __init__(
-        self,
-        entries: Iterable[tuple[TileKey, Quadrilateral, float]],
-        model: EarthModel = WGS84,
-    ):
-        items = sorted(entries, key=lambda e: e[0])
+    def __init__(self, entries: Iterable[tuple[TileKey, int]], model: EarthModel = WGS84):
+        items = sorted(entries)
         if not items:
             raise ValueError("TileIndex needs at least one tile")
-        keys = {k for k, _, _ in items}
-        if len(keys) != len(items):
-            raise ValueError("duplicate tile keys")
         self.model = model
-        self._root = self._build(items)
+        self.keys: list[TileKey] = [tuple(key) for key, _ in items]
+        if len(set(self.keys)) != len(items):
+            raise ValueError("duplicate tile keys")
+        self.max_elevations = np.array([elev for _, elev in items], dtype=np.int64)
+        keys = np.array(self.keys, dtype=np.int64)
+        self._lat_min = keys[:, 0].astype(np.float64)
+        self._lng_min = keys[:, 1].astype(np.float64)
+        # Tile ordinal by (lat - lat0, lng - lng0); -1 where the area has no tile.
+        self._lat0, self._lng0 = int(keys[:, 0].min()), int(keys[:, 1].min())
+        shape = (int(keys[:, 0].max()) - self._lat0 + 1, int(keys[:, 1].max()) - self._lng0 + 1)
+        self._grid = np.full(shape, -1, dtype=np.intp)
+        self._grid[keys[:, 0] - self._lat0, keys[:, 1] - self._lng0] = np.arange(len(items))
 
-    def _build(self, items) -> _TileNode:
-        if len(items) == 1:
-            key, quad, max_elev = items[0]
-            return _TileNode(quad, max_elev, key=key)
-        lats = [k[0] for k, _, _ in items]
-        lngs = [k[1] for k, _, _ in items]
-        axis = 0 if (max(lats) - min(lats)) >= (max(lngs) - min(lngs)) else 1
-        items = sorted(items, key=lambda e: (e[0][axis], e[0]))
-        mid = len(items) // 2
-        left = self._build(items[:mid])
-        right = self._build(items[mid:])
-        quad = Quadrilateral(
-            min(left.quad.lat_min, right.quad.lat_min),
-            max(left.quad.lat_max, right.quad.lat_max),
-            min(left.quad.lng_min, right.quad.lng_min),
-            max(left.quad.lng_max, right.quad.lng_max),
+    def _min_distance(self, tiles: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+        """Vector great-circle distance from each point to its tile, checked finite."""
+        lat_min, lng_min = self._lat_min[tiles], self._lng_min[tiles]
+        dists = min_distance_many(
+            lat_min, lat_min + 1.0, lng_min, lng_min + 1.0, lats, lngs, self.model
         )
-        return _TileNode(quad, max(left.max_elevation, right.max_elevation), left=left, right=right)
+        _check_finite("bound", dists, lats, lngs)
+        return dists
 
     def nearest_higher_tile(
-        self, p: GeoPoint, elevation_m: float
-    ) -> Optional[tuple[TileKey, float]]:
-        """Closest tile whose maximum elevation strictly exceeds ``elevation_m``.
+        self, lats: np.ndarray, lngs: np.ndarray, elevations: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Closest tile whose maximum elevation strictly exceeds each query's elevation.
 
-        Distance is the great-circle minimum to the tile's quadrilateral;
-        ties are broken by ascending tile key.  Returns None when no tile is
-        higher (the search-area high point).
+        Distance is the great-circle minimum to the tile's quadrilateral.
+        Every strictly higher tile is measured with the vector distance;
+        those within the slack of :func:`_within_slack` of the smallest are
+        re-ranked with the scalar :func:`~isoscan.quad.min_distance`, ties
+        going to the ascending key, so each answer is the one a scalar scan
+        gives.
+
+        Returns:
+            Per query, the ordinal of its tile in :attr:`keys` (-1 when no
+            tile is higher: the search-area high point) and the distance
+            (inf when none).
         """
-        model = self.model
-        best: Optional[tuple[float, TileKey]] = None
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = np.asarray(lngs, dtype=np.float64)
+        elevations = np.asarray(elevations)
+        n, count = len(lats), len(self.keys)
+        found = np.full(n, -1, dtype=np.intp)
+        found_dist = np.full(n, np.inf)
+        chunk = max(1, _TILE_PAIR_CHUNK // count)
+        for start in range(0, n, chunk):
+            part = slice(start, start + chunk)
+            q, t = np.nonzero(self.max_elevations > elevations[part, None])
+            dists = self._min_distance(t, lats[part][q], lngs[part][q])
+            lowest = np.full(len(elevations[part]), np.inf)
+            np.minimum.at(lowest, q, dists)
+            near = np.flatnonzero(_within_slack(dists, lowest[q]))
+            # Pairs come in ascending (query, tile) order, so of equal scalar
+            # distances the first has the smaller key.
+            for k, tile in zip((q[near] + start).tolist(), t[near].tolist()):
+                lat, lng = self.keys[tile]
+                p = GeoPoint(float(lats[k]), float(lngs[k]))
+                d = min_distance(Quadrilateral(lat, lat + 1, lng, lng + 1), p, self.model)
+                if not math.isfinite(d):
+                    raise _non_finite("bound", d, p)
+                if d < found_dist[k]:
+                    found[k], found_dist[k] = tile, d
+        return found, found_dist
 
-        def visit(node: _TileNode) -> None:
-            nonlocal best
-            if node.max_elevation <= elevation_m:
-                return
-            b = min_distance(node.quad, p, model)
-            if best is not None and b > best[0]:
-                return
-            if node.key is not None:
-                cand = (b, node.key)
-                if best is None or cand < best:
-                    best = cand
-                return
-            bl = min_distance(node.left.quad, p, model)
-            br = min_distance(node.right.quad, p, model)
-            if bl <= br:
-                visit(node.left)
-                visit(node.right)
-            else:
-                visit(node.right)
-                visit(node.left)
+    def tiles_within(
+        self,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        radii: np.ndarray,
+        work: Optional[SearchWork] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(query, tile) pairs whose tile lies within the query's radius.
 
-        visit(self._root)
-        if best is None:
-            return None
-        return best[1], best[0]
+        First an exact prefilter: the integer tile box of each query's
+        spherical cap of angular radius rho = radius / R, latitude +- rho
+        and longitude +- asin(sin rho / cos lat), or every longitude when
+        the cap holds a pole, wrapped across the antimeridian.  Then the
+        vector quadrilateral distance of each surviving pair, kept within
+        the radius plus the slack of :func:`_within_slack`.  The pairs are
+        a superset of those the scalar ``min_distance <= radius`` keeps: an
+        extra tile lies within the slack.  ``work``, if given, counts the
+        queries and the pairs the vector distance evaluates.
 
-    def tiles_within(self, center: GeoPoint, radius_m: float) -> list[TileKey]:
-        """Keys of exactly the tiles within ``radius_m`` of ``center``."""
-        model = self.model
-        found: list[TileKey] = []
+        Returns:
+            Query indices and tile ordinals (into :attr:`keys`), in
+            ascending (query, tile) order.
+        """
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = np.asarray(lngs, dtype=np.float64)
+        radii = np.asarray(radii, dtype=np.float64)
+        reach = radii + 1e-3 + radii * 1e-9  # the slack of _within_slack
+        rho = reach / self.model.radius_m
+        rho_deg = np.degrees(rho) + _CAP_PAD_DEG
+        rows, cols = self._grid.shape
+        row_lo = np.clip(np.ceil(lats - rho_deg).astype(np.int64) - 1 - self._lat0, 0, rows)
+        row_hi = np.clip(np.floor(lats + rho_deg).astype(np.int64) + 1 - self._lat0, 0, rows)
+        # A cap that holds a pole has sin(rho) >= cos(lat): a half-width of
+        # 90 degrees, so it scans every column.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sin(np.minimum(rho, math.pi / 2)) / np.cos(np.radians(lats))
+            half = np.degrees(np.arcsin(np.minimum(ratio, 1.0))) + _CAP_PAD_DEG
+        full = ~(half <= _CAP_FULL_WIDTH_DEG)
+        half = np.where(full, 0.0, half)
 
-        def visit(node: _TileNode) -> None:
-            if min_distance(node.quad, center, model) > radius_m:
-                return
-            if node.key is not None:
-                found.append(node.key)
-                return
-            visit(node.left)
-            visit(node.right)
-
-        visit(self._root)
-        found.sort()
-        return found
+        q, row = _spans(row_lo, row_hi)
+        q_parts, t_parts = [], []
+        for shift in (0.0, 360.0, -360.0):
+            col_lo = np.ceil(lngs - half + shift).astype(np.int64) - 1 - self._lng0
+            col_hi = np.floor(lngs + half + shift).astype(np.int64) + 1 - self._lng0
+            col_lo = np.where(full, 0 if shift == 0.0 else cols, np.clip(col_lo, 0, cols))
+            col_hi = np.where(full, cols, np.clip(col_hi, 0, cols))
+            k, col = _spans(col_lo[q], col_hi[q])
+            tile = self._grid[row[k], col]
+            present = tile >= 0
+            q_parts.append(q[k][present])
+            t_parts.append(tile[present])
+        q, t = np.concatenate(q_parts), np.concatenate(t_parts)
+        if work is not None:
+            work.queries += len(lats)
+            work.pairs += len(q)
+        keep = _within_slack(self._min_distance(t, lats[q], lngs[q]), radii[q])
+        q, t = q[keep], t[keep]
+        order = np.lexsort((t, q))
+        return q[order], t[order]

@@ -194,6 +194,22 @@ class TestExitCodes:
     def test_bad_bounds_exit_1(self, tmp_path):
         assert main(compute_args(tmp_path, bounds=(47, 45, 7, 9))) == 1
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_nan_or_negative_threshold_exit_1(self, cones_world_dir, tmp_path, capsys, threshold):
+        out_csv = tmp_path / "o.csv"
+        args = compute_args(cones_world_dir, out_csv, extra=["--min-isolation-km", threshold])
+        assert main(args) == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_infinite_threshold_emits_only_the_high_point(self, cones_world_dir, tmp_path):
+        out_csv = tmp_path / "o.csv"
+        args = compute_args(cones_world_dir, out_csv, extra=["--min-isolation-km", "inf"])
+        assert main(args) == 0
+        rows = out_csv.read_text().splitlines()
+        assert rows[0] == CSV_HEADER
+        assert len(rows) == 2 and rows[1].endswith(",-1,,")
+
     def test_unknown_argument_exit_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["compute", "--nope"])

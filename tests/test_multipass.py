@@ -11,26 +11,36 @@ from hypothesis import strategies as st
 
 from conftest import results_by_location
 from isoscan import multipass
-from isoscan.dem import PeakCells, Tile, detect_peaks, detect_peaks_deduped, generate_synthetic
+from isoscan.dem import (
+    Peak,
+    PeakCells,
+    Tile,
+    detect_peaks,
+    detect_peaks_deduped,
+    generate_synthetic,
+)
 from isoscan.geo import GeoPoint, great_circle_distance, great_circle_distance_many
 from isoscan.multipass import (
     BOUND_INFLATION,
+    CANDIDATE_DTYPE,
+    PEAK_DTYPE,
     MissingTilesError,
-    TilePeaksMap,
     area_tile_keys,
+    assign_tiles,
     audit_pipeline,
     bounding_pass,
     dominated_peaks,
     finalization_pass,
     finalize,
     highpoint_pass,
+    peak_rows,
     run_merged_sweep,
     run_pipeline,
     tile_keys_within,
     tile_quad,
 )
 from isoscan.oracle import SampleUniverse, brute_force_all
-from isoscan.quad import Quadrilateral, max_distance
+from isoscan.quad import Quadrilateral, max_distance, min_distance
 from isoscan.spatial_index import (
     ElevationPyramid,
     EllipsoidMetric,
@@ -38,7 +48,7 @@ from isoscan.spatial_index import (
     SearchWork,
     TileIndex,
 )
-from isoscan.sweep import run_sweep
+from isoscan.sweep import IlpResult, run_sweep
 from isoscan.dem import build_events
 
 
@@ -48,6 +58,19 @@ def world(rows, cols, seed, profile="fractal", n=61, **kw):
     return area, {t.key: t for t in tiles}
 
 
+def as_peaks(rows: np.ndarray) -> list[Peak]:
+    """The Peak of each PEAK_DTYPE row."""
+    return [
+        Peak(GeoPoint(lat, lng), elevation, (home_lat, home_lng))
+        for lat, lng, elevation, home_lat, home_lng, _bound in rows.tolist()
+    ]
+
+
+def peak_array(*rows) -> np.ndarray:
+    """PEAK_DTYPE rows from (lat, lng, elevation, home_lat, home_lng, bound) tuples."""
+    return np.array(list(rows), dtype=PEAK_DTYPE)
+
+
 class TestBoundingPass:
     def test_bounds_dominate_oracle_isolation(self):
         area, tiles = world(2, 2, seed=40)
@@ -55,11 +78,11 @@ class TestBoundingPass:
         universe = SampleUniverse.from_tiles(tiles.values())
         for tile in tiles.values():
             outcome = bounding_pass(tile, stride=2, i_min=0.0)
+            bounded = as_peaks(outcome.bounded)
             reference = {
-                r.peak.location: r
-                for r in brute_force_all([p for p, _ in outcome.bounded], universe, metric)
+                r.peak.location: r for r in brute_force_all(bounded, universe, metric)
             }
-            for peak, bound in outcome.bounded:
+            for peak, bound in zip(bounded, outcome.bounded["bound"].tolist()):
                 ref = reference[peak.location]
                 assert ref.isolation_m is not None
                 assert bound >= ref.isolation_m
@@ -67,16 +90,16 @@ class TestBoundingPass:
     def test_infinite_threshold_discards_all_bounded(self):
         area, tiles = world(1, 1, seed=41)
         outcome = bounding_pass(next(iter(tiles.values())), stride=2, i_min=math.inf)
-        assert outcome.bounded == []
+        assert len(outcome.bounded) == 0
         assert outcome.discarded > 0
-        assert outcome.deferred  # the tile high point always defers
+        assert len(outcome.deferred)  # the tile high point always defers
 
     def test_high_point_always_deferred(self):
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
         outcome = bounding_pass(tile, stride=2, i_min=0.0)
         assert outcome.max_elevation_m == tile.max_elevation_m
-        deferred_elevs = {p.elevation_m for p in outcome.deferred}
+        deferred_elevs = set(outcome.deferred["elevation"].tolist())
         assert tile.max_elevation_m in deferred_elevs
 
     def test_stride_one_bounds_are_tight(self):
@@ -88,11 +111,9 @@ class TestBoundingPass:
         outcome = bounding_pass(tile, stride=1, i_min=0.0)
         metric = GreatCircleMetric()
         universe = SampleUniverse.from_tiles([tile])
-        reference = {
-            r.peak.location: r
-            for r in brute_force_all([p for p, _ in outcome.bounded], universe, metric)
-        }
-        for peak, bound in outcome.bounded:
+        bounded = as_peaks(outcome.bounded)
+        reference = {r.peak.location: r for r in brute_force_all(bounded, universe, metric)}
+        for peak, bound in zip(bounded, outcome.bounded["bound"].tolist()):
             ref = reference[peak.location]
             assert ref.isolation_m <= bound <= ref.isolation_m * BOUND_INFLATION * 1.001
 
@@ -154,7 +175,7 @@ class TestDilationDiscard:
         outcome = bounding_pass(tile, stride=1, i_min=i_min)
         assert outcome.dilation_discards == int(discarded)
         assert outcome.search.queries == len(cells) - int(discarded)
-        bounded = [pk.location for pk, _bound in outcome.bounded]
+        bounded = [pk.location for pk in as_peaks(outcome.bounded)]
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
     def test_counts_add_up_to_the_peaks_of_a_tile(self):
@@ -187,9 +208,9 @@ class TestHighpointPass:
         area, tiles = world(1, 1, seed=44)
         tile = next(iter(tiles.values()))
         outcome = bounding_pass(tile, stride=2, i_min=0.0)
-        index = TileIndex([(tile.key, tile_quad(tile.key), tile.max_elevation_m)])
+        index = TileIndex([(tile.key, tile.max_elevation_m)])
         hp = highpoint_pass(index, outcome.deferred, i_min=0.0)
-        no_higher_elevs = {p.elevation_m for p in hp.no_higher}
+        no_higher_elevs = set(hp.no_higher["elevation"].tolist())
         assert tile.max_elevation_m in no_higher_elevs
 
     def test_two_tile_bound_is_max_distance_to_higher_tile(self):
@@ -200,15 +221,15 @@ class TestHighpointPass:
             tile_a, tile_b = tile_b, tile_a
         # now tile_b holds the higher maximum; a's high point defers to it
         outcome = bounding_pass(tile_a, stride=2, i_min=0.0)
-        (high,) = [p for p in outcome.deferred if p.elevation_m == tile_a.max_elevation_m]
-        index = TileIndex(
-            [(k, tile_quad(k), t.max_elevation_m) for k, t in tiles.items()]
-        )
-        hp = highpoint_pass(index, [high], i_min=0.0)
+        high = outcome.deferred[outcome.deferred["elevation"] == tile_a.max_elevation_m]
+        assert len(high) == 1
+        index = TileIndex([(k, t.max_elevation_m) for k, t in tiles.items()])
+        hp = highpoint_pass(index, high, i_min=0.0)
         assert len(hp.assigned) == 1
-        peak, bound = hp.assigned[0]
-        assert peak == high
-        assert bound == max_distance(tile_quad(key_b), high.location) * BOUND_INFLATION
+        assert as_peaks(hp.assigned) == as_peaks(high)
+        (peak,) = as_peaks(high)
+        bound = hp.assigned["bound"][0]
+        assert bound == max_distance(tile_quad(key_b), peak.location) * BOUND_INFLATION
 
     def test_final_isolation_below_highpoint_bound(self):
         area, tiles = world(3, 3, seed=46, n=41)
@@ -225,11 +246,9 @@ class TestFinalizationPass:
     def test_peak_above_tile_max_yields_no_candidate(self):
         area, tiles = world(1, 1, seed=47)
         tile = next(iter(tiles.values()))
-        outsider = GeoPoint(44.5, 6.5)
-        peak = detect_peaks(tile)[0]
-        too_high = peak.__class__(outsider, tile.max_elevation_m + 100, (44, 6))
-        cands = finalization_pass(tile, [(too_high, 1e6)], EllipsoidMetric())
-        assert cands == []
+        too_high = peak_array((44.5, 6.5, tile.max_elevation_m + 100, 44, 6, 1e6))
+        cands = finalization_pass(tile, too_high, EllipsoidMetric())
+        assert len(cands) == 0
 
     def test_home_tile_assignment_matches_single_sweep(self):
         area, tiles = world(1, 1, seed=48)
@@ -238,9 +257,11 @@ class TestFinalizationPass:
         peaks = detect_peaks(tile)
         swept = run_sweep(build_events(tile, peaks), tile.quad, metric)
         search = SearchWork()
-        cands = finalization_pass(tile, [(p, 1e9) for p in peaks], metric, search)
+        cands = finalization_pass(tile, peak_rows(tile, peaks.rows, peaks.cols), metric, search)
         assert search.queries == len(cands)
-        by_loc = {loc: (d, pt) for loc, d, pt in cands}
+        by_loc = {
+            peaks[k].location: (d, GeoPoint(lat, lng)) for k, d, lat, lng in cands.tolist()
+        }
         for res in swept:
             if res.ilp is None:
                 assert res.peak.location not in by_loc
@@ -248,61 +269,81 @@ class TestFinalizationPass:
                 assert by_loc[res.peak.location] == (res.isolation_m, res.ilp)
 
 
+def one_peak(seed: int) -> tuple[Peak, np.ndarray]:
+    """The first peak of a one-tile world, as a Peak and as its PEAK_DTYPE row."""
+    area, tiles = world(1, 1, seed=seed)
+    tile = next(iter(tiles.values()))
+    cells = detect_peaks(tile)
+    return cells[0], peak_rows(tile, cells.rows[:1], cells.cols[:1])
+
+
 class TestFinalize:
     def test_single_candidate(self):
-        area, tiles = world(1, 1, seed=49)
-        peak = detect_peaks(next(iter(tiles.values())))[0]
+        peak, peaks = one_peak(49)
         ilp = GeoPoint(45.5, 7.5)
-        results = finalize({peak.location: peak}, [(peak.location, 123.0, ilp)])
-        assert results == [type(results[0])(peak, ilp, 123.0)]
+        results = finalize(peaks, np.array([(0, 123.0, 45.5, 7.5)], dtype=CANDIDATE_DTYPE))
+        assert results == [IlpResult(peak, ilp, 123.0)]
 
     def test_tie_breaks_by_lat_lng(self):
-        area, tiles = world(1, 1, seed=50)
-        peak = detect_peaks(next(iter(tiles.values())))[0]
-        a, b = GeoPoint(45.5, 7.5), GeoPoint(45.5, 7.25)
-        results = finalize(
-            {peak.location: peak},
-            [(peak.location, 99.0, a), (peak.location, 99.0, b)],
-        )
-        assert results[0].ilp == b
+        _peak, peaks = one_peak(50)
+        cands = np.array([(0, 99.0, 45.5, 7.5), (0, 99.0, 45.5, 7.25)], dtype=CANDIDATE_DTYPE)
+        results = finalize(peaks, cands)
+        assert results[0].ilp == GeoPoint(45.5, 7.25)
 
     def test_no_candidates_is_undefined(self):
-        area, tiles = world(1, 1, seed=51)
-        peak = detect_peaks(next(iter(tiles.values())))[0]
-        results = finalize({peak.location: peak}, [])
+        _peak, peaks = one_peak(51)
+        results = finalize(peaks, np.empty(0, dtype=CANDIDATE_DTYPE))
         assert results[0].isolation_m is None
 
 
-class TestTilePeaksMap:
-    def test_freeze_blocks_appends(self):
-        area, tiles = world(1, 1, seed=52)
-        peak = detect_peaks(next(iter(tiles.values())))[0]
-        peaks_map = TilePeaksMap()
-        peaks_map.add((45, 7), peak, 5000.0)
-        peaks_map.freeze()
-        with pytest.raises(RuntimeError):
-            peaks_map.add((45, 7), peak, 4000.0)
-        assert peaks_map.assigned((45, 7)) == [(peak, 5000.0)]
+class TestAssignTiles:
+    INDEX = TileIndex([((45, 7), 100), ((45, 8), 100)])
+    NONE = np.empty(0, dtype=PEAK_DTYPE)
+
+    def test_one_entry_per_tile_per_location(self):
+        # A seam peak found by both tiles, twice by one of them: one pair
+        # per tile, and one peak with the smaller home tile.
+        found = peak_array(
+            (45.5, 8.0, 50, 45, 8, 5000.0),
+            (45.5, 8.0, 50, 45, 7, 6000.0),
+            (45.5, 8.0, 50, 45, 8, 5000.0),
+        )
+        assignment = assign_tiles(self.INDEX, found, self.NONE)
+        assert as_peaks(assignment.peaks) == [Peak(GeoPoint(45.5, 8.0), 50, (45, 7))]
+        assert assignment.tiles.tolist() == [0, 1]
+        assert assignment.peak_rows.tolist() == [0, 0]
 
     def test_smallest_bound_kept_per_tile(self):
-        area, tiles = world(1, 1, seed=53)
-        peak = detect_peaks(next(iter(tiles.values())))[0]
-        peaks_map = TilePeaksMap()
-        peaks_map.add((45, 7), peak, 5000.0)
-        peaks_map.add((45, 7), peak, 3000.0)
-        assert peaks_map.assigned((45, 7)) == [(peak, 3000.0)]
+        found = peak_array((45.5, 7.5, 50, 45, 7, 5000.0), (45.5, 7.5, 50, 45, 7, 3000.0))
+        high_point = peak_array((45.2, 7.2, 90, 45, 7, math.inf))
+        assignment = assign_tiles(self.INDEX, found, high_point)
+        assert [p.location for p in as_peaks(assignment.peaks)] == [
+            GeoPoint(45.2, 7.2),
+            GeoPoint(45.5, 7.5),
+        ]
+        assert assignment.tiles.tolist() == [0]
+        assert assignment.peak_rows.tolist() == [1]
+        assert assignment.bounds.tolist() == [3000.0]
 
 
 class TestTileKeysWithin:
     def test_matches_tile_index_semantics(self):
+        # The batched assignment holds every tile of the scalar scan, and
+        # any extra tile lies within the slack of the radius.
         area = Quadrilateral(40, 50, 0, 10)
         keys = area_tile_keys(area)
-        index = TileIndex([(k, tile_quad(k), 100) for k in keys])
+        index = TileIndex([(k, 100) for k in keys])
         rng = np.random.default_rng(6)
-        for _ in range(60):
-            p = GeoPoint(float(rng.uniform(35, 55)), float(rng.uniform(-5, 15)))
-            radius = float(rng.uniform(0, 1.5e6))
-            assert tile_keys_within(area, p, radius) == index.tiles_within(p, radius)
+        lats, lngs = rng.uniform(35, 55, 60), rng.uniform(-5, 15, 60)
+        radii = rng.uniform(0, 1.5e6, 60)
+        queries, found = index.tiles_within(lats, lngs, radii)
+        for k in range(60):
+            p, radius = GeoPoint(float(lats[k]), float(lngs[k])), float(radii[k])
+            got = [index.keys[t] for t in found[queries == k].tolist()]
+            exact = tile_keys_within(area, p, radius)
+            assert set(exact) <= set(got)
+            for key in set(got) - set(exact):
+                assert min_distance(tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9
 
     def test_area_must_be_integer_aligned(self):
         with pytest.raises(ValueError):
@@ -441,6 +482,16 @@ class TestRunPipeline:
         area, tiles = world(1, 1, seed=65, n=31)
         with pytest.raises(ValueError, match="distance_mode"):
             run_pipeline(area, tiles, distance_mode="vincenty")
+
+    def test_assignment_counts_of_a_one_tile_run(self):
+        area, tiles = world(1, 1, seed=68, n=121)
+        stats = run_pipeline(area, tiles, stride=2, i_min=2000.0, threads=1).stats
+        # One tile: every assigned peak is below the tile maximum, so each
+        # pair is one finalization query.
+        assert stats.assigned_pairs == stats.finalization_queries > 0
+        assert stats.assign_candidates >= stats.assigned_pairs
+        assert 0 < stats.bounding_task_s <= stats.bounding_s
+        assert 0 < stats.finalization_task_s <= stats.finalization_s
 
     def test_stats_populated(self):
         area, tiles = world(1, 2, seed=64, n=31)

@@ -14,6 +14,7 @@ from conftest import exact_nearest
 from isoscan import spatial_index
 from isoscan.dem import Tile
 from isoscan.geo import GeoPoint, WGS84, great_circle_distance, wrap_longitude
+from isoscan.multipass import area_tile_keys, tile_keys_within
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
     ElevationPyramid,
@@ -282,86 +283,181 @@ def _random_tile_entries(n: int, seed: int):
     keys = set()
     while len(keys) < n:
         keys.add((rng.randrange(-50, 50), rng.randrange(-170, 170)))
-    return [
-        (key, Quadrilateral(key[0], key[0] + 1, key[1], key[1] + 1), rng.randrange(0, 4000))
-        for key in sorted(keys)
-    ]
+    return [(key, rng.randrange(0, 4000)) for key in sorted(keys)]
+
+
+def _tile_quad(key) -> Quadrilateral:
+    return Quadrilateral(key[0], key[0] + 1, key[1], key[1] + 1)
+
+
+def _nearest_one(index: TileIndex, p: GeoPoint, elevation: int):
+    """One query of the batched nearest_higher_tile, as (key, distance) or None."""
+    tiles, dists = index.nearest_higher_tile([p.lat_deg], [p.lng_deg], [elevation])
+    return None if tiles[0] < 0 else (index.keys[tiles[0]], float(dists[0]))
+
+
+def _within_one(index: TileIndex, p: GeoPoint, radius: float) -> list:
+    """The keys tiles_within assigns one point."""
+    _q, tiles = index.tiles_within([p.lat_deg], [p.lng_deg], [radius])
+    return [index.keys[t] for t in tiles.tolist()]
+
+
+def _assert_superset_within_slack(got, exact, p, radius):
+    """``got`` holds every key of ``exact``; each extra tile is within the slack."""
+    assert set(exact) <= set(got)
+    assert len(set(got)) == len(got)
+    for key in set(got) - set(exact):
+        assert min_distance(_tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9 + 1e-6
 
 
 class TestTileIndex:
     def test_far_higher_tile_found(self):
-        entries = [
-            ((45, 7), Quadrilateral(45, 46, 7, 8), 1000),
-            ((48, 12), Quadrilateral(48, 49, 12, 13), 3000),
-        ]
-        index = TileIndex(entries)
-        key, dist = index.nearest_higher_tile(GeoPoint(45.5, 7.5), 1500)
+        index = TileIndex([((45, 7), 1000), ((48, 12), 3000)])
+        key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         assert key == (48, 12)
         assert dist == min_distance(Quadrilateral(48, 49, 12, 13), GeoPoint(45.5, 7.5))
 
     def test_own_tile_at_distance_zero(self):
-        entries = [
-            ((45, 7), Quadrilateral(45, 46, 7, 8), 2000),
-            ((45, 8), Quadrilateral(45, 46, 8, 9), 900),
-        ]
-        index = TileIndex(entries)
-        key, dist = index.nearest_higher_tile(GeoPoint(45.5, 7.5), 1500)
+        index = TileIndex([((45, 7), 2000), ((45, 8), 900)])
+        key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         assert key == (45, 7)
         assert dist == 0.0
 
     def test_no_higher_tile_returns_none(self):
-        index = TileIndex([((45, 7), Quadrilateral(45, 46, 7, 8), 1000)])
-        assert index.nearest_higher_tile(GeoPoint(45.5, 7.5), 1000) is None  # strict >
+        index = TileIndex([((45, 7), 1000)])
+        assert _nearest_one(index, GeoPoint(45.5, 7.5), 1000) is None  # strict >
 
     def test_matches_exhaustive_scan(self):
         entries = _random_tile_entries(100, seed=13)
         index = TileIndex(entries)
         rng = random.Random(14)
-        for _ in range(100):
-            p = GeoPoint(rng.uniform(-55, 55), rng.uniform(-180, 180))
-            elev = rng.randrange(0, 4200)
-            got = index.nearest_higher_tile(p, elev)
+        queries = [
+            (GeoPoint(rng.uniform(-55, 55), rng.uniform(-180, 180)), rng.randrange(0, 4200))
+            for _ in range(100)
+        ]
+        tiles, dists = index.nearest_higher_tile(
+            [p.lat_deg for p, _ in queries],
+            [p.lng_deg for p, _ in queries],
+            [e for _, e in queries],
+        )
+        assert len(tiles) == len(dists) == len(queries)
+        for (p, elev), tile, dist in zip(queries, tiles.tolist(), dists.tolist()):
             want = None
-            for key, quad, max_elev in entries:
+            for key, max_elev in entries:
                 if max_elev <= elev:
                     continue
-                cand = (min_distance(quad, p), key)
+                cand = (min_distance(_tile_quad(key), p), key)
                 if want is None or cand < want:
                     want = cand
             if want is None:
-                assert got is None
+                assert tile == -1 and dist == math.inf
             else:
-                assert got == (want[1], want[0])
-            assert got is None or any(
-                k == got[0] and me > elev for k, _q, me in entries
-            )
+                assert (index.keys[tile], dist) == (want[1], want[0])
+
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(
+                st.integers(-4, 12).map(lambda v: v / 2),
+                st.integers(-4, 12).map(lambda v: v / 2),
+                st.integers(-1, 4),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_higher_tile_matches_scalar_filter(self, heights, queries):
+        # Half-degree query points on tile edges and corners tie between
+        # neighbouring tiles; ties go to the ascending key.
+        keys = [(44 + k // 4, 6 + k % 4) for k in range(len(heights))]
+        index = TileIndex(list(zip(keys, heights)))
+        lats = [45.0 + a for a, _, _ in queries]
+        lngs = [7.0 + b for _, b, _ in queries]
+        tiles, dists = index.nearest_higher_tile(lats, lngs, [e for _, _, e in queries])
+        for lat, lng, (_a, _b, elev), tile, dist in zip(lats, lngs, queries, tiles, dists):
+            p = GeoPoint(lat, lng)
+            higher = [
+                (min_distance(_tile_quad(k), p), k) for k, h in zip(keys, heights) if h > elev
+            ]
+            if not higher:
+                assert tile == -1 and dist == math.inf
+            else:
+                want_dist, want_key = min(higher)
+                assert (index.keys[tile], dist) == (want_key, want_dist)
 
     def test_tiles_within_radius_zero_and_full(self):
         entries = _random_tile_entries(60, seed=15)
         index = TileIndex(entries)
         p = GeoPoint(10.25, 10.25)
-        containing = [key for key, quad, _ in entries if contains(quad, p)]
-        assert index.tiles_within(p, 0.0) == sorted(containing)
-        assert index.tiles_within(p, math.pi * WGS84.radius_m) == sorted(
-            k for k, _, _ in entries
-        )
+        containing = [key for key, _ in entries if contains(_tile_quad(key), p)]
+        _assert_superset_within_slack(_within_one(index, p, 0.0), containing, p, 0.0)
+        assert _within_one(index, p, math.pi * WGS84.radius_m) == sorted(k for k, _ in entries)
 
     def test_tiles_within_matches_filter(self):
         entries = _random_tile_entries(80, seed=16)
         index = TileIndex(entries)
         rng = random.Random(17)
-        for _ in range(50):
-            p = GeoPoint(rng.uniform(-55, 55), rng.uniform(-180, 180))
-            radius = rng.uniform(0, 3e6)
-            expected = sorted(
-                key for key, quad, _ in entries if min_distance(quad, p) <= radius
+        points = [GeoPoint(rng.uniform(-55, 55), rng.uniform(-180, 180)) for _ in range(50)]
+        radii = [rng.uniform(0, 3e6) for _ in points]
+        queries, tiles = index.tiles_within(
+            [p.lat_deg for p in points], [p.lng_deg for p in points], radii
+        )
+        for k, (p, radius) in enumerate(zip(points, radii)):
+            expected = [key for key, _ in entries if min_distance(_tile_quad(key), p) <= radius]
+            got = [index.keys[t] for t in tiles[queries == k].tolist()]
+            assert got == sorted(got)
+            _assert_superset_within_slack(got, expected, p, radius)
+
+    @given(
+        st.integers(-90, 88),
+        st.integers(1, 4),
+        st.sampled_from([-180, -179, -10, 170, 176]),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(-0.2, 1.2),
+                st.sampled_from([0.0, 1.0, 1e5, math.pi * WGS84.radius_m]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tiles_within_is_a_superset_of_the_scalar_scan(self, lat0, rows, lng0, cols, queries):
+        # Areas reach the poles (caps that hold one) and touch the
+        # antimeridian from either side; radii of 0, 1 m, 100 km and pi R.
+        lat1 = min(90, lat0 + rows)
+        area = Quadrilateral(lat0, lat1, lng0, min(180, lng0 + cols))
+        keys = area_tile_keys(area)
+        index = TileIndex([(key, 0) for key in keys])
+        points = [
+            GeoPoint(
+                area.lat_min + a * (area.lat_max - area.lat_min),
+                area.lng_min + b * (area.lng_max - area.lng_min),
             )
-            assert index.tiles_within(p, radius) == expected
+            for a, b, _ in queries
+        ]
+        radii = [r for _, _, r in queries]
+        found, tiles = index.tiles_within(
+            [p.lat_deg for p in points], [p.lng_deg for p in points], radii
+        )
+        for k, (p, radius) in enumerate(zip(points, radii)):
+            got = [index.keys[t] for t in tiles[found == k].tolist()]
+            _assert_superset_within_slack(got, tile_keys_within(area, p, radius), p, radius)
+
+    def test_tiles_within_counts_its_work(self):
+        index = TileIndex(_random_tile_entries(40, seed=18))
+        work = SearchWork()
+        queries, _tiles = index.tiles_within([10.5, -20.0], [3.0, 100.0], [2e5, 5e5], work)
+        assert work.queries == 2
+        assert work.pairs >= len(queries)
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
             TileIndex([])
-        ent = ((45, 7), Quadrilateral(45, 46, 7, 8), 100)
+        ent = ((45, 7), 100)
         with pytest.raises(ValueError):
             TileIndex([ent, ent])
 
