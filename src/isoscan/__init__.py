@@ -7,7 +7,7 @@ dynamic spherical k-d tree as the single-sweep reference, and a
 brute-force oracle for verification.
 """
 
-from .geo import EarthModel, GeoPoint, WGS84
+from .geo import GeoPoint
 from .quad import Quadrilateral
 from .dem import Peak, Tile, generate_synthetic, load_hgt, save_hgt
 from .spatial_index import EllipsoidMetric, GreatCircleMetric, PlanarMetric, SphereKdTree
@@ -18,9 +18,7 @@ from .multipass import run_merged_sweep, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "EarthModel",
     "GeoPoint",
-    "WGS84",
     "Quadrilateral",
     "Peak",
     "Tile",

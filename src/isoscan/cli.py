@@ -23,7 +23,6 @@ from .dem import (
     load_hgt,
     save_hgt,
 )
-from .geo import WGS84
 from .multipass import (
     MissingTilesError,
     PipelineStats,
@@ -196,7 +195,7 @@ def _run_mode(config: RunConfig, tiles) -> tuple[list[IlpResult], PipelineStats]
         )
         return outcome.results, outcome.stats
     if config.mode == "single-sweep":
-        metric = final_metric(config.distance_mode, WGS84)
+        metric = final_metric(config.distance_mode)
         t0 = time.perf_counter()
         results = run_merged_sweep(config.bounds, tiles, metric)
         stats = PipelineStats(
@@ -243,7 +242,7 @@ def cmd_compute(args) -> int:
 
 def _oracle_check(config: RunConfig, tiles, io_s: float) -> int:
     """Pipeline vs single sweep vs brute force; exit 0 only on exact agreement."""
-    metric = final_metric(config.distance_mode, WGS84)
+    metric = final_metric(config.distance_mode)
     outcome = run_pipeline(
         config.bounds,
         tiles,

@@ -55,6 +55,9 @@ EVENT_REMOVE = 2
 
 _INT32_BIG = np.int32(2**30)
 
+# Spectral exponent of the fractal profile: amplitude falls as |k| ** -beta.
+_FRACTAL_BETA = 1.8
+
 
 class HgtFormatError(ValueError):
     """Malformed HGT file (size, naming, or all-void content)."""
@@ -505,7 +508,7 @@ def _cones_world(height: int, width: int, seed: int, n_cones: Optional[int]) -> 
     return world.astype(np.int16)
 
 
-def _fractal_world(height: int, width: int, seed: int, beta: float = 1.8) -> np.ndarray:
+def _fractal_world(height: int, width: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((height, width))
     spectrum = np.fft.rfft2(noise)
@@ -513,7 +516,7 @@ def _fractal_world(height: int, width: int, seed: int, beta: float = 1.8) -> np.
     kx = np.fft.rfftfreq(width)[None, :]
     k2 = kx * kx + ky * ky
     k2[0, 0] = 1.0
-    spectrum *= k2 ** (-beta / 2.0)
+    spectrum *= k2 ** (-_FRACTAL_BETA / 2.0)
     spectrum[0, 0] = 0.0
     field = np.fft.irfft2(spectrum, s=(height, width))
     field = (field - field.mean()) / field.std()

@@ -3,13 +3,18 @@
 Coordinates are geographic degrees at the API boundary (latitude in
 [-90, 90], longitude wrapped into (-180, 180]); all trigonometry is done
 in radians internally.  Distances are returned in meters.
+
+The Earth is fixed here: the mean-radius sphere for the great-circle and
+planar distances, the reference ellipsoid for the ellipsoid distance.  The
+pruning and inflation constants elsewhere (:data:`ELLIPSOID_RATIO_BAND`
+and those derived from it) were measured for this pair, so it is not a
+parameter.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,8 +22,9 @@ import numpy as np
 __all__ = [
     "GeoPoint",
     "Vec3",
-    "EarthModel",
-    "WGS84",
+    "MEAN_RADIUS_M",
+    "EQUATORIAL_RADIUS_M",
+    "FLATTENING",
     "ELLIPSOID_RATIO_BAND",
     "wrap_longitude",
     "wrap_longitude_many",
@@ -77,26 +83,11 @@ class Vec3(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class EarthModel:
-    """Reference sphere radius plus ellipsoid shape parameters.
-
-    Defaults are the mean Earth radius and the WGS84 semi-major axis and
-    flattening.
-    """
-
-    radius_m: float = 6_371_000.0
-    equatorial_radius_m: float = 6_378_137.0
-    flattening: float = 1.0 / 298.257223563
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
-        if not 0 <= self.flattening < 1:
-            raise ValueError("flattening must be in [0, 1)")
-
-
-WGS84 = EarthModel()
+# Mean Earth radius: the sphere of the great-circle and planar distances.
+MEAN_RADIUS_M = 6_371_000.0
+# Semi-major axis and flattening of the reference ellipsoid: the ellipsoid distance.
+EQUATORIAL_RADIUS_M = 6_378_137.0
+FLATTENING = 1.0 / 298.257223563
 
 # Range of ellipsoid_distance (and of the Vincenty geodesic it approximates)
 # divided by great_circle_distance, measured at every latitude and bearing
@@ -111,12 +102,11 @@ def antipode(p: GeoPoint) -> GeoPoint:
     return GeoPoint(-p.lat_deg, wrap_longitude(p.lng_deg + 180.0))
 
 
-def great_circle_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> float:
+def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Haversine great-circle distance between two points, in meters.
 
     Args:
         a, b: end points.
-        model: supplies the sphere radius.
 
     Returns:
         Arc length in [0, pi * R].  Symmetric and zero for coincident points.
@@ -127,8 +117,8 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -
     sin_dlng = math.sin(math.radians(b.lng_deg - a.lng_deg) * 0.5)
     h = sin_dphi * sin_dphi + math.cos(phi1) * math.cos(phi2) * sin_dlng * sin_dlng
     if h >= 1.0:
-        return math.pi * model.radius_m
-    return 2.0 * model.radius_m * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+        return math.pi * MEAN_RADIUS_M
+    return 2.0 * MEAN_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
 def great_circle_distance_many(
@@ -136,7 +126,6 @@ def great_circle_distance_many(
     lngs_deg: np.ndarray,
     p_lats_deg,
     p_lngs_deg,
-    model: EarthModel = WGS84,
 ) -> np.ndarray:
     """Vectorized haversine from arrays of points to query points.
 
@@ -151,7 +140,7 @@ def great_circle_distance_many(
     sin_dlng = np.sin(np.radians(p_lngs_deg - lngs_deg) * 0.5)
     h = sin_dphi * sin_dphi + np.cos(phi) * np.cos(phi_p) * sin_dlng * sin_dlng
     h = np.clip(h, 0.0, 1.0)
-    return 2.0 * model.radius_m * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+    return 2.0 * MEAN_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
 def _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2):
@@ -161,17 +150,16 @@ def _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2):
     return f * ((3.0 * r + 1.0) * 0.5) * cos_mean2 * (sin_dphi2 / s)
 
 
-def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> float:
+def ellipsoid_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Flattening-corrected (Andoyer-Lambert style) distance in meters.
 
     Agrees with iterative geodesics to a few hundredths of a percent for
-    non-antipodal pairs; degrades near antipodes.  With ``flattening == 0``
-    this reduces exactly to the great-circle distance on a sphere of the
-    equatorial radius.
+    non-antipodal pairs; degrades near antipodes.  With zero
+    :data:`FLATTENING` this would reduce exactly to the great-circle
+    distance on a sphere of :data:`EQUATORIAL_RADIUS_M`.
 
     Args:
         a, b: end points; should not be antipodal.
-        model: supplies equatorial radius and flattening.
     """
     phi1 = math.radians(a.lat_deg)
     phi2 = math.radians(b.lat_deg)
@@ -193,7 +181,7 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> f
         return 0.0
     r = math.sqrt(s * c) / w
 
-    f = model.flattening
+    f = FLATTENING
     h1 = (3.0 * r - 1.0) / (2.0 * c)
     correction = f * h1 * sin_mean2 * cos_dphi2
     h2 = (3.0 * r + 1.0) / (2.0 * s)  # s > 0 because w > 0
@@ -201,7 +189,7 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> f
         correction -= f * h2 * cos_mean2 * sin_dphi2
     else:
         correction -= _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2)
-    return 2.0 * model.equatorial_radius_m * w * (1.0 + correction)
+    return 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
 
 
 def ellipsoid_distance_many(
@@ -209,7 +197,6 @@ def ellipsoid_distance_many(
     lngs_deg: np.ndarray,
     p_lats_deg,
     p_lngs_deg,
-    model: EarthModel = WGS84,
 ) -> np.ndarray:
     """Vectorized twin of :func:`ellipsoid_distance`; query points as in
     :func:`great_circle_distance_many`."""
@@ -231,7 +218,7 @@ def ellipsoid_distance_many(
     w = np.arctan2(np.sqrt(s), np.sqrt(c))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.sqrt(s * c) / w
-        f = model.flattening
+        f = FLATTENING
         h1 = (3.0 * r - 1.0) / (2.0 * c)
         h2 = (3.0 * r + 1.0) / (2.0 * s)
         term2 = np.where(
@@ -241,11 +228,11 @@ def ellipsoid_distance_many(
         )
         correction = f * h1 * sin_mean2 * cos_dphi2 - term2
     correction = np.where(s > 0.0, correction, 0.0)
-    out = 2.0 * model.equatorial_radius_m * w * (1.0 + correction)
+    out = 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
     return np.where(w == 0.0, 0.0, out)
 
 
-def planar_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> float:
+def planar_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Equirectangular approximation: meant for points within a tile or so.
 
     Latitude difference and longitude difference scaled by the cosine of the
@@ -255,7 +242,7 @@ def planar_distance(a: GeoPoint, b: GeoPoint, model: EarthModel = WGS84) -> floa
     dlng = math.radians(wrap_longitude(b.lng_deg - a.lng_deg))
     mean_phi = math.radians(a.lat_deg + b.lat_deg) * 0.5
     x = dlng * math.cos(mean_phi)
-    return model.radius_m * math.hypot(dlat, x)
+    return MEAN_RADIUS_M * math.hypot(dlat, x)
 
 
 def planar_distance_many(
@@ -263,14 +250,13 @@ def planar_distance_many(
     lngs_deg: np.ndarray,
     p_lats_deg,
     p_lngs_deg,
-    model: EarthModel = WGS84,
 ) -> np.ndarray:
     """Vectorized twin of :func:`planar_distance`; query points as in
     :func:`great_circle_distance_many`."""
     dlat = np.radians(p_lats_deg - lats_deg)
     dlng = np.radians(wrap_longitude_many(p_lngs_deg - lngs_deg))
     mean_phi = np.radians(lats_deg + p_lats_deg) * 0.5
-    return model.radius_m * np.hypot(dlat, dlng * np.cos(mean_phi))
+    return MEAN_RADIUS_M * np.hypot(dlat, dlng * np.cos(mean_phi))
 
 
 def to_cartesian(p: GeoPoint) -> Vec3:

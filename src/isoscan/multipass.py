@@ -8,8 +8,9 @@ isolation is below the minimum-isolation threshold, so its row could never
 be emitted.  The surviving peaks ask an
 :class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
 grid, in one batched search per tile, for their nearest strictly higher
-samples; each distance is an upper bound on its peak's isolation.  Peaks
-bounded below the threshold are discarded too.  Peaks with no higher
+samples under the planar metric; the great-circle distance to each,
+inflated by BOUND_INFLATION, is an upper bound on its peak's isolation.
+Peaks bounded below the threshold are discarded too.  Peaks with no higher
 down-sampled sample in their tile (always including the tile high point)
 are deferred.
 
@@ -60,7 +61,7 @@ from .dem import (
     downsample,
     merge_tiles,
 )
-from .geo import EarthModel, GeoPoint, WGS84, great_circle_distance, wrap_longitude_many
+from .geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_longitude_many
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
     ElevationPyramid,
@@ -154,27 +155,25 @@ def area_tile_keys(area: Quadrilateral) -> list[TileKey]:
     ]
 
 
-def tile_keys_within(
-    area: Quadrilateral, center: GeoPoint, radius_m: float, model: EarthModel = WGS84
-) -> list[TileKey]:
+def tile_keys_within(area: Quadrilateral, center: GeoPoint, radius_m: float) -> list[TileKey]:
     """Keys of area tiles whose quadrilateral is within ``radius_m`` of ``center``.
 
     A linear scan over the area's tiles: the audit's check on the pipeline's
     ``TileIndex.tiles_within`` assignment.
     """
-    pad_deg = math.degrees(radius_m / model.radius_m) + 1e-9
+    pad_deg = math.degrees(radius_m / MEAN_RADIUS_M) + 1e-9
     keys = []
     lat_lo = max(int(area.lat_min), int(math.floor(center.lat_deg - pad_deg)))
     lat_hi = min(int(area.lat_max), int(math.ceil(center.lat_deg + pad_deg)))
     for lat in range(lat_lo, lat_hi):
         for lng in range(int(area.lng_min), int(area.lng_max)):
             key = (lat, lng)
-            if min_distance(tile_quad(key), center, model) <= radius_m:
+            if min_distance(tile_quad(key), center) <= radius_m:
                 keys.append(key)
     return keys
 
 
-def _footprint(tile: Tile, radius_m: float, model: EarthModel) -> list[tuple[int, int]]:
+def _footprint(tile: Tile, radius_m: float) -> list[tuple[int, int]]:
     """Half-sides (rows, cols) of the rectangles that make the dilation footprint.
 
     Two samples of the tile a rows and b columns apart, for (a, b) inside
@@ -192,7 +191,7 @@ def _footprint(tile: Tile, radius_m: float, model: EarthModel) -> list[tuple[int
     quad = tile.quad
     on_equator = quad.lat_min <= 0.0 <= quad.lat_max
     c = 1.0 if on_equator else math.cos(math.radians(min(abs(quad.lat_min), abs(quad.lat_max))))
-    angle = radius_m / model.radius_m
+    angle = radius_m / MEAN_RADIUS_M
     limit = 1.0 if angle >= math.pi else math.sin(angle * 0.5) ** 2
     step = math.radians(1.0 / tile.steps_per_degree)
     hav_rows = np.sin(np.arange(rows) * (step * 0.5)) ** 2
@@ -242,9 +241,7 @@ def _window_max(grid: np.ndarray, half: int, axis: int) -> np.ndarray:
     return np.maximum(run[cut(0, n)], run[cut(width - span, n)])
 
 
-def dominated_peaks(
-    tile: Tile, cells: PeakCells, radius_m: float, model: EarthModel = WGS84
-) -> np.ndarray:
+def dominated_peaks(tile: Tile, cells: PeakCells, radius_m: float) -> np.ndarray:
     """Mask of the peaks that have a strictly higher sample closer than ``radius_m``.
 
     A grey-scale dilation of the tile's own grid by the union of the
@@ -255,7 +252,7 @@ def dominated_peaks(
     """
     grid = tile.elevations
     reach = np.full(len(cells), np.iinfo(grid.dtype).min, dtype=grid.dtype)
-    for a, b in _footprint(tile, radius_m, model):
+    for a, b in _footprint(tile, radius_m):
         dilated = _window_max(_window_max(grid, a, 0), b, 1)
         np.maximum(reach, dilated[cells.rows, cells.cols], out=reach)
     return reach > grid[cells.rows, cells.cols]
@@ -301,13 +298,7 @@ class BoundingOutcome:
     seconds: float
 
 
-def bounding_pass(
-    tile: Tile,
-    stride: int,
-    i_min: float,
-    model: EarthModel = WGS84,
-    distance_mode: str = "staged",
-) -> BoundingOutcome:
+def bounding_pass(tile: Tile, stride: int, i_min: float) -> BoundingOutcome:
     """Detect peaks at full resolution and bound their isolation locally.
 
     Peaks dominated within ``i_min / BOUND_INFLATION`` (see
@@ -316,29 +307,28 @@ def bounding_pass(
     higher sample, and that is below the great-circle distance times the
     high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
     ``i_min``.  For every other peak the nearest strictly higher sample of
-    the strided grid is found under the planar metric (great-circle under
-    ``great-circle-only``); its great-circle distance, inflated by
-    :data:`BOUND_INFLATION`, is the bound tested against the threshold and
-    used for tile assignment.
+    the strided grid is found under the planar metric, whatever the final
+    metric: any strictly higher sample gives a valid bound.  Its
+    great-circle distance, inflated by :data:`BOUND_INFLATION`, is the
+    bound tested against the threshold and used for tile assignment.
     """
     start = time.perf_counter()
     cells = detect_peaks(tile)
     rows, cols = tile.shape
     peaks = peak_rows(tile, cells.rows, cells.cols)
     on_edge = np.isin(cells.rows, (0, rows - 1)) | np.isin(cells.cols, (0, cols - 1))
-    dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION, model)
+    dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION)
     searched = np.flatnonzero(~dominated)
     queries = peaks[searched]
 
     pyramid = ElevationPyramid(downsample(tile, stride))
-    nn_metric = PlanarMetric(model) if distance_mode == "staged" else GreatCircleMetric(model)
     search = SearchWork()
     found = pyramid.nearest_higher_many(
-        queries["lat"], queries["lng"], queries["elevation"], nn_metric, search
+        queries["lat"], queries["lng"], queries["elevation"], PlanarMetric(), search
     )
     answered = np.array([hit is not None for hit in found], dtype=bool)
     peaks["bound"][searched[answered]] = [
-        great_circle_distance(GeoPoint(lat, lng), hit[0], model) * BOUND_INFLATION
+        great_circle_distance(GeoPoint(lat, lng), hit[0]) * BOUND_INFLATION
         for lat, lng, hit in zip(queries["lat"].tolist(), queries["lng"].tolist(), found)
         if hit is not None
     ]
@@ -370,12 +360,7 @@ class HighpointOutcome:
     discarded: int
 
 
-def highpoint_pass(
-    index: TileIndex,
-    deferred: np.ndarray,
-    i_min: float,
-    model: EarthModel = WGS84,
-) -> HighpointOutcome:
+def highpoint_pass(index: TileIndex, deferred: np.ndarray, i_min: float) -> HighpointOutcome:
     """Bound deferred peaks via the nearest tile holding higher ground.
 
     One batched ``TileIndex.nearest_higher_tile`` query: the maximum
@@ -388,7 +373,7 @@ def highpoint_pass(
     )
     bounded = deferred[tiles >= 0]
     bounded["bound"] = [
-        max_distance(tile_quad(index.keys[t]), GeoPoint(lat, lng), model) * BOUND_INFLATION
+        max_distance(tile_quad(index.keys[t]), GeoPoint(lat, lng)) * BOUND_INFLATION
         for t, lat, lng in zip(
             tiles[tiles >= 0].tolist(), bounded["lat"].tolist(), bounded["lng"].tolist()
         )
@@ -578,12 +563,12 @@ class PipelineResult:
         return out
 
 
-def final_metric(distance_mode: str, model: EarthModel = WGS84):
+def final_metric(distance_mode: str):
     """Metric used for final isolation under the given distance mode."""
     if distance_mode == "staged":
-        return EllipsoidMetric(model)
+        return EllipsoidMetric()
     if distance_mode == "great-circle-only":
-        return GreatCircleMetric(model)
+        return GreatCircleMetric()
     raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
 
@@ -592,8 +577,8 @@ def _bounding_task(args) -> BoundingOutcome:
 
 
 def _finalization_task(args):
-    tile, peaks, distance_mode, model = args
-    metric = final_metric(distance_mode, model)
+    tile, peaks, distance_mode = args
+    metric = final_metric(distance_mode)
     start = time.perf_counter()
     search = SearchWork()
     cands = finalization_pass(tile, peaks, metric, search)
@@ -607,7 +592,6 @@ def run_pipeline(
     i_min: float = 1000.0,
     threads: int = 1,
     distance_mode: str = "staged",
-    model: EarthModel = WGS84,
 ) -> PipelineResult:
     """Run bounding, high-point, and finalization passes over an area.
 
@@ -621,7 +605,7 @@ def run_pipeline(
         MissingTilesError: a tile inside the area is unavailable.
     """
     started = time.perf_counter()
-    final_metric(distance_mode, model)  # validate early
+    final_metric(distance_mode)  # validate early
     if not isinstance(tiles, Mapping):
         tiles = {t.key: t for t in tiles}
     keys = area_tile_keys(area)
@@ -635,7 +619,7 @@ def run_pipeline(
     try:
         # Bounding pass: tile-parallel, merged in key order.
         t0 = time.perf_counter()
-        bound_args = [(tiles[k], stride, i_min, model, distance_mode) for k in keys]
+        bound_args = [(tiles[k], stride, i_min) for k in keys]
         if pool is None:
             outcomes = [_bounding_task(a) for a in bound_args]
         else:
@@ -655,9 +639,9 @@ def run_pipeline(
         # High-point pass: a few peaks per tile, cheaper in this process
         # than a round trip through the pool.
         t0 = time.perf_counter()
-        index = TileIndex([(o.key, o.max_elevation_m) for o in outcomes], model)
+        index = TileIndex([(o.key, o.max_elevation_m) for o in outcomes])
         deferred = np.concatenate([o.deferred for o in outcomes])
-        hp = highpoint_pass(index, deferred, i_min, model)
+        hp = highpoint_pass(index, deferred, i_min)
         stats.discarded += hp.discarded
         stats.deferred = len(deferred)
         highpoint_s = time.perf_counter() - t0
@@ -687,7 +671,7 @@ def run_pipeline(
         for a, b in spans:
             assigned = peaks[pair_rows[a:b]]
             assigned["bound"] = pair_bounds[a:b]
-            final_args.append((tiles[index.keys[pair_tiles[a]]], assigned, distance_mode, model))
+            final_args.append((tiles[index.keys[pair_tiles[a]]], assigned, distance_mode))
         if pool is None:
             final_out = [_finalization_task(a) for a in final_args]
         else:
@@ -746,7 +730,7 @@ def run_merged_sweep(
     return run_sweep(events, merged.quad, metric)
 
 
-def audit_pipeline(outcome: PipelineResult, model: EarthModel = WGS84) -> list[str]:
+def audit_pipeline(outcome: PipelineResult) -> list[str]:
     """Post-hoc validity audit of bounds and tile assignments.
 
     Checks that every recorded upper bound is at least the final isolation
@@ -769,7 +753,7 @@ def audit_pipeline(outcome: PipelineResult, model: EarthModel = WGS84) -> list[s
                     f"bound {bound:.3f} m below final isolation "
                     f"{res.isolation_m:.3f} m for peak {loc}"
                 )
-        for key in tile_keys_within(outcome.area, loc, res.isolation_m, model):
+        for key in tile_keys_within(outcome.area, loc, res.isolation_m):
             if loc not in assigned_locations.get(key, set()):
                 problems.append(f"peak {loc} missing from tile {key} within its isolation")
     return problems

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dem import Peak, Tile
-from .geo import GeoPoint, to_cartesian
+from .geo import MEAN_RADIUS_M, GeoPoint, to_cartesian
 from .spatial_index import EllipsoidMetric, GreatCircleMetric
 from .sweep import IlpResult
 
@@ -91,7 +91,7 @@ class SampleUniverse:
 
 
 def _chord_candidates(
-    universe: SampleUniverse, start: int, p: GeoPoint, radius_m: float, anisotropy: float
+    universe: SampleUniverse, start: int, p: GeoPoint, anisotropy: float
 ) -> np.ndarray:
     """Indices (into the suffix) of samples within the candidate screen.
 
@@ -104,7 +104,8 @@ def _chord_candidates(
     chord2 = 2.0 - 2.0 * dot
     np.clip(chord2, 0.0, 4.0, out=chord2)
     sigma_min = 2.0 * math.asin(min(1.0, math.sqrt(float(chord2.min())) * 0.5))
-    sigma_thr = min(sigma_min * anisotropy + (1e-3 + sigma_min * radius_m * 1e-9) / radius_m, math.pi)
+    slack = (1e-3 + sigma_min * MEAN_RADIUS_M * 1e-9) / MEAN_RADIUS_M
+    sigma_thr = min(sigma_min * anisotropy + slack, math.pi)
     chord_thr = 2.0 * math.sin(sigma_thr * 0.5)
     return np.nonzero(chord2 <= chord_thr * chord_thr)[0]
 
@@ -123,9 +124,7 @@ def brute_force_ilp(peak: Peak, universe: SampleUniverse, metric) -> IlpResult:
     lngs = universe.lngs[start:]
     if isinstance(metric, (GreatCircleMetric, EllipsoidMetric)):
         anisotropy = _METRIC_ANISOTROPY if isinstance(metric, EllipsoidMetric) else 1.0 + 1e-9
-        candidates = _chord_candidates(
-            universe, start, peak.location, metric.model.radius_m, anisotropy
-        )
+        candidates = _chord_candidates(universe, start, peak.location, anisotropy)
     else:
         dists = metric.distance_many(lats, lngs, *peak.location)
         lowest = float(dists.min())

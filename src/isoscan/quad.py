@@ -14,9 +14,8 @@ from collections import namedtuple
 import numpy as np
 
 from .geo import (
-    EarthModel,
+    MEAN_RADIUS_M,
     GeoPoint,
-    WGS84,
     antipode,
     great_circle_distance,
     great_circle_distance_many,
@@ -43,10 +42,6 @@ class Quadrilateral(namedtuple("Quadrilateral", ["lat_min", "lat_max", "lng_min"
     def center_lng(self) -> float:
         return (self.lng_min + self.lng_max) * 0.5
 
-    @property
-    def center_lat(self) -> float:
-        return (self.lat_min + self.lat_max) * 0.5
-
 
 def contains(q: Quadrilateral, p: GeoPoint) -> bool:
     """Closed containment test by coordinate comparison."""
@@ -56,7 +51,7 @@ def contains(q: Quadrilateral, p: GeoPoint) -> bool:
     )
 
 
-def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> float:
+def min_distance(q: Quadrilateral, p: GeoPoint) -> float:
     """Great-circle distance from ``p`` to the closest point of ``q``, in meters.
 
     Inside ``q`` the distance is zero; between the longitude edges it is the
@@ -73,9 +68,9 @@ def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> fl
     """
     if q.lng_min <= p.lng_deg <= q.lng_max:
         if p.lat_deg > q.lat_max:
-            return great_circle_distance(p, GeoPoint(q.lat_max, p.lng_deg), model)
+            return great_circle_distance(p, GeoPoint(q.lat_max, p.lng_deg))
         if p.lat_deg < q.lat_min:
-            return great_circle_distance(p, GeoPoint(q.lat_min, p.lng_deg), model)
+            return great_circle_distance(p, GeoPoint(q.lat_min, p.lng_deg))
         return 0.0
 
     # Rotate so the center longitude of q maps to the prime meridian; the
@@ -88,10 +83,10 @@ def min_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> fl
         phi = math.radians(p.lat_deg)
         foot = math.degrees(math.atan2(math.sin(phi), math.cos(phi) * cos_dlng))
         lat = min(max(foot, q.lat_min), q.lat_max)
-        return great_circle_distance(p, GeoPoint(lat, edge_lng), model)
+        return great_circle_distance(p, GeoPoint(lat, edge_lng))
     return min(
-        great_circle_distance(p, GeoPoint(q.lat_min, edge_lng), model),
-        great_circle_distance(p, GeoPoint(q.lat_max, edge_lng), model),
+        great_circle_distance(p, GeoPoint(q.lat_min, edge_lng)),
+        great_circle_distance(p, GeoPoint(q.lat_max, edge_lng)),
     )
 
 
@@ -102,7 +97,6 @@ def min_distance_many(
     lng_max: np.ndarray,
     p_lats: np.ndarray,
     p_lngs: np.ndarray,
-    model: EarthModel = WGS84,
 ) -> np.ndarray:
     """:func:`min_distance` from each point to its quadrilateral, elementwise.
 
@@ -122,17 +116,17 @@ def min_distance_many(
     lat = np.where(between, p_lats, np.where(cos_dlng > 0.0, foot, lat_min))
     lat = np.minimum(np.maximum(lat, lat_min), lat_max)
     lng = np.where(between, p_lngs, edge_lng)
-    out = great_circle_distance_many(lat, lng, p_lats, p_lngs, model)
+    out = great_circle_distance_many(lat, lng, p_lats, p_lngs)
     corner = np.flatnonzero(~between & (cos_dlng <= 0.0))
     if len(corner):
         north = great_circle_distance_many(
-            lat_max[corner], edge_lng[corner], p_lats[corner], p_lngs[corner], model
+            lat_max[corner], edge_lng[corner], p_lats[corner], p_lngs[corner]
         )
         out[corner] = np.minimum(out[corner], north)
     return out
 
 
-def max_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> float:
+def max_distance(q: Quadrilateral, p: GeoPoint) -> float:
     """Upper bound on the great-circle distance from ``p`` to every point of ``q``.
 
     Exact on the sphere: the farthest point of ``q`` from ``p`` is the
@@ -140,4 +134,4 @@ def max_distance(q: Quadrilateral, p: GeoPoint, model: EarthModel = WGS84) -> fl
     ``pi * R - min_distance(q, antipode(p))``.  If the antipode lies inside
     ``q`` this returns the global maximum ``pi * R``.
     """
-    return math.pi * model.radius_m - min_distance(q, antipode(p), model)
+    return math.pi * MEAN_RADIUS_M - min_distance(q, antipode(p))

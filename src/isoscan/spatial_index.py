@@ -37,9 +37,8 @@ import numpy as np
 
 from .dem import Tile
 from .geo import (
-    EarthModel,
+    MEAN_RADIUS_M,
     GeoPoint,
-    WGS84,
     ellipsoid_distance,
     ellipsoid_distance_many,
     great_circle_distance,
@@ -110,33 +109,27 @@ class NonFiniteDistanceError(ArithmeticError):
 class GreatCircleMetric:
     """Haversine distance with the exact quadrilateral minimum as bound."""
 
-    def __init__(self, model: EarthModel = WGS84):
-        self.model = model
-
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return great_circle_distance(a, b, self.model)
+        return great_circle_distance(a, b)
 
     def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return great_circle_distance_many(lats, lngs, p_lats, p_lngs, self.model)
+        return great_circle_distance_many(lats, lngs, p_lats, p_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
-        return min_distance(q, p, self.model)
+        return min_distance(q, p)
 
     def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
-        return min_distance_many(lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs, self.model)
+        return min_distance_many(lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs)
 
 
 class PlanarMetric:
     """Equirectangular distance with a component-wise gap lower bound."""
 
-    def __init__(self, model: EarthModel = WGS84):
-        self.model = model
-
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return planar_distance(a, b, self.model)
+        return planar_distance(a, b)
 
     def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return planar_distance_many(lats, lngs, p_lats, p_lngs, self.model)
+        return planar_distance_many(lats, lngs, p_lats, p_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         lat = p.lat_deg
@@ -163,9 +156,7 @@ class PlanarMetric:
         m_hi = (lat + q.lat_max) * 0.5
         c = min(math.cos(math.radians(m_lo)), math.cos(math.radians(m_hi)))
         c = max(c, 0.0)
-        return self.model.radius_m * math.hypot(
-            math.radians(gap_lat), math.radians(gap_lng) * c
-        )
+        return MEAN_RADIUS_M * math.hypot(math.radians(gap_lat), math.radians(gap_lng) * c)
 
     def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
         """:meth:`lower_bound` from each point to its quadrilateral, elementwise."""
@@ -180,27 +171,24 @@ class PlanarMetric:
             np.cos(np.radians((p_lats + lat_max) * 0.5)),
         )
         c = np.maximum(c, 0.0)
-        return self.model.radius_m * np.hypot(np.radians(gap_lat), np.radians(gap_lng) * c)
+        return MEAN_RADIUS_M * np.hypot(np.radians(gap_lat), np.radians(gap_lng) * c)
 
 
 class EllipsoidMetric:
     """Flattening-corrected distance; bound is a safely scaled sphere bound."""
 
-    def __init__(self, model: EarthModel = WGS84):
-        self.model = model
-
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return ellipsoid_distance(a, b, self.model)
+        return ellipsoid_distance(a, b)
 
     def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return ellipsoid_distance_many(lats, lngs, p_lats, p_lngs, self.model)
+        return ellipsoid_distance_many(lats, lngs, p_lats, p_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
-        return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p, self.model)
+        return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p)
 
     def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance_many(
-            lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs, self.model
+            lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs
         )
 
 
@@ -710,11 +698,10 @@ class TileIndex:
     Immutable after construction; safe for concurrent readers.
     """
 
-    def __init__(self, entries: Iterable[tuple[TileKey, int]], model: EarthModel = WGS84):
+    def __init__(self, entries: Iterable[tuple[TileKey, int]]):
         items = sorted(entries)
         if not items:
             raise ValueError("TileIndex needs at least one tile")
-        self.model = model
         self.keys: list[TileKey] = [tuple(key) for key, _ in items]
         if len(set(self.keys)) != len(items):
             raise ValueError("duplicate tile keys")
@@ -731,9 +718,7 @@ class TileIndex:
     def _min_distance(self, tiles: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
         """Vector great-circle distance from each point to its tile, checked finite."""
         lat_min, lng_min = self._lat_min[tiles], self._lng_min[tiles]
-        dists = min_distance_many(
-            lat_min, lat_min + 1.0, lng_min, lng_min + 1.0, lats, lngs, self.model
-        )
+        dists = min_distance_many(lat_min, lat_min + 1.0, lng_min, lng_min + 1.0, lats, lngs)
         _check_finite("bound", dists, lats, lngs)
         return dists
 
@@ -773,7 +758,7 @@ class TileIndex:
             for k, tile in zip((q[near] + start).tolist(), t[near].tolist()):
                 lat, lng = self.keys[tile]
                 p = GeoPoint(float(lats[k]), float(lngs[k]))
-                d = min_distance(Quadrilateral(lat, lat + 1, lng, lng + 1), p, self.model)
+                d = min_distance(Quadrilateral(lat, lat + 1, lng, lng + 1), p)
                 if not math.isfinite(d):
                     raise _non_finite("bound", d, p)
                 if d < found_dist[k]:
@@ -807,7 +792,7 @@ class TileIndex:
         lngs = np.asarray(lngs, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64)
         reach = radii + 1e-3 + radii * 1e-9  # the slack of _within_slack
-        rho = reach / self.model.radius_m
+        rho = reach / MEAN_RADIUS_M
         rho_deg = np.degrees(rho) + _CAP_PAD_DEG
         rows, cols = self._grid.shape
         row_lo = np.clip(np.ceil(lats - rho_deg).astype(np.int64) - 1 - self._lat0, 0, rows)

@@ -19,8 +19,8 @@ from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
 from isoscan.cli import main, write_csv
 from isoscan.dem import build_events, detect_peaks, generate_synthetic, load_hgt, save_hgt
 from isoscan.geo import (
+    MEAN_RADIUS_M as R,
     GeoPoint,
-    WGS84,
     ellipsoid_distance,
     great_circle_distance,
     great_circle_distance_many,
@@ -29,8 +29,6 @@ from isoscan.multipass import audit_pipeline, run_pipeline
 from isoscan.quad import Quadrilateral, max_distance, min_distance
 from isoscan.spatial_index import GreatCircleMetric, PlanarMetric, SphereKdTree
 from isoscan.sweep import assert_sweep_invariant
-
-R = WGS84.radius_m
 
 
 def _verdict(number: int, text: str) -> None:

@@ -229,10 +229,12 @@ class TestExitCodes:
 
 
 class TestOracleCheckMode:
-    def test_agreement_exits_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("distance_mode", ["staged", "great-circle-only"])
+    def test_agreement_exits_zero(self, tmp_path, capsys, distance_mode):
         out = tmp_path / "tiles"
         assert main(synth_args(out, seed=5, profile="fractal")) == 0
-        code = main(compute_args(out, extra=["--mode", "oracle-check"]))
+        extra = ["--mode", "oracle-check", "--distance-mode", distance_mode]
+        code = main(compute_args(out, extra=extra))
         assert code == 0
         assert "agree" in capsys.readouterr().err
 

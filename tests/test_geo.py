@@ -11,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
+from isoscan import geo
 from isoscan.geo import (
     ELLIPSOID_RATIO_BAND,
-    EarthModel,
     GeoPoint,
-    WGS84,
     antipode,
     ellipsoid_distance,
     ellipsoid_distance_many,
@@ -30,7 +29,7 @@ from isoscan.multipass import BOUND_INFLATION
 from isoscan.oracle import _METRIC_ANISOTROPY
 from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR
 
-R = WGS84.radius_m
+R = geo.MEAN_RADIUS_M
 
 
 def _destination(a: GeoPoint, bearing: float, sigma: float) -> GeoPoint:
@@ -135,14 +134,15 @@ class TestEllipsoid:
         p = GeoPoint(-33.0, 151.0)
         assert ellipsoid_distance(p, p) == 0.0
 
-    def test_zero_flattening_reduces_to_sphere(self):
-        model = EarthModel(radius_m=WGS84.equatorial_radius_m, flattening=0.0)
+    def test_zero_flattening_reduces_to_sphere(self, monkeypatch):
+        monkeypatch.setattr(geo, "MEAN_RADIUS_M", geo.EQUATORIAL_RADIUS_M)
+        monkeypatch.setattr(geo, "FLATTENING", 0.0)
         rng = random.Random(7)
         for _ in range(200):
             a = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             b = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
-            e = ellipsoid_distance(a, b, model)
-            g = great_circle_distance(a, b, model)
+            e = ellipsoid_distance(a, b)
+            g = great_circle_distance(a, b)
             assert e == pytest.approx(g, rel=1e-9, abs=1e-6)
 
     def test_against_iterative_geodesic_oracle(self):
@@ -224,10 +224,14 @@ class TestEllipsoid:
         # _ELLIPSOID_PRUNE_FACTOR, the pipeline inflates great-circle
         # isolation bounds by BOUND_INFLATION, and the oracle screens
         # candidates within _METRIC_ANISOTROPY of the nearest: each is sound
-        # only while it clears the band.
+        # only while it clears the band.  The inflation keeps every bound
+        # above the final isolation (hi) and every tile closer than the final
+        # isolation assigned (hi / lo: the tile's great-circle distance can
+        # exceed its ellipsoid distance by 1 / lo).
         lo, hi = ELLIPSOID_RATIO_BAND
         assert _ELLIPSOID_PRUNE_FACTOR < lo
         assert hi < BOUND_INFLATION
+        assert hi / lo < BOUND_INFLATION
         assert hi / lo <= _METRIC_ANISOTROPY
 
 
@@ -301,12 +305,6 @@ class TestCartesian:
 
 class TestEarthModel:
     def test_defaults(self):
-        assert WGS84.radius_m == 6_371_000.0
-        assert WGS84.equatorial_radius_m == 6_378_137.0
-        assert WGS84.flattening == pytest.approx(1 / 298.257223563)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EarthModel(radius_m=-1.0)
-        with pytest.raises(ValueError):
-            EarthModel(flattening=1.5)
+        assert geo.MEAN_RADIUS_M == 6_371_000.0
+        assert geo.EQUATORIAL_RADIUS_M == 6_378_137.0
+        assert geo.FLATTENING == pytest.approx(1 / 298.257223563)

@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoscan.geo import (
+    MEAN_RADIUS_M as R,
     GeoPoint,
-    WGS84,
     antipode,
     great_circle_distance,
     great_circle_distance_many,
     wrap_longitude,
 )
 from isoscan.quad import Quadrilateral, contains, max_distance, min_distance, min_distance_many
-
-R = WGS84.radius_m
 
 
 def boundary_samples(q: Quadrilateral, per_edge: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import exact_nearest
 from isoscan import spatial_index
 from isoscan.dem import Tile
-from isoscan.geo import GeoPoint, WGS84, great_circle_distance, wrap_longitude
+from isoscan.geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_longitude
 from isoscan.multipass import area_tile_keys, tile_keys_within
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
@@ -392,7 +392,7 @@ class TestTileIndex:
         p = GeoPoint(10.25, 10.25)
         containing = [key for key, _ in entries if contains(_tile_quad(key), p)]
         _assert_superset_within_slack(_within_one(index, p, 0.0), containing, p, 0.0)
-        assert _within_one(index, p, math.pi * WGS84.radius_m) == sorted(k for k, _ in entries)
+        assert _within_one(index, p, math.pi * MEAN_RADIUS_M) == sorted(k for k, _ in entries)
 
     def test_tiles_within_matches_filter(self):
         entries = _random_tile_entries(80, seed=16)
@@ -418,7 +418,7 @@ class TestTileIndex:
             st.tuples(
                 st.floats(0.0, 1.0),
                 st.floats(-0.2, 1.2),
-                st.sampled_from([0.0, 1.0, 1e5, math.pi * WGS84.radius_m]),
+                st.sampled_from([0.0, 1.0, 1e5, math.pi * MEAN_RADIUS_M]),
             ),
             min_size=1,
             max_size=8,
