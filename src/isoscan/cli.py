@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from .dem import (
     HgtFormatError,
     Tile,
@@ -26,11 +28,13 @@ from .dem import (
 from .multipass import (
     MissingTilesError,
     PipelineStats,
+    ResultArrays,
     area_tile_keys,
     audit_pipeline,
     run_merged_sweep,
     run_pipeline,
     final_metric,
+    result_arrays,
 )
 from .oracle import SampleUniverse, brute_force_all
 from .quad import Quadrilateral
@@ -134,43 +138,51 @@ def load_area_tiles(data_dir: Path, area: Quadrilateral) -> dict[tuple[int, int]
     return tiles
 
 
-def write_csv(results: Sequence[IlpResult], stream: TextIO, min_isolation_m: float) -> int:
+def write_csv(
+    results: ResultArrays | Sequence[IlpResult], stream: TextIO, min_isolation_m: float
+) -> int:
     """Emit result rows sorted by descending isolation; returns the row count.
 
-    Peaks below the threshold are dropped; undefined isolation (the area's
-    high point) is emitted as ``-1`` with empty limit-point fields.
+    ``results`` are the peaks and answers as arrays, or ``IlpResult``
+    objects, which are converted to them.  Peaks below the threshold are
+    dropped; undefined isolation (the area's high point) is emitted as
+    ``-1`` with empty limit-point fields, after every other row.  Rows are
+    ordered by (-isolation_km, lat, lng).
     """
-    rows = []
-    for res in results:
-        if res.isolation_m is None:
-            key = (1.0, res.peak.location)
-            line = (
-                f"{res.peak.location.lat_deg:.6f},{res.peak.location.lng_deg:.6f},"
-                f"{res.peak.elevation_m},-1,,"
-            )
+    if not isinstance(results, ResultArrays):
+        results = result_arrays(results)
+    peaks, answers = results
+    iso_km = answers["distance"] / 1000.0
+    undefined = np.isnan(iso_km)
+    keep = np.flatnonzero(undefined | (answers["distance"] >= min_isolation_m))
+    order = keep[
+        np.lexsort(
+            (peaks["lng"][keep], peaks["lat"][keep], np.where(undefined, 1.0, -iso_km)[keep])
+        )
+    ]
+    rows = zip(
+        peaks["lat"][order].tolist(),
+        peaks["lng"][order].tolist(),
+        peaks["elevation"][order].tolist(),
+        iso_km[order].tolist(),
+        answers["lat"][order].tolist(),
+        answers["lng"][order].tolist(),
+    )
+    lines = [CSV_HEADER + "\n"]
+    for lat, lng, elevation, km, ilp_lat, ilp_lng in rows:
+        if km != km:  # NaN: no higher sample anywhere
+            lines.append(f"{lat:.6f},{lng:.6f},{elevation},-1,,\n")
         else:
-            if res.isolation_m < min_isolation_m:
-                continue
-            iso_km = res.isolation_m / 1000.0
-            key = (-iso_km, res.peak.location)
-            line = (
-                f"{res.peak.location.lat_deg:.6f},{res.peak.location.lng_deg:.6f},"
-                f"{res.peak.elevation_m},{iso_km:.4f},"
-                f"{res.ilp.lat_deg:.6f},{res.ilp.lng_deg:.6f}"
-            )
-        rows.append((key, line))
-    rows.sort(key=lambda r: r[0])
-    stream.write(CSV_HEADER + "\n")
-    for _key, line in rows:
-        stream.write(line + "\n")
-    return len(rows)
+            lines.append(f"{lat:.6f},{lng:.6f},{elevation},{km:.4f},{ilp_lat:.6f},{ilp_lng:.6f}\n")
+    stream.write("".join(lines))
+    return len(order)
 
 
-def _emit(results, config: RunConfig) -> int:
+def _emit(arrays: ResultArrays, config: RunConfig) -> int:
     if config.output is None:
-        return write_csv(results, sys.stdout, config.min_isolation_m)
+        return write_csv(arrays, sys.stdout, config.min_isolation_m)
     with open(config.output, "w", encoding="ascii", newline="\n") as fh:
-        return write_csv(results, fh, config.min_isolation_m)
+        return write_csv(arrays, fh, config.min_isolation_m)
 
 
 def _summary(stats: PipelineStats, io_s: float, emitted: int) -> str:
@@ -183,7 +195,7 @@ def _summary(stats: PipelineStats, io_s: float, emitted: int) -> str:
     )
 
 
-def _run_mode(config: RunConfig, tiles) -> tuple[list[IlpResult], PipelineStats]:
+def _run_mode(config: RunConfig, tiles) -> tuple[ResultArrays, PipelineStats]:
     if config.mode == "multipass":
         outcome = run_pipeline(
             config.bounds,
@@ -193,7 +205,7 @@ def _run_mode(config: RunConfig, tiles) -> tuple[list[IlpResult], PipelineStats]
             threads=config.threads,
             distance_mode=config.distance_mode,
         )
-        return outcome.results, outcome.stats
+        return outcome.arrays, outcome.stats
     if config.mode == "single-sweep":
         metric = final_metric(config.distance_mode)
         t0 = time.perf_counter()
@@ -205,7 +217,7 @@ def _run_mode(config: RunConfig, tiles) -> tuple[list[IlpResult], PipelineStats]
             peaks_kept=len(results),
             total_s=time.perf_counter() - t0,
         )
-        return results, stats
+        return result_arrays(results), stats
     raise ValueError(f"unknown mode {config.mode!r}")
 
 
@@ -234,8 +246,8 @@ def cmd_compute(args) -> int:
     if config.mode == "oracle-check":
         return _oracle_check(config, tiles, io_s)
 
-    results, stats = _run_mode(config, tiles)
-    emitted = _emit(results, config)
+    arrays, stats = _run_mode(config, tiles)
+    emitted = _emit(arrays, config)
     print(_summary(stats, io_s, emitted), file=sys.stderr)
     return 0
 

@@ -28,12 +28,18 @@ smallest home tile, and each (tile, peak) pair keeps its smallest bound.
 Pass 3 (finalization) asks a full-resolution pyramid of each tile, in one
 batched search, for the nearest strictly higher sample of every peak
 assigned to it, under the final metric; the final answer per peak is the
-closest candidate over its tiles.  Both searches count their work
-(:class:`~isoscan.spatial_index.SearchWork`) into :class:`PipelineStats`.
+closest candidate over its tiles.  In both pyramid searches most queries
+are settled by a window of samples around the peak and only the rest
+descend the pyramid; both count their work, window-settled queries
+included (:class:`~isoscan.spatial_index.SearchWork`), into
+:class:`PipelineStats`.
 
 Peaks and candidates cross between the passes, and to and from the worker
 processes, as structured numpy arrays (:data:`PEAK_DTYPE`,
-:data:`CANDIDATE_DTYPE`); ``Peak`` objects are made only for the results.
+:data:`CANDIDATE_DTYPE`), and the answers leave the pipeline as arrays too
+(:data:`ANSWER_DTYPE`), from which the CSV is written; ``Peak`` and
+``IlpResult`` objects are made only on demand, for the audit, the oracle
+check and the tests (``PipelineResult.results``).
 Bounding and finalization run tile-parallel in worker processes; results
 are merged in deterministic key order, so output is identical for any
 worker count.  The event sweep (:func:`run_merged_sweep`) is the paper's
@@ -43,6 +49,7 @@ single-sweep reference path.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +85,7 @@ __all__ = [
     "BOUND_INFLATION",
     "PEAK_DTYPE",
     "CANDIDATE_DTYPE",
+    "ANSWER_DTYPE",
     "MissingTilesError",
     "area_tile_keys",
     "tile_keys_within",
@@ -89,6 +97,9 @@ __all__ = [
     "assign_tiles",
     "finalization_pass",
     "finalize",
+    "ResultArrays",
+    "ilp_results",
+    "result_arrays",
     "final_metric",
     "run_pipeline",
     "run_merged_sweep",
@@ -118,6 +129,11 @@ PEAK_DTYPE = np.dtype(
 CANDIDATE_DTYPE = np.dtype(
     [("peak", np.int64), ("distance", np.float64), ("lat", np.float64), ("lng", np.float64)]
 )
+
+# One peak's answer: the distance to its nearest strictly higher sample and
+# that sample's location, all NaN when it has none (the search-area high
+# point).
+ANSWER_DTYPE = np.dtype([("distance", np.float64), ("lat", np.float64), ("lng", np.float64)])
 
 # Upper bounds are found as great-circle distances but the final isolation
 # is an ellipsoid distance.  Their ratio stays inside geo.ELLIPSOID_RATIO_BAND,
@@ -467,30 +483,59 @@ def finalization_pass(
     return out
 
 
-def finalize(peaks: np.ndarray, candidates: np.ndarray) -> list[IlpResult]:
+class ResultArrays(NamedTuple):
+    """Peaks and their answers: parallel :data:`PEAK_DTYPE` and
+    :data:`ANSWER_DTYPE` rows."""
+
+    peaks: np.ndarray
+    answers: np.ndarray
+
+
+def finalize(peaks: np.ndarray, candidates: np.ndarray) -> ResultArrays:
     """Pick the closest candidate per peak; no candidate means undefined.
 
-    ``peaks`` are :data:`PEAK_DTYPE` rows, one per peak, in the order of the
-    results; the ``peak`` of each :data:`CANDIDATE_DTYPE` row indexes them.
-    A peak's answer is its candidate of smallest (distance, lat, lng).
+    ``peaks`` are :data:`PEAK_DTYPE` rows, one per peak; the ``peak`` of
+    each :data:`CANDIDATE_DTYPE` row indexes them.  A peak's answer is its
+    candidate of smallest (distance, lat, lng).  Returns ``peaks`` with one
+    answer per peak.
     """
     order = np.lexsort(
         (candidates["lng"], candidates["lat"], candidates["distance"], candidates["peak"])
     )
     best = candidates[order]
     best = best[_starts(best["peak"])]
-    which = np.full(len(peaks), -1, dtype=np.intp)
-    which[best["peak"]] = np.arange(len(best))
-    answers = best[["distance", "lat", "lng"]].tolist()
+    answers = np.full(len(peaks), np.nan, dtype=ANSWER_DTYPE)
+    for field in ANSWER_DTYPE.names:
+        answers[field][best["peak"]] = best[field]
+    return ResultArrays(peaks, answers)
+
+
+def ilp_results(arrays: ResultArrays) -> list[IlpResult]:
+    """One :class:`IlpResult` per peak of ``arrays``."""
     results = []
-    for (lat, lng, elevation, home_lat, home_lng, _bound), k in zip(peaks.tolist(), which.tolist()):
+    for (lat, lng, elevation, home_lat, home_lng, _bound), (dist, ilp_lat, ilp_lng) in zip(
+        arrays.peaks.tolist(), arrays.answers.tolist()
+    ):
         peak = Peak(GeoPoint(lat, lng), elevation, (home_lat, home_lng))
-        if k < 0:
+        if math.isnan(dist):
             results.append(IlpResult(peak, None, None))
         else:
-            dist, ilp_lat, ilp_lng = answers[k]
             results.append(IlpResult(peak, GeoPoint(ilp_lat, ilp_lng), dist))
     return results
+
+
+def result_arrays(results: Sequence[IlpResult]) -> ResultArrays:
+    """The peaks (with no bound) and answers of ``results``, as arrays."""
+    nan = math.nan
+    peaks = np.array(
+        [(*r.peak.location, r.peak.elevation_m, *r.peak.home_tile, math.inf) for r in results],
+        dtype=PEAK_DTYPE,
+    )
+    answers = np.array(
+        [(nan, nan, nan) if r.ilp is None else (r.isolation_m, *r.ilp) for r in results],
+        dtype=ANSWER_DTYPE,
+    )
+    return ResultArrays(peaks, answers)
 
 
 @dataclass
@@ -506,9 +551,11 @@ class PipelineStats:
     dilation_discards: int = 0
     bounding_queries: int = 0
     # Pyramid search counts (see SearchWork), summed over tiles, per pass.
+    bounding_window_resolved: int = 0
     bounding_pairs: int = 0
     bounding_leaf_samples: int = 0
     finalization_queries: int = 0
+    finalization_window_resolved: int = 0
     finalization_pairs: int = 0
     finalization_leaf_samples: int = 0
     # Tile assignment: (peak, tile) pairs whose vector distance was computed,
@@ -528,15 +575,21 @@ class PipelineStats:
 
 @dataclass
 class PipelineResult:
-    results: list[IlpResult]
+    # The distinct peaks in location order and their answers.
+    arrays: ResultArrays
     stats: PipelineStats
     area: Quadrilateral
-    # What the two audit views below are built from, on first use: every
-    # bound found (PEAK_DTYPE rows, in the order found), and the assignment
-    # over the tiles of tile_keys.
+    # What the audit views below are built from, on first use: every bound
+    # found (PEAK_DTYPE rows, in the order found), and the assignment over
+    # the tiles of tile_keys.
     found: np.ndarray
     assignment: Assignment
     tile_keys: list[TileKey]
+
+    @cached_property
+    def results(self) -> list[IlpResult]:
+        """One :class:`IlpResult` per peak, in location order."""
+        return ilp_results(self.arrays)
 
     @cached_property
     def bounds_by_peak(self) -> dict[GeoPoint, list[float]]:
@@ -599,7 +652,8 @@ def run_pipeline(
         area: integer-degree aligned search area.
         tiles: the 1-degree tiles covering it, keyed by SW corner.
         threads: worker processes for the tile passes, at most one per
-            tile; output is identical for any value.
+            tile and one per CPU this process may run on; output is
+            identical for any value.
 
     Raises:
         MissingTilesError: a tile inside the area is unavailable.
@@ -613,8 +667,9 @@ def run_pipeline(
     if missing:
         raise MissingTilesError(missing)
 
-    # More workers than tiles would only start idle processes.
-    workers = min(threads, len(keys))
+    # More workers than tiles would only start idle processes, and more than
+    # the CPUs this process may run on would only take turns on them.
+    workers = min(threads, len(keys), len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         # Bounding pass: tile-parallel, merged in key order.
@@ -632,6 +687,7 @@ def run_pipeline(
             stats.discarded += outcome.discarded
             stats.dilation_discards += outcome.dilation_discards
             stats.bounding_queries += outcome.search.queries
+            stats.bounding_window_resolved += outcome.search.window_resolved
             stats.bounding_pairs += outcome.search.pairs
             stats.bounding_leaf_samples += outcome.search.leaf_samples
             stats.bounding_task_s += outcome.seconds
@@ -681,10 +737,11 @@ def run_pipeline(
             cands["peak"] = pair_rows[a + cands["peak"]]
             candidates.append(cands)
             stats.finalization_queries += search.queries
+            stats.finalization_window_resolved += search.window_resolved
             stats.finalization_pairs += search.pairs
             stats.finalization_leaf_samples += search.leaf_samples
             stats.finalization_task_s += seconds
-        results = finalize(peaks, np.concatenate(candidates))
+        arrays = finalize(peaks, np.concatenate(candidates))
         finalization_s = time.perf_counter() - t0
     finally:
         if pool is not None:
@@ -696,7 +753,7 @@ def run_pipeline(
     stats.finalization_s = finalization_s
     stats.total_s = time.perf_counter() - started
     return PipelineResult(
-        results=results,
+        arrays=arrays,
         stats=stats,
         area=area,
         found=found,

@@ -9,8 +9,12 @@ longer side, and the first levels are pre-built quadtree-style so the early
 finalization passes: the maximum elevation of every 8x8 block of samples,
 and a sample that attains it, max-pooled 2x2 up to one root cell, stored
 as numpy arrays per level.  It answers a whole tile's queries for the
-nearest strictly higher sample in one level-synchronous descent over
-(query, cell) pair arrays.
+nearest strictly higher sample in two vectorised stages.  Most answers lie
+a few samples from their query, so a window of samples around each query
+inside the grid comes first; the query is settled there when the metric's
+bound on the rest of the grid is beyond the window's best.  The other
+queries, and those outside the grid, go to a level-synchronous descent
+over (query, cell) pair arrays that starts from the window's best.
 
 ``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
 and maximum elevations).  It answers, for arrays of points at once, the
@@ -81,7 +85,11 @@ _MIN_SPLIT_SPAN_DEG = 1.0 / 3600.0
 # Samples per side of an ElevationPyramid leaf block.
 _LEAF_SIDE = 8
 
-# Queries per batched pyramid descent: bounds the (query, cell) pair arrays
+# Half-width, in samples, of the window around each query's nearest sample
+# that ElevationPyramid.nearest_higher_many searches before the descent.
+_WINDOW_HALF = 3
+
+# Queries per batched pyramid search: bounds the (query, cell) pair arrays
 # when queries with loose upper bounds fan out.
 _QUERY_CHUNK = 256
 
@@ -465,14 +473,16 @@ def _within_slack(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 class SearchWork:
     """Work counts of a batched search, summed over calls.
 
-    For :meth:`ElevationPyramid.nearest_higher_many`, ``pairs`` counts the
-    (query, cell) pairs that survive pruning, over all levels, and
-    ``leaf_samples`` the samples whose distance was computed.  For
-    :meth:`TileIndex.tiles_within`, ``pairs`` counts the (query, tile)
-    pairs whose vector distance was computed.
+    For :meth:`ElevationPyramid.nearest_higher_many`, ``window_resolved``
+    counts the queries its window stage answers; of the others, ``pairs``
+    counts the (query, cell) pairs of the descent that survive pruning, over
+    all levels, and ``leaf_samples`` the leaf-block samples whose distance
+    was computed.  For :meth:`TileIndex.tiles_within`, ``pairs`` counts the
+    (query, tile) pairs whose vector distance was computed.
     """
 
     queries: int = 0
+    window_resolved: int = 0
     pairs: int = 0
     leaf_samples: int = 0
 
@@ -521,6 +531,9 @@ def _pool(values: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray, np.nda
 # offsets of a leaf block's samples, in row-major order.
 _CHILD_ROWS, _CHILD_COLS = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 _LEAF_ROWS, _LEAF_COLS = np.divmod(np.arange(_LEAF_SIDE * _LEAF_SIDE), _LEAF_SIDE)
+# The (row, col) offsets of a window's samples from its centre.
+_WINDOW_ROWS, _WINDOW_COLS = np.divmod(np.arange((2 * _WINDOW_HALF + 1) ** 2), 2 * _WINDOW_HALF + 1)
+_WINDOW_ROWS, _WINDOW_COLS = _WINDOW_ROWS - _WINDOW_HALF, _WINDOW_COLS - _WINDOW_HALF
 
 
 class ElevationPyramid:
@@ -539,6 +552,7 @@ class ElevationPyramid:
         self._elevations = tile.elevations
         self._lats = tile.sample_lats()
         self._lngs = tile.sample_lngs()
+        self._steps_per_degree = tile.steps_per_degree
         rows, cols = tile.shape
         maxima, arg_rows, arg_cols = _pool(tile.elevations, _LEAF_SIDE)
         self.levels: list[_Level] = []
@@ -568,19 +582,24 @@ class ElevationPyramid:
     ) -> list[Optional[tuple[GeoPoint, float]]]:
         """Nearest sample strictly higher than each query's elevation.
 
-        A level-synchronous branch and bound over (query, cell) pair
-        arrays, :data:`_QUERY_CHUNK` queries at a time.  At each level every
-        pair expands to the children whose maximum is strictly above its
-        query's elevation; a child is pruned when the metric's vector
-        quadrilateral bound (``lower_bound_many``) exceeds the query's
-        smallest upper bound.  A cell's upper bound is the distance to its
-        stored maximum sample, which is strictly higher than the query, so
-        it is sound under every metric.  The leaves' strictly higher samples
-        are screened with the vector distance and the near-minimal ones
-        re-ranked with the scalar one, ties broken by ascending (lat, lng),
-        so each answer is bit-identical to a scalar scan.  Queries may lie
-        outside the tile.  ``work``, if given, accumulates the search's
-        counts.
+        Two stages, :data:`_QUERY_CHUNK` queries at a time.  The window
+        stage (:meth:`_window`) answers a query inside the grid from the
+        samples within :data:`_WINDOW_HALF` rows and columns of its nearest
+        sample when one of them is strictly higher and every sample outside
+        the window is provably farther.  The other queries, and all queries
+        outside the grid, go to a level-synchronous branch and bound over
+        (query, cell) pair arrays (:meth:`_descend`), starting from the
+        window's best distance.  At each level every pair expands to the
+        children whose maximum is strictly above its query's elevation; a
+        child is pruned when the metric's vector quadrilateral bound
+        (``lower_bound_many``) exceeds the query's smallest upper bound.  A
+        cell's upper bound is the distance to its stored maximum sample,
+        which is strictly higher than the query, so it is sound under every
+        metric.  Both stages screen strictly higher samples with the vector
+        distance and re-rank the near-minimal ones with the scalar one, ties
+        broken by ascending (lat, lng), so each answer is bit-identical to a
+        scalar scan.  Queries may lie outside the tile.  ``work``, if given,
+        accumulates the search's counts.
 
         Returns:
             One (sample, distance) per query, or None when no sample is
@@ -594,17 +613,89 @@ class ElevationPyramid:
         lngs = np.asarray(lngs, dtype=np.float64)
         elevations = np.asarray(elevations)
         work = SearchWork() if work is None else work
+        work.queries += len(lats)
         found: list[Optional[tuple[GeoPoint, float]]] = []
+        best = np.empty(len(lats))
         for start in range(0, len(lats), _QUERY_CHUNK):
             part = slice(start, start + _QUERY_CHUNK)
-            found.extend(self._descend(lats[part], lngs[part], elevations[part], metric, work))
+            hits, best[part] = self._window(lats[part], lngs[part], elevations[part], metric)
+            found.extend(hits)
+        pending = np.array([k for k, hit in enumerate(found) if hit is None], dtype=np.intp)
+        work.window_resolved += len(found) - len(pending)
+        for start in range(0, len(pending), _QUERY_CHUNK):
+            part = pending[start : start + _QUERY_CHUNK]
+            hits = self._descend(lats[part], lngs[part], elevations[part], best[part], metric, work)
+            for k, hit in zip(part.tolist(), hits):
+                found[k] = hit
         return found
 
-    def _descend(self, p_lats, p_lngs, elevations, metric, work):
-        """Descend the pyramid with one chunk of queries, down to the leaf blocks."""
+    def _window(self, p_lats, p_lngs, elevations, metric):
+        """Answers of one chunk of queries from the window around each one's nearest sample.
+
+        A query inside the grid is answered when its window holds a strictly
+        higher sample and the metric's bound on the at most four strips of
+        the grid outside the window is beyond the window's best distance by
+        more than the slack.  Returns the answers (None where the window
+        does not settle the query) and each query's best vector distance in
+        its window (inf where it has no higher sample or lies outside the
+        grid), an upper bound for the descent.
+        """
         n = len(p_lats)
-        work.queries += n
-        best = np.full(n, np.inf)  # each query's smallest upper bound so far
+        lats, lngs = self._lats, self._lngs
+        inside = (lats[-1] <= p_lats) & (p_lats <= lats[0])  # row 0 is north
+        inside &= (lngs[0] <= p_lngs) & (p_lngs <= lngs[-1])
+        q = np.flatnonzero(inside)
+        if not len(q):
+            return [None] * n, np.full(n, np.inf)
+        grid_rows, grid_cols = self._elevations.shape
+        steps = self._steps_per_degree
+        centre_rows = np.clip(np.rint((lats[0] - p_lats[q]) * steps), 0, grid_rows - 1)
+        centre_cols = np.clip(np.rint((p_lngs[q] - lngs[0]) * steps), 0, grid_cols - 1)
+        centre_rows, centre_cols = centre_rows.astype(np.intp), centre_cols.astype(np.intp)
+        rows = (centre_rows[:, None] + _WINDOW_ROWS).ravel()
+        cols = (centre_cols[:, None] + _WINDOW_COLS).ravel()
+        k, near_lats, near_lngs, dists, best = self._higher_samples(
+            np.repeat(q, len(_WINDOW_ROWS)), rows, cols, p_lats, p_lngs, elevations, metric
+        )
+
+        # Bound the grid outside each window that holds a higher sample: the
+        # full-width strips north and south of it, and the strips west and
+        # east of it across its rows, where they exist.
+        q, centre_rows, centre_cols = _select(np.isfinite(best[q]), q, centre_rows, centre_cols)
+        top = np.maximum(centre_rows - _WINDOW_HALF, 0)
+        bottom = np.minimum(centre_rows + _WINDOW_HALF, grid_rows - 1)
+        left = np.maximum(centre_cols - _WINDOW_HALF, 0)
+        right = np.minimum(centre_cols + _WINDOW_HALF, grid_cols - 1)
+        north, south = np.zeros_like(top), np.full_like(top, grid_rows - 1)
+        west, east = np.zeros_like(left), np.full_like(left, grid_cols - 1)
+        strips = (  # (exists, first row, last row, first column, last column)
+            (top > north, north, top - 1, west, east),
+            (bottom < south, bottom + 1, south, west, east),
+            (left > west, top, bottom, west, left - 1),
+            (right < east, top, bottom, right + 1, east),
+        )
+        outside = np.full(len(q), np.inf)
+        for exists, r0, r1, c0, c1 in strips:
+            s, r0, r1, c0, c1 = _select(exists, np.arange(len(q)), r0, r1, c0, c1)
+            p_lat, p_lng = p_lats[q[s]], p_lngs[q[s]]
+            lb = metric.lower_bound_many(lats[r1], lats[r0], lngs[c0], lngs[c1], p_lat, p_lng)
+            _check_finite("bound", lb, p_lat, p_lng)
+            outside[s] = np.minimum(outside[s], lb)
+        resolved = np.zeros(n, dtype=bool)
+        resolved[q] = ~_within_slack(outside, best[q])
+        keep = resolved[k]
+        found = _rerank(
+            k[keep], near_lats[keep], near_lngs[keep], dists[keep], best, p_lats, p_lngs, metric
+        )
+        return found, best
+
+    def _descend(self, p_lats, p_lngs, elevations, best, metric, work):
+        """Descend the pyramid with one chunk of queries, down to the leaf blocks.
+
+        ``best`` holds an upper bound on each query's answer (inf for none).
+        """
+        n = len(p_lats)
+        best = best.copy()  # each query's smallest upper bound so far
         # Every query starts at a virtual cell whose child (0, 0) is the root.
         q = np.arange(n)
         i = j = np.zeros(n, dtype=np.intp)
@@ -633,38 +724,57 @@ class ElevationPyramid:
 
     def _scan_leaves(self, q, i, j, p_lats, p_lngs, elevations, metric, work):
         """Answers from the strictly higher samples of each pair's leaf block."""
-        n = len(p_lats)
-        q = np.repeat(q, len(_LEAF_ROWS))
         rows = (i[:, None] * _LEAF_SIDE + _LEAF_ROWS).ravel()
         cols = (j[:, None] * _LEAF_SIDE + _LEAF_COLS).ravel()
+        q, lats, lngs, dists, lowest = self._higher_samples(
+            np.repeat(q, len(_LEAF_ROWS)), rows, cols, p_lats, p_lngs, elevations, metric
+        )
+        work.leaf_samples += len(dists)
+        return _rerank(q, lats, lngs, dists, lowest, p_lats, p_lngs, metric)
+
+    def _higher_samples(self, q, rows, cols, p_lats, p_lngs, elevations, metric):
+        """The samples (``rows``, ``cols``) inside the grid and strictly higher than
+        their query ``q``: their queries, coordinates and vector distances, and
+        each query's smallest such distance (inf for none)."""
         grid_rows, grid_cols = self._elevations.shape
-        q, rows, cols = _select((rows < grid_rows) & (cols < grid_cols), q, rows, cols)
+        in_grid = (0 <= rows) & (rows < grid_rows) & (0 <= cols) & (cols < grid_cols)
+        q, rows, cols = _select(in_grid, q, rows, cols)
         q, rows, cols = _select(self._elevations[rows, cols] > elevations[q], q, rows, cols)
         lats, lngs = self._lats[rows], self._lngs[cols]
         p_lat, p_lng = p_lats[q], p_lngs[q]
         dists = metric.distance_many(lats, lngs, p_lat, p_lng)
         _check_finite("distance", dists, p_lat, p_lng)
-        work.leaf_samples += len(dists)
-        lowest = np.full(n, np.inf)
+        lowest = np.full(len(p_lats), np.inf)
         np.minimum.at(lowest, q, dists)
-        near = np.flatnonzero(_within_slack(dists, lowest[q]))
+        return q, lats, lngs, dists, lowest
 
-        found: list[Optional[tuple[GeoPoint, float]]] = [None] * n
-        distance = metric.distance
-        isfinite = math.isfinite
-        query_lats, query_lngs = p_lats.tolist(), p_lngs.tolist()
-        current, p = -1, None
-        for k, lat, lng in zip(q[near].tolist(), lats[near].tolist(), lngs[near].tolist()):
-            if k != current:
-                current, p = k, GeoPoint(query_lats[k], query_lngs[k])
-            pt = GeoPoint(lat, lng)
-            d = distance(p, pt)
-            if not isfinite(d):
-                raise _non_finite("distance", d, p)
-            cur = found[k]
-            if cur is None or d < cur[1] or (d == cur[1] and pt < cur[0]):
-                found[k] = (pt, d)
-        return found
+
+def _rerank(q, lats, lngs, dists, lowest, p_lats, p_lngs, metric):
+    """Per query, the nearest of its samples by the scalar distance.
+
+    Entry k is a sample (``lats[k]``, ``lngs[k]``) of query ``q[k]`` at
+    vector distance ``dists[k]``; ``lowest`` is each query's smallest vector
+    distance.  Only the samples within the slack of it are re-ranked, with
+    the scalar distance and then ascending (lat, lng).  Returns one
+    (sample, distance) per query, None for a query with no sample.
+    """
+    near = np.flatnonzero(_within_slack(dists, lowest[q]))
+    found: list[Optional[tuple[GeoPoint, float]]] = [None] * len(p_lats)
+    distance = metric.distance
+    isfinite = math.isfinite
+    query_lats, query_lngs = p_lats.tolist(), p_lngs.tolist()
+    current, p = -1, None
+    for k, lat, lng in zip(q[near].tolist(), lats[near].tolist(), lngs[near].tolist()):
+        if k != current:
+            current, p = k, GeoPoint(query_lats[k], query_lngs[k])
+        pt = GeoPoint(lat, lng)
+        d = distance(p, pt)
+        if not isfinite(d):
+            raise _non_finite("distance", d, p)
+        cur = found[k]
+        if cur is None or d < cur[1] or (d == cur[1] and pt < cur[0]):
+            found[k] = (pt, d)
+    return found
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

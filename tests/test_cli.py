@@ -277,3 +277,30 @@ class TestWriteCsv:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "45.123457,7.100000,2000,12.3457,45.200000,7.200000"
         assert lines[2] == "45.900000,7.900000,3000,-1,,"
+
+    def test_order_is_isolation_then_location_with_the_high_point_last(self):
+        def result(lat, lng, isolation_m):
+            ilp = None if isolation_m is None else GeoPoint(lat + 0.1, lng)
+            return IlpResult(Peak(GeoPoint(lat, lng), 100, (45, 7)), ilp, isolation_m)
+
+        results = [
+            result(45.5, 7.2, 2000.0),
+            result(45.1, 7.9, None),
+            result(45.5, 7.1, 2000.0),
+            result(45.2, 7.3, 0.0),
+            result(45.3, 7.3, 3000.0),
+            result(45.4, 7.3, 2000.0),
+        ]
+        import io
+
+        buf = io.StringIO()
+        assert write_csv(results, buf, min_isolation_m=0.0) == 6
+        located = [tuple(line.split(",")[:2]) for line in buf.getvalue().splitlines()[1:]]
+        assert located == [
+            ("45.300000", "7.300000"),
+            ("45.400000", "7.300000"),
+            ("45.500000", "7.100000"),
+            ("45.500000", "7.200000"),
+            ("45.200000", "7.300000"),
+            ("45.100000", "7.900000"),
+        ]

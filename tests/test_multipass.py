@@ -33,6 +33,7 @@ from isoscan.multipass import (
     finalization_pass,
     finalize,
     highpoint_pass,
+    ilp_results,
     peak_rows,
     run_merged_sweep,
     run_pipeline,
@@ -194,13 +195,22 @@ class TestDilationDiscard:
         # In one tile every kept peak but the high point gets one candidate.
         candidates = sum(1 for r in outcome.results if r.ilp is not None)
         assert stats.finalization_queries == candidates > 0
-        # A query with a higher sample keeps at least one pair per level and
-        # computes at least one leaf distance; the deferred peaks have none.
+        # A query with a higher sample that its window does not settle keeps
+        # at least one pair per level of the descent and computes at least
+        # one leaf distance; the deferred peaks have none.
         answered = stats.bounding_queries - stats.deferred
-        assert stats.bounding_pairs >= answered and stats.bounding_leaf_samples >= answered
+        descended = answered - stats.bounding_window_resolved
+        assert stats.bounding_pairs >= descended and stats.bounding_leaf_samples >= descended
         levels = len(ElevationPyramid(tiles[(45, 7)]).levels)
-        assert stats.finalization_pairs >= candidates * levels
-        assert stats.finalization_leaf_samples >= candidates
+        descended = candidates - stats.finalization_window_resolved
+        assert stats.finalization_pairs >= descended * levels
+        assert stats.finalization_leaf_samples >= descended
+
+    def test_window_resolves_queries_of_both_passes(self):
+        area, tiles = world(2, 2, seed=69, n=121)
+        stats = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1).stats
+        assert 0 < stats.bounding_window_resolved <= stats.bounding_queries
+        assert 0 < stats.finalization_window_resolved <= stats.finalization_queries
 
 
 class TestHighpointPass:
@@ -281,19 +291,20 @@ class TestFinalize:
     def test_single_candidate(self):
         peak, peaks = one_peak(49)
         ilp = GeoPoint(45.5, 7.5)
-        results = finalize(peaks, np.array([(0, 123.0, 45.5, 7.5)], dtype=CANDIDATE_DTYPE))
-        assert results == [IlpResult(peak, ilp, 123.0)]
+        arrays = finalize(peaks, np.array([(0, 123.0, 45.5, 7.5)], dtype=CANDIDATE_DTYPE))
+        assert ilp_results(arrays) == [IlpResult(peak, ilp, 123.0)]
 
     def test_tie_breaks_by_lat_lng(self):
         _peak, peaks = one_peak(50)
         cands = np.array([(0, 99.0, 45.5, 7.5), (0, 99.0, 45.5, 7.25)], dtype=CANDIDATE_DTYPE)
-        results = finalize(peaks, cands)
-        assert results[0].ilp == GeoPoint(45.5, 7.25)
+        answers = finalize(peaks, cands).answers
+        assert answers[["distance", "lat", "lng"]].tolist() == [(99.0, 45.5, 7.25)]
 
     def test_no_candidates_is_undefined(self):
         _peak, peaks = one_peak(51)
-        results = finalize(peaks, np.empty(0, dtype=CANDIDATE_DTYPE))
-        assert results[0].isolation_m is None
+        arrays = finalize(peaks, np.empty(0, dtype=CANDIDATE_DTYPE))
+        assert np.isnan(arrays.answers["distance"]).all()
+        assert ilp_results(arrays)[0].isolation_m is None
 
 
 class TestAssignTiles:
@@ -348,6 +359,30 @@ class TestTileKeysWithin:
     def test_area_must_be_integer_aligned(self):
         with pytest.raises(ValueError):
             area_tile_keys(Quadrilateral(40.5, 41.5, 0, 1))
+
+
+def inline_pool(monkeypatch, cpus: int) -> list:
+    """Stub the pipeline's pool and the CPUs the process may use.
+
+    The stub records the pool size it is asked for and runs the tasks in
+    this process, so no worker process is ever started.  Returns the list
+    of recorded sizes.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(multipass, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(multipass.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return sizes
 
 
 class TestRunPipeline:
@@ -407,22 +442,18 @@ class TestRunPipeline:
         "rows, cols, threads, workers", [(1, 1, 8, None), (2, 1, 8, 2), (2, 2, 3, 3)]
     )
     def test_at_most_one_worker_per_tile(self, monkeypatch, rows, cols, threads, workers):
-        # The stub records the pool size and runs tasks in this process, so
-        # no worker process is ever started.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(multipass, "ProcessPoolExecutor", InlinePool)
+        # The process may use 64 CPUs, so they do not cap the pool.
+        sizes = inline_pool(monkeypatch, cpus=64)
         area, tiles = world(rows, cols, seed=61, n=21)
+        pooled = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=threads)
+        assert sizes == ([] if workers is None else [workers])
+        serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)
+        assert pooled.results == serial.results
+
+    @pytest.mark.parametrize("cpus, threads, workers", [(1, 8, None), (3, 8, 3), (3, 2, 2)])
+    def test_at_most_one_worker_per_usable_cpu(self, monkeypatch, cpus, threads, workers):
+        sizes = inline_pool(monkeypatch, cpus=cpus)
+        area, tiles = world(2, 2, seed=61, n=21)
         pooled = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=threads)
         assert sizes == ([] if workers is None else [workers])
         serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)

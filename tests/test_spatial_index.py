@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_nearest
 from isoscan import spatial_index
-from isoscan.dem import Tile
+from isoscan.dem import Tile, downsample
 from isoscan.geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_longitude
 from isoscan.multipass import area_tile_keys, tile_keys_within
 from isoscan.quad import Quadrilateral, contains, min_distance
@@ -616,3 +616,110 @@ class TestElevationPyramid:
         word = "bound" if method == "lower_bound_many" else "distance"
         with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
             pyramid.nearest_higher_many([45.6, 45.5], [7.4, 7.5], [50, 10], Broken())
+
+
+K = spatial_index._WINDOW_HALF
+
+
+def sample_queries(tile, cells):
+    """(point, elevation) queries at the tile's samples (row, col) of ``cells``."""
+    return [(tile.sample_point(i, j), int(tile.elevations[i, j])) for i, j in cells]
+
+
+class TestPyramidWindow:
+    @pytest.mark.parametrize("outside", [(K + 1, 0), (-K - 1, 0), (0, K + 1), (0, -K - 1)])
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_closer_sample_just_outside_the_window_wins(self, metric, outside):
+        # The grid is the query's window and one more row or column on the
+        # side of ``outside``, so that strip alone bounds the samples outside
+        # the window.  Near the equator a row and a column step are about
+        # the same length, so the sample K + 1 steps away along a column or
+        # a row is closer than the window's corner sample (K, K).
+        dr, dc = outside
+        grid = np.zeros((2 * K + 1 + (dr != 0), 2 * K + 1 + (dc != 0)), dtype=np.int16)
+        i, j = K + (dr < 0), K + (dc < 0)
+        grid[i, j] = 10
+        grid[i + K, j + K] = grid[i + dr, j + dc] = 20
+        tile = Tile(-K, 10, grid, 1)
+        queries = sample_queries(tile, [(i, j)])
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert found[0][0] == tile.sample_point(i + dr, j + dc)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        assert work.window_resolved == 0
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_close_sample_is_resolved_in_the_window(self, metric):
+        grid = np.zeros((41, 41), dtype=np.int16)
+        grid[20, 20] = 10
+        grid[21, 21] = grid[20 + K + 1, 20] = 20
+        tile = Tile(0, 10, grid, 40)
+        queries = sample_queries(tile, [(20, 20)])
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert found[0][0] == tile.sample_point(21, 21)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        assert work.window_resolved == 1 and work.pairs == work.leaf_samples == 0
+
+    @pytest.mark.parametrize("origin", [(45, 7), (-90, 20), (89, -180), (-1, 179)])
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_windows_clipped_at_corners_and_edges(self, metric, origin):
+        rows = cols = 33
+        grid = np.random.default_rng(rows).integers(0, 30, size=(rows, cols)).astype(np.int16)
+        tile = Tile(*origin, grid, 32)
+        last, mid = rows - 1, rows // 2
+        cells = [(0, 0), (0, last), (last, 0), (last, last)]
+        cells += [(0, mid), (mid, 0), (last, mid), (mid, last), (1, 1), (last - 2, 2)]
+        for i, j in cells:  # a higher sample next to each query
+            grid[i, j] = 20
+            grid[min(i + 1, last), min(j + 1, last)] = 25
+        queries = sample_queries(tile, cells)
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        assert work.window_resolved > 0
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_grid_smaller_than_the_window(self, metric):
+        grid = np.random.default_rng(5).integers(0, 9, size=(5, 5)).astype(np.int16)
+        tile = Tile(45, 7, grid, 4)
+        queries = sample_queries(tile, [(i, j) for i in range(5) for j in range(5)])
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        # The window covers the whole grid: every query with a higher sample
+        # is settled there.
+        assert work.window_resolved == sum(hit is not None for hit in found) > 0
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_off_grid_queries_on_a_strided_pyramid(self, metric):
+        grid = np.random.default_rng(12).integers(0, 40, size=(121, 121)).astype(np.int16)
+        tile = Tile(45, 7, grid, 120)
+        strided = downsample(tile, 2)
+        rng = np.random.default_rng(13)
+        # Full-resolution samples off the strided grid, and points between samples.
+        cells = [(2 * i + 1, 2 * j + 1) for i, j in rng.integers(0, 60, size=(40, 2))]
+        queries = sample_queries(tile, cells)
+        queries += [
+            (GeoPoint(float(lat), float(lng)), int(e))
+            for lat, lng, e in zip(
+                rng.uniform(45, 46, 40), rng.uniform(7, 8, 40), rng.integers(0, 40, 40)
+            )
+        ]
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(strided), queries, metric, work)
+        assert_matches_linear_scan(strided, queries, found, metric)
+        assert work.window_resolved > 0
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_queries_outside_the_grid_skip_the_window(self, metric):
+        # A small grid with a higher sample everywhere: a window around any
+        # of these points would settle it.
+        grid = np.full((5, 5), 20, dtype=np.int16)
+        tile = Tile(45, 7, grid, 4)
+        points = [(44.999, 7.5), (46.001, 7.5), (45.5, 6.999), (45.5, 8.001), (44.9, 8.1)]
+        queries = [(GeoPoint(lat, lng), 10) for lat, lng in points]
+        work = SearchWork()
+        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        assert_matches_linear_scan(tile, queries, found, metric)
+        assert work.window_resolved == 0 and work.queries == len(queries)
