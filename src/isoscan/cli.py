@@ -31,6 +31,8 @@ from .multipass import (
     ResultArrays,
     area_tile_keys,
     audit_pipeline,
+    count_qualifying,
+    qualifying,
     run_merged_sweep,
     run_pipeline,
     final_metric,
@@ -52,7 +54,6 @@ class RunConfig:
     bounds: Quadrilateral
     min_isolation_m: float = 1000.0
     threads: int = 1
-    stride: int = 2
     distance_mode: str = "staged"
     mode: str = "multipass"
     output: Optional[Path] = None
@@ -80,7 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--min-isolation-km", type=float, default=1.0)
     compute.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    compute.add_argument("--stride", type=int, default=2)
+    compute.add_argument(
+        "--stride",
+        type=int,
+        default=2,
+        help="accepted so existing command lines still run; values >= 1 have no effect",
+    )
     compute.add_argument(
         "--distance-mode", choices=["staged", "great-circle-only"], default="staged"
     )
@@ -111,12 +117,13 @@ def _config_from_args(args) -> RunConfig:
     # both would quietly emit every peak.
     if not args.min_isolation_km >= 0.0:
         raise ValueError(f"--min-isolation-km must be >= 0, got {args.min_isolation_km}")
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     return RunConfig(
         data_dir=args.data_dir,
         bounds=Quadrilateral(lat_min, lat_max, lng_min, lng_max),
         min_isolation_m=args.min_isolation_km * 1000.0,
         threads=max(1, args.threads),
-        stride=args.stride,
         distance_mode=args.distance_mode,
         mode=args.mode,
         output=args.output,
@@ -200,7 +207,6 @@ def _run_mode(config: RunConfig, tiles) -> tuple[ResultArrays, PipelineStats]:
         outcome = run_pipeline(
             config.bounds,
             tiles,
-            stride=config.stride,
             i_min=config.min_isolation_m,
             threads=config.threads,
             distance_mode=config.distance_mode,
@@ -213,7 +219,7 @@ def _run_mode(config: RunConfig, tiles) -> tuple[ResultArrays, PipelineStats]:
         stats = PipelineStats(
             tiles=len(tiles),
             samples=sum(t.shape[0] * t.shape[1] for t in tiles.values()),
-            peaks_found=len(results),
+            peaks_found=count_qualifying(qualifying(t) for t in tiles.values()),
             peaks_kept=len(results),
             total_s=time.perf_counter() - t0,
         )
@@ -258,7 +264,6 @@ def _oracle_check(config: RunConfig, tiles, io_s: float) -> int:
     outcome = run_pipeline(
         config.bounds,
         tiles,
-        stride=config.stride,
         i_min=0.0,
         threads=config.threads,
         distance_mode=config.distance_mode,

@@ -37,6 +37,7 @@ __all__ = [
     "parse_hgt_filename",
     "load_hgt",
     "save_hgt",
+    "qualifying_samples",
     "detect_peaks",
     "detect_peaks_deduped",
     "build_events",
@@ -182,10 +183,9 @@ class Peak:
 class PeakCells(Sequence):
     """One tile's peaks as (row, col) index arrays, in (row, col) order.
 
-    The arrays are what the bounding pass reads.  Indexing or iterating
+    The arrays are all the bounding pass reads.  Indexing or iterating
     makes the :class:`Peak` of a cell, located by ``Tile.sample_point``: the
-    reference path and the tests take their peaks this way, and the
-    bounding pass does so only for the peaks it queries.
+    reference path and the tests take their peaks this way.
     """
 
     __slots__ = ("tile", "rows", "cols")
@@ -298,61 +298,92 @@ def _lowest_nesw_grid(elev: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_peaks(tile: Tile) -> PeakCells:
+def qualifying_samples(tile: Tile) -> np.ndarray:
+    """Mask of the samples with no strictly higher one among their eight neighbors.
+
+    Neighbors outside the grid are treated as absent.  A sample qualifies
+    exactly when the maximum over its clamped 3x3 neighborhood is its own
+    elevation.
+    """
+    elev = tile.elevations
+    padded = np.pad(elev, 1, constant_values=np.iinfo(elev.dtype).min)
+    across = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    around = np.maximum(np.maximum(across[:-2], across[1:-1]), across[2:])
+    return around == elev
+
+
+_NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+
+
+def detect_peaks(tile: Tile, dominated: Optional[np.ndarray] = None) -> PeakCells:
     """Samples with all eight neighbors of lower or equal elevation.
 
     Neighbors outside the grid are treated as absent, so boundary samples
-    qualify on their existing neighbors alone.  A connected flat region of
-    equal elevation yields exactly one representative: the first qualifying
-    sample in (row, col) scan order, i.e. the NW-most, then W-most one.
-    Results are ordered by (row, col).
+    qualify on their existing neighbors alone (:func:`qualifying_samples`).
+    A connected flat region of equal elevation yields exactly one
+    representative: the first qualifying sample in (row, col) scan order,
+    i.e. the NW-most, then W-most one.  Results are ordered by (row, col).
+
+    ``dominated``, a mask over the grid, leaves out the peaks on it: a flat
+    region is walked only from a qualifying sample off the mask, and its
+    representative is then kept only if it is off the mask too.  The result
+    is the unmasked one less the peaks on the mask, but a flat region that
+    the mask covers at every qualifying sample is never walked.
     """
-    elev = tile.elevations.astype(np.int32)
+    elev = tile.elevations
     rows, cols = elev.shape
-    padded = np.full((rows + 2, cols + 2), np.int32(-(2**30)), dtype=np.int32)
-    padded[1:-1, 1:-1] = elev
-    qualifies = np.ones((rows, cols), dtype=bool)
-    has_equal = np.zeros((rows, cols), dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            nb = padded[1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols]
-            qualifies &= nb <= elev
-            has_equal |= nb == elev
+    qualifies = qualifying_samples(tile)
+    q_rows, q_cols = np.nonzero(qualifies if dominated is None else qualifies & ~dominated)
+    # A qualifying sample is flat when one of its neighbors is as high.
+    level = elev[q_rows, q_cols]
+    flat = np.zeros(len(q_rows), dtype=bool)
+    for di, dj in _NEIGHBORS:
+        n_rows, n_cols = q_rows + di, q_cols + dj
+        inside = (n_rows >= 0) & (n_rows < rows) & (n_cols >= 0) & (n_cols < cols)
+        flat |= inside & (elev[n_rows.clip(0, rows - 1), n_cols.clip(0, cols - 1)] == level)
 
-    strict_rows, strict_cols = np.nonzero(qualifies & ~has_equal)
+    # Flat summits: walk each equal-elevation component holding a flat
+    # qualifying sample and keep its representative.
     flat_reps: list[tuple[int, int]] = []
-
-    # Flat summits: walk the whole equal-elevation component (through
-    # members that abut higher ground) and keep one qualifying representative.
-    visited = np.zeros((rows, cols), dtype=bool)
-    flat = qualifies & has_equal
-    for i, j in zip(*np.nonzero(flat)):
-        if visited[i, j]:
-            continue
-        level = elev[i, j]
-        rep = (int(i), int(j))
-        stack = [(int(i), int(j))]
-        visited[i, j] = True
-        while stack:
-            ci, cj = stack.pop()
-            if flat[ci, cj] and (ci, cj) < rep:
-                rep = (ci, cj)
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ni, nj = ci + di, cj + dj
-                    if 0 <= ni < rows and 0 <= nj < cols and not visited[ni, nj]:
-                        if elev[ni, nj] == level:
-                            visited[ni, nj] = True
-                            stack.append((ni, nj))
-        flat_reps.append(rep)
-
+    visited = np.zeros(elev.shape, dtype=bool)
+    for i, j in zip(q_rows[flat].tolist(), q_cols[flat].tolist()):
+        if not visited[i, j]:
+            flat_reps.append(_flat_summit(elev, qualifies, visited, i, j))
     flat_rows, flat_cols = np.array(flat_reps, dtype=np.intp).reshape(-1, 2).T
-    peak_rows = np.concatenate([strict_rows, flat_rows])
-    peak_cols = np.concatenate([strict_cols, flat_cols])
+    if dominated is not None:
+        off = ~dominated[flat_rows, flat_cols]
+        flat_rows, flat_cols = flat_rows[off], flat_cols[off]
+
+    peak_rows = np.concatenate([q_rows[~flat], flat_rows])
+    peak_cols = np.concatenate([q_cols[~flat], flat_cols])
     order = np.lexsort((peak_cols, peak_rows))
     return PeakCells(tile, peak_rows[order], peak_cols[order])
+
+
+def _flat_summit(
+    elev: np.ndarray, qualifies: np.ndarray, visited: np.ndarray, i: int, j: int
+) -> tuple[int, int]:
+    """Walk the equal-elevation component of (``i``, ``j``), marking it visited.
+
+    The walk goes through members that abut higher ground too; returns the
+    component's first qualifying member in (row, col) order.
+    """
+    rows, cols = elev.shape
+    level = elev[i, j]
+    rep = (i, j)
+    stack = [(i, j)]
+    visited[i, j] = True
+    while stack:
+        ci, cj = stack.pop()
+        if qualifies[ci, cj] and (ci, cj) < rep:
+            rep = (ci, cj)
+        for di, dj in _NEIGHBORS:
+            ni, nj = ci + di, cj + dj
+            if 0 <= ni < rows and 0 <= nj < cols and not visited[ni, nj]:
+                if elev[ni, nj] == level:
+                    visited[ni, nj] = True
+                    stack.append((ni, nj))
+    return rep
 
 
 def detect_peaks_deduped(tiles: Iterable[Tile]) -> list[Peak]:

@@ -1,18 +1,20 @@
 """Scalable three-pass isolation pipeline over tiles.
 
-Pass 1 (bounding) detects each tile's peaks at full resolution as (row,
-col) arrays.  A grey-scale dilation of the tile's grid, by a footprint of a
+Pass 1 (bounding) settles each peak inside its own tile first, at full
+resolution.  A grey-scale dilation of the tile's grid, by a footprint of a
 few rectangles of samples all closer than r = i_min / BOUND_INFLATION,
-discards every peak with a strictly higher sample that close: its
-isolation is below the minimum-isolation threshold, so its row could never
-be emitted.  The surviving peaks ask an
-:class:`~isoscan.spatial_index.ElevationPyramid` over the down-sampled
-grid, in one batched search per tile, for their nearest strictly higher
-samples under the planar metric; the great-circle distance to each,
-inflated by BOUND_INFLATION, is an upper bound on its peak's isolation.
-Peaks bounded below the threshold are discarded too.  Peaks with no higher
-down-sampled sample in their tile (always including the tile high point)
-are deferred.
+marks every sample with a strictly higher sample that close: a peak there
+has isolation below the minimum-isolation threshold, so its row could never
+be emitted, and peak detection walks only the flat summits with a
+qualifying sample off that mask.  The surviving peaks ask an
+:class:`~isoscan.spatial_index.ElevationPyramid` over the tile, in one
+batched search, for their nearest strictly higher samples under the final
+metric.  Each answer is the peak's finalization candidate from its home
+tile, and its distance, inflated by BOUND_INFLATION, bounds the peak's
+isolation and the great-circle reach of the tiles that can hold its limit
+point.  Peaks bounded below the threshold are discarded too.  Peaks with no
+higher sample in their tile (always including the tile high point) are
+deferred.
 
 Pass 2 (high-point) resolves the deferred peaks against the
 :class:`~isoscan.spatial_index.TileIndex` of per-tile maximum elevations:
@@ -27,12 +29,12 @@ smallest home tile, and each (tile, peak) pair keeps its smallest bound.
 
 Pass 3 (finalization) asks a full-resolution pyramid of each tile, in one
 batched search, for the nearest strictly higher sample of every peak
-assigned to it, under the final metric; the final answer per peak is the
-closest candidate over its tiles.  In both pyramid searches most queries
-are settled by a window of samples around the peak and only the rest
-descend the pyramid; both count their work, window-settled queries
-included (:class:`~isoscan.spatial_index.SearchWork`), into
-:class:`PipelineStats`.
+assigned to it that the tile did not already search in pass 1, under the
+final metric; the final answer per peak is the closest candidate over its
+tiles, pass 1's included.  In both pyramid searches most queries are
+settled by a window of samples around the peak and only the rest descend
+the pyramid; both count their work, window-settled queries included
+(:class:`~isoscan.spatial_index.SearchWork`), into :class:`PipelineStats`.
 
 Peaks and candidates cross between the passes, and to and from the worker
 processes, as structured numpy arrays (:data:`PEAK_DTYPE`,
@@ -54,27 +56,26 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dem import (
     Peak,
-    PeakCells,
     Tile,
     build_events,
     detect_peaks,
     detect_peaks_deduped,
-    downsample,
+    downsample,  # no caller here; perfbench's tracer wraps multipass.downsample
     merge_tiles,
+    qualifying_samples,
 )
-from .geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_longitude_many
+from .geo import MEAN_RADIUS_M, GeoPoint, wrap_longitude_many
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
     ElevationPyramid,
     EllipsoidMetric,
     GreatCircleMetric,
-    PlanarMetric,
     SearchWork,
     TileIndex,
     TileKey,
@@ -89,8 +90,11 @@ __all__ = [
     "MissingTilesError",
     "area_tile_keys",
     "tile_keys_within",
-    "dominated_peaks",
+    "dominated_samples",
     "peak_rows",
+    "Qualifying",
+    "qualifying",
+    "count_qualifying",
     "bounding_pass",
     "highpoint_pass",
     "distinct_peaks",
@@ -135,11 +139,13 @@ CANDIDATE_DTYPE = np.dtype(
 # point).
 ANSWER_DTYPE = np.dtype([("distance", np.float64), ("lat", np.float64), ("lng", np.float64)])
 
-# Upper bounds are found as great-circle distances but the final isolation
-# is an ellipsoid distance.  Their ratio stays inside geo.ELLIPSOID_RATIO_BAND,
-# whose high end is below 1.011, so inflating bounds by 1.1% keeps every
-# bound above the final isolation and every tile closer than the final
-# isolation assigned.
+# Bounds are final-metric distances times BOUND_INFLATION, and tiles are
+# assigned by great-circle distance.  Under the ellipsoid metric the ratio of
+# ellipsoid to great-circle distance stays inside geo.ELLIPSOID_RATIO_BAND
+# (lo, hi).  Assignment needs 1 / lo: a sample at ellipsoid distance d lies
+# within great-circle distance d / 0.99440 < 1.011 d.  The dilation needs
+# hi: a higher sample within great-circle distance i_min / 1.011 lies within
+# ellipsoid distance 1.00449 i_min / 1.011 < i_min.
 BOUND_INFLATION = 1.011
 
 # Rectangles whose union makes the bounding pass's dilation footprint.  Each
@@ -257,21 +263,19 @@ def _window_max(grid: np.ndarray, half: int, axis: int) -> np.ndarray:
     return np.maximum(run[cut(0, n)], run[cut(width - span, n)])
 
 
-def dominated_peaks(tile: Tile, cells: PeakCells, radius_m: float) -> np.ndarray:
-    """Mask of the peaks that have a strictly higher sample closer than ``radius_m``.
+def dominated_samples(tile: Tile, radius_m: float) -> np.ndarray:
+    """Mask of the samples that have a strictly higher sample closer than ``radius_m``.
 
     A grey-scale dilation of the tile's own grid by the union of the
-    rectangles of :func:`_footprint`, read at the peaks: a peak is
-    dominated exactly when the dilated value at its sample is above its
-    elevation.  Every higher sample found is in the tile and closer than
-    ``radius_m`` along the great circle.
+    rectangles of :func:`_footprint`: a sample is dominated exactly when the
+    dilated value there is above its elevation.  Every higher sample found
+    is in the tile and closer than ``radius_m`` along the great circle.
     """
     grid = tile.elevations
-    reach = np.full(len(cells), np.iinfo(grid.dtype).min, dtype=grid.dtype)
+    dominated = np.zeros(grid.shape, dtype=bool)
     for a, b in _footprint(tile, radius_m):
-        dilated = _window_max(_window_max(grid, a, 0), b, 1)
-        np.maximum(reach, dilated[cells.rows, cells.cols], out=reach)
-    return reach > grid[cells.rows, cells.cols]
+        dominated |= _window_max(_window_max(grid, a, 0), b, 1) > grid
+    return dominated
 
 
 def _starts(*columns: np.ndarray) -> np.ndarray:
@@ -294,72 +298,95 @@ def peak_rows(tile: Tile, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+class Qualifying(NamedTuple):
+    """One tile's samples with no strictly higher 8-neighbour: how many lie
+    off its edge, and the :data:`PEAK_DTYPE` rows of those on it, which a
+    neighbouring tile holds too."""
+
+    interior: int
+    on_edge: np.ndarray
+
+
+def qualifying(tile: Tile, mask: Optional[np.ndarray] = None) -> Qualifying:
+    """The :class:`Qualifying` samples of ``tile``, from ``mask`` when it is
+    already at hand (``dem.qualifying_samples``)."""
+    if mask is None:
+        mask = qualifying_samples(tile)
+    edge = np.zeros_like(mask)
+    edge[[0, -1]] = mask[[0, -1]]
+    edge[:, [0, -1]] = mask[:, [0, -1]]
+    rows, cols = np.nonzero(edge)
+    return Qualifying(int(mask.sum()) - len(rows), peak_rows(tile, rows, cols))
+
+
+def count_qualifying(parts: Iterable[Qualifying]) -> int:
+    """Samples with no strictly higher 8-neighbour over the tiles of
+    ``parts``, each location once: the ``peaks=`` of the run summary."""
+    parts = list(parts)
+    on_edge = np.concatenate([np.empty(0, dtype=PEAK_DTYPE)] + [p.on_edge for p in parts])
+    return sum(p.interior for p in parts) + len(distinct_peaks(on_edge)[0])
+
+
 @dataclass
 class BoundingOutcome:
     """One tile's bounding pass; the peaks are :data:`PEAK_DTYPE` rows."""
 
     key: TileKey
     max_elevation_m: int
+    # Every peak searched, with its bound (inf when the tile holds nothing
+    # higher), and the answer of each one with a higher sample in the tile:
+    # CANDIDATE_DTYPE rows whose ``peak`` indexes ``searched``.
+    searched: np.ndarray
+    answers: np.ndarray
     bounded: np.ndarray
     deferred: np.ndarray
+    # Qualifying samples the dilation dominates, and searched peaks bounded
+    # below the threshold.
     discarded: int
-    # Only peaks on the tile's edge rows and columns can be found by a
-    # neighbouring tile too, so only they are kept, for the area's distinct
-    # peak count.
-    discarded_on_edge: np.ndarray
     dilation_discards: int
-    # Pyramid search counts of the peaks the dilation kept.
+    qualifying: Qualifying
     search: SearchWork
     samples: int
     seconds: float
 
 
-def bounding_pass(tile: Tile, stride: int, i_min: float) -> BoundingOutcome:
-    """Detect peaks at full resolution and bound their isolation locally.
+def bounding_pass(tile: Tile, i_min: float, distance_mode: str) -> BoundingOutcome:
+    """Settle each of the tile's peaks inside the tile, at full resolution.
 
-    Peaks dominated within ``i_min / BOUND_INFLATION`` (see
-    :func:`dominated_peaks`) are discarded without a search.  The final
-    isolation of such a peak is at most its ellipsoid distance to the
-    higher sample, and that is below the great-circle distance times the
-    high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
-    ``i_min``.  For every other peak the nearest strictly higher sample of
-    the strided grid is found under the planar metric, whatever the final
-    metric: any strictly higher sample gives a valid bound.  Its
-    great-circle distance, inflated by :data:`BOUND_INFLATION`, is the
-    bound tested against the threshold and used for tile assignment.
+    A dilation first marks every sample with a strictly higher sample
+    closer than ``i_min / BOUND_INFLATION`` (:func:`dominated_samples`).
+    The final isolation of such a peak is at most its ellipsoid distance to
+    the higher sample, and that is below the great-circle distance times
+    the high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
+    ``i_min``: it is discarded, and the flat summits it covers everywhere
+    are never walked (``dem.detect_peaks``).  Every other peak is searched
+    in the tile's full-resolution pyramid under the final metric; the
+    answer is the peak's finalization candidate from this tile, and its
+    distance times :data:`BOUND_INFLATION` is the bound tested against the
+    threshold and used for tile assignment.
     """
     start = time.perf_counter()
-    cells = detect_peaks(tile)
-    rows, cols = tile.shape
+    mask = qualifying_samples(tile)
+    dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
+    cells = detect_peaks(tile, dominated)
     peaks = peak_rows(tile, cells.rows, cells.cols)
-    on_edge = np.isin(cells.rows, (0, rows - 1)) | np.isin(cells.cols, (0, cols - 1))
-    dominated = dominated_peaks(tile, cells, i_min / BOUND_INFLATION)
-    searched = np.flatnonzero(~dominated)
-    queries = peaks[searched]
-
-    pyramid = ElevationPyramid(downsample(tile, stride))
     search = SearchWork()
-    found = pyramid.nearest_higher_many(
-        queries["lat"], queries["lng"], queries["elevation"], PlanarMetric(), search
-    )
-    answered = np.array([hit is not None for hit in found], dtype=bool)
-    peaks["bound"][searched[answered]] = [
-        great_circle_distance(GeoPoint(lat, lng), hit[0]) * BOUND_INFLATION
-        for lat, lng, hit in zip(queries["lat"].tolist(), queries["lng"].tolist(), found)
-        if hit is not None
-    ]
-    deferred = np.zeros(len(peaks), dtype=bool)
-    deferred[searched[~answered]] = True
-    bounded = ~dominated & ~deferred & ~(peaks["bound"] < i_min)
-    discarded = ~(bounded | deferred)
+    answers = _nearest_higher(tile, peaks, final_metric(distance_mode), search)
+    peaks["bound"][answers["peak"]] = answers["distance"] * BOUND_INFLATION
+    deferred = np.isinf(peaks["bound"])
+    low = peaks["bound"] < i_min
+    dilation_discards = int(np.count_nonzero(mask & dominated))
+    rows, cols = tile.shape
     return BoundingOutcome(
         key=tile.key,
         max_elevation_m=tile.max_elevation_m,
-        bounded=peaks[bounded],
+        searched=peaks,
+        answers=answers,
+        bounded=peaks[~deferred & ~low],
         deferred=peaks[deferred],
-        discarded=int(discarded.sum()),
-        discarded_on_edge=peaks[discarded & on_edge],
-        dilation_discards=int(dominated.sum()),
+        discarded=dilation_discards + int(low.sum()),
+        dilation_discards=dilation_discards,
+        qualifying=qualifying(tile, mask),
         search=search,
         samples=rows * cols,
         seconds=time.perf_counter() - start,
@@ -469,18 +496,22 @@ def finalization_pass(
         its row in ``peaks``.
     """
     below = np.flatnonzero(peaks["elevation"] < tile.max_elevation_m)
-    out = np.empty(len(below), dtype=CANDIDATE_DTYPE)
-    if not len(below):
-        return out
-    queries = peaks[below]
-    found = ElevationPyramid(tile).nearest_higher_many(
-        queries["lat"], queries["lng"], queries["elevation"], metric, search
-    )
-    out["peak"] = below
-    out["distance"] = [dist for _point, dist in found]
-    out["lat"] = [point.lat_deg for point, _dist in found]
-    out["lng"] = [point.lng_deg for point, _dist in found]
+    out = _nearest_higher(tile, peaks[below], metric, search)
+    out["peak"] = below[out["peak"]]
     return out
+
+
+def _nearest_higher(tile: Tile, peaks: np.ndarray, metric, search: SearchWork | None):
+    """One :data:`CANDIDATE_DTYPE` row per peak of ``peaks`` with a strictly
+    higher sample in the tile, from one batched search of its full-resolution
+    pyramid; ``peak`` is the row in ``peaks``."""
+    if not len(peaks):
+        return np.empty(0, dtype=CANDIDATE_DTYPE)
+    found = ElevationPyramid(tile).nearest_higher_many(
+        peaks["lat"], peaks["lng"], peaks["elevation"], metric, search
+    )
+    hits = [(k, hit[1], *hit[0]) for k, hit in enumerate(found) if hit is not None]
+    return np.array(hits, dtype=CANDIDATE_DTYPE)
 
 
 class ResultArrays(NamedTuple):
@@ -542,12 +573,15 @@ def result_arrays(results: Sequence[IlpResult]) -> ResultArrays:
 class PipelineStats:
     tiles: int = 0
     samples: int = 0
+    # Samples with no strictly higher 8-neighbour, each location once
+    # (count_qualifying): flat summits are not all walked, so they are not
+    # counted as components.
     peaks_found: int = 0
     peaks_kept: int = 0
     deferred: int = 0
     discarded: int = 0
-    # Bounding pass, summed over tiles: peaks discarded by the dilation, and
-    # the pyramid search of the others.
+    # Bounding pass, summed over tiles: qualifying samples the dilation
+    # dominates, and the pyramid search of the peaks searched.
     dilation_discards: int = 0
     bounding_queries: int = 0
     # Pyramid search counts (see SearchWork), summed over tiles, per pass.
@@ -638,10 +672,18 @@ def _finalization_task(args):
     return cands, search, time.perf_counter() - start
 
 
+def _rows_at(peaks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row of ``peaks`` (distinct, in location order) at the location
+    of each of ``rows``; -1 where ``peaks`` has none."""
+    both, ids = distinct_peaks(np.concatenate([peaks, rows]))
+    at = np.full(len(both), -1, dtype=np.intp)
+    at[ids[: len(peaks)]] = np.arange(len(peaks))
+    return at[ids[len(peaks) :]]
+
+
 def run_pipeline(
     area: Quadrilateral,
     tiles: Mapping[TileKey, Tile] | Sequence[Tile],
-    stride: int = 2,
     i_min: float = 1000.0,
     threads: int = 1,
     distance_mode: str = "staged",
@@ -674,7 +716,7 @@ def run_pipeline(
     try:
         # Bounding pass: tile-parallel, merged in key order.
         t0 = time.perf_counter()
-        bound_args = [(tiles[k], stride, i_min) for k in keys]
+        bound_args = [(tiles[k], i_min, distance_mode) for k in keys]
         if pool is None:
             outcomes = [_bounding_task(a) for a in bound_args]
         else:
@@ -691,6 +733,7 @@ def run_pipeline(
             stats.bounding_pairs += outcome.search.pairs
             stats.bounding_leaf_samples += outcome.search.leaf_samples
             stats.bounding_task_s += outcome.seconds
+        stats.peaks_found = count_qualifying(o.qualifying for o in outcomes)
 
         # High-point pass: a few peaks per tile, cheaper in this process
         # than a round trip through the pool.
@@ -704,13 +747,7 @@ def run_pipeline(
 
         # Tile assignment of every bound found.
         t0 = time.perf_counter()
-        bounded = [o.bounded for o in outcomes]
-        seen, _rows = distinct_peaks(
-            np.concatenate(bounded + [deferred] + [o.discarded_on_edge for o in outcomes])
-        )
-        interior_discards = sum(o.discarded - len(o.discarded_on_edge) for o in outcomes)
-        stats.peaks_found = len(seen) + interior_discards
-        found = np.concatenate(bounded + [hp.assigned])
+        found = np.concatenate([o.bounded for o in outcomes] + [hp.assigned])
         work = SearchWork()
         assignment = assign_tiles(index, found, hp.no_higher, work)
         stats.assign_candidates = work.pairs
@@ -718,9 +755,30 @@ def run_pipeline(
         stats.peaks_kept = len(assignment.peaks)
         assign_s = time.perf_counter() - t0
 
-        # Finalization pass: full resolution, tile-parallel.
+        # Finalization pass: the bounding pass's answers are the candidates
+        # of the (tile, peak) pairs it searched, so only the other pairs are
+        # searched, tile-parallel.  Outcome t is tile t of the index: both
+        # are in key order.
         t0 = time.perf_counter()
         peaks, pair_tiles, pair_rows, pair_bounds = assignment
+        sizes = [len(o.searched) for o in outcomes]
+        at = _rows_at(peaks, np.concatenate([o.searched for o in outcomes]))
+        by_tile = np.repeat(np.arange(len(outcomes)), sizes)
+        kept = at >= 0
+        settled = np.isin(
+            pair_tiles * len(peaks) + pair_rows, by_tile[kept] * len(peaks) + at[kept]
+        )
+        pair_tiles, pair_rows, pair_bounds = (
+            pair_tiles[~settled],
+            pair_rows[~settled],
+            pair_bounds[~settled],
+        )
+        candidates = [np.empty(0, dtype=CANDIDATE_DTYPE)]
+        for outcome, first in zip(outcomes, np.cumsum(sizes) - sizes):
+            answers = outcome.answers.copy()
+            answers["peak"] = at[first + answers["peak"]]
+            candidates.append(answers[answers["peak"] >= 0])
+
         starts = np.flatnonzero(_starts(pair_tiles)).tolist()
         spans = list(zip(starts, starts[1:] + [len(pair_tiles)]))
         final_args = []
@@ -732,7 +790,6 @@ def run_pipeline(
             final_out = [_finalization_task(a) for a in final_args]
         else:
             final_out = list(pool.map(_finalization_task, final_args))
-        candidates = [np.empty(0, dtype=CANDIDATE_DTYPE)]
         for (a, _b), (cands, search, seconds) in zip(spans, final_out):
             cands["peak"] = pair_rows[a + cands["peak"]]
             candidates.append(cands)

@@ -74,7 +74,7 @@ def build_world(index: int) -> WorldRun:
     reference = brute_force_all(peaks, universe, metric)
     oracle_seconds = time.perf_counter() - t0
 
-    pipeline = run_pipeline(area, by_key, stride=2, i_min=0.0, threads=1)
+    pipeline = run_pipeline(area, by_key, i_min=0.0, threads=1)
     return WorldRun(
         index=index,
         profile=profile,

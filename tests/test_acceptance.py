@@ -221,7 +221,7 @@ def _world_csv(threads: int, rows: int, cols: int, seed: int) -> bytes:
     tiles = generate_synthetic(rows, cols, seed=seed, profile="fractal", samples_per_side=121)
     area = Quadrilateral(45, 45 + rows, 7, 7 + cols)
     outcome = run_pipeline(
-        area, {t.key: t for t in tiles}, stride=2, i_min=1000.0, threads=threads
+        area, {t.key: t for t in tiles}, i_min=1000.0, threads=threads
     )
     buf = io.StringIO()
     write_csv(outcome.results, buf, min_isolation_m=1000.0)
@@ -250,10 +250,10 @@ def test_c08b_parallel_speedup():
     by_key = {t.key: t for t in tiles}
 
     t0 = time.perf_counter()
-    serial = run_pipeline(area, by_key, stride=2, i_min=1000.0, threads=1)
+    serial = run_pipeline(area, by_key, i_min=1000.0, threads=1)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = run_pipeline(area, by_key, stride=2, i_min=1000.0, threads=8)
+    parallel = run_pipeline(area, by_key, i_min=1000.0, threads=8)
     parallel_s = time.perf_counter() - t0
 
     assert serial.results == parallel.results
@@ -284,7 +284,7 @@ def test_c09_throughput_constancy():
             gc.freeze()
             try:
                 outcome = run_pipeline(
-                    area, {t.key: t for t in tiles}, stride=2, i_min=1000.0, threads=1
+                    area, {t.key: t for t in tiles}, i_min=1000.0, threads=1
                 )
             finally:
                 gc.unfreeze()

@@ -155,6 +155,25 @@ class TestComputeCsv:
         assert main(compute_args(cones_world_dir, b, extra=["--mode", "single-sweep"])) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stride_has_no_effect(self, cones_world_dir, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(compute_args(cones_world_dir, a, extra=["--stride", "1"])) == 0
+        assert main(compute_args(cones_world_dir, b, extra=["--stride", "2"])) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_single_sweep_reports_the_same_peak_count(self, tmp_path, capsys):
+        data = tmp_path / "tiles"
+        assert main(synth_args(data, seed=5, profile="fractal")) == 0
+
+        def summary(mode):
+            assert main(compute_args(data, tmp_path / f"{mode}.csv", extra=["--mode", mode])) == 0
+            line = capsys.readouterr().err.strip().splitlines()[-1]
+            return dict(tok.split("=") for tok in line.split())
+
+        multipass, swept = summary("multipass"), summary("single-sweep")
+        assert multipass["peaks"] == swept["peaks"]
+        assert int(swept["peaks"]) > int(swept["peaks_kept"])
+
     def test_summary_on_stderr(self, cones_world_dir, tmp_path, capsys):
         assert main(compute_args(cones_world_dir, tmp_path / "o.csv")) == 0
         err = capsys.readouterr().err
@@ -200,6 +219,13 @@ class TestExitCodes:
         args = compute_args(cones_world_dir, out_csv, extra=["--min-isolation-km", threshold])
         assert main(args) == 1
         assert "bad configuration" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_stride_below_one_exit_1(self, cones_world_dir, tmp_path, capsys, stride):
+        out_csv = tmp_path / "o.csv"
+        assert main(compute_args(cones_world_dir, out_csv, extra=["--stride", stride])) == 1
+        assert "--stride" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_infinite_threshold_emits_only_the_high_point(self, cones_world_dir, tmp_path):

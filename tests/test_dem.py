@@ -25,6 +25,7 @@ from isoscan.dem import (
     load_hgt,
     merge_tiles,
     parse_hgt_filename,
+    qualifying_samples,
     save_hgt,
 )
 from isoscan.geo import GeoPoint
@@ -222,6 +223,26 @@ class TestDetectPeaks:
                     assert any(
                         tile.sample_point(ci, cj) in locations for ci, cj in comp
                     ), "qualifying sample's flat region lost its representative"
+
+
+    @given(
+        arrays(np.int16, (6, 7), elements=st.sampled_from([VOID_VALUE, 0, 1, 2, 3])),
+        arrays(np.bool_, (6, 7)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mask_leaves_out_exactly_the_peaks_on_it(self, grid, dominated):
+        tile = Tile(45, 7, grid, 1)
+        higher = np.zeros(grid.shape, dtype=bool)
+        for i in range(6):
+            for j in range(7):
+                block = grid[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
+                higher[i, j] = (block > grid[i, j]).any()
+        assert np.array_equal(qualifying_samples(tile), ~higher)
+        every = detect_peaks(tile)
+        masked = detect_peaks(tile, dominated)
+        off = ~dominated[every.rows, every.cols]
+        assert masked.rows.tolist() == every.rows[off].tolist()
+        assert masked.cols.tolist() == every.cols[off].tolist()
 
 
 class TestLowestNeighbor:

@@ -38,7 +38,7 @@ def test_tie_heavy_world_equivalence(seed):
     area, tiles = quantized_world(seed)
     metric = EllipsoidMetric() if seed % 2 else GreatCircleMetric()
     mode = "staged" if seed % 2 else "great-circle-only"
-    outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1, distance_mode=mode)
+    outcome = run_pipeline(area, tiles, i_min=0.0, threads=1, distance_mode=mode)
     swept = run_merged_sweep(area, tiles, metric)
     peaks = detect_peaks_deduped(tiles.values())
     reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
@@ -58,7 +58,7 @@ def test_binary_world_equivalence(seed):
     area, tiles = quantized_world(seed + 100, levels=2, n=16)
     metric = GreatCircleMetric()
     outcome = run_pipeline(
-        area, tiles, stride=3, i_min=0.0, threads=1, distance_mode="great-circle-only"
+        area, tiles, i_min=0.0, threads=1, distance_mode="great-circle-only"
     )
     swept = run_merged_sweep(area, tiles, metric)
     triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]

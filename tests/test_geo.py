@@ -221,13 +221,16 @@ class TestEllipsoid:
 
     def test_pruning_constants_clear_the_ratio_band(self):
         # Ellipsoid pruning scales great-circle bounds down by
-        # _ELLIPSOID_PRUNE_FACTOR, the pipeline inflates great-circle
-        # isolation bounds by BOUND_INFLATION, and the oracle screens
-        # candidates within _METRIC_ANISOTROPY of the nearest: each is sound
-        # only while it clears the band.  The inflation keeps every bound
-        # above the final isolation (hi) and every tile closer than the final
-        # isolation assigned (hi / lo: the tile's great-circle distance can
-        # exceed its ellipsoid distance by 1 / lo).
+        # _ELLIPSOID_PRUNE_FACTOR, the pipeline inflates isolation bounds by
+        # BOUND_INFLATION, and the oracle screens candidates within
+        # _METRIC_ANISOTROPY of the nearest: each is sound only while it
+        # clears the band.  The bounding pass's bounds are final-metric
+        # distances, so assigning every tile closer than the final isolation
+        # needs 1 / lo (a tile's great-circle distance can exceed its
+        # ellipsoid distance by that much), which hi / lo covers.  The
+        # dilation still needs hi: a higher sample within great-circle
+        # distance i_min / BOUND_INFLATION is within ellipsoid distance
+        # i_min.  The high-point pass's great-circle bounds need both.
         lo, hi = ELLIPSOID_RATIO_BAND
         assert _ELLIPSOID_PRUNE_FACTOR < lo
         assert hi < BOUND_INFLATION

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import results_by_location
-from isoscan import multipass
+from isoscan import dem, multipass
 from isoscan.dem import (
     Peak,
     PeakCells,
@@ -18,6 +18,7 @@ from isoscan.dem import (
     detect_peaks,
     detect_peaks_deduped,
     generate_synthetic,
+    qualifying_samples,
 )
 from isoscan.geo import GeoPoint, great_circle_distance, great_circle_distance_many
 from isoscan.multipass import (
@@ -29,7 +30,7 @@ from isoscan.multipass import (
     assign_tiles,
     audit_pipeline,
     bounding_pass,
-    dominated_peaks,
+    dominated_samples,
     finalization_pass,
     finalize,
     highpoint_pass,
@@ -67,6 +68,20 @@ def as_peaks(rows: np.ndarray) -> list[Peak]:
     ]
 
 
+def locations(rows: np.ndarray) -> list[GeoPoint]:
+    """The location of each PEAK_DTYPE row."""
+    return [GeoPoint(lat, lng) for lat, lng in zip(rows["lat"].tolist(), rows["lng"].tolist())]
+
+
+def qualifying_locations(tiles) -> set[GeoPoint]:
+    """Every sample with no strictly higher 8-neighbour in its tile, each location once."""
+    return {
+        t.sample_point(i, j)
+        for t in tiles
+        for i, j in zip(*(a.tolist() for a in np.nonzero(qualifying_samples(t))))
+    }
+
+
 def peak_array(*rows) -> np.ndarray:
     """PEAK_DTYPE rows from (lat, lng, elevation, home_lat, home_lng, bound) tuples."""
     return np.array(list(rows), dtype=PEAK_DTYPE)
@@ -78,7 +93,7 @@ class TestBoundingPass:
         metric = EllipsoidMetric()
         universe = SampleUniverse.from_tiles(tiles.values())
         for tile in tiles.values():
-            outcome = bounding_pass(tile, stride=2, i_min=0.0)
+            outcome = bounding_pass(tile, 0.0, "staged")
             bounded = as_peaks(outcome.bounded)
             reference = {
                 r.peak.location: r for r in brute_force_all(bounded, universe, metric)
@@ -90,7 +105,7 @@ class TestBoundingPass:
 
     def test_infinite_threshold_discards_all_bounded(self):
         area, tiles = world(1, 1, seed=41)
-        outcome = bounding_pass(next(iter(tiles.values())), stride=2, i_min=math.inf)
+        outcome = bounding_pass(next(iter(tiles.values())), math.inf, "staged")
         assert len(outcome.bounded) == 0
         assert outcome.discarded > 0
         assert len(outcome.deferred)  # the tile high point always defers
@@ -98,25 +113,33 @@ class TestBoundingPass:
     def test_high_point_always_deferred(self):
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, stride=2, i_min=0.0)
+        outcome = bounding_pass(tile, 0.0, "staged")
         assert outcome.max_elevation_m == tile.max_elevation_m
         deferred_elevs = set(outcome.deferred["elevation"].tolist())
         assert tile.max_elevation_m in deferred_elevs
 
-    def test_stride_one_bounds_are_tight(self):
-        # at full resolution the tile-local nearest higher sample is the
-        # true tile-local isolation, so bounds collapse to it (times the
-        # inflation factor, plus the planar-vs-spherical pick slack)
+    @pytest.mark.parametrize(
+        "mode, metric", [("staged", EllipsoidMetric()), ("great-circle-only", GreatCircleMetric())]
+    )
+    def test_bounds_are_the_inflated_in_tile_isolation(self, mode, metric):
+        # The bounding search is the final metric's full-resolution search,
+        # so each answer is the peak's nearest higher sample in its tile and
+        # each bound that distance times the inflation factor, exactly.
         area, tiles = world(1, 1, seed=43, profile="cones", n=121)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, stride=1, i_min=0.0)
-        metric = GreatCircleMetric()
+        outcome = bounding_pass(tile, 0.0, mode)
         universe = SampleUniverse.from_tiles([tile])
-        bounded = as_peaks(outcome.bounded)
-        reference = {r.peak.location: r for r in brute_force_all(bounded, universe, metric)}
-        for peak, bound in zip(bounded, outcome.bounded["bound"].tolist()):
-            ref = reference[peak.location]
-            assert ref.isolation_m <= bound <= ref.isolation_m * BOUND_INFLATION * 1.001
+        reference = {
+            r.peak.location: r
+            for r in brute_force_all(as_peaks(outcome.searched), universe, metric)
+        }
+        assert len(outcome.bounded) > 0
+        for loc, bound in zip(locations(outcome.bounded), outcome.bounded["bound"].tolist()):
+            assert bound == reference[loc].isolation_m * BOUND_INFLATION
+        searched = locations(outcome.searched)
+        for k, dist, lat, lng in outcome.answers.tolist():
+            ref = reference[searched[k]]
+            assert (dist, GeoPoint(lat, lng)) == (ref.isolation_m, ref.ilp)
 
 
 @st.composite
@@ -147,7 +170,7 @@ class TestDilationDiscard:
     def test_every_discard_has_a_closer_higher_sample(self, case, i_min):
         tile, cells = case
         radius = i_min / BOUND_INFLATION
-        dominated = dominated_peaks(tile, cells, radius)
+        dominated = dominated_samples(tile, radius)[cells.rows, cells.cols]
         if i_min == 0.0:
             assert not dominated.any()
         lats, lngs = tile.sample_lats(), tile.sample_lngs()
@@ -172,52 +195,197 @@ class TestDilationDiscard:
         peak = next(k for k in range(len(cells)) if cells[k].elevation_m == 100)
         d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
         i_min = d * BOUND_INFLATION * (1.0 + margin)
-        assert dominated_peaks(tile, cells, i_min / BOUND_INFLATION)[peak] == discarded
-        outcome = bounding_pass(tile, stride=1, i_min=i_min)
-        assert outcome.dilation_discards == int(discarded)
+        assert dominated_samples(tile, i_min / BOUND_INFLATION)[120, 40] == discarded
+        outcome = bounding_pass(tile, i_min, "staged")
         assert outcome.search.queries == len(cells) - int(discarded)
         bounded = [pk.location for pk in as_peaks(outcome.bounded)]
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
-    def test_counts_add_up_to_the_peaks_of_a_tile(self):
-        area, tiles = world(1, 1, seed=68, n=121)
-        stats = run_pipeline(area, tiles, stride=2, i_min=5000.0, threads=1).stats
+    def test_counts_add_up_without_flat_samples(self):
+        # No two samples are equal, so every qualifying sample is a peak of
+        # its own: the dilation discards some and every other one is searched.
+        grid = np.random.default_rng(68).permutation(121 * 121).reshape(121, 121)
+        tile = Tile(45, 7, grid.astype(np.int16), 120)
+        stats = run_pipeline(tile.quad, [tile], i_min=5000.0).stats
         assert stats.dilation_discards > 0
         assert stats.bounding_queries > 0
-        assert stats.dilation_discards + stats.bounding_queries == stats.peaks_found
-        assert stats.peaks_found == len(detect_peaks(tiles[(45, 7)]))
+        assert stats.bounding_queries == stats.peaks_found - stats.dilation_discards
+        assert stats.peaks_found == len(detect_peaks(tile))
+
+    def test_flat_summits_search_at_most_the_undominated_samples(self):
+        area, tiles = world(1, 1, seed=68, n=121)
+        tile = tiles[(45, 7)]
+        stats = run_pipeline(area, tiles, i_min=2000.0).stats
+        assert len(detect_peaks(tile)) < qualifying_samples(tile).sum() == stats.peaks_found
+        assert stats.dilation_discards > 0
+        assert 0 < stats.bounding_queries <= stats.peaks_found - stats.dilation_discards
+
+    def test_seam_samples_count_once(self):
+        area, tiles = world(2, 2, seed=68, n=61)
+        stats = run_pipeline(area, tiles, i_min=2000.0).stats
+        assert stats.peaks_found == len(qualifying_locations(tiles.values()))
+        assert stats.peaks_found < sum(int(qualifying_samples(t).sum()) for t in tiles.values())
+
+    @staticmethod
+    def flat_summit_tile(*spike_cols: int) -> tuple[Tile, float]:
+        """A two-sample flat summit at 100 m on the equatorward edge, columns
+        40 and 41, with 200 m spikes at ``spike_cols``, and a threshold whose
+        dilation reaches 3 columns but not 4."""
+        grid = np.zeros((121, 121), dtype=np.int16)
+        grid[120, 40] = grid[120, 41] = 100
+        grid[120, list(spike_cols)] = 200
+        tile = Tile(45, 7, grid, 120)
+        d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
+        return tile, d * BOUND_INFLATION * (1.0 + 1e-6)
+
+    @staticmethod
+    def record_walks(monkeypatch) -> list[int]:
+        """Elevations of the flat summits detect_peaks walks."""
+        walked = []
+        real = dem._flat_summit
+
+        def recording(elev, qualifies, visited, i, j):
+            walked.append(int(elev[i, j]))
+            return real(elev, qualifies, visited, i, j)
+
+        monkeypatch.setattr(dem, "_flat_summit", recording)
+        return walked
+
+    def test_flat_summit_with_a_dominated_representative_is_discarded(self, monkeypatch):
+        # The spike dominates the NW-most member (3 columns away) but not the
+        # other (4 columns): the summit is walked from the survivor and its
+        # representative, the dominated member, is discarded as before.
+        tile, i_min = self.flat_summit_tile(37)
+        assert tile.sample_point(120, 40) in [p.location for p in detect_peaks(tile)]
+        walked = self.record_walks(monkeypatch)
+        outcome = bounding_pass(tile, i_min, "staged")
+        assert 100 in walked
+        assert 100 not in outcome.searched["elevation"].tolist()
+        assert outcome.dilation_discards >= 1
+
+    def test_flat_summit_dominated_everywhere_is_never_walked(self, monkeypatch):
+        tile, i_min = self.flat_summit_tile(37, 44)
+        walked = self.record_walks(monkeypatch)
+        outcome = bounding_pass(tile, i_min, "staged")
+        assert 100 not in walked
+        assert 0 in walked  # the plateau around it is walked
+        assert 100 not in outcome.searched["elevation"].tolist()
 
     def test_search_counts_of_a_one_tile_run(self):
         area, tiles = world(1, 1, seed=68, n=121)
-        outcome = run_pipeline(area, tiles, stride=2, i_min=2000.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=2000.0, threads=1)
         stats = outcome.stats
-        assert stats.bounding_queries == stats.peaks_found - stats.dilation_discards
-        # In one tile every kept peak but the high point gets one candidate.
+        # In one tile the bounding pass answers every pair: every kept peak
+        # but the high point has its candidate from there.
         candidates = sum(1 for r in outcome.results if r.ilp is not None)
-        assert stats.finalization_queries == candidates > 0
+        answered = stats.bounding_queries - stats.deferred
+        assert answered >= candidates > 0
+        assert stats.finalization_queries == 0
         # A query with a higher sample that its window does not settle keeps
         # at least one pair per level of the descent and computes at least
         # one leaf distance; the deferred peaks have none.
-        answered = stats.bounding_queries - stats.deferred
         descended = answered - stats.bounding_window_resolved
-        assert stats.bounding_pairs >= descended and stats.bounding_leaf_samples >= descended
         levels = len(ElevationPyramid(tiles[(45, 7)]).levels)
-        descended = candidates - stats.finalization_window_resolved
-        assert stats.finalization_pairs >= descended * levels
-        assert stats.finalization_leaf_samples >= descended
+        assert stats.bounding_pairs >= descended * levels
+        assert stats.bounding_leaf_samples >= descended
 
     def test_window_resolves_queries_of_both_passes(self):
         area, tiles = world(2, 2, seed=69, n=121)
-        stats = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1).stats
+        stats = run_pipeline(area, tiles, i_min=0.0, threads=1).stats
         assert 0 < stats.bounding_window_resolved <= stats.bounding_queries
         assert 0 < stats.finalization_window_resolved <= stats.finalization_queries
+
+
+def seam_world(*spikes: tuple[int, int, int]) -> tuple[Quadrilateral, dict]:
+    """Tiles (45, 7) and (45, 8) of 21 samples a side on flat ground at 0 m,
+    with spikes of (row, world column, elevation); world column 20 is the
+    seam."""
+    grid = np.zeros((21, 41), dtype=np.int16)
+    for row, col, elevation in spikes:
+        grid[row, col] = elevation
+    west = Tile(45, 7, np.ascontiguousarray(grid[:, :21]), 20)
+    east = Tile(45, 8, np.ascontiguousarray(grid[:, 20:]), 20)
+    return Quadrilateral(45, 46, 7, 9), {west.key: west, east.key: east}
+
+
+class TestSearchOnce:
+    @pytest.mark.parametrize("foreign_col, foreign_wins", [(22, True), (26, False)])
+    def test_closest_candidate_over_home_and_foreign_tiles(self, foreign_col, foreign_wins):
+        # A peak 3 columns west of the seam, a higher sample 7 columns west
+        # in its home tile, and one across the seam, 5 or 9 columns east.
+        area, tiles = seam_world((10, 17, 100), (10, 10, 200), (10, foreign_col, 300))
+        west = tiles[(45, 7)]
+        outcome = run_pipeline(area, tiles, i_min=0.0)
+        home = west.sample_point(10, 10)
+        foreign = tiles[(45, 8)].sample_point(10, foreign_col - 20)
+        got = results_by_location(outcome.results)[west.sample_point(10, 17)]
+        assert got.ilp == (foreign if foreign_wins else home)
+        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
+            (r.peak.location, r.isolation_m, r.ilp) for r in swept
+        ]
+
+    def test_seam_peak_is_not_searched_again(self, monkeypatch):
+        # A seam peak qualifies in both tiles, so both search it in the
+        # bounding pass; both pairs are assigned and neither goes to
+        # finalization.
+        area, tiles = seam_world((10, 20, 100), (10, 14, 200), (10, 27, 300))
+        sent = []
+        real = multipass.finalization_pass
+
+        def recording(tile, peaks, metric, search=None):
+            sent.extend((tile.key, loc) for loc in locations(peaks))
+            return real(tile, peaks, metric, search)
+
+        monkeypatch.setattr(multipass, "finalization_pass", recording)
+        outcome = run_pipeline(area, tiles, i_min=0.0)
+        seam = tiles[(45, 7)].sample_point(10, 20)
+        pairs = {(key, loc) for key, entries in outcome.map_snapshot.items() for loc, _ in entries}
+        assert {((45, 7), seam), ((45, 8), seam)} <= pairs
+        assert sent and seam not in [loc for _key, loc in sent]
+        assert results_by_location(outcome.results)[seam].ilp == tiles[(45, 7)].sample_point(10, 14)
+
+    def test_finalization_searches_only_the_pairs_left(self):
+        area, tiles = world(2, 2, seed=69, n=61)
+        outcome = run_pipeline(area, tiles, i_min=0.0)
+        stats = outcome.stats
+        searched = {
+            key: set(locations(bounding_pass(t, 0.0, "staged").searched))
+            for key, t in tiles.items()
+        }
+        elevation = {r.peak.location: r.peak.elevation_m for r in outcome.results}
+        answered = skipped = 0
+        for key, entries in outcome.map_snapshot.items():
+            for loc, _bound in entries:
+                if loc in searched[key]:
+                    answered += 1
+                elif elevation[loc] >= tiles[key].max_elevation_m:
+                    # Nothing in the tile is higher: skipped without a query.
+                    skipped += 1
+        assert answered > 0 and stats.finalization_queries > 0
+        assert stats.finalization_queries == stats.assigned_pairs - answered - skipped
+
+    @pytest.mark.parametrize("i_min", [0.0, 3000.0])
+    def test_no_pair_is_searched_twice(self, monkeypatch, i_min):
+        queried = []
+        real = multipass._nearest_higher
+
+        def recording(tile, peaks, metric, search):
+            queried.extend((tile.key, loc) for loc in locations(peaks))
+            return real(tile, peaks, metric, search)
+
+        monkeypatch.setattr(multipass, "_nearest_higher", recording)
+        area, tiles = world(2, 2, seed=70, n=61)
+        stats = run_pipeline(area, tiles, i_min=i_min).stats
+        assert len(queried) == len(set(queried)) > 0
+        assert len(queried) == stats.bounding_queries + stats.finalization_queries
 
 
 class TestHighpointPass:
     def test_single_tile_world_high_point_undefined(self):
         area, tiles = world(1, 1, seed=44)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, stride=2, i_min=0.0)
+        outcome = bounding_pass(tile, 0.0, "staged")
         index = TileIndex([(tile.key, tile.max_elevation_m)])
         hp = highpoint_pass(index, outcome.deferred, i_min=0.0)
         no_higher_elevs = set(hp.no_higher["elevation"].tolist())
@@ -230,7 +398,7 @@ class TestHighpointPass:
             key_a, key_b = key_b, key_a
             tile_a, tile_b = tile_b, tile_a
         # now tile_b holds the higher maximum; a's high point defers to it
-        outcome = bounding_pass(tile_a, stride=2, i_min=0.0)
+        outcome = bounding_pass(tile_a, 0.0, "staged")
         high = outcome.deferred[outcome.deferred["elevation"] == tile_a.max_elevation_m]
         assert len(high) == 1
         index = TileIndex([(k, t.max_elevation_m) for k, t in tiles.items()])
@@ -243,7 +411,7 @@ class TestHighpointPass:
 
     def test_final_isolation_below_highpoint_bound(self):
         area, tiles = world(3, 3, seed=46, n=41)
-        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         by_loc = results_by_location(outcome.results)
         for loc, bounds in outcome.bounds_by_peak.items():
             res = by_loc[loc]
@@ -395,7 +563,7 @@ class TestRunPipeline:
 
     def test_single_tile_pipeline_equals_single_sweep(self):
         area, tiles = world(1, 1, seed=55)
-        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         swept = run_merged_sweep(area, tiles, EllipsoidMetric())
         assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.peak.location, r.isolation_m, r.ilp) for r in swept
@@ -404,7 +572,7 @@ class TestRunPipeline:
     def test_three_way_equivalence_with_audit(self):
         area, tiles = world(2, 2, seed=56, n=41)
         metric = EllipsoidMetric()
-        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         swept = run_merged_sweep(area, tiles, metric)
         peaks = detect_peaks_deduped(tiles.values())
         reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
@@ -416,25 +584,17 @@ class TestRunPipeline:
         area, tiles = world(2, 1, seed=57, n=41)
         metric = GreatCircleMetric()
         outcome = run_pipeline(
-            area, tiles, stride=2, i_min=0.0, threads=1, distance_mode="great-circle-only"
+            area, tiles, i_min=0.0, threads=1, distance_mode="great-circle-only"
         )
         swept = run_merged_sweep(area, tiles, metric)
         assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.isolation_m, r.ilp) for r in swept
         ]
 
-    def test_stride_one_matches_stride_two(self):
-        area, tiles = world(2, 1, seed=58, n=41)
-        one = run_pipeline(area, tiles, stride=1, i_min=0.0, threads=1)
-        two = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
-        assert [(r.isolation_m, r.ilp) for r in one.results] == [
-            (r.isolation_m, r.ilp) for r in two.results
-        ]
-
     def test_worker_count_does_not_change_results(self):
         area, tiles = world(2, 2, seed=59, n=41)
-        serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)
-        parallel = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=2)
+        serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
+        parallel = run_pipeline(area, tiles, i_min=500.0, threads=2)
         assert serial.results == parallel.results
         assert serial.map_snapshot == parallel.map_snapshot
 
@@ -445,25 +605,25 @@ class TestRunPipeline:
         # The process may use 64 CPUs, so they do not cap the pool.
         sizes = inline_pool(monkeypatch, cpus=64)
         area, tiles = world(rows, cols, seed=61, n=21)
-        pooled = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=threads)
+        pooled = run_pipeline(area, tiles, i_min=500.0, threads=threads)
         assert sizes == ([] if workers is None else [workers])
-        serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)
+        serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
         assert pooled.results == serial.results
 
     @pytest.mark.parametrize("cpus, threads, workers", [(1, 8, None), (3, 8, 3), (3, 2, 2)])
     def test_at_most_one_worker_per_usable_cpu(self, monkeypatch, cpus, threads, workers):
         sizes = inline_pool(monkeypatch, cpus=cpus)
         area, tiles = world(2, 2, seed=61, n=21)
-        pooled = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=threads)
+        pooled = run_pipeline(area, tiles, i_min=500.0, threads=threads)
         assert sizes == ([] if workers is None else [workers])
-        serial = run_pipeline(area, tiles, stride=2, i_min=500.0, threads=1)
+        serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
         assert pooled.results == serial.results
 
     def test_threshold_keeps_all_significant_peaks(self):
         area, tiles = world(2, 2, seed=60, n=41)
         i_min = 1000.0
         metric = EllipsoidMetric()
-        outcome = run_pipeline(area, tiles, stride=2, i_min=i_min, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
         peaks = detect_peaks_deduped(tiles.values())
         reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
         kept = results_by_location(outcome.results)
@@ -474,17 +634,17 @@ class TestRunPipeline:
                 assert (got.isolation_m, got.ilp) == (ref.isolation_m, ref.ilp)
 
     def test_heavy_discard_preserves_significant_peaks(self):
-        # a threshold well above the strided sample spacing discards most
-        # peaks early, yet every significant peak keeps its exact answer
+        # a threshold well above the sample spacing discards most peaks
+        # early, yet every significant peak keeps its exact answer
         area, tiles = world(2, 2, seed=66, n=121)
         i_min = 5000.0
-        outcome = run_pipeline(area, tiles, stride=2, i_min=i_min, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
         assert outcome.stats.discarded > 0
         assert outcome.stats.peaks_kept < outcome.stats.peaks_found
         metric = EllipsoidMetric()
         peaks = detect_peaks_deduped(tiles.values())
         reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
-        assert outcome.stats.peaks_found == len(peaks)
+        assert outcome.stats.peaks_found == len(qualifying_locations(tiles.values()))
         kept = results_by_location(outcome.results)
         for ref in reference:
             if ref.isolation_m is None or ref.isolation_m >= i_min:
@@ -494,7 +654,7 @@ class TestRunPipeline:
     def test_exactly_one_undefined_per_world(self):
         for seed in (61, 62):
             area, tiles = world(2, 2, seed=seed, n=41)
-            outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+            outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
             undefined = [r for r in outcome.results if r.isolation_m is None]
             assert len(undefined) == 1
 
@@ -502,7 +662,7 @@ class TestRunPipeline:
         # a constant world: every per-tile flat representative ties at the
         # maximum, so all peaks have undefined isolation
         area, tiles = world(2, 2, seed=63, profile="plateau", n=31)
-        outcome = run_pipeline(area, tiles, stride=1, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         swept = run_merged_sweep(area, tiles, EllipsoidMetric())
         assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.isolation_m, r.ilp) for r in swept
@@ -516,25 +676,27 @@ class TestRunPipeline:
 
     def test_assignment_counts_of_a_one_tile_run(self):
         area, tiles = world(1, 1, seed=68, n=121)
-        stats = run_pipeline(area, tiles, stride=2, i_min=2000.0, threads=1).stats
-        # One tile: every assigned peak is below the tile maximum, so each
-        # pair is one finalization query.
-        assert stats.assigned_pairs == stats.finalization_queries > 0
+        stats = run_pipeline(area, tiles, i_min=2000.0, threads=1).stats
+        # One tile: the bounding pass searched every assigned pair, so the
+        # finalization pass has no query and no task.
+        assert stats.assigned_pairs > 0
+        assert stats.finalization_queries == 0
         assert stats.assign_candidates >= stats.assigned_pairs
         assert 0 < stats.bounding_task_s <= stats.bounding_s
-        assert 0 < stats.finalization_task_s <= stats.finalization_s
+        assert stats.finalization_task_s == 0.0
 
     def test_stats_populated(self):
         area, tiles = world(1, 2, seed=64, n=31)
-        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         assert outcome.stats.tiles == 2
         assert outcome.stats.samples == 2 * 31 * 31
-        assert outcome.stats.peaks_found == outcome.stats.peaks_kept == len(outcome.results)
+        assert outcome.stats.peaks_kept == len(outcome.results)
+        assert outcome.stats.peaks_found == len(qualifying_locations(tiles.values()))
         assert outcome.stats.total_s > 0
 
     def test_stage_times_within_total(self):
         area, tiles = world(2, 2, seed=64, n=41)
-        stats = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1).stats
+        stats = run_pipeline(area, tiles, i_min=0.0, threads=1).stats
         stages = [stats.bounding_s, stats.assign_s, stats.highpoint_s, stats.finalization_s]
         assert all(s > 0 for s in stages)
         assert sum(stages) <= stats.total_s
@@ -543,7 +705,7 @@ class TestRunPipeline:
 class TestAudit:
     def test_reports_missing_assignment_and_low_bound(self):
         area, tiles = world(2, 2, seed=67, n=41)
-        outcome = run_pipeline(area, tiles, stride=2, i_min=0.0, threads=1)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         assert audit_pipeline(outcome) == []
         res = next(r for r in outcome.results if r.isolation_m is not None)
         loc = res.peak.location

@@ -12,14 +12,14 @@ from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
 
 
-def check_world(rows, cols, seed, origin, profile="fractal", n=41, stride=2):
+def check_world(rows, cols, seed, origin, profile="fractal", n=41):
     tiles = generate_synthetic(
         rows, cols, seed=seed, profile=profile, samples_per_side=n, origin=origin
     )
     area = Quadrilateral(origin[0], origin[0] + rows, origin[1], origin[1] + cols)
     by_key = {t.key: t for t in tiles}
     metric = EllipsoidMetric()
-    outcome = run_pipeline(area, by_key, stride=stride, i_min=0.0, threads=1)
+    outcome = run_pipeline(area, by_key, i_min=0.0, threads=1)
     swept = run_merged_sweep(area, by_key, metric)
     peaks = detect_peaks_deduped(tiles)
     reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles), metric)
@@ -46,11 +46,11 @@ class TestGeographies:
 
 
 class TestParameters:
-    def test_stride_three(self):
-        check_world(1, 2, seed=74, origin=(45, 7), n=61, stride=3)
+    def test_two_tiles_of_61_samples(self):
+        check_world(1, 2, seed=74, origin=(45, 7), n=61)
 
-    def test_stride_four(self):
-        check_world(1, 1, seed=75, origin=(45, 7), n=41, stride=4)
+    def test_one_tile_world(self):
+        check_world(1, 1, seed=75, origin=(45, 7), n=41)
 
     def test_non_square_world(self):
         check_world(1, 3, seed=77, origin=(45, 7), n=41)
@@ -62,16 +62,17 @@ class TestParameters:
 
 
 class TestExtremeDeferral:
-    def test_full_span_stride_defers_most_peaks(self):
-        # stride equal to the tile span leaves a 2x2 bounding grid, so
-        # nearly every peak lacks a strided local bound and takes the
-        # high-point route
+    def test_tile_high_points_take_the_high_point_route(self):
+        # A full-resolution bounding search defers exactly the peaks with
+        # nothing higher in their tile: every tile's high point, which the
+        # high-point pass then bounds by a higher tile
         tiles = generate_synthetic(2, 2, seed=79, samples_per_side=41, profile="fractal")
         area = Quadrilateral(45, 47, 7, 9)
         by_key = {t.key: t for t in tiles}
-        serial = run_pipeline(area, by_key, stride=40, i_min=0.0, threads=1)
-        parallel = run_pipeline(area, by_key, stride=40, i_min=0.0, threads=2)
-        assert serial.stats.deferred >= 32
+        serial = run_pipeline(area, by_key, i_min=0.0, threads=1)
+        parallel = run_pipeline(area, by_key, i_min=0.0, threads=2)
+        highs = {t.sample_point(*np.unravel_index(t.elevations.argmax(), t.shape)) for t in tiles}
+        assert serial.stats.deferred >= len(highs) >= 2
         assert serial.results == parallel.results
         assert serial.map_snapshot == parallel.map_snapshot
         swept = run_merged_sweep(area, by_key, EllipsoidMetric())
