@@ -10,7 +10,7 @@ brute-force oracle for verification.
 from .geo import GeoPoint
 from .quad import Quadrilateral
 from .dem import Peak, Tile, generate_synthetic, load_hgt, save_hgt
-from .spatial_index import EllipsoidMetric, GreatCircleMetric, PlanarMetric, SphereKdTree
+from .spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from .sweep import IlpResult, run_sweep
 from .oracle import SampleUniverse, brute_force_ilp
 from .multipass import run_merged_sweep, run_pipeline
@@ -27,7 +27,6 @@ __all__ = [
     "save_hgt",
     "EllipsoidMetric",
     "GreatCircleMetric",
-    "PlanarMetric",
     "SphereKdTree",
     "IlpResult",
     "run_sweep",

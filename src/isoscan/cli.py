@@ -113,6 +113,13 @@ def _config_from_args(args) -> RunConfig:
     lat_min, lat_max, lng_min, lng_max = args.bounds
     if lat_min >= lat_max or lng_min >= lng_max:
         raise ValueError("bounds must satisfy LATMIN < LATMAX and LNGMIN < LNGMAX")
+    # A tile at 90 N or 180 E cannot exist: such an area would otherwise
+    # exit 2 for missing tiles.
+    if lat_min < -90 or lat_max > 90 or lng_min < -180 or lng_max > 180:
+        raise ValueError(
+            f"--bounds must lie within latitudes [-90, 90] and longitudes [-180, 180], "
+            f"got {lat_min} {lat_max} {lng_min} {lng_max}"
+        )
     # A NaN threshold loses every comparison and a negative one acts as 0:
     # both would quietly emit every peak.
     if not args.min_isolation_km >= 0.0:

@@ -4,8 +4,8 @@ Coordinates are geographic degrees at the API boundary (latitude in
 [-90, 90], longitude wrapped into (-180, 180]); all trigonometry is done
 in radians internally.  Distances are returned in meters.
 
-The Earth is fixed here: the mean-radius sphere for the great-circle and
-planar distances, the reference ellipsoid for the ellipsoid distance.  The
+The Earth is fixed here: the mean-radius sphere for the great-circle
+distance, the reference ellipsoid for the ellipsoid distance.  The
 pruning and inflation constants elsewhere (:data:`ELLIPSOID_RATIO_BAND`
 and those derived from it) were measured for this pair, so it is not a
 parameter.
@@ -33,8 +33,6 @@ __all__ = [
     "great_circle_distance_many",
     "ellipsoid_distance",
     "ellipsoid_distance_many",
-    "planar_distance",
-    "planar_distance_many",
     "to_cartesian",
 ]
 
@@ -83,7 +81,7 @@ class Vec3(NamedTuple):
     z: float
 
 
-# Mean Earth radius: the sphere of the great-circle and planar distances.
+# Mean Earth radius: the sphere of the great-circle distance.
 MEAN_RADIUS_M = 6_371_000.0
 # Semi-major axis and flattening of the reference ellipsoid: the ellipsoid distance.
 EQUATORIAL_RADIUS_M = 6_378_137.0
@@ -230,33 +228,6 @@ def ellipsoid_distance_many(
     correction = np.where(s > 0.0, correction, 0.0)
     out = 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
     return np.where(w == 0.0, 0.0, out)
-
-
-def planar_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Equirectangular approximation: meant for points within a tile or so.
-
-    Latitude difference and longitude difference scaled by the cosine of the
-    mean latitude, treated as planar Euclidean coordinates in meters.
-    """
-    dlat = math.radians(b.lat_deg - a.lat_deg)
-    dlng = math.radians(wrap_longitude(b.lng_deg - a.lng_deg))
-    mean_phi = math.radians(a.lat_deg + b.lat_deg) * 0.5
-    x = dlng * math.cos(mean_phi)
-    return MEAN_RADIUS_M * math.hypot(dlat, x)
-
-
-def planar_distance_many(
-    lats_deg: np.ndarray,
-    lngs_deg: np.ndarray,
-    p_lats_deg,
-    p_lngs_deg,
-) -> np.ndarray:
-    """Vectorized twin of :func:`planar_distance`; query points as in
-    :func:`great_circle_distance_many`."""
-    dlat = np.radians(p_lats_deg - lats_deg)
-    dlng = np.radians(wrap_longitude_many(p_lngs_deg - lngs_deg))
-    mean_phi = np.radians(lats_deg + p_lats_deg) * 0.5
-    return MEAN_RADIUS_M * np.hypot(dlat, dlng * np.cos(mean_phi))
 
 
 def to_cartesian(p: GeoPoint) -> Vec3:

@@ -37,9 +37,10 @@ the pyramid; both count their work, window-settled queries included
 (:class:`~isoscan.spatial_index.SearchWork`), into :class:`PipelineStats`.
 
 Peaks and candidates cross between the passes, and to and from the worker
-processes, as structured numpy arrays (:data:`PEAK_DTYPE`,
-:data:`CANDIDATE_DTYPE`), and the answers leave the pipeline as arrays too
-(:data:`ANSWER_DTYPE`), from which the CSV is written; ``Peak`` and
+processes, as structured numpy arrays (:data:`PEAK_DTYPE`, and
+:data:`CANDIDATE_DTYPE`, the rows the pyramid search returns, defined in
+:mod:`~isoscan.spatial_index`), and the answers leave the pipeline as
+arrays too (:data:`ANSWER_DTYPE`), from which the CSV is written; ``Peak`` and
 ``IlpResult`` objects are made only on demand, for the audit, the oracle
 check and the tests (``PipelineResult.results``).
 Bounding and finalization run tile-parallel in worker processes; results
@@ -73,12 +74,14 @@ from .dem import (
 from .geo import MEAN_RADIUS_M, GeoPoint, wrap_longitude_many
 from .quad import Quadrilateral, min_distance, max_distance
 from .spatial_index import (
+    CANDIDATE_DTYPE,
     ElevationPyramid,
     EllipsoidMetric,
     GreatCircleMetric,
     SearchWork,
     TileIndex,
     TileKey,
+    nearest_per_peak,
 )
 from .sweep import IlpResult, run_sweep
 
@@ -126,12 +129,6 @@ PEAK_DTYPE = np.dtype(
         ("home_lng", np.int32),
         ("bound", np.float64),
     ]
-)
-
-# One finalization candidate: the row of its peak in the peak array it was
-# found for, the distance, and the location of the higher sample.
-CANDIDATE_DTYPE = np.dtype(
-    [("peak", np.int64), ("distance", np.float64), ("lat", np.float64), ("lng", np.float64)]
 )
 
 # One peak's answer: the distance to its nearest strictly higher sample and
@@ -371,7 +368,10 @@ def bounding_pass(tile: Tile, i_min: float, distance_mode: str) -> BoundingOutco
     cells = detect_peaks(tile, dominated)
     peaks = peak_rows(tile, cells.rows, cells.cols)
     search = SearchWork()
-    answers = _nearest_higher(tile, peaks, final_metric(distance_mode), search)
+    # The tile's high point is never dominated, so there is always a peak.
+    answers = ElevationPyramid(tile).nearest_higher_many(
+        peaks["lat"], peaks["lng"], peaks["elevation"], final_metric(distance_mode), search
+    )
     peaks["bound"][answers["peak"]] = answers["distance"] * BOUND_INFLATION
     deferred = np.isinf(peaks["bound"])
     low = peaks["bound"] < i_min
@@ -496,22 +496,14 @@ def finalization_pass(
         its row in ``peaks``.
     """
     below = np.flatnonzero(peaks["elevation"] < tile.max_elevation_m)
-    out = _nearest_higher(tile, peaks[below], metric, search)
+    if not len(below):
+        return np.empty(0, dtype=CANDIDATE_DTYPE)
+    queries = peaks[below]
+    out = ElevationPyramid(tile).nearest_higher_many(
+        queries["lat"], queries["lng"], queries["elevation"], metric, search
+    )
     out["peak"] = below[out["peak"]]
     return out
-
-
-def _nearest_higher(tile: Tile, peaks: np.ndarray, metric, search: SearchWork | None):
-    """One :data:`CANDIDATE_DTYPE` row per peak of ``peaks`` with a strictly
-    higher sample in the tile, from one batched search of its full-resolution
-    pyramid; ``peak`` is the row in ``peaks``."""
-    if not len(peaks):
-        return np.empty(0, dtype=CANDIDATE_DTYPE)
-    found = ElevationPyramid(tile).nearest_higher_many(
-        peaks["lat"], peaks["lng"], peaks["elevation"], metric, search
-    )
-    hits = [(k, hit[1], *hit[0]) for k, hit in enumerate(found) if hit is not None]
-    return np.array(hits, dtype=CANDIDATE_DTYPE)
 
 
 class ResultArrays(NamedTuple):
@@ -527,14 +519,10 @@ def finalize(peaks: np.ndarray, candidates: np.ndarray) -> ResultArrays:
 
     ``peaks`` are :data:`PEAK_DTYPE` rows, one per peak; the ``peak`` of
     each :data:`CANDIDATE_DTYPE` row indexes them.  A peak's answer is its
-    candidate of smallest (distance, lat, lng).  Returns ``peaks`` with one
-    answer per peak.
+    candidate of smallest (distance, lat, lng) (:func:`nearest_per_peak`).
+    Returns ``peaks`` with one answer per peak.
     """
-    order = np.lexsort(
-        (candidates["lng"], candidates["lat"], candidates["distance"], candidates["peak"])
-    )
-    best = candidates[order]
-    best = best[_starts(best["peak"])]
+    best = nearest_per_peak(candidates)
     answers = np.full(len(peaks), np.nan, dtype=ANSWER_DTYPE)
     for field in ANSWER_DTYPE.names:
         answers[field][best["peak"]] = best[field]
@@ -841,7 +829,12 @@ def run_merged_sweep(
     merged = merge_tiles(tile_list)
     peaks = detect_peaks_deduped(tile_list)
     events = build_events(merged, peaks)
-    return run_sweep(events, merged.quad, metric)
+    bounds = merged.quad
+    if bounds.lng_min == -180:
+        # Samples on the west edge wrap to lng 180, as GeoPoint wraps them,
+        # so the tree must span every longitude to hold them.
+        bounds = bounds._replace(lng_max=180)
+    return run_sweep(events, bounds, metric)
 
 
 def audit_pipeline(outcome: PipelineResult) -> list[str]:

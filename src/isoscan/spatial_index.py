@@ -14,7 +14,11 @@ a few samples from their query, so a window of samples around each query
 inside the grid comes first; the query is settled there when the metric's
 bound on the rest of the grid is beyond the window's best.  The other
 queries, and those outside the grid, go to a level-synchronous descent
-over (query, cell) pair arrays that starts from the window's best.
+over (query, cell) pair arrays that starts from the window's best.  The
+answers are :data:`CANDIDATE_DTYPE` rows, one per query with a higher
+sample: the format the pipeline's passes hand on.  Both stages pick each
+query's answer with :func:`nearest_per_peak`, the rule the pipeline's
+``finalize`` applies across tiles.
 
 ``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
 and maximum elevations).  It answers, for arrays of points at once, the
@@ -23,8 +27,9 @@ ground, and the tile assignment's query for the tiles within each point's
 radius: an integer tile box of each spherical cap, then the vector
 quadrilateral distance.
 
-Nearest-neighbor queries take a distance metric object.  Every metric pairs
-its point-to-point distance with a quadrilateral lower bound that never
+Nearest-neighbor queries take one of the two distance metrics,
+``GreatCircleMetric`` or ``EllipsoidMetric``.  Each pairs its
+point-to-point distance with a quadrilateral lower bound that never
 exceeds the metric's distance to any point inside the quadrilateral; that
 soundness is what makes pruned searches exactly equivalent to linear scans.
 Each also has elementwise vector twins, ``distance_many`` and
@@ -47,9 +52,6 @@ from .geo import (
     ellipsoid_distance_many,
     great_circle_distance,
     great_circle_distance_many,
-    planar_distance,
-    planar_distance_many,
-    wrap_longitude,
     wrap_longitude_many,
 )
 from .quad import Quadrilateral, contains, min_distance, min_distance_many
@@ -60,15 +62,23 @@ __all__ = [
     "EmptyTreeError",
     "NonFiniteDistanceError",
     "GreatCircleMetric",
-    "PlanarMetric",
     "EllipsoidMetric",
     "SphereKdTree",
     "SearchWork",
+    "CANDIDATE_DTYPE",
+    "nearest_per_peak",
     "ElevationPyramid",
     "TileIndex",
 ]
 
 TileKey = tuple[int, int]
+
+# One answer of a nearest-higher search: the row of its query (a peak) in
+# the query arrays, the distance, and the location of the higher sample,
+# longitude wrapped into (-180, 180] as GeoPoint wraps it.
+CANDIDATE_DTYPE = np.dtype(
+    [("peak", np.int64), ("distance", np.float64), ("lat", np.float64), ("lng", np.float64)]
+)
 
 # Absolute slack (meters) on pruning comparisons: absorbs last-ulp noise in
 # bound computations so equal-distance tie candidates are never pruned away.
@@ -128,58 +138,6 @@ class GreatCircleMetric:
 
     def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
         return min_distance_many(lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs)
-
-
-class PlanarMetric:
-    """Equirectangular distance with a component-wise gap lower bound."""
-
-    def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return planar_distance(a, b)
-
-    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return planar_distance_many(lats, lngs, p_lats, p_lngs)
-
-    def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
-        lat = p.lat_deg
-        if lat > q.lat_max:
-            gap_lat = lat - q.lat_max
-        elif lat < q.lat_min:
-            gap_lat = q.lat_min - lat
-        else:
-            gap_lat = 0.0
-
-        lng = p.lng_deg
-        if q.lng_min <= lng <= q.lng_max:
-            gap_lng = 0.0
-        else:
-            gap_lng = min(
-                abs(wrap_longitude(lng - q.lng_min)),
-                abs(wrap_longitude(lng - q.lng_max)),
-            )
-
-        # The mean latitude of (p, s) for s in q ranges over an interval;
-        # take the smallest cosine over it so the bound stays below the
-        # metric for every s.
-        m_lo = (lat + q.lat_min) * 0.5
-        m_hi = (lat + q.lat_max) * 0.5
-        c = min(math.cos(math.radians(m_lo)), math.cos(math.radians(m_hi)))
-        c = max(c, 0.0)
-        return MEAN_RADIUS_M * math.hypot(math.radians(gap_lat), math.radians(gap_lng) * c)
-
-    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
-        """:meth:`lower_bound` from each point to its quadrilateral, elementwise."""
-        gap_lat = np.maximum(np.maximum(p_lats - lat_max, lat_min - p_lats), 0.0)
-        gap_lng = np.minimum(
-            np.abs(wrap_longitude_many(p_lngs - lng_min)),
-            np.abs(wrap_longitude_many(p_lngs - lng_max)),
-        )
-        gap_lng = np.where((lng_min <= p_lngs) & (p_lngs <= lng_max), 0.0, gap_lng)
-        c = np.minimum(
-            np.cos(np.radians((p_lats + lat_min) * 0.5)),
-            np.cos(np.radians((p_lats + lat_max) * 0.5)),
-        )
-        c = np.maximum(c, 0.0)
-        return MEAN_RADIUS_M * np.hypot(np.radians(gap_lat), np.radians(gap_lng) * c)
 
 
 class EllipsoidMetric:
@@ -579,7 +537,7 @@ class ElevationPyramid:
         elevations: np.ndarray,
         metric,
         work: Optional[SearchWork] = None,
-    ) -> list[Optional[tuple[GeoPoint, float]]]:
+    ) -> np.ndarray:
         """Nearest sample strictly higher than each query's elevation.
 
         Two stages, :data:`_QUERY_CHUNK` queries at a time.  The window
@@ -602,8 +560,8 @@ class ElevationPyramid:
         accumulates the search's counts.
 
         Returns:
-            One (sample, distance) per query, or None when no sample is
-            strictly higher.
+            One :data:`CANDIDATE_DTYPE` row per query with a strictly higher
+            sample, in query order; ``peak`` is the query's index.
 
         Raises:
             NonFiniteDistanceError: the metric gave a NaN or infinite
@@ -614,20 +572,22 @@ class ElevationPyramid:
         elevations = np.asarray(elevations)
         work = SearchWork() if work is None else work
         work.queries += len(lats)
-        found: list[Optional[tuple[GeoPoint, float]]] = []
+        found = np.empty(len(lats), dtype=CANDIDATE_DTYPE)
+        answered = np.zeros(len(lats), dtype=bool)
         best = np.empty(len(lats))
         for start in range(0, len(lats), _QUERY_CHUNK):
             part = slice(start, start + _QUERY_CHUNK)
-            hits, best[part] = self._window(lats[part], lngs[part], elevations[part], metric)
-            found.extend(hits)
-        pending = np.array([k for k, hit in enumerate(found) if hit is None], dtype=np.intp)
-        work.window_resolved += len(found) - len(pending)
+            rows, best[part] = self._window(lats[part], lngs[part], elevations[part], metric)
+            rows["peak"] += start
+            found[rows["peak"]], answered[rows["peak"]] = rows, True
+        work.window_resolved += int(answered.sum())
+        pending = np.flatnonzero(~answered)
         for start in range(0, len(pending), _QUERY_CHUNK):
             part = pending[start : start + _QUERY_CHUNK]
-            hits = self._descend(lats[part], lngs[part], elevations[part], best[part], metric, work)
-            for k, hit in zip(part.tolist(), hits):
-                found[k] = hit
-        return found
+            rows = self._descend(lats[part], lngs[part], elevations[part], best[part], metric, work)
+            rows["peak"] = part[rows["peak"]]
+            found[rows["peak"]], answered[rows["peak"]] = rows, True
+        return found[answered]
 
     def _window(self, p_lats, p_lngs, elevations, metric):
         """Answers of one chunk of queries from the window around each one's nearest sample.
@@ -635,10 +595,10 @@ class ElevationPyramid:
         A query inside the grid is answered when its window holds a strictly
         higher sample and the metric's bound on the at most four strips of
         the grid outside the window is beyond the window's best distance by
-        more than the slack.  Returns the answers (None where the window
-        does not settle the query) and each query's best vector distance in
-        its window (inf where it has no higher sample or lies outside the
-        grid), an upper bound for the descent.
+        more than the slack.  Returns the answers (:data:`CANDIDATE_DTYPE`
+        rows of the queries the window settles) and each query's best vector
+        distance in its window (inf where it has no higher sample or lies
+        outside the grid), an upper bound for the descent.
         """
         n = len(p_lats)
         lats, lngs = self._lats, self._lngs
@@ -646,7 +606,7 @@ class ElevationPyramid:
         inside &= (lngs[0] <= p_lngs) & (p_lngs <= lngs[-1])
         q = np.flatnonzero(inside)
         if not len(q):
-            return [None] * n, np.full(n, np.inf)
+            return np.empty(0, dtype=CANDIDATE_DTYPE), np.full(n, np.inf)
         grid_rows, grid_cols = self._elevations.shape
         steps = self._steps_per_degree
         centre_rows = np.clip(np.rint((lats[0] - p_lats[q]) * steps), 0, grid_rows - 1)
@@ -684,15 +644,17 @@ class ElevationPyramid:
         resolved = np.zeros(n, dtype=bool)
         resolved[q] = ~_within_slack(outside, best[q])
         keep = resolved[k]
-        found = _rerank(
+        rows = _rerank(
             k[keep], near_lats[keep], near_lngs[keep], dists[keep], best, p_lats, p_lngs, metric
         )
-        return found, best
+        return rows, best
 
     def _descend(self, p_lats, p_lngs, elevations, best, metric, work):
         """Descend the pyramid with one chunk of queries, down to the leaf blocks.
 
         ``best`` holds an upper bound on each query's answer (inf for none).
+        Returns the answers as :data:`CANDIDATE_DTYPE` rows, ``peak`` being
+        the query's index in the chunk.
         """
         n = len(p_lats)
         best = best.copy()  # each query's smallest upper bound so far
@@ -755,26 +717,36 @@ def _rerank(q, lats, lngs, dists, lowest, p_lats, p_lngs, metric):
     Entry k is a sample (``lats[k]``, ``lngs[k]``) of query ``q[k]`` at
     vector distance ``dists[k]``; ``lowest`` is each query's smallest vector
     distance.  Only the samples within the slack of it are re-ranked, with
-    the scalar distance and then ascending (lat, lng).  Returns one
-    (sample, distance) per query, None for a query with no sample.
+    the scalar distance and then ascending (lat, lng)
+    (:func:`nearest_per_peak`).  Returns one :data:`CANDIDATE_DTYPE` row per
+    query with a sample, in query order.
     """
     near = np.flatnonzero(_within_slack(dists, lowest[q]))
-    found: list[Optional[tuple[GeoPoint, float]]] = [None] * len(p_lats)
+    rows = np.empty(len(near), dtype=CANDIDATE_DTYPE)
+    rows["peak"], rows["lat"], rows["lng"] = q[near], lats[near], wrap_longitude_many(lngs[near])
     distance = metric.distance
-    isfinite = math.isfinite
     query_lats, query_lngs = p_lats.tolist(), p_lngs.tolist()
+    scalar = []
     current, p = -1, None
-    for k, lat, lng in zip(q[near].tolist(), lats[near].tolist(), lngs[near].tolist()):
+    for k, lat, lng in zip(rows["peak"].tolist(), rows["lat"].tolist(), rows["lng"].tolist()):
         if k != current:
             current, p = k, GeoPoint(query_lats[k], query_lngs[k])
-        pt = GeoPoint(lat, lng)
-        d = distance(p, pt)
-        if not isfinite(d):
-            raise _non_finite("distance", d, p)
-        cur = found[k]
-        if cur is None or d < cur[1] or (d == cur[1] and pt < cur[0]):
-            found[k] = (pt, d)
-    return found
+        scalar.append(distance(p, GeoPoint(lat, lng)))
+    rows["distance"] = scalar
+    _check_finite("distance", rows["distance"], p_lats[rows["peak"]], p_lngs[rows["peak"]])
+    return nearest_per_peak(rows)
+
+
+def nearest_per_peak(candidates: np.ndarray) -> np.ndarray:
+    """Each peak's :data:`CANDIDATE_DTYPE` row of smallest (distance, lat, lng),
+    in peak order; of equal rows, the first."""
+    order = np.lexsort(
+        (candidates["lng"], candidates["lat"], candidates["distance"], candidates["peak"])
+    )
+    best = candidates[order]
+    first = np.ones(len(best), dtype=bool)
+    first[1:] = best["peak"][1:] != best["peak"][:-1]
+    return best[first]
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from isoscan.geo import (
 )
 from isoscan.multipass import audit_pipeline, run_pipeline
 from isoscan.quad import Quadrilateral, max_distance, min_distance
-from isoscan.spatial_index import GreatCircleMetric, PlanarMetric, SphereKdTree
+from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from isoscan.sweep import assert_sweep_invariant
 
 
@@ -98,7 +98,7 @@ def test_c04_nn_index_exactness():
     q_lngs = rng.uniform(-2, 12, 1000)
     queries = [GeoPoint(a, b) for a, b in zip(q_lats.tolist(), q_lngs.tolist())]
     checked = 0
-    for metric in (PlanarMetric(), GreatCircleMetric()):
+    for metric in (EllipsoidMetric(), GreatCircleMetric()):
         for q in queries:
             assert tree.nearest_neighbor(q, metric) == exact_nearest(lats, lngs, q, metric)
             checked += 1
@@ -120,7 +120,7 @@ def test_c04_nn_index_exactness():
         if step % 250 == 0:
             assert sorted(shadow_tree.points()) == sorted(shadow)
     assert sorted(shadow_tree.points()) == sorted(shadow)
-    _verdict(4, f"{checked} queries exact under planar+great-circle, {ops} shadow ops")
+    _verdict(4, f"{checked} queries exact under ellipsoid+great-circle, {ops} shadow ops")
 
 
 def test_c05_geometry_tolerances():

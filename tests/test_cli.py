@@ -213,6 +213,33 @@ class TestExitCodes:
     def test_bad_bounds_exit_1(self, tmp_path):
         assert main(compute_args(tmp_path, bounds=(47, 45, 7, 9))) == 1
 
+    @pytest.mark.parametrize(
+        "bounds", [(89, 91, 0, 1), (-91, -89, 0, 1), (0, 1, 179, 181), (0, 1, -181, -179)]
+    )
+    def test_bounds_off_the_globe_exit_1(self, tmp_path, capsys, bounds):
+        assert main(compute_args(tmp_path, tmp_path / "o.csv", bounds=bounds)) == 1
+        err = capsys.readouterr().err
+        assert "bad configuration" in err and "--bounds" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("bounds", "tile"),
+        [
+            ((89, 90, 0, 1), "(89, 0)"),
+            ((-90, -89, 0, 1), "(-90, 0)"),
+            ((0, 1, 179, 180), "(0, 179)"),
+            ((0, 1, -180, -179), "(0, -180)"),
+        ],
+    )
+    def test_bounds_on_the_globe_edge_are_valid(self, tmp_path, capsys, bounds, tile):
+        # The edges themselves are valid bounds: the one tile they need is
+        # missing from the empty data directory, which exits 2, not 1.
+        data = tmp_path / "tiles"
+        data.mkdir()
+        assert main(compute_args(data, tmp_path / "o.csv", bounds=bounds)) == 2
+        err = capsys.readouterr().err
+        assert f"missing tiles: [{tile}]" in err and "--bounds" not in err
+
     @pytest.mark.parametrize("threshold", ["nan", "-1"])
     def test_nan_or_negative_threshold_exit_1(self, cones_world_dir, tmp_path, capsys, threshold):
         out_csv = tmp_path / "o.csv"

@@ -20,8 +20,6 @@ from isoscan.geo import (
     ellipsoid_distance_many,
     great_circle_distance,
     great_circle_distance_many,
-    planar_distance,
-    planar_distance_many,
     to_cartesian,
     wrap_longitude,
 )
@@ -238,31 +236,7 @@ class TestEllipsoid:
         assert hi / lo <= _METRIC_ANISOTROPY
 
 
-class TestPlanar:
-    def test_identity_is_zero(self):
-        p = GeoPoint(10.0, 10.0)
-        assert planar_distance(p, p) == 0.0
-
-    def test_exact_on_equator(self):
-        d = planar_distance(GeoPoint(0, 0), GeoPoint(0, 1))
-        assert d == pytest.approx(great_circle_distance(GeoPoint(0, 0), GeoPoint(0, 1)), rel=1e-9)
-
-    def test_close_to_great_circle_at_60_degrees(self):
-        a, b = GeoPoint(60, 0), GeoPoint(60, 1)
-        g = great_circle_distance(a, b)
-        assert planar_distance(a, b) == pytest.approx(g, rel=1e-4)
-
-    def test_wraps_at_antimeridian(self):
-        d = planar_distance(GeoPoint(0, 179.9), GeoPoint(0, -179.9))
-        assert d == pytest.approx(0.2 * R * math.pi / 180.0, rel=1e-9)
-
-    @given(points, points)
-    @settings(max_examples=100)
-    def test_symmetry_exact(self, a, b):
-        assert planar_distance(a, b) == planar_distance(b, a)
-
-
-VECTOR_TWINS = [great_circle_distance_many, ellipsoid_distance_many, planar_distance_many]
+VECTOR_TWINS = [great_circle_distance_many, ellipsoid_distance_many]
 
 
 class TestVectorTwinQueryPoints:

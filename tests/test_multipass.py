@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import results_by_location
-from isoscan import dem, multipass
+from isoscan import dem, multipass, spatial_index
 from isoscan.dem import (
     Peak,
     PeakCells,
@@ -368,13 +368,17 @@ class TestSearchOnce:
     @pytest.mark.parametrize("i_min", [0.0, 3000.0])
     def test_no_pair_is_searched_twice(self, monkeypatch, i_min):
         queried = []
-        real = multipass._nearest_higher
 
-        def recording(tile, peaks, metric, search):
-            queried.extend((tile.key, loc) for loc in locations(peaks))
-            return real(tile, peaks, metric, search)
+        class Recording(ElevationPyramid):
+            def __init__(self, tile):
+                super().__init__(tile)
+                self.key = tile.key
 
-        monkeypatch.setattr(multipass, "_nearest_higher", recording)
+            def nearest_higher_many(self, lats, lngs, elevations, metric, work=None):
+                queried.extend((self.key, GeoPoint(a, b)) for a, b in zip(lats, lngs))
+                return super().nearest_higher_many(lats, lngs, elevations, metric, work)
+
+        monkeypatch.setattr(multipass, "ElevationPyramid", Recording)
         area, tiles = world(2, 2, seed=70, n=61)
         stats = run_pipeline(area, tiles, i_min=i_min).stats
         assert len(queried) == len(set(queried)) > 0
@@ -473,6 +477,33 @@ class TestFinalize:
         arrays = finalize(peaks, np.empty(0, dtype=CANDIDATE_DTYPE))
         assert np.isnan(arrays.answers["distance"]).all()
         assert ilp_results(arrays)[0].isolation_m is None
+
+    def test_each_peak_gets_its_own_nearest_candidate(self):
+        _area, tiles = world(1, 1, seed=52)
+        tile = next(iter(tiles.values()))
+        cells = detect_peaks(tile)
+        assert len(cells) >= 3
+        peaks = peak_rows(tile, cells.rows[:3], cells.cols[:3])
+        cands = np.array(
+            [
+                (2, 50.0, 45.1, 7.1),
+                (0, 70.0, 45.2, 7.2),
+                (2, 40.0, 45.3, 7.3),
+                (0, 60.0, 45.4, 7.4),
+            ],
+            dtype=CANDIDATE_DTYPE,
+        )
+        answers = finalize(peaks, cands).answers
+        assert answers[["distance", "lat", "lng"]][[0, 2]].tolist() == [
+            (60.0, 45.4, 7.4),
+            (40.0, 45.3, 7.3),
+        ]
+        assert np.isnan(answers["distance"][1])  # peak 1 has no candidate
+
+    def test_candidate_rows_are_the_search_layer_s(self):
+        # multipass re-exports the format spatial_index produces, unchanged.
+        assert multipass.CANDIDATE_DTYPE is spatial_index.CANDIDATE_DTYPE
+        assert "CANDIDATE_DTYPE" in multipass.__all__
 
 
 class TestAssignTiles:

@@ -8,7 +8,7 @@ import pytest
 from isoscan.dem import Peak, Tile, generate_synthetic
 from isoscan.geo import GeoPoint
 from isoscan.oracle import SampleUniverse, brute_force_all, brute_force_ilp
-from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, PlanarMetric
+from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
 
 
 def tile_5x5(grid, origin=(45, 7)) -> Tile:
@@ -85,9 +85,7 @@ class TestSeamDeduplication:
 
 
 class TestChordScreenExactness:
-    @pytest.mark.parametrize(
-        "metric", [GreatCircleMetric(), EllipsoidMetric(), PlanarMetric()]
-    )
+    @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_matches_pure_scalar_scan(self, metric):
         tiles = generate_synthetic(1, 1, seed=32, profile="fractal", samples_per_side=31)
         tile = tiles[0]

@@ -17,17 +17,18 @@ from isoscan.geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_lon
 from isoscan.multipass import area_tile_keys, tile_keys_within
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
+    CANDIDATE_DTYPE,
     ElevationPyramid,
     EllipsoidMetric,
     EmptyTreeError,
     GreatCircleMetric,
     NonFiniteDistanceError,
     OutOfBoundsError,
-    PlanarMetric,
     PointNotFoundError,
     SearchWork,
     SphereKdTree,
     TileIndex,
+    nearest_per_peak,
 )
 
 BOUNDS = Quadrilateral(40, 50, 0, 10)
@@ -156,7 +157,7 @@ class TestNearestNeighbor:
         point, _ = tree.nearest_neighbor(GeoPoint(0, 0), GreatCircleMetric())
         assert point == lo
 
-    @pytest.mark.parametrize("metric", [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()])
+    @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_matches_linear_scan(self, metric):
         pts = random_points(2000, seed=5)
         lats = np.array([p.lat_deg for p in pts])
@@ -171,9 +172,9 @@ class TestNearestNeighbor:
             expected = exact_nearest(lats, lngs, q, metric)
             assert tree.nearest_neighbor(q, metric) == expected
 
-    @pytest.mark.parametrize("metric", [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()])
+    @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_world_scale_exactness(self, metric):
-        # a global point cloud maximizes the disagreement between the three
+        # a global point cloud maximizes the disagreement between the two
         # metrics, stressing the per-metric pruning bounds
         rng = np.random.default_rng(811)
         world = Quadrilateral(-85, 85, -180, 180)
@@ -195,7 +196,7 @@ class TestNearestNeighbor:
         for p in pts:
             tree.insert(p)
             alive.append(p)
-        metric = PlanarMetric()
+        metric = GreatCircleMetric()
         for _ in range(300):
             victim = alive.pop(rng.randrange(len(alive)))
             tree.remove(victim)
@@ -207,7 +208,7 @@ class TestNearestNeighbor:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("method", ["distance", "lower_bound"])
     def test_non_finite_metric_values_raise(self, method, value):
-        class Broken(PlanarMetric):
+        class Broken(GreatCircleMetric):
             pass
 
         setattr(Broken, method, lambda self, *args: value)
@@ -262,7 +263,7 @@ class TestPrebuild:
 
 
 class TestPruningSoundness:
-    @pytest.mark.parametrize("metric", [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()])
+    @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_lower_bound_below_point_distances(self, metric):
         rng = random.Random(12)
         for _ in range(300):
@@ -462,7 +463,7 @@ class TestTileIndex:
             TileIndex([ent, ent])
 
 
-METRICS = [GreatCircleMetric(), PlanarMetric(), EllipsoidMetric()]
+METRICS = [GreatCircleMetric(), EllipsoidMetric()]
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
@@ -521,9 +522,17 @@ def pyramid_batches(draw):
 
 
 def query_batch(pyramid, queries, metric, work=None):
+    """Per query, the (sample, distance) of its row from the pyramid, None for no row."""
     lats = [p.lat_deg for p, _ in queries]
     lngs = [p.lng_deg for p, _ in queries]
-    return pyramid.nearest_higher_many(lats, lngs, [e for _, e in queries], metric, work)
+    rows = pyramid.nearest_higher_many(lats, lngs, [e for _, e in queries], metric, work)
+    assert rows.dtype == CANDIDATE_DTYPE
+    assert (np.diff(rows["peak"]) > 0).all()  # query order, one row per query at most
+    assert ((-180.0 < rows["lng"]) & (rows["lng"] <= 180.0)).all()
+    found = [None] * len(queries)
+    for k, distance, lat, lng in rows.tolist():
+        found[k] = (GeoPoint(lat, lng), distance)
+    return found
 
 
 def assert_matches_linear_scan(tile, queries, found, metric):
@@ -566,7 +575,90 @@ class TestElevationPyramid:
             found = query_batch(ElevationPyramid(tile), queries, metric, work)
             assert_matches_linear_scan(tile, queries, found, metric)
         assert any(got is None for got in found) and any(got is not None for got in found)
-        assert work.queries == 3 * len(queries)
+        assert work.queries == len(METRICS) * len(queries)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_rows_in_query_order_and_no_row_without_a_higher_sample(self, metric):
+        grid = np.random.default_rng(14).integers(0, 60, size=(41, 41)).astype(np.int16)
+        tile = Tile(45, 7, grid, 40)
+        rng = np.random.default_rng(15)
+        lats, lngs = rng.uniform(44.8, 46.2, 30), rng.uniform(6.8, 8.2, 30)
+        elevations = rng.integers(0, 60, 30)
+        elevations[[0, 9, 10, 29]] = grid.max()  # nothing higher
+        rows = ElevationPyramid(tile).nearest_higher_many(lats, lngs, elevations, metric)
+        assert rows.dtype == CANDIDATE_DTYPE
+        assert rows["peak"].tolist() == np.flatnonzero(elevations < grid.max()).tolist()
+
+    def test_empty_query_set_gives_no_rows(self):
+        tile = Tile(45, 7, np.zeros((9, 9), dtype=np.int16), 8)
+        work = SearchWork()
+        rows = ElevationPyramid(tile).nearest_higher_many([], [], [], GreatCircleMetric(), work)
+        assert rows.dtype == CANDIDATE_DTYPE and len(rows) == 0
+        assert work.queries == 0
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_answer_on_the_antimeridian_reports_lng_180(self, metric):
+        # Column 0 of a tile at lng -180 lies at -180.0; the answer's
+        # longitude is wrapped into (-180, 180], as GeoPoint wraps it.
+        grid = np.zeros((41, 41), dtype=np.int16)
+        grid[20, 1] = 10
+        grid[20, 0] = 20
+        tile = Tile(10, -180, grid, 40)
+        assert tile.sample_lngs()[0] == -180.0
+        lat, lng = float(tile.sample_lats()[20]), float(tile.sample_lngs()[1])
+        # A query in the grid, settled by the window, and one across the
+        # antimeridian outside the grid, settled by the descent.
+        queries = [(GeoPoint(lat, lng), 10), (GeoPoint(lat, 179.99), 10)]
+        pyramid = ElevationPyramid(tile)
+        work = SearchWork()
+        rows = pyramid.nearest_higher_many([lat, lat], [lng, 179.99], [10, 10], metric, work)
+        assert rows[["peak", "lat", "lng"]].tolist() == [(0, lat, 180.0), (1, lat, 180.0)]
+        assert work.window_resolved == 1
+        assert_matches_linear_scan(tile, queries, query_batch(pyramid, queries, metric), metric)
+
+    # Two higher samples equidistant from the query at sample (8, 8): one
+    # column (row) away, inside the window, or twice the window's half-side
+    # away, beyond it, where the descent settles the query.
+    TIE_STAGES = [
+        pytest.param(1, 1, id="window"),
+        pytest.param(2 * spatial_index._WINDOW_HALF, 0, id="descent"),
+    ]
+
+    @pytest.mark.parametrize(("offset", "window_resolved"), TIE_STAGES)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_distance_tie_goes_to_the_smaller_lng(self, metric, offset, window_resolved):
+        grid = np.zeros((17, 17), dtype=np.int16)
+        grid[8, 8 - offset] = grid[8, 8 + offset] = 5
+        tile = Tile(45, 7, grid, 16)
+        p = tile.sample_point(8, 8)
+        west, east = tile.sample_point(8, 8 - offset), tile.sample_point(8, 8 + offset)
+        assert metric.distance(p, west) == metric.distance(p, east)
+        work = SearchWork()
+        rows = ElevationPyramid(tile).nearest_higher_many(
+            [p.lat_deg], [p.lng_deg], [0], metric, work
+        )
+        assert rows[["peak", "distance", "lat", "lng"]].tolist() == [
+            (0, metric.distance(p, west), west.lat_deg, west.lng_deg)
+        ]
+        assert work.window_resolved == window_resolved
+
+    @pytest.mark.parametrize(("offset", "window_resolved"), TIE_STAGES)
+    def test_distance_tie_goes_to_the_smaller_lat(self, offset, window_resolved):
+        # Along a meridian the great-circle distance is the same north and
+        # south; the ellipsoid's is not, so only the sphere ties here.
+        metric = GreatCircleMetric()
+        grid = np.zeros((17, 17), dtype=np.int16)
+        grid[8 - offset, 8] = grid[8 + offset, 8] = 5
+        tile = Tile(45, 7, grid, 16)
+        p = tile.sample_point(8, 8)
+        north, south = tile.sample_point(8 - offset, 8), tile.sample_point(8 + offset, 8)
+        assert metric.distance(p, north) == metric.distance(p, south)
+        work = SearchWork()
+        rows = ElevationPyramid(tile).nearest_higher_many(
+            [p.lat_deg], [p.lng_deg], [0], metric, work
+        )
+        assert rows[["peak", "lat", "lng"]].tolist() == [(0, south.lat_deg, south.lng_deg)]
+        assert work.window_resolved == window_resolved
 
     @pytest.mark.parametrize("shape", [(2, 2), (9, 9), (17, 33), (41, 41), (131, 131)])
     def test_cells_store_a_maximum_sample_inside_them(self, shape):
@@ -601,10 +693,10 @@ class TestElevationPyramid:
         ],
     )
     def test_non_finite_metric_values_raise(self, method, value):
-        class Broken(PlanarMetric):
+        class Broken(GreatCircleMetric):
             pass
 
-        real = getattr(PlanarMetric, method)
+        real = getattr(GreatCircleMetric, method)
 
         def broken(self, *args):
             out = real(self, *args)
@@ -616,6 +708,67 @@ class TestElevationPyramid:
         word = "bound" if method == "lower_bound_many" else "distance"
         with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
             pyramid.nearest_higher_many([45.6, 45.5], [7.4, 7.5], [50, 10], Broken())
+
+
+def candidates(*rows) -> np.ndarray:
+    """CANDIDATE_DTYPE rows from (peak, distance, lat, lng) tuples."""
+    return np.array(list(rows), dtype=CANDIDATE_DTYPE)
+
+
+class TestNearestPerPeak:
+    def test_no_candidates_give_no_rows(self):
+        best = nearest_per_peak(candidates())
+        assert best.dtype == CANDIDATE_DTYPE and len(best) == 0
+
+    def test_smallest_distance_wins(self):
+        rows = candidates((0, 30.0, 45.0, 7.0), (0, 10.0, 46.0, 8.0), (0, 20.0, 44.0, 6.0))
+        assert nearest_per_peak(rows).tolist() == [(0, 10.0, 46.0, 8.0)]
+
+    def test_distance_tie_goes_to_the_smaller_lat(self):
+        rows = candidates((0, 10.0, 45.5, 7.0), (0, 10.0, 45.25, 8.0))
+        assert nearest_per_peak(rows).tolist() == [(0, 10.0, 45.25, 8.0)]
+
+    def test_distance_and_lat_tie_goes_to_the_smaller_lng(self):
+        rows = candidates((0, 10.0, 45.5, 7.5), (0, 10.0, 45.5, -179.5), (0, 10.0, 45.5, 180.0))
+        assert nearest_per_peak(rows).tolist() == [(0, 10.0, 45.5, -179.5)]
+
+    def test_one_row_per_peak_in_peak_order(self):
+        # Peaks arrive out of order, and peaks 1 and 3 have no candidate.
+        rows = candidates(
+            (4, 5.0, 45.0, 7.0),
+            (0, 9.0, 45.0, 7.0),
+            (2, 1.0, 45.0, 7.0),
+            (0, 8.0, 45.0, 7.0),
+            (4, 4.0, 45.0, 7.0),
+        )
+        best = nearest_per_peak(rows)
+        assert best[["peak", "distance"]].tolist() == [(0, 8.0), (2, 1.0), (4, 4.0)]
+
+    def test_identical_rows_give_one(self):
+        rows = candidates(*[(3, 10.0, 45.5, 7.5)] * 3)
+        assert nearest_per_peak(rows).tolist() == [(3, 10.0, 45.5, 7.5)]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([0.0, 1.0, 2.5]),
+                st.sampled_from([-1.0, 0.0, 45.5]),
+                st.sampled_from([-179.5, 0.0, 7.25, 180.0]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_min_of_each_peak(self, rows):
+        # Few distinct values, so most peaks hold ties on every key.
+        expected = [
+            min((d, lat, lng) for k, d, lat, lng in rows if k == peak)
+            for peak in sorted({k for k, *_ in rows})
+        ]
+        best = nearest_per_peak(candidates(*rows))
+        assert best["peak"].tolist() == sorted({k for k, *_ in rows})
+        assert best[["distance", "lat", "lng"]].tolist() == expected
 
 
 K = spatial_index._WINDOW_HALF

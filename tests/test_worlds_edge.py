@@ -38,11 +38,18 @@ class TestGeographies:
 
     def test_high_latitude_anisotropy(self):
         # at 72 degrees north a longitude step is ~3x shorter than a
-        # latitude step, stressing split-axis choice and the planar bound
+        # latitude step, stressing split-axis choice and the quadrilateral bounds
         check_world(2, 2, seed=72, origin=(72, 7))
 
     def test_edge_of_longitude_domain(self):
         check_world(1, 2, seed=73, origin=(10, 178))  # east edge at 180
+
+    def test_west_edge_on_the_antimeridian(self):
+        # Column 0 of the western tiles lies at lng -180.0; an answer there
+        # reports lng 180.0, as GeoPoint wraps it, and so does the CSV.
+        outcome = check_world(2, 2, seed=75, origin=(10, -180))
+        lngs = outcome.arrays.answers["lng"]
+        assert (lngs == 180.0).any() and not (lngs == -180.0).any()
 
 
 class TestParameters:
