@@ -315,7 +315,9 @@ def qualifying_samples(tile: Tile) -> np.ndarray:
 _NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 
 
-def detect_peaks(tile: Tile, dominated: Optional[np.ndarray] = None) -> PeakCells:
+def detect_peaks(
+    tile: Tile, dominated: Optional[np.ndarray] = None, qualifies: Optional[np.ndarray] = None
+) -> PeakCells:
     """Samples with all eight neighbors of lower or equal elevation.
 
     Neighbors outside the grid are treated as absent, so boundary samples
@@ -329,10 +331,14 @@ def detect_peaks(tile: Tile, dominated: Optional[np.ndarray] = None) -> PeakCell
     representative is then kept only if it is off the mask too.  The result
     is the unmasked one less the peaks on the mask, but a flat region that
     the mask covers at every qualifying sample is never walked.
+
+    ``qualifies`` is the tile's :func:`qualifying_samples` mask, when the
+    caller has it at hand.
     """
     elev = tile.elevations
     rows, cols = elev.shape
-    qualifies = qualifying_samples(tile)
+    if qualifies is None:
+        qualifies = qualifying_samples(tile)
     q_rows, q_cols = np.nonzero(qualifies if dominated is None else qualifies & ~dominated)
     # A qualifying sample is flat when one of its neighbors is as high.
     level = elev[q_rows, q_cols]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +27,15 @@ __all__ = [
     "EQUATORIAL_RADIUS_M",
     "FLATTENING",
     "ELLIPSOID_RATIO_BAND",
+    "METRIC_ANISOTROPY",
     "wrap_longitude",
     "wrap_longitude_many",
     "antipode",
     "great_circle_distance",
     "great_circle_distance_many",
+    "great_circle_distance_exact_many",
     "ellipsoid_distance",
-    "ellipsoid_distance_many",
+    "ellipsoid_distance_exact_many",
     "to_cartesian",
 ]
 
@@ -50,7 +53,8 @@ def wrap_longitude(lng_deg: float) -> float:
 
 
 def wrap_longitude_many(lng_deg):
-    """:func:`wrap_longitude` for longitude differences in (-360, 360), elementwise."""
+    """:func:`wrap_longitude`, elementwise."""
+    lng_deg = np.fmod(lng_deg, 360.0)  # exact, and the identity inside (-360, 360)
     lng_deg = np.where(lng_deg <= -180.0, lng_deg + 360.0, lng_deg)
     return np.where(lng_deg > 180.0, lng_deg - 360.0, lng_deg)
 
@@ -94,6 +98,12 @@ FLATTENING = 1.0 / 298.257223563
 # constant that relates great-circle and ellipsoid distances clears it.
 ELLIPSOID_RATIO_BAND = (0.99440, 1.00449)
 
+# At least the band's high end over its low end (1.01015).  The point
+# nearest under the ellipsoid distance is at most this factor farther along
+# the great circle than the great-circle nearest, so a screen that keeps
+# every point within the factor (plus a slack) keeps it.
+METRIC_ANISOTROPY = 1.0102
+
 
 def antipode(p: GeoPoint) -> GeoPoint:
     """Point diametrically opposite ``p``."""
@@ -127,10 +137,12 @@ def great_circle_distance_many(
 ) -> np.ndarray:
     """Vectorized haversine from arrays of points to query points.
 
-    Bulk twin of :func:`great_circle_distance` for oracle-style scans and
-    the pyramid's batched descent.  The query coordinates are arrays that
-    broadcast against the points, or one point as two scalars.  Exact
-    comparisons must re-check candidates with the scalar function.
+    Bulk twin of :func:`great_circle_distance` for the tile index's
+    quadrilateral distances.  The query coordinates are arrays that
+    broadcast against the points, or one point as two scalars.  Numpy's
+    trigonometry may round differently from libm's, so exact comparisons
+    must re-check candidates with the scalar function or
+    :func:`great_circle_distance_exact_many`.
     """
     phi = np.radians(lats_deg)
     phi_p = np.radians(p_lats_deg)
@@ -190,42 +202,69 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
 
 
-def ellipsoid_distance_many(
-    lats_deg: np.ndarray,
-    lngs_deg: np.ndarray,
-    p_lats_deg,
-    p_lngs_deg,
-) -> np.ndarray:
-    """Vectorized twin of :func:`ellipsoid_distance`; query points as in
-    :func:`great_circle_distance_many`."""
-    phi1 = np.radians(lats_deg)
-    phi2 = np.radians(p_lats_deg)
-    dphi = (phi2 - phi1) * 0.5
-    dlng = np.radians(p_lngs_deg - lngs_deg) * 0.5
-    mean_phi = (phi1 + phi2) * 0.5
+def _libm(fn, *values: list) -> np.ndarray:
+    """``fn`` of :mod:`math` on each element of the lists: libm's own result.
 
-    sin_dphi2 = np.sin(dphi) ** 2
-    cos_dphi2 = np.cos(dphi) ** 2
-    sin_dlng2 = np.sin(dlng) ** 2
-    cos_dlng2 = np.cos(dlng) ** 2
-    sin_mean2 = np.sin(mean_phi) ** 2
-    cos_mean2 = np.cos(mean_phi) ** 2
+    Numpy's transcendental ufuncs are other implementations (SIMD ones,
+    chosen by the CPU), which may differ from libm in the last ulp.
+    """
+    return np.fromiter(map(fn, *values), dtype=np.float64, count=len(values[0]))
+
+
+def _libm_squared(fn, values: list) -> np.ndarray:
+    """``fn(x) ** 2`` for each element, as CPython computes it: libm's
+    ``pow(fn(x), 2.0)``, which is not always ``fn(x) * fn(x)``."""
+    return np.fromiter(map(pow, map(fn, values), repeat(2)), dtype=np.float64, count=len(values))
+
+
+def great_circle_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
+    """:func:`great_circle_distance` of each pair ``(a[k], b[k])``, bit for bit.
+
+    One-dimensional arrays of one length, longitudes in (-180, 180] as
+    :class:`GeoPoint` holds them.  The scalar function's operations in its
+    order: numpy only for the correctly rounded ones (+, -, *, /, sqrt,
+    radians, comparisons), and every libm call through :func:`_libm`.
+    """
+    sin_dphi = _libm(math.sin, (np.radians(b_lats - a_lats) * 0.5).tolist())
+    sin_dlng = _libm(math.sin, (np.radians(b_lngs - a_lngs) * 0.5).tolist())
+    cos_phi1 = _libm(math.cos, np.radians(a_lats).tolist())
+    cos_phi2 = _libm(math.cos, np.radians(b_lats).tolist())
+    h = sin_dphi * sin_dphi + cos_phi1 * cos_phi2 * sin_dlng * sin_dlng
+    below = np.minimum(h, 1.0)  # h >= 1 takes the branch below
+    w = _libm(math.atan2, np.sqrt(below).tolist(), np.sqrt(1.0 - below).tolist())
+    return np.where(h >= 1.0, math.pi * MEAN_RADIUS_M, 2.0 * MEAN_RADIUS_M * w)
+
+
+def ellipsoid_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
+    """:func:`ellipsoid_distance` of each pair, bit for bit; arrays as in
+    :func:`great_circle_distance_exact_many`."""
+    phi1 = np.radians(a_lats)
+    phi2 = np.radians(b_lats)
+    dphi = ((phi2 - phi1) * 0.5).tolist()
+    dlng = (np.radians(b_lngs - a_lngs) * 0.5).tolist()
+    mean_phi = ((phi1 + phi2) * 0.5).tolist()
+
+    sin_dphi2 = _libm_squared(math.sin, dphi)
+    cos_dphi2 = _libm_squared(math.cos, dphi)
+    sin_dlng2 = _libm_squared(math.sin, dlng)
+    cos_dlng2 = _libm_squared(math.cos, dlng)
+    sin_mean2 = _libm_squared(math.sin, mean_phi)
+    cos_mean2 = _libm_squared(math.cos, mean_phi)
 
     s = sin_dphi2 * cos_dlng2 + cos_mean2 * sin_dlng2
     c = cos_dphi2 * cos_dlng2 + sin_mean2 * sin_dlng2
-    w = np.arctan2(np.sqrt(s), np.sqrt(c))
+    w = _libm(math.atan2, np.sqrt(s).tolist(), np.sqrt(c).tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.sqrt(s * c) / w
+        r = np.sqrt(s * c) / w  # NaN where w == 0, which returns 0 below
         f = FLATTENING
         h1 = (3.0 * r - 1.0) / (2.0 * c)
+        correction = f * h1 * sin_mean2 * cos_dphi2
         h2 = (3.0 * r + 1.0) / (2.0 * s)
-        term2 = np.where(
-            np.isinf(h2),
-            _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2),
-            f * h2 * cos_mean2 * sin_dphi2,
+        correction = np.where(
+            h2 < math.inf,
+            correction - f * h2 * cos_mean2 * sin_dphi2,
+            correction - _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2),
         )
-        correction = f * h1 * sin_mean2 * cos_dphi2 - term2
-    correction = np.where(s > 0.0, correction, 0.0)
     out = 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
     return np.where(w == 0.0, 0.0, out)
 

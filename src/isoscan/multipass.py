@@ -365,7 +365,7 @@ def bounding_pass(tile: Tile, i_min: float, distance_mode: str) -> BoundingOutco
     start = time.perf_counter()
     mask = qualifying_samples(tile)
     dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
-    cells = detect_peaks(tile, dominated)
+    cells = detect_peaks(tile, dominated, mask)
     peaks = peak_rows(tile, cells.rows, cells.cols)
     search = SearchWork()
     # The tile's high point is never dominated, so there is always a peak.

@@ -15,18 +15,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dem import Peak, Tile
-from .geo import MEAN_RADIUS_M, GeoPoint, to_cartesian
-from .spatial_index import EllipsoidMetric, GreatCircleMetric
+from .geo import MEAN_RADIUS_M, METRIC_ANISOTROPY, GeoPoint, to_cartesian
+from .spatial_index import EllipsoidMetric
 from .sweep import IlpResult
 
 __all__ = ["SampleUniverse", "brute_force_ilp", "brute_force_all"]
-
-# Largest possible ratio between the distances two sphere-based metrics
-# assign to the same pair (ellipsoid vs mean-radius great circle): at least
-# the high end of geo.ELLIPSOID_RATIO_BAND over its low end.  Candidate
-# screening by chord length keeps everything within this factor of the
-# minimum plus an absolute slack, then re-ranks exactly.
-_METRIC_ANISOTROPY = 1.0102
 
 
 @dataclass
@@ -122,13 +115,10 @@ def brute_force_ilp(peak: Peak, universe: SampleUniverse, metric) -> IlpResult:
         return IlpResult(peak, None, None)
     lats = universe.lats[start:]
     lngs = universe.lngs[start:]
-    if isinstance(metric, (GreatCircleMetric, EllipsoidMetric)):
-        anisotropy = _METRIC_ANISOTROPY if isinstance(metric, EllipsoidMetric) else 1.0 + 1e-9
-        candidates = _chord_candidates(universe, start, peak.location, anisotropy)
-    else:
-        dists = metric.distance_many(lats, lngs, *peak.location)
-        lowest = float(dists.min())
-        candidates = np.nonzero(dists <= lowest + 1e-3 + lowest * 1e-9)[0]
+    # Chord screening keeps everything within METRIC_ANISOTROPY of the
+    # nearest chord, plus an absolute slack, under the ellipsoid metric.
+    anisotropy = METRIC_ANISOTROPY if isinstance(metric, EllipsoidMetric) else 1.0 + 1e-9
+    candidates = _chord_candidates(universe, start, peak.location, anisotropy)
     # Re-rank candidates with the exact scalar distance so the result is
     # bit-identical to a pure scalar scan.
     best: Optional[tuple[float, GeoPoint]] = None

@@ -11,14 +11,21 @@ and a sample that attains it, max-pooled 2x2 up to one root cell, stored
 as numpy arrays per level.  It answers a whole tile's queries for the
 nearest strictly higher sample in two vectorised stages.  Most answers lie
 a few samples from their query, so a window of samples around each query
-inside the grid comes first; the query is settled there when the metric's
-bound on the rest of the grid is beyond the window's best.  The other
-queries, and those outside the grid, go to a level-synchronous descent
-over (query, cell) pair arrays that starts from the window's best.  The
-answers are :data:`CANDIDATE_DTYPE` rows, one per query with a higher
-sample: the format the pipeline's passes hand on.  Both stages pick each
-query's answer with :func:`nearest_per_peak`, the rule the pipeline's
-``finalize`` applies across tiles.
+inside the grid comes first; the query is settled there when a lower bound
+on the rest of the grid is beyond the window's best.  The other queries,
+and those outside the grid, go to a level-synchronous descent over (query,
+cell) pair arrays that starts from the window's best.  A tile's samples lie
+on a regular latitude/longitude grid, so the search's geometry comes from
+per-row and per-column tables: the haversine of each (query, sample) pair,
+the lower bound of each row and column band (a cell or a strip outside a
+window) and the upper bound of each cell's maximum sample, with no
+trigonometry per sample.  Only the samples in a narrow band around each
+query's nearest by the haversine get the metric's exact distance, from an
+array twin bit-identical to the scalar one.  The answers are
+:data:`CANDIDATE_DTYPE` rows, one per query with a higher sample: the
+format the pipeline's passes hand on.  Both stages pick each query's answer
+with :func:`nearest_per_peak`, the rule the pipeline's ``finalize`` applies
+across tiles.
 
 ``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
 and maximum elevations).  It answers, for arrays of points at once, the
@@ -32,8 +39,9 @@ Nearest-neighbor queries take one of the two distance metrics,
 point-to-point distance with a quadrilateral lower bound that never
 exceeds the metric's distance to any point inside the quadrilateral; that
 soundness is what makes pruned searches exactly equivalent to linear scans.
-Each also has elementwise vector twins, ``distance_many`` and
-``lower_bound_many``, for the pyramid's batched descent.
+Each also has an exact array twin of its distance, ``distance_exact_many``,
+and the band (``low``, ``high``) of its distance over the great-circle
+distance, which scales the pyramid's great-circle bounds.
 """
 
 from __future__ import annotations
@@ -46,12 +54,14 @@ import numpy as np
 
 from .dem import Tile
 from .geo import (
+    ELLIPSOID_RATIO_BAND,
     MEAN_RADIUS_M,
+    METRIC_ANISOTROPY,
     GeoPoint,
     ellipsoid_distance,
-    ellipsoid_distance_many,
+    ellipsoid_distance_exact_many,
     great_circle_distance,
-    great_circle_distance_many,
+    great_circle_distance_exact_many,
     wrap_longitude_many,
 )
 from .quad import Quadrilateral, contains, min_distance, min_distance_many
@@ -125,37 +135,38 @@ class NonFiniteDistanceError(ArithmeticError):
 
 
 class GreatCircleMetric:
-    """Haversine distance with the exact quadrilateral minimum as bound."""
+    """Haversine distance with the exact quadrilateral minimum as bound.
+
+    ``low`` and ``high`` bound the metric's distance over the great-circle
+    distance, and ``anisotropy`` is the width of the chord band within
+    which :class:`ElevationPyramid` keeps samples for the exact re-rank.
+    """
+
+    low = high = anisotropy = 1.0
 
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
         return great_circle_distance(a, b)
 
-    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return great_circle_distance_many(lats, lngs, p_lats, p_lngs)
+    def distance_exact_many(self, a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
+        return great_circle_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return min_distance(q, p)
-
-    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
-        return min_distance_many(lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs)
 
 
 class EllipsoidMetric:
     """Flattening-corrected distance; bound is a safely scaled sphere bound."""
 
+    low, high, anisotropy = _ELLIPSOID_PRUNE_FACTOR, ELLIPSOID_RATIO_BAND[1], METRIC_ANISOTROPY
+
     def distance(self, a: GeoPoint, b: GeoPoint) -> float:
         return ellipsoid_distance(a, b)
 
-    def distance_many(self, lats, lngs, p_lats, p_lngs) -> np.ndarray:
-        return ellipsoid_distance_many(lats, lngs, p_lats, p_lngs)
+    def distance_exact_many(self, a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
+        return ellipsoid_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p)
-
-    def lower_bound_many(self, lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs) -> np.ndarray:
-        return _ELLIPSOID_PRUNE_FACTOR * min_distance_many(
-            lat_min, lat_max, lng_min, lng_max, p_lats, p_lngs
-        )
 
 
 def _halve(q: Quadrilateral, axis: int) -> tuple[float, Quadrilateral, Quadrilateral]:
@@ -416,15 +427,19 @@ def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a[keep] for a in arrays)
 
 
+def _padded(distance):
+    """``distance`` plus the slack that absorbs rounding: 1e-3 m plus 1e-9 of it."""
+    return distance + 1e-3 + distance * 1e-9
+
+
 def _within_slack(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``lower <= upper`` up to the slack that absorbs vector-versus-scalar ulps.
+    """``lower <= upper`` up to the slack of :func:`_padded`.
 
     Vector distances and bounds may differ from the scalar ones in the last
-    ulps, so nothing within 1e-3 m plus 1e-9 times ``upper`` is pruned, and
-    samples that close to the smallest vector distance are re-ranked with
-    the scalar distance, as ``oracle.brute_force_ilp`` does.
+    ulps, so nothing within the slack is pruned, and candidates that close
+    to the smallest vector distance are re-ranked with the scalar one.
     """
-    return lower <= upper + 1e-3 + upper * 1e-9
+    return lower <= _padded(upper)
 
 
 @dataclass
@@ -434,9 +449,10 @@ class SearchWork:
     For :meth:`ElevationPyramid.nearest_higher_many`, ``window_resolved``
     counts the queries its window stage answers; of the others, ``pairs``
     counts the (query, cell) pairs of the descent that survive pruning, over
-    all levels, and ``leaf_samples`` the leaf-block samples whose distance
-    was computed.  For :meth:`TileIndex.tiles_within`, ``pairs`` counts the
-    (query, tile) pairs whose vector distance was computed.
+    all levels, and ``leaf_samples`` the strictly higher samples of the
+    leaf blocks that the chord screen ranks.  For
+    :meth:`TileIndex.tiles_within`, ``pairs`` counts the (query, tile) pairs
+    whose vector distance was computed.
     """
 
     queries: int = 0
@@ -446,22 +462,13 @@ class SearchWork:
 
 
 class _Level(NamedTuple):
-    """One pyramid level.
-
-    ``maxima[i, j]`` is the highest elevation of cell (i, j), and
-    (``arg_rows[i, j]``, ``arg_cols[i, j]``) a sample of the tile that
-    attains it.  Cell row ``i`` spans latitudes [``lat_min[i]``,
-    ``lat_max[i]``] and cell column ``j`` longitudes [``lng_min[j]``,
-    ``lng_max[j]``].
-    """
+    """One pyramid level: ``maxima[i, j]`` is the highest elevation of cell
+    (i, j), and (``arg_rows[i, j]``, ``arg_cols[i, j]``) a sample of the tile
+    that attains it."""
 
     maxima: np.ndarray
     arg_rows: np.ndarray
     arg_cols: np.ndarray
-    lat_min: np.ndarray
-    lat_max: np.ndarray
-    lng_min: np.ndarray
-    lng_max: np.ndarray
 
 
 def _pool(values: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,13 +492,84 @@ def _pool(values: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray, np.nda
     )
 
 
-# Child offsets (row, col) of a cell's 2 x 2 children, and the (row, col)
-# offsets of a leaf block's samples, in row-major order.
+def _half_angles(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of half of each angle."""
+    half = np.radians(degrees) * 0.5
+    return np.sin(half), np.cos(half)
+
+
+class _Queries(NamedTuple):
+    """A search's query points, longitude wrapped as :class:`GeoPoint` wraps
+    it, and their half-angle and latitude-cosine terms (see
+    :meth:`ElevationPyramid._hav`)."""
+
+    lats: np.ndarray
+    lngs: np.ndarray
+    elevations: np.ndarray
+    lat_sin: np.ndarray
+    lat_cos: np.ndarray
+    cos_lat: np.ndarray
+    lng_sin: np.ndarray
+    lng_cos: np.ndarray
+
+    @classmethod
+    def of(cls, lats, lngs, elevations) -> "_Queries":
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = wrap_longitude_many(np.asarray(lngs, dtype=np.float64))
+        return cls(
+            lats,
+            lngs,
+            np.asarray(elevations),
+            *_half_angles(lats),
+            np.cos(np.radians(lats)),
+            *_half_angles(lngs),
+        )
+
+
+# A table haversine (ElevationPyramid._hav) differs from the one the scalar
+# distances compute by at most about 5e-15 times its square root: sin(dlat/2)
+# is good to about 1.2e-15 either way.  The comparisons on haversines allow
+# four times that.  It matters only near half the circumference, where the
+# haversine flattens and the millimetre slack of _padded is below an ulp of it.
+def _allowed(hav: np.ndarray) -> np.ndarray:
+    """``hav`` plus the rounding allowance of table haversines."""
+    return hav + 2e-14 * np.sqrt(hav) + 1e-30
+
+
+def _meters(hav: np.ndarray) -> np.ndarray:
+    """Great-circle distance of each haversine, as the haversine formula gives it;
+    inf stays inf."""
+    h = np.minimum(hav, 1.0)
+    arc = 2.0 * MEAN_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+    return np.where(hav < np.inf, arc, np.inf)
+
+
+def _hav_within(meters: np.ndarray) -> np.ndarray:
+    """The haversine, rounding allowed, up to which a sample may lie within
+    ``meters`` along the great circle; from half the circumference on, 2, above
+    every table haversine but below inf."""
+    angle = np.minimum(meters / MEAN_RADIUS_M, math.pi)
+    return np.where(angle < math.pi, _allowed(np.sin(angle * 0.5) ** 2), 2.0)
+
+
+def _reach(best: np.ndarray, metric) -> np.ndarray:
+    """The haversine beyond which every sample is farther than ``best`` under
+    the metric, slack included: a sample at great-circle distance g lies at
+    least ``metric.low * g`` away."""
+    return _hav_within(_padded(best) / metric.low)
+
+
+def _upper(hav: np.ndarray, metric) -> np.ndarray:
+    """An upper bound on the metric's distance to a sample at table haversine
+    ``hav``: at most ``metric.high`` times the great-circle distance."""
+    return _padded(metric.high * _meters(_allowed(hav)))
+
+
+# Child offsets (row, col) of a cell's 2 x 2 children, and the row (column)
+# offsets of a leaf block's samples and of a window's from its centre.
 _CHILD_ROWS, _CHILD_COLS = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-_LEAF_ROWS, _LEAF_COLS = np.divmod(np.arange(_LEAF_SIDE * _LEAF_SIDE), _LEAF_SIDE)
-# The (row, col) offsets of a window's samples from its centre.
-_WINDOW_ROWS, _WINDOW_COLS = np.divmod(np.arange((2 * _WINDOW_HALF + 1) ** 2), 2 * _WINDOW_HALF + 1)
-_WINDOW_ROWS, _WINDOW_COLS = _WINDOW_ROWS - _WINDOW_HALF, _WINDOW_COLS - _WINDOW_HALF
+_LEAF_OFFSETS = np.arange(_LEAF_SIDE)
+_WINDOW_OFFSETS = np.arange(-_WINDOW_HALF, _WINDOW_HALF + 1)
 
 
 class ElevationPyramid:
@@ -503,6 +581,10 @@ class ElevationPyramid:
     of one sample that attains its maximum.  A cell covers the closed
     quadrilateral spanned by its samples' coordinates.
 
+    The geometry of a search comes from per-row and per-column tables: the
+    sine and cosine of half of each row's latitude and each column's
+    longitude, and each row's cosine of latitude (:meth:`_hav`).
+
     Immutable after construction; safe for concurrent readers.
     """
 
@@ -511,24 +593,15 @@ class ElevationPyramid:
         self._lats = tile.sample_lats()
         self._lngs = tile.sample_lngs()
         self._steps_per_degree = tile.steps_per_degree
-        rows, cols = tile.shape
+        self._lat_sin, self._lat_cos = _half_angles(self._lats)
+        self._cos_lat = np.cos(np.radians(self._lats))
+        self._lng_sin, self._lng_cos = _half_angles(self._lngs)
         maxima, arg_rows, arg_cols = _pool(tile.elevations, _LEAF_SIDE)
-        self.levels: list[_Level] = []
-        while True:
-            side = _LEAF_SIDE << len(self.levels)
-            first = np.arange(0, maxima.shape[0] * side, side)
-            last = np.minimum(first + side, rows) - 1
-            lat_min, lat_max = self._lats[last], self._lats[first]  # row 0 is north
-            first = np.arange(0, maxima.shape[1] * side, side)
-            last = np.minimum(first + side, cols) - 1
-            lng_min, lng_max = self._lngs[first], self._lngs[last]
-            self.levels.append(
-                _Level(maxima, arg_rows, arg_cols, lat_min, lat_max, lng_min, lng_max)
-            )
-            if maxima.shape == (1, 1):
-                break
+        self.levels: list[_Level] = [_Level(maxima, arg_rows, arg_cols)]
+        while maxima.shape != (1, 1):
             maxima, child_rows, child_cols = _pool(maxima, 2)
             arg_rows, arg_cols = arg_rows[child_rows, child_cols], arg_cols[child_rows, child_cols]
+            self.levels.append(_Level(maxima, arg_rows, arg_cols))
 
     def nearest_higher_many(
         self,
@@ -540,24 +613,26 @@ class ElevationPyramid:
     ) -> np.ndarray:
         """Nearest sample strictly higher than each query's elevation.
 
-        Two stages, :data:`_QUERY_CHUNK` queries at a time.  The window
-        stage (:meth:`_window`) answers a query inside the grid from the
-        samples within :data:`_WINDOW_HALF` rows and columns of its nearest
-        sample when one of them is strictly higher and every sample outside
-        the window is provably farther.  The other queries, and all queries
-        outside the grid, go to a level-synchronous branch and bound over
-        (query, cell) pair arrays (:meth:`_descend`), starting from the
-        window's best distance.  At each level every pair expands to the
-        children whose maximum is strictly above its query's elevation; a
-        child is pruned when the metric's vector quadrilateral bound
-        (``lower_bound_many``) exceeds the query's smallest upper bound.  A
-        cell's upper bound is the distance to its stored maximum sample,
-        which is strictly higher than the query, so it is sound under every
-        metric.  Both stages screen strictly higher samples with the vector
-        distance and re-rank the near-minimal ones with the scalar one, ties
-        broken by ascending (lat, lng), so each answer is bit-identical to a
-        scalar scan.  Queries may lie outside the tile.  ``work``, if given,
-        accumulates the search's counts.
+        Two stages, :data:`_QUERY_CHUNK` queries at a time, both on the
+        row and column tables (:meth:`_hav`), with no trigonometry per
+        sample.  The window stage (:meth:`_window`) answers a query inside
+        the grid from the samples within :data:`_WINDOW_HALF` rows and
+        columns of its nearest sample when one of them is strictly higher
+        and a lower bound on the rest of the grid (:meth:`_floor`) is beyond
+        the window's best.  The other queries, and all queries outside the
+        grid, go to a level-synchronous branch and bound over (query, cell)
+        pair arrays (:meth:`_descend`), starting from the window's best
+        distance.  At each level every pair expands to the children whose
+        maximum is strictly above its query's elevation; a child is pruned
+        when the lower bound of its row and column band exceeds the query's
+        smallest upper bound, the distance to a cell's stored maximum
+        sample scaled by the metric's ``high``.  Both stages rank the
+        strictly higher samples of their blocks (:meth:`_nearest_in_blocks`)
+        and take the exact distance only of those in the chord band,
+        ``metric.anisotropy`` times the nearest's great-circle distance
+        plus a slack; ties break by ascending (lat, lng), so each answer is
+        bit-identical to a scalar scan.  Queries may lie outside the tile.
+        ``work``, if given, accumulates the search's counts.
 
         Returns:
             One :data:`CANDIDATE_DTYPE` row per query with a strictly higher
@@ -565,176 +640,210 @@ class ElevationPyramid:
 
         Raises:
             NonFiniteDistanceError: the metric gave a NaN or infinite
-                distance or bound.
+                distance.
         """
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
         elevations = np.asarray(elevations)
+        n = len(lats)
         work = SearchWork() if work is None else work
-        work.queries += len(lats)
-        found = np.empty(len(lats), dtype=CANDIDATE_DTYPE)
-        answered = np.zeros(len(lats), dtype=bool)
-        best = np.empty(len(lats))
-        for start in range(0, len(lats), _QUERY_CHUNK):
-            part = slice(start, start + _QUERY_CHUNK)
-            rows, best[part] = self._window(lats[part], lngs[part], elevations[part], metric)
-            rows["peak"] += start
-            found[rows["peak"]], answered[rows["peak"]] = rows, True
+        work.queries += n
+        found = np.empty(n, dtype=CANDIDATE_DTYPE)
+        answered = np.zeros(n, dtype=bool)
+        best = np.full(n, np.inf)
+        for start in range(0, n, _QUERY_CHUNK):
+            part = np.arange(start, min(start + _QUERY_CHUNK, n))
+            queries = _Queries.of(lats[part], lngs[part], elevations[part])
+            nearest, settled = self._window(queries, metric)
+            nearest["peak"] = part[nearest["peak"]]
+            best[nearest["peak"]] = nearest["distance"]
+            settled = nearest[settled]
+            found[settled["peak"]], answered[settled["peak"]] = settled, True
         work.window_resolved += int(answered.sum())
         pending = np.flatnonzero(~answered)
         for start in range(0, len(pending), _QUERY_CHUNK):
             part = pending[start : start + _QUERY_CHUNK]
-            rows = self._descend(lats[part], lngs[part], elevations[part], best[part], metric, work)
+            queries = _Queries.of(lats[part], lngs[part], elevations[part])
+            rows = self._descend(queries, best[part], metric, work)
             rows["peak"] = part[rows["peak"]]
             found[rows["peak"]], answered[rows["peak"]] = rows, True
         return found[answered]
 
-    def _window(self, p_lats, p_lngs, elevations, metric):
-        """Answers of one chunk of queries from the window around each one's nearest sample.
+    def _window(self, p: _Queries, metric) -> tuple[np.ndarray, np.ndarray]:
+        """Each query's nearest higher sample in the window around its nearest sample.
 
-        A query inside the grid is answered when its window holds a strictly
-        higher sample and the metric's bound on the at most four strips of
-        the grid outside the window is beyond the window's best distance by
-        more than the slack.  Returns the answers (:data:`CANDIDATE_DTYPE`
-        rows of the queries the window settles) and each query's best vector
-        distance in its window (inf where it has no higher sample or lies
-        outside the grid), an upper bound for the descent.
+        Returns the :data:`CANDIDATE_DTYPE` rows of the queries inside the
+        grid whose window holds a strictly higher sample, and a mask of the
+        rows that are the query's answer: where the lower bound on the at
+        most four strips of the grid outside the window is beyond the row's
+        distance by more than the slack.
         """
-        n = len(p_lats)
         lats, lngs = self._lats, self._lngs
-        inside = (lats[-1] <= p_lats) & (p_lats <= lats[0])  # row 0 is north
-        inside &= (lngs[0] <= p_lngs) & (p_lngs <= lngs[-1])
+        inside = (lats[-1] <= p.lats) & (p.lats <= lats[0])  # row 0 is north
+        inside &= (lngs[0] <= p.lngs) & (p.lngs <= lngs[-1])
         q = np.flatnonzero(inside)
-        if not len(q):
-            return np.empty(0, dtype=CANDIDATE_DTYPE), np.full(n, np.inf)
         grid_rows, grid_cols = self._elevations.shape
         steps = self._steps_per_degree
-        centre_rows = np.clip(np.rint((lats[0] - p_lats[q]) * steps), 0, grid_rows - 1)
-        centre_cols = np.clip(np.rint((p_lngs[q] - lngs[0]) * steps), 0, grid_cols - 1)
+        centre_rows = np.clip(np.rint((lats[0] - p.lats[q]) * steps), 0, grid_rows - 1)
+        centre_cols = np.clip(np.rint((p.lngs[q] - lngs[0]) * steps), 0, grid_cols - 1)
         centre_rows, centre_cols = centre_rows.astype(np.intp), centre_cols.astype(np.intp)
-        rows = (centre_rows[:, None] + _WINDOW_ROWS).ravel()
-        cols = (centre_cols[:, None] + _WINDOW_COLS).ravel()
-        k, near_lats, near_lngs, dists, best = self._higher_samples(
-            np.repeat(q, len(_WINDOW_ROWS)), rows, cols, p_lats, p_lngs, elevations, metric
-        )
+        window_rows = centre_rows[:, None] + _WINDOW_OFFSETS
+        window_cols = centre_cols[:, None] + _WINDOW_OFFSETS
+        nearest = self._nearest_in_blocks(q, window_rows, window_cols, p, metric)
+        at = np.searchsorted(q, nearest["peak"])
+        strip, *band = self._strips(centre_rows[at], centre_cols[at])
+        outside = np.full(len(nearest), np.inf)
+        np.minimum.at(outside, strip, self._floor(*band, nearest["peak"][strip], p))
+        return nearest, outside > _reach(nearest["distance"], metric)
 
-        # Bound the grid outside each window that holds a higher sample: the
-        # full-width strips north and south of it, and the strips west and
-        # east of it across its rows, where they exist.
-        q, centre_rows, centre_cols = _select(np.isfinite(best[q]), q, centre_rows, centre_cols)
+    def _strips(self, centre_rows, centre_cols) -> tuple[np.ndarray, ...]:
+        """The strips of the grid outside the window around each centre sample:
+        the full-width strips north and south of it, and the strips west and
+        east of it across its rows, where they exist.  With the window they
+        cover the grid once.  Returns each strip's window (an index into the
+        centres) and its first and last rows and columns.
+        """
+        grid_rows, grid_cols = self._elevations.shape
         top = np.maximum(centre_rows - _WINDOW_HALF, 0)
         bottom = np.minimum(centre_rows + _WINDOW_HALF, grid_rows - 1)
         left = np.maximum(centre_cols - _WINDOW_HALF, 0)
         right = np.minimum(centre_cols + _WINDOW_HALF, grid_cols - 1)
         north, south = np.zeros_like(top), np.full_like(top, grid_rows - 1)
         west, east = np.zeros_like(left), np.full_like(left, grid_cols - 1)
-        strips = (  # (exists, first row, last row, first column, last column)
-            (top > north, north, top - 1, west, east),
-            (bottom < south, bottom + 1, south, west, east),
-            (left > west, top, bottom, west, left - 1),
-            (right < east, top, bottom, right + 1, east),
-        )
-        outside = np.full(len(q), np.inf)
-        for exists, r0, r1, c0, c1 in strips:
-            s, r0, r1, c0, c1 = _select(exists, np.arange(len(q)), r0, r1, c0, c1)
-            p_lat, p_lng = p_lats[q[s]], p_lngs[q[s]]
-            lb = metric.lower_bound_many(lats[r1], lats[r0], lngs[c0], lngs[c1], p_lat, p_lng)
-            _check_finite("bound", lb, p_lat, p_lng)
-            outside[s] = np.minimum(outside[s], lb)
-        resolved = np.zeros(n, dtype=bool)
-        resolved[q] = ~_within_slack(outside, best[q])
-        keep = resolved[k]
-        rows = _rerank(
-            k[keep], near_lats[keep], near_lngs[keep], dists[keep], best, p_lats, p_lngs, metric
-        )
-        return rows, best
+        window = np.arange(len(top))
+        strips = [
+            _select(exists, window, *band)
+            for exists, *band in (
+                (top > north, north, top - 1, west, east),
+                (bottom < south, bottom + 1, south, west, east),
+                (left > west, top, bottom, west, left - 1),
+                (right < east, top, bottom, right + 1, east),
+            )
+        ]
+        return tuple(np.concatenate(columns) for columns in zip(*strips))
 
-    def _descend(self, p_lats, p_lngs, elevations, best, metric, work):
+    def _descend(self, p: _Queries, best: np.ndarray, metric, work: SearchWork) -> np.ndarray:
         """Descend the pyramid with one chunk of queries, down to the leaf blocks.
 
         ``best`` holds an upper bound on each query's answer (inf for none).
         Returns the answers as :data:`CANDIDATE_DTYPE` rows, ``peak`` being
         the query's index in the chunk.
         """
-        n = len(p_lats)
-        best = best.copy()  # each query's smallest upper bound so far
+        n = len(p.lats)
+        grid_rows, grid_cols = self._elevations.shape
+        reach = _reach(best, metric)
         # Every query starts at a virtual cell whose child (0, 0) is the root.
         q = np.arange(n)
         i = j = np.zeros(n, dtype=np.intp)
-        for level in reversed(self.levels):
+        for depth in reversed(range(len(self.levels))):
+            level, side = self.levels[depth], _LEAF_SIDE << depth
             q = np.repeat(q, 4)
             i = (2 * i[:, None] + _CHILD_ROWS).ravel()
             j = (2 * j[:, None] + _CHILD_COLS).ravel()
             rows, cols = level.maxima.shape
             q, i, j = _select((i < rows) & (j < cols), q, i, j)
-            q, i, j = _select(level.maxima[i, j] > elevations[q], q, i, j)
-            p_lat, p_lng = p_lats[q], p_lngs[q]
-            lb = metric.lower_bound_many(
-                level.lat_min[i], level.lat_max[i], level.lng_min[j], level.lng_max[j], p_lat, p_lng
-            )
-            _check_finite("bound", lb, p_lat, p_lng)
-            q, i, j, lb = _select(_within_slack(lb, best[q]), q, i, j, lb)
-            p_lat, p_lng = p_lats[q], p_lngs[q]
-            ub = metric.distance_many(
-                self._lats[level.arg_rows[i, j]], self._lngs[level.arg_cols[i, j]], p_lat, p_lng
-            )
-            _check_finite("distance", ub, p_lat, p_lng)
-            np.minimum.at(best, q, ub)
-            q, i, j = _select(_within_slack(lb, best[q]), q, i, j)
+            q, i, j = _select(level.maxima[i, j] > p.elevations[q], q, i, j)
+            first_row, first_col = i * side, j * side
+            last_row = np.minimum(first_row + side, grid_rows) - 1
+            last_col = np.minimum(first_col + side, grid_cols) - 1
+            floor = self._floor(first_row, last_row, first_col, last_col, q, p)
+            q, i, j, floor = _select(floor <= reach[q], q, i, j, floor)
+            # A cell's maximum sample is strictly higher than the query.
+            upper = np.full(n, np.inf)
+            np.minimum.at(upper, q, self._hav(level.arg_rows[i, j], level.arg_cols[i, j], q, p))
+            best = np.minimum(best, _upper(upper, metric))
+            reach = _reach(best, metric)
+            q, i, j = _select(floor <= reach[q], q, i, j)
             work.pairs += len(q)
-        return self._scan_leaves(q, i, j, p_lats, p_lngs, elevations, metric, work)
+        rows = i[:, None] * _LEAF_SIDE + _LEAF_OFFSETS
+        cols = j[:, None] * _LEAF_SIDE + _LEAF_OFFSETS
+        return self._nearest_in_blocks(q, rows, cols, p, metric, work)
 
-    def _scan_leaves(self, q, i, j, p_lats, p_lngs, elevations, metric, work):
-        """Answers from the strictly higher samples of each pair's leaf block."""
-        rows = (i[:, None] * _LEAF_SIDE + _LEAF_ROWS).ravel()
-        cols = (j[:, None] * _LEAF_SIDE + _LEAF_COLS).ravel()
-        q, lats, lngs, dists, lowest = self._higher_samples(
-            np.repeat(q, len(_LEAF_ROWS)), rows, cols, p_lats, p_lngs, elevations, metric
-        )
-        work.leaf_samples += len(dists)
-        return _rerank(q, lats, lngs, dists, lowest, p_lats, p_lngs, metric)
+    def _hav_lat(self, rows, q, p: _Queries):
+        """hav(latitude difference) of table rows ``rows`` from queries ``q``.
 
-    def _higher_samples(self, q, rows, cols, p_lats, p_lngs, elevations, metric):
-        """The samples (``rows``, ``cols``) inside the grid and strictly higher than
-        their query ``q``: their queries, coordinates and vector distances, and
-        each query's smallest such distance (inf for none)."""
+        sin((a - b) / 2) as sin(a/2) cos(b/2) - cos(a/2) sin(b/2): accurate to
+        about 1e-16 absolute, where 1 - cos(a - b) keeps only about five
+        digits between samples one arc-second apart.
+        """
+        d = self._lat_sin[rows] * p.lat_cos[q] - self._lat_cos[rows] * p.lat_sin[q]
+        return d * d
+
+    def _hav_lng(self, cols, q, p: _Queries):
+        """hav(longitude difference) of table columns ``cols`` from queries ``q``;
+        hav has period 360 degrees, so it needs no wrapping."""
+        d = self._lng_sin[cols] * p.lng_cos[q] - self._lng_cos[cols] * p.lng_sin[q]
+        return d * d
+
+    def _hav(self, rows, cols, q, p: _Queries):
+        """Haversine of the central angle from query ``q`` to sample (``rows``, ``cols``):
+        hav(dlat) + cos(lat_p) cos(lat) hav(dlng)."""
+        weight = p.cos_lat[q] * self._cos_lat[rows]
+        return self._hav_lat(rows, q, p) + weight * self._hav_lng(cols, q, p)
+
+    def _floor(self, first_row, last_row, first_col, last_col, q, p: _Queries):
+        """Lower bound on the haversine from query ``q`` to every sample of the rows
+        ``first_row..last_row`` and columns ``first_col..last_col``.
+
+        The haversine identity with each term at its least over the band: the
+        latitude term at the band's row nearest the query (0 within it), the
+        cosine of latitude at the band's edge row farther from the equator,
+        and the longitude term at the nearer edge column, or 0 between them.
+        Off the band, hav(dlng) only grows from the edge toward the meridian
+        opposite the query, so the nearer edge is its least, across the
+        antimeridian too.
+        """
+        north = p.lats[q] > self._lats[first_row]  # row 0 is north
+        south = p.lats[q] < self._lats[last_row]
+        nearest_row = np.where(north, first_row, last_row)
+        hav_lat = np.where(north | south, self._hav_lat(nearest_row, q, p), 0.0)
+        cos_lat = np.minimum(self._cos_lat[first_row], self._cos_lat[last_row])
+        between = (self._lngs[first_col] <= p.lngs[q]) & (p.lngs[q] <= self._lngs[last_col])
+        edge = np.minimum(self._hav_lng(first_col, q, p), self._hav_lng(last_col, q, p))
+        return hav_lat + p.cos_lat[q] * cos_lat * np.where(between, 0.0, edge)
+
+    def _nearest_in_blocks(self, q, rows, cols, p: _Queries, metric, work=None) -> np.ndarray:
+        """Each query's nearest strictly higher sample in its blocks.
+
+        Block ``e`` of query ``q[e]`` is the samples (``rows[e, a]``,
+        ``cols[e, b]``); entries off the grid are left out.  The blocks are
+        gathered as one (blocks, side, side) array and ranked by haversine
+        (:meth:`_hav`).  Of each query's samples, those within the chord band
+        of the nearest, ``metric.anisotropy`` times its great-circle
+        distance plus the slack of :func:`_padded`, are kept: the nearest by
+        the metric is one of them, because its ratio to the great-circle
+        distance lies in a band that narrow.  They alone get the exact
+        distance (``metric.distance_exact_many``) and go to
+        :func:`nearest_per_peak`.  Returns its rows; ``work``, if given,
+        counts the strictly higher samples as leaf samples.
+        """
         grid_rows, grid_cols = self._elevations.shape
-        in_grid = (0 <= rows) & (rows < grid_rows) & (0 <= cols) & (cols < grid_cols)
-        q, rows, cols = _select(in_grid, q, rows, cols)
-        q, rows, cols = _select(self._elevations[rows, cols] > elevations[q], q, rows, cols)
-        lats, lngs = self._lats[rows], self._lngs[cols]
-        p_lat, p_lng = p_lats[q], p_lngs[q]
-        dists = metric.distance_many(lats, lngs, p_lat, p_lng)
-        _check_finite("distance", dists, p_lat, p_lng)
-        lowest = np.full(len(p_lats), np.inf)
-        np.minimum.at(lowest, q, dists)
-        return q, lats, lngs, dists, lowest
-
-
-def _rerank(q, lats, lngs, dists, lowest, p_lats, p_lngs, metric):
-    """Per query, the nearest of its samples by the scalar distance.
-
-    Entry k is a sample (``lats[k]``, ``lngs[k]``) of query ``q[k]`` at
-    vector distance ``dists[k]``; ``lowest`` is each query's smallest vector
-    distance.  Only the samples within the slack of it are re-ranked, with
-    the scalar distance and then ascending (lat, lng)
-    (:func:`nearest_per_peak`).  Returns one :data:`CANDIDATE_DTYPE` row per
-    query with a sample, in query order.
-    """
-    near = np.flatnonzero(_within_slack(dists, lowest[q]))
-    rows = np.empty(len(near), dtype=CANDIDATE_DTYPE)
-    rows["peak"], rows["lat"], rows["lng"] = q[near], lats[near], wrap_longitude_many(lngs[near])
-    distance = metric.distance
-    query_lats, query_lngs = p_lats.tolist(), p_lngs.tolist()
-    scalar = []
-    current, p = -1, None
-    for k, lat, lng in zip(rows["peak"].tolist(), rows["lat"].tolist(), rows["lng"].tolist()):
-        if k != current:
-            current, p = k, GeoPoint(query_lats[k], query_lngs[k])
-        scalar.append(distance(p, GeoPoint(lat, lng)))
-    rows["distance"] = scalar
-    _check_finite("distance", rows["distance"], p_lats[rows["peak"]], p_lngs[rows["peak"]])
-    return nearest_per_peak(rows)
+        row_in, col_in = (0 <= rows) & (rows < grid_rows), (0 <= cols) & (cols < grid_cols)
+        rows = np.minimum(np.maximum(rows, 0), grid_rows - 1)
+        cols = np.minimum(np.maximum(cols, 0), grid_cols - 1)
+        higher = self._elevations[rows[:, :, None], cols[:, None, :]] > p.elevations[q, None, None]
+        higher &= row_in[:, :, None]
+        higher &= col_in[:, None, :]
+        k = q[:, None]
+        weight = p.cos_lat[k] * self._cos_lat[rows]
+        hav = weight[:, :, None] * self._hav_lng(cols, k, p)[:, None, :]
+        hav += self._hav_lat(rows, k, p)[:, :, None]
+        np.copyto(hav, np.inf, where=~higher)
+        lowest = np.full(len(p.lats), np.inf)
+        np.minimum.at(lowest, q, hav.min(axis=(1, 2)))
+        band = _hav_within(_padded(metric.anisotropy * _meters(lowest)))
+        side = rows.shape[1]
+        e, a = np.divmod(np.flatnonzero(hav <= band[q, None, None]), side * side)
+        a, b = np.divmod(a, side)
+        if work is not None:
+            work.leaf_samples += int(np.count_nonzero(higher))
+        k = q[e]
+        out = np.empty(len(e), dtype=CANDIDATE_DTYPE)
+        out["peak"], out["lat"] = k, self._lats[rows[e, a]]
+        out["lng"] = wrap_longitude_many(self._lngs[cols[e, b]])
+        out["distance"] = metric.distance_exact_many(p.lats[k], p.lngs[k], out["lat"], out["lng"])
+        _check_finite("distance", out["distance"], p.lats[k], p.lngs[k])
+        return nearest_per_peak(out)
 
 
 def nearest_per_peak(candidates: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isoscan.dem import Tile, generate_synthetic
-from isoscan.geo import GeoPoint
+from isoscan.geo import METRIC_ANISOTROPY, GeoPoint, great_circle_distance_many
 from isoscan.multipass import PipelineResult, run_pipeline
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
@@ -105,12 +105,13 @@ def results_by_location(results) -> dict[GeoPoint, IlpResult]:
 def exact_nearest(lats: np.ndarray, lngs: np.ndarray, query: GeoPoint, metric):
     """Linear-scan nearest neighbor, bit-identical to a scalar scan.
 
-    Vector prefilter plus scalar re-ranking of near-minimal candidates,
-    with the (distance, lat, lng) tie-break.
+    A great-circle prefilter keeps the points within METRIC_ANISOTROPY of
+    the nearest by the great circle, plus a slack, and the scalar metric
+    re-ranks them with the (distance, lat, lng) tie-break.
     """
-    dists = metric.distance_many(lats, lngs, *query)
+    dists = great_circle_distance_many(lats, lngs, *query)
     lowest = float(dists.min())
-    candidates = np.nonzero(dists <= lowest + 1e-3 + lowest * 1e-9)[0]
+    candidates = np.nonzero(dists <= lowest * METRIC_ANISOTROPY + 1e-3 + lowest * 1e-9)[0]
     best = None
     for idx in candidates.tolist():
         pt = GeoPoint(lats[idx], lngs[idx])

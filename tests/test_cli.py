@@ -274,8 +274,8 @@ class TestExitCodes:
     def test_non_finite_distance_exit_3(self, cones_world_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             EllipsoidMetric,
-            "distance_many",
-            lambda self, lats, lngs, p_lats, p_lngs: np.full(len(lats), np.nan),
+            "distance_exact_many",
+            lambda self, a_lats, a_lngs, b_lats, b_lngs: np.full(len(a_lats), np.nan),
         )
         assert main(compute_args(cones_world_dir, tmp_path / "o.csv")) == 3
         assert "distance nan" in capsys.readouterr().err

@@ -243,6 +243,10 @@ class TestDetectPeaks:
         off = ~dominated[every.rows, every.cols]
         assert masked.rows.tolist() == every.rows[off].tolist()
         assert masked.cols.tolist() == every.cols[off].tolist()
+        # The qualifying mask, given, changes nothing.
+        given_mask = detect_peaks(tile, dominated, qualifying_samples(tile))
+        assert given_mask.rows.tolist() == masked.rows.tolist()
+        assert given_mask.cols.tolist() == masked.cols.tolist()
 
 
 class TestLowestNeighbor:

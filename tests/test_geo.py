@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +19,20 @@ from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
 from isoscan import geo
 from isoscan.geo import (
     ELLIPSOID_RATIO_BAND,
+    METRIC_ANISOTROPY,
     GeoPoint,
     antipode,
     ellipsoid_distance,
-    ellipsoid_distance_many,
+    ellipsoid_distance_exact_many,
     great_circle_distance,
+    great_circle_distance_exact_many,
     great_circle_distance_many,
     to_cartesian,
     wrap_longitude,
+    wrap_longitude_many,
 )
 from isoscan.multipass import BOUND_INFLATION
-from isoscan.oracle import _METRIC_ANISOTROPY
-from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR
+from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR, EllipsoidMetric, GreatCircleMetric
 
 R = geo.MEAN_RADIUS_M
 
@@ -177,8 +184,6 @@ class TestEllipsoid:
         d = ellipsoid_distance(a, b)
         assert math.isfinite(d)
         assert d == ellipsoid_distance(b, a)
-        bulk = ellipsoid_distance_many(np.array([a.lat_deg]), np.array([a.lng_deg]), *b)
-        assert np.isfinite(bulk).all()
 
     def test_sphere_ratio_stays_in_curvature_band(self):
         # The ellipsoid distance, and the geodesic it approximates, stay
@@ -219,10 +224,11 @@ class TestEllipsoid:
 
     def test_pruning_constants_clear_the_ratio_band(self):
         # Ellipsoid pruning scales great-circle bounds down by
-        # _ELLIPSOID_PRUNE_FACTOR, the pipeline inflates isolation bounds by
-        # BOUND_INFLATION, and the oracle screens candidates within
-        # _METRIC_ANISOTROPY of the nearest: each is sound only while it
-        # clears the band.  The bounding pass's bounds are final-metric
+        # _ELLIPSOID_PRUNE_FACTOR, the pyramid's upper bounds scale them up
+        # by the band's high end, the pipeline inflates isolation bounds by
+        # BOUND_INFLATION, and the oracle and the pyramid screen candidates
+        # within METRIC_ANISOTROPY of the nearest: each is sound only while
+        # it clears the band.  The bounding pass's bounds are final-metric
         # distances, so assigning every tile closer than the final isolation
         # needs 1 / lo (a tile's great-circle distance can exceed its
         # ellipsoid distance by that much), which hi / lo covers.  The
@@ -233,17 +239,18 @@ class TestEllipsoid:
         assert _ELLIPSOID_PRUNE_FACTOR < lo
         assert hi < BOUND_INFLATION
         assert hi / lo < BOUND_INFLATION
-        assert hi / lo <= _METRIC_ANISOTROPY
-
-
-VECTOR_TWINS = [great_circle_distance_many, ellipsoid_distance_many]
+        assert hi / lo <= METRIC_ANISOTROPY
+        assert (EllipsoidMetric.low, EllipsoidMetric.high) == (_ELLIPSOID_PRUNE_FACTOR, hi)
+        assert EllipsoidMetric.anisotropy == METRIC_ANISOTROPY
+        sphere = GreatCircleMetric
+        assert sphere.low == sphere.high == sphere.anisotropy == 1.0
 
 
 class TestVectorTwinQueryPoints:
     """Array query points give bit for bit what the one-point call gives."""
 
-    @pytest.mark.parametrize("twin", VECTOR_TWINS)
-    def test_one_query_broadcast_equals_scalar_call(self, twin):
+    def test_one_query_broadcast_equals_scalar_call(self):
+        twin = great_circle_distance_many
         rng = np.random.default_rng(21)
         lats, lngs = rng.uniform(-90, 90, 500), rng.uniform(-180, 180, 500)
         for p in (GeoPoint(12.0, -34.0), GeoPoint(-89.9, 179.5), GeoPoint(0.0, 0.0)):
@@ -251,20 +258,199 @@ class TestVectorTwinQueryPoints:
             spread = twin(lats, lngs, np.full(500, p.lat_deg), np.full(500, p.lng_deg))
             assert np.array_equal(one, spread)
 
-    @pytest.mark.parametrize("twin", VECTOR_TWINS)
-    def test_per_point_queries_equal_one_point_calls(self, twin):
+    def test_per_point_queries_equal_one_point_calls(self):
+        twin = great_circle_distance_many
         rng = np.random.default_rng(22)
         n = 300
         lats, lngs = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
         p_lats, p_lngs = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
-        # near neighbours, and the subnormal-s case the ellipsoid guards
-        p_lats[:100], p_lngs[:100] = lats[:100] + 1e-6, lngs[:100] - 1e-6
-        lats[100], lngs[100], p_lats[100], p_lngs[100] = 8.38e-153, 0.0, 8.38e-153, 8.38e-153
+        p_lats[:100], p_lngs[:100] = lats[:100] + 1e-6, lngs[:100] - 1e-6  # near neighbours
         batch = twin(lats, lngs, p_lats, p_lngs)
         assert np.isfinite(batch).all()
         for k in range(n):
             one = twin(lats[k : k + 1], lngs[k : k + 1], float(p_lats[k]), float(p_lngs[k]))
             assert batch[k] == one[0]
+
+
+EXACT_TWINS = [
+    pytest.param(great_circle_distance, great_circle_distance_exact_many, id="great-circle"),
+    pytest.param(ellipsoid_distance, ellipsoid_distance_exact_many, id="ellipsoid"),
+]
+
+# Points anywhere, the poles and the antimeridian included (GeoPoint wraps
+# -180 to 180).
+any_points = st.builds(
+    GeoPoint,
+    st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 90.0, 0.0])),
+    st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0, 0.0])),
+)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points anywhere, or the second near the first or near its antipode."""
+    a = draw(any_points)
+    kind = draw(st.sampled_from(["any", "near", "antipode", "same"]))
+    if kind == "any":
+        return a, draw(any_points)
+    if kind == "same":
+        return a, GeoPoint(*a)
+    base = a if kind == "near" else antipode(a)
+    scale = 10.0 ** draw(st.integers(-12, 0))
+    dlat, dlng = draw(st.floats(-1, 1)) * scale, draw(st.floats(-1, 1)) * scale
+    return a, GeoPoint(min(max(base.lat_deg + dlat, -90.0), 90.0), base.lng_deg + dlng)
+
+
+# Pairs the hypothesis search might not find: coincident points, the poles,
+# the antimeridian, a subnormal s (the _subnormal_s_term branch, once a NaN),
+# and near-antipodes.
+PINNED_PAIRS = [
+    (GeoPoint(47.0, 8.0), GeoPoint(47.0, 8.0)),
+    (GeoPoint(90.0, 0.0), GeoPoint(90.0, 123.0)),
+    (GeoPoint(-90.0, 10.0), GeoPoint(90.0, 10.0)),
+    (GeoPoint(89.99, -180.0), GeoPoint(-89.99, 180.0)),
+    (GeoPoint(10.0, 180.0), GeoPoint(10.0, -179.999)),
+    (GeoPoint(8.38e-153, 0.0), GeoPoint(8.38e-153, 8.38e-153)),
+    (GeoPoint(0.0, 0.0), GeoPoint(0.0, 1e-155)),
+    (GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)),
+    (GeoPoint(45.0, 7.0), GeoPoint(-45.0, -173.0)),
+    (GeoPoint(45.0, 7.0), GeoPoint(-45.0 + 1e-9, -173.0 - 1e-9)),
+]
+
+
+def twin_of(twin, pairs) -> np.ndarray:
+    columns = zip(*(a + b for a, b in pairs))
+    return twin(*(np.array(c, dtype=np.float64) for c in columns))
+
+
+class TestExactTwins:
+    """The array twins equal their scalar functions bit for bit.
+
+    Numpy's own arctan2 and square are no stand-ins: they differ from
+    libm's atan2 and pow(x, 2) in the last ulp on a share of inputs, and
+    with the CPU features numpy dispatches to.
+    """
+
+    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
+    @given(st.lists(point_pairs(), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_bit_for_bit(self, scalar, twin, pairs):
+        expected = np.array([scalar(a, b) for a, b in pairs])
+        assert twin_of(twin, pairs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
+    @pytest.mark.parametrize(("a", "b"), PINNED_PAIRS)
+    def test_pinned_pairs(self, scalar, twin, a, b):
+        for pair in ((a, b), (b, a)):
+            got = twin_of(twin, [pair])
+            assert got.tobytes() == np.array([scalar(*pair)]).tobytes()
+            assert np.isfinite(got).all()
+
+    def test_pinned_subnormal_pairs_take_the_guarded_branch(self, monkeypatch):
+        taken = []
+        real = geo._subnormal_s_term
+
+        def recording(*args):
+            taken.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geo, "_subnormal_s_term", recording)
+        for a, b in PINNED_PAIRS[5:7]:
+            ellipsoid_distance(a, b)
+        assert len(taken) == 2
+
+    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
+    def test_random_pairs_at_every_scale(self, scalar, twin):
+        rng = np.random.default_rng(41)
+        n = 20_000
+        a_lats = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
+        a_lngs = rng.uniform(-180, 180, n)
+        step = 10.0 ** rng.uniform(-9, 2.5, n)
+        b_lats = np.clip(a_lats + rng.normal(0, 1, n) * step, -90, 90)
+        b_lngs = wrap_longitude_many(a_lngs + rng.normal(0, 1, n) * step)
+        got = twin(a_lats, a_lngs, b_lats, b_lngs)
+        a_points = [GeoPoint(*a) for a in zip(a_lats.tolist(), a_lngs.tolist())]
+        b_points = [GeoPoint(*b) for b in zip(b_lats.tolist(), b_lngs.tolist())]
+        expected = [scalar(a, b) for a, b in zip(a_points, b_points)]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_empty_arrays(self):
+        for _scalar, twin in (p.values for p in EXACT_TWINS):
+            empty = np.empty(0)
+            assert twin(empty, empty, empty, empty).shape == (0,)
+
+
+# Prints, as JSON, the CPU features numpy dispatches to in this process and
+# digests of the exact twins' output and of a small world's CSVs.
+_DISPATCH_PROBE = """
+import hashlib, json, sys
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+from isoscan.cli import main
+from isoscan.geo import ellipsoid_distance_exact_many, great_circle_distance_exact_many
+
+data_dir, out_dir = sys.argv[1:]
+rng = np.random.default_rng(5)
+a_lats, b_lats = rng.uniform(-90, 90, (2, 5000))
+a_lngs, b_lngs = rng.uniform(-180, 180, (2, 5000))
+b_lats[:2500] = np.clip(a_lats[:2500] + rng.normal(0, 1e-3, 2500), -90, 90)
+twins = b"".join(
+    twin(a_lats, a_lngs, b_lats, b_lngs).tobytes()
+    for twin in (great_circle_distance_exact_many, ellipsoid_distance_exact_many)
+)
+csvs = b""
+for mode in ("staged", "great-circle-only"):
+    out = f"{out_dir}/{mode}.csv"
+    args = ["compute", "--data-dir", data_dir, "--bounds", "45", "47", "7", "9", "--threads", "1",
+            "--min-isolation-km", "0", "--distance-mode", mode, "--output", out]
+    assert main(args) == 0
+    csvs += open(out, "rb").read()
+print(json.dumps({
+    "enabled": sorted(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)),
+    "twins": hashlib.sha256(twins).hexdigest(),
+    "csvs": hashlib.sha256(csvs).hexdigest(),
+}))
+"""
+
+
+def _dispatched_features() -> list[str]:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    return sorted(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+
+
+def test_twins_and_csvs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # With every CPU feature numpy dispatches to on this host switched off,
+    # numpy's SIMD loops give way to the baseline ones, whose
+    # transcendental functions may round differently.  The exact twins and
+    # the search that ranks with numpy must give the same bytes.
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature on this host: nothing to switch off")
+    from isoscan.cli import main
+
+    data_dir = tmp_path / "tiles"
+    args = ["synth", "--tiles", "2x2", "--seed", "3", "--profile", "fractal"]
+    assert main(args + ["--out", str(data_dir), "--samples-per-side", "61"]) == 0
+    src = Path(geo.__file__).resolve().parents[1]
+    reports = []
+    for disabled in ("", " ".join(features)):
+        out_dir = tmp_path / f"out{len(reports)}"
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_PROBE, str(data_dir), str(out_dir)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        reports.append(json.loads(proc.stdout.splitlines()[-1]))
+    default, baseline = reports
+    assert default["enabled"] == features and baseline["enabled"] == []
+    assert (baseline["twins"], baseline["csvs"]) == (default["twins"], default["csvs"])
 
 
 class TestCartesian:

@@ -271,6 +271,22 @@ class TestDilationDiscard:
         assert 0 in walked  # the plateau around it is walked
         assert 100 not in outcome.searched["elevation"].tolist()
 
+    def test_qualifying_mask_computed_once_per_tile(self, monkeypatch):
+        # detect_peaks takes the mask bounding_pass already has.
+        calls = []
+        real = dem.qualifying_samples
+
+        def counting(tile):
+            calls.append(tile.key)
+            return real(tile)
+
+        monkeypatch.setattr(dem, "qualifying_samples", counting)
+        monkeypatch.setattr(multipass, "qualifying_samples", counting)
+        area, tiles = world(1, 1, seed=68, n=121)
+        outcome = bounding_pass(tiles[(45, 7)], 2000.0, "staged")
+        assert calls == [(45, 7)]
+        assert len(outcome.searched) > 0
+
     def test_search_counts_of_a_one_tile_run(self):
         area, tiles = world(1, 1, seed=68, n=121)
         outcome = run_pipeline(area, tiles, i_min=2000.0, threads=1)

@@ -466,23 +466,132 @@ class TestTileIndex:
 METRICS = [GreatCircleMetric(), EllipsoidMetric()]
 
 
-@pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-def test_lower_bound_many_matches_scalar_lower_bound(metric):
-    # Cells of 1e-4 to 180 degrees; points between their longitude edges,
-    # near them, or across the antimeridian from them.
-    rng = np.random.default_rng(31)
-    n = 4000
-    size = 10.0 ** rng.uniform(-4, math.log10(180), n)
-    h, w = rng.uniform(0, 1, n) * size, rng.uniform(0, 1, n) * size
-    lat_min = rng.uniform(-90, 90 - h)
-    lng_min = rng.uniform(-180, 180 - w)
-    p_lats = np.where(rng.random(n) < 0.1, rng.choice([-90.0, 0.0, 90.0], n), rng.uniform(-90, 90, n))
-    offset = rng.choice([0.0, 1.0, 180.0], n) * size + rng.uniform(0, 1, n) * w
-    p_lngs = np.array([wrap_longitude(v) for v in (lng_min + offset).tolist()])
-    got = metric.lower_bound_many(lat_min, lat_min + h, lng_min, lng_min + w, p_lats, p_lngs)
-    for k in range(n):
-        q = Quadrilateral(lat_min[k], lat_min[k] + h[k], lng_min[k], lng_min[k] + w[k])
-        assert abs(got[k] - metric.lower_bound(q, GeoPoint(p_lats[k], p_lngs[k]))) <= 1e-6
+# Grids whose bounds must hold: 1-degree tiles at mid-latitude, touching
+# either pole, and on both sides of the antimeridian, and grids of 30 and 40
+# degrees, whose cells span many degrees.
+BOUND_GRIDS = [
+    pytest.param(45, 7, 33, 32, id="mid-latitude"),
+    pytest.param(-90, 20, 33, 32, id="south-pole"),
+    pytest.param(89, 179, 33, 32, id="north-pole-west-of-antimeridian"),
+    pytest.param(89, -180, 33, 32, id="north-pole-east-of-antimeridian"),
+    pytest.param(-1, 179, 33, 32, id="equator-west-of-antimeridian"),
+    pytest.param(0, -180, 33, 32, id="equator-east-of-antimeridian"),
+    pytest.param(50, -180, 41, 1, id="40-degree-grid-to-the-pole"),
+    pytest.param(-90, 150, 31, 1, id="30-degree-grid-to-the-antimeridian"),
+]
+
+
+def bound_queries(tile, seed):
+    """Query points inside the tile, near it and anywhere on the globe, with
+    the poles, the antimeridian and the tile's antipode among them, and
+    points within 1e-10 to 1e-3 degrees of the antipodes of samples, where
+    the haversine flattens."""
+    rng = np.random.default_rng(seed)
+    q = tile.quad
+    lats = [rng.uniform(q.lat_min, q.lat_max, 12), rng.uniform(q.lat_min - 3, q.lat_max + 3, 12)]
+    lngs = [rng.uniform(q.lng_min, q.lng_max, 12), rng.uniform(q.lng_min - 3, q.lng_max + 3, 12)]
+    lats.append(np.degrees(np.arcsin(rng.uniform(-1, 1, 12))))
+    lngs.append(rng.uniform(-180, 180, 12))
+    rows, cols = (rng.integers(0, n, 12) for n in tile.shape)
+    offsets = 10.0 ** rng.uniform(-10, -3, (2, 12)) * rng.choice([-1.0, 1.0], (2, 12))
+    lats.append(-tile.sample_lats()[rows] + offsets[0])
+    lngs.append(tile.sample_lngs()[cols] + 180.0 + offsets[1])
+    mid_lat, mid_lng = (q.lat_min + q.lat_max) / 2, (q.lng_min + q.lng_max) / 2
+    lats.append([90.0, -90.0, mid_lat, mid_lat, -mid_lat, -q.lat_min])
+    lngs.append([0.0, 0.0, 180.0, -179.999, mid_lng + 180.0, q.lng_min + 180.0])
+    lats = np.clip(np.concatenate(lats), -90.0, 90.0)
+    lngs = np.array([wrap_longitude(v) for v in np.concatenate(lngs).tolist()])
+    return lats, lngs
+
+
+def exact_distances(tile, lats, lngs, metric):
+    """(query, row, col) array of the metric's distance from each query to each sample."""
+    rows, cols = tile.shape
+    grid_lats = np.repeat(tile.sample_lats(), cols)
+    grid_lngs = np.array([wrap_longitude(v) for v in np.tile(tile.sample_lngs(), rows).tolist()])
+    n = rows * cols
+    out = [
+        metric.distance_exact_many(np.full(n, lat), np.full(n, lng), grid_lats, grid_lngs)
+        for lat, lng in zip(lats.tolist(), lngs.tolist())
+    ]
+    return np.array(out).reshape(len(lats), rows, cols)
+
+
+def assert_floors_sound(pyramid, lats, lngs, dists, metric, bands):
+    """No band's table lower bound prunes a sample that is not farther than ``best``:
+    every sample lies within :func:`spatial_index._reach` of its own distance."""
+    queries = spatial_index._Queries.of(lats, lngs, np.zeros(len(lats)))
+    for first_row, last_row, first_col, last_col in bands:
+        k = np.arange(len(lats))
+        edge = [np.full(len(k), v) for v in (first_row, last_row, first_col, last_col)]
+        floor = pyramid._floor(*edge, k, queries)
+        inside = dists[:, first_row : last_row + 1, first_col : last_col + 1].reshape(len(k), -1)
+        reach = spatial_index._reach(inside, metric)
+        assert (floor[:, None] <= reach).all(), (first_row, last_row, first_col, last_col)
+
+
+class TestTableBounds:
+    """The pyramid's row-and-column bounds against the exact distance of every sample."""
+
+    @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_cell_bounds(self, metric, lat, lng, side, steps):
+        grid = np.random.default_rng(side).integers(0, 50, size=(side, side)).astype(np.int16)
+        tile = Tile(lat, lng, grid, steps)
+        pyramid = ElevationPyramid(tile)
+        lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 180)
+        dists = exact_distances(tile, lats, lngs, metric)
+        # A cell's upper bound is that of its stored maximum sample: check
+        # every sample's.
+        queries = spatial_index._Queries.of(lats, lngs, np.zeros(len(lats)))
+        k, r, c = (a.ravel() for a in np.indices(dists.shape))
+        upper = spatial_index._upper(pyramid._hav(r, c, k, queries), metric)
+        assert (upper >= dists.ravel()).all()
+        # Every cell of every level, and every single sample, where a bound
+        # is tightest.
+        bands = [(i, i, j, j) for i, j in np.ndindex(grid.shape)]
+        for depth, level in enumerate(pyramid.levels):
+            cell = 8 << depth
+            for i, j in np.ndindex(level.maxima.shape):
+                last_row, last_col = min((i + 1) * cell, side) - 1, min((j + 1) * cell, side) - 1
+                bands.append((i * cell, last_row, j * cell, last_col))
+        assert_floors_sound(pyramid, lats, lngs, dists, metric, bands)
+
+    @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_window_strip_bounds(self, metric, lat, lng, side, steps):
+        grid = np.zeros((side, side), dtype=np.int16)
+        tile = Tile(lat, lng, grid, steps)
+        pyramid = ElevationPyramid(tile)
+        lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 181)
+        dists = exact_distances(tile, lats, lngs, metric)
+        # Windows at the corners, along the edges, a step in from them and
+        # inside the grid.
+        last = side - 1
+        centres = np.array([0, 1, 2, 3, 4, last // 2, last - 3, last - 1, last])
+        centre_rows, centre_cols = (c.ravel() for c in np.meshgrid(centres, centres))
+        window, *band = pyramid._strips(centre_rows, centre_cols)
+        # With its window, each centre's strips cover the grid once.
+        for w, (row, col) in enumerate(zip(centre_rows.tolist(), centre_cols.tolist())):
+            cover = np.zeros(grid.shape, dtype=int)
+            cover[max(row - K, 0) : row + K + 1, max(col - K, 0) : col + K + 1] += 1
+            for r0, r1, c0, c1 in zip(*(edge[window == w].tolist() for edge in band)):
+                cover[r0 : r1 + 1, c0 : c1 + 1] += 1
+            assert (cover == 1).all(), (row, col)
+        strips = zip(*(edge.tolist() for edge in band))
+        assert_floors_sound(pyramid, lats, lngs, dists, metric, strips)
+
+    @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_answers_match_a_linear_scan_from_anywhere(self, metric, lat, lng, side, steps):
+        grid = np.random.default_rng(side + 1).integers(0, 50, size=(side, side)).astype(np.int16)
+        tile = Tile(lat, lng, grid, steps)
+        lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 182)
+        elevations = np.random.default_rng(lat + 90).integers(0, 50, len(lats))
+        points = [GeoPoint(a, b) for a, b in zip(lats.tolist(), lngs.tolist())]
+        queries = [(p, int(e)) for p, e in zip(points, elevations)]
+        found = query_batch(ElevationPyramid(tile), queries, metric)
+        assert_matches_linear_scan(tile, queries, found, metric)
 
 
 @st.composite
@@ -666,48 +775,58 @@ class TestElevationPyramid:
         grid = np.random.default_rng(rows).integers(0, 5, size=shape).astype(np.int16)
         tile = Tile(45, 7, grid, rows - 1)
         levels = ElevationPyramid(tile).levels
-        lats, lngs = tile.sample_lats(), tile.sample_lngs()
         for depth, level in enumerate(levels):
             side = 8 << depth
             for i in range(level.maxima.shape[0]):
                 r0, r1 = i * side, min((i + 1) * side, rows) - 1
-                assert (level.lat_min[i], level.lat_max[i]) == (lats[r1], lats[r0])
                 for j in range(level.maxima.shape[1]):
                     c0, c1 = j * side, min((j + 1) * side, cols) - 1
-                    assert (level.lng_min[j], level.lng_max[j]) == (lngs[c0], lngs[c1])
                     r, c = level.arg_rows[i, j], level.arg_cols[i, j]
                     assert r0 <= r <= r1 and c0 <= c <= c1
                     block_max = grid[r0 : r1 + 1, c0 : c1 + 1].max()
                     assert level.maxima[i, j] == grid[r, c] == block_max
         assert levels[-1].maxima.shape == (1, 1)
 
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_search_makes_no_point_objects_and_no_scalar_calls(self, metric, monkeypatch):
+        class NoScalar(type(metric)):
+            def distance(self, a, b):
+                raise AssertionError("scalar distance on the search path")
+
+        def no_points(*args):
+            raise AssertionError("GeoPoint on the search path")
+
+        monkeypatch.setattr(spatial_index, "GeoPoint", no_points)
+        grid = np.random.default_rng(6).integers(0, 60, size=(41, 41)).astype(np.int16)
+        tile = Tile(45, 7, grid, 40)
+        rng = np.random.default_rng(7)
+        lats, lngs = rng.uniform(44.5, 46.5, 60), rng.uniform(6.5, 8.5, 60)
+        work = SearchWork()
+        rows = ElevationPyramid(tile).nearest_higher_many(
+            lats, lngs, rng.integers(0, 60, 60), NoScalar(), work
+        )
+        assert len(rows) > 0 and 0 < work.window_resolved < len(rows)
+
+    # A query the window settles, and one outside the grid, which the
+    # descent settles.
+    @pytest.mark.parametrize(("lat", "lng"), [(45.5, 7.5), (44.9, 7.5)], ids=["window", "descent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "method",
-        [
-            "distance",
-            "distance_many",
-            # The pyramid prunes with the vector bound only; the case keeps
-            # the id of the bound it breaks.
-            pytest.param("lower_bound_many", id="lower_bound"),
-        ],
-    )
-    def test_non_finite_metric_values_raise(self, method, value):
+    def test_non_finite_metric_values_raise(self, value, lat, lng):
+        # The pyramid's only metric call is the exact distance of the
+        # samples in the chord band; its bounds come from the tables.
         class Broken(GreatCircleMetric):
-            pass
+            def distance_exact_many(self, *args):
+                return np.full_like(super().distance_exact_many(*args), value)
 
-        real = getattr(GreatCircleMetric, method)
-
-        def broken(self, *args):
-            out = real(self, *args)
-            return np.full_like(out, value) if isinstance(out, np.ndarray) else value
-
-        setattr(Broken, method, broken)
         grid = np.random.default_rng(3).integers(0, 100, size=(17, 17)).astype(np.int16)
+        grid[8, 8], grid[8, 9] = 10, 200
         pyramid = ElevationPyramid(Tile(45, 7, grid, 16))
-        word = "bound" if method == "lower_bound_many" else "distance"
-        with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
-            pyramid.nearest_higher_many([45.6, 45.5], [7.4, 7.5], [50, 10], Broken())
+        work = SearchWork()
+        with pytest.raises(NonFiniteDistanceError, match=f"distance {value!r}"):
+            pyramid.nearest_higher_many([lat], [lng], [10], Broken(), work)
+        assert work.window_resolved == 0
+        rows = pyramid.nearest_higher_many([lat], [lng], [10], GreatCircleMetric(), work)
+        assert len(rows) == 1 and work.window_resolved == (lat == 45.5)
 
 
 def candidates(*rows) -> np.ndarray:
