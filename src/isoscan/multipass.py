@@ -7,12 +7,12 @@ marks every sample with a strictly higher sample that close: a peak there
 has isolation below the minimum-isolation threshold, so its row could never
 be emitted, and peak detection walks only the flat summits with a
 qualifying sample off that mask.  The surviving peaks ask an
-:class:`~isoscan.spatial_index.ElevationPyramid` over the tile, in one
-batched search, for their nearest strictly higher samples under the final
-metric.  Each answer is the peak's finalization candidate from its home
-tile, and its distance, inflated by BOUND_INFLATION, bounds the peak's
-isolation and the great-circle reach of the tiles that can hold its limit
-point.  Peaks bounded below the threshold are discarded too.  Peaks with no
+:class:`~isoscan.spatial_index.ElevationPyramid` over their tile's batch, in
+one search, for their nearest strictly higher samples in their tile under
+the final metric.  Each answer is the peak's finalization candidate from
+its home tile, and its distance, inflated by BOUND_INFLATION, bounds the
+peak's isolation and the great-circle reach of the tiles that can hold its
+limit point.  Peaks bounded below the threshold are discarded too.  Peaks with no
 higher sample in their tile (always including the tile high point) are
 deferred.
 
@@ -27,11 +27,11 @@ Tile assignment then sends every bounded peak, in one batched
 is its location: a seam peak found by several tiles is one peak, with the
 smallest home tile, and each (tile, peak) pair keeps its smallest bound.
 
-Pass 3 (finalization) asks a full-resolution pyramid of each tile, in one
-batched search, for the nearest strictly higher sample of every peak
-assigned to it that the tile did not already search in pass 1, under the
-final metric; the final answer per peak is the closest candidate over its
-tiles, pass 1's included.  In both pyramid searches most queries are
+Pass 3 (finalization) asks a full-resolution pyramid of each batch of
+tiles, in one search, for the nearest strictly higher sample in each tile
+of every peak assigned to it that the tile did not already search in pass
+1, under the final metric; the final answer per peak is the closest
+candidate over its tiles, pass 1's included.  In both pyramid searches most queries are
 settled by a window of samples around the peak and only the rest descend
 the pyramid; both count their work, window-settled queries included
 (:class:`~isoscan.spatial_index.SearchWork`), into :class:`PipelineStats`.
@@ -43,7 +43,11 @@ processes, as structured numpy arrays (:data:`PEAK_DTYPE`, and
 arrays too (:data:`ANSWER_DTYPE`), from which the CSV is written; ``Peak`` and
 ``IlpResult`` objects are made only on demand, for the audit, the oracle
 check and the tests (``PipelineResult.results``).
-Bounding and finalization run tile-parallel in worker processes; results
+Bounding and finalization run batch-parallel in worker processes: each
+pass cuts its tiles, in key order, into batches of consecutive same-shape
+tiles (:func:`_batches`), and builds one stacked pyramid and makes one
+search per batch, so that small tiles do not each pay the search's fixed
+cost.  Every answer is the one a search of its tile alone gives, and results
 are merged in deterministic key order, so output is identical for any
 worker count.  The event sweep (:func:`run_merged_sweep`) is the paper's
 single-sweep reference path.
@@ -342,13 +346,17 @@ class BoundingOutcome:
     discarded: int
     dilation_discards: int
     qualifying: Qualifying
-    search: SearchWork
     samples: int
-    seconds: float
 
 
-def bounding_pass(tile: Tile, i_min: float, distance_mode: str) -> BoundingOutcome:
-    """Settle each of the tile's peaks inside the tile, at full resolution.
+def bounding_pass(
+    tiles: Sequence[Tile],
+    i_min: float,
+    distance_mode: str,
+    search: SearchWork | None = None,
+) -> list[BoundingOutcome]:
+    """Settle each peak of a batch of same-shape tiles inside its own tile, at
+    full resolution.
 
     A dilation first marks every sample with a strictly higher sample
     closer than ``i_min / BOUND_INFLATION`` (:func:`dominated_samples`).
@@ -357,40 +365,61 @@ def bounding_pass(tile: Tile, i_min: float, distance_mode: str) -> BoundingOutco
     the high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
     ``i_min``: it is discarded, and the flat summits it covers everywhere
     are never walked (``dem.detect_peaks``).  Every other peak is searched
-    in the tile's full-resolution pyramid under the final metric; the
-    answer is the peak's finalization candidate from this tile, and its
+    in its own tile of the batch's full-resolution pyramid under the final
+    metric, all in one search whose counts are added to ``search`` if given;
+    the answer is the peak's finalization candidate from its tile, and its
     distance times :data:`BOUND_INFLATION` is the bound tested against the
     threshold and used for tile assignment.
+
+    Returns:
+        One :class:`BoundingOutcome` per tile, in the order of ``tiles``.
     """
-    start = time.perf_counter()
-    mask = qualifying_samples(tile)
-    dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
-    cells = detect_peaks(tile, dominated, mask)
-    peaks = peak_rows(tile, cells.rows, cells.cols)
-    search = SearchWork()
-    # The tile's high point is never dominated, so there is always a peak.
-    answers = ElevationPyramid(tile).nearest_higher_many(
-        peaks["lat"], peaks["lng"], peaks["elevation"], final_metric(distance_mode), search
+    peaks, dilation_discards, qualifying_parts = [], [], []
+    for tile in tiles:
+        mask = qualifying_samples(tile)
+        dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
+        cells = detect_peaks(tile, dominated, mask)
+        peaks.append(peak_rows(tile, cells.rows, cells.cols))
+        dilation_discards.append(int(np.count_nonzero(mask & dominated)))
+        qualifying_parts.append(qualifying(tile, mask))
+    sizes = [len(p) for p in peaks]
+    edges = np.cumsum([0] + sizes)
+    peaks = np.concatenate(peaks)
+    # A tile's high point is never dominated, so every tile has a peak.
+    answers = ElevationPyramid(tiles).nearest_higher_many(
+        peaks["lat"],
+        peaks["lng"],
+        peaks["elevation"],
+        np.repeat(np.arange(len(tiles)), sizes),
+        final_metric(distance_mode),
+        search,
     )
     peaks["bound"][answers["peak"]] = answers["distance"] * BOUND_INFLATION
-    deferred = np.isinf(peaks["bound"])
-    low = peaks["bound"] < i_min
-    dilation_discards = int(np.count_nonzero(mask & dominated))
-    rows, cols = tile.shape
-    return BoundingOutcome(
-        key=tile.key,
-        max_elevation_m=tile.max_elevation_m,
-        searched=peaks,
-        answers=answers,
-        bounded=peaks[~deferred & ~low],
-        deferred=peaks[deferred],
-        discarded=dilation_discards + int(low.sum()),
-        dilation_discards=dilation_discards,
-        qualifying=qualifying(tile, mask),
-        search=search,
-        samples=rows * cols,
-        seconds=time.perf_counter() - start,
-    )
+    # Answers come in query order, so each tile's are consecutive.
+    answer_edges = np.searchsorted(answers["peak"], edges)
+    outcomes = []
+    for k, tile in enumerate(tiles):
+        searched = peaks[edges[k] : edges[k + 1]]
+        found = answers[answer_edges[k] : answer_edges[k + 1]]
+        found["peak"] -= edges[k]
+        deferred = np.isinf(searched["bound"])
+        low = searched["bound"] < i_min
+        rows, cols = tile.shape
+        outcomes.append(
+            BoundingOutcome(
+                key=tile.key,
+                max_elevation_m=tile.max_elevation_m,
+                searched=searched,
+                answers=found,
+                bounded=searched[~deferred & ~low],
+                deferred=searched[deferred],
+                discarded=dilation_discards[k] + int(low.sum()),
+                dilation_discards=dilation_discards[k],
+                qualifying=qualifying_parts[k],
+                samples=rows * cols,
+            )
+        )
+    return outcomes
 
 
 @dataclass
@@ -479,28 +508,32 @@ def assign_tiles(
 
 
 def finalization_pass(
-    tile: Tile,
+    tiles: Sequence[Tile],
     peaks: np.ndarray,
+    positions: np.ndarray,
     metric,
     search: SearchWork | None = None,
 ) -> np.ndarray:
-    """Full-resolution candidates for the peaks assigned to this tile.
+    """Full-resolution candidates for the peaks assigned to a batch of same-shape tiles.
 
-    ``peaks`` are :data:`PEAK_DTYPE` rows and may lie outside the tile.
-    Peaks at or above the tile's maximum elevation cannot have a candidate
-    here and are skipped up front; the rest are answered by one batched
-    pyramid search, whose counts are added to ``search`` if given.
+    ``peaks`` are :data:`PEAK_DTYPE` rows, each assigned to the tile at its
+    entry of ``positions`` in ``tiles``, and may lie outside that tile.
+    Peaks at or above their tile's maximum elevation cannot have a
+    candidate there and are skipped up front; the rest are answered by one
+    search of the batch's pyramid, whose counts are added to ``search`` if
+    given.
 
     Returns:
         One :data:`CANDIDATE_DTYPE` row per answered peak, ``peak`` being
         its row in ``peaks``.
     """
-    below = np.flatnonzero(peaks["elevation"] < tile.max_elevation_m)
+    maxima = np.array([t.max_elevation_m for t in tiles])
+    below = np.flatnonzero(peaks["elevation"] < maxima[positions])
     if not len(below):
         return np.empty(0, dtype=CANDIDATE_DTYPE)
     queries = peaks[below]
-    out = ElevationPyramid(tile).nearest_higher_many(
-        queries["lat"], queries["lng"], queries["elevation"], metric, search
+    out = ElevationPyramid(tiles).nearest_higher_many(
+        queries["lat"], queries["lng"], queries["elevation"], positions[below], metric, search
     )
     out["peak"] = below[out["peak"]]
     return out
@@ -569,10 +602,10 @@ class PipelineStats:
     deferred: int = 0
     discarded: int = 0
     # Bounding pass, summed over tiles: qualifying samples the dilation
-    # dominates, and the pyramid search of the peaks searched.
+    # dominates, and the peaks the pyramid search queries.
     dilation_discards: int = 0
     bounding_queries: int = 0
-    # Pyramid search counts (see SearchWork), summed over tiles, per pass.
+    # Pyramid search counts (see SearchWork), summed over batches, per pass.
     bounding_window_resolved: int = 0
     bounding_pairs: int = 0
     bounding_leaf_samples: int = 0
@@ -590,7 +623,10 @@ class PipelineStats:
     highpoint_s: float = 0.0
     finalization_s: float = 0.0
     total_s: float = 0.0
-    # Worker seconds of the tile tasks, summed over tasks.
+    # Batches of tiles each tile pass searched (one pyramid and one search
+    # each), and the worker seconds of those tasks, summed over tasks.
+    bounding_batches: int = 0
+    finalization_batches: int = 0
     bounding_task_s: float = 0.0
     finalization_task_s: float = 0.0
 
@@ -647,16 +683,50 @@ def final_metric(distance_mode: str):
     raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
 
-def _bounding_task(args) -> BoundingOutcome:
-    return bounding_pass(*args)
+# Samples a batch of tiles may hold.  The tile passes search a batch in one
+# stacked pyramid, which copies the batch's grids, so this bounds that copy
+# (2 B a sample) and the pooling's (4 B a sample); a larger tile is a batch
+# of its own.
+_BATCH_SAMPLES = 1 << 22
 
 
-def _finalization_task(args):
-    tile, peaks, distance_mode = args
-    metric = final_metric(distance_mode)
+def _batches(tiles: Sequence[Tile], workers: int) -> list[range]:
+    """The batches of ``tiles`` one pass searches: runs of consecutive tiles of
+    one shape and sample spacing, within :data:`_BATCH_SAMPLES` samples.
+    Serially, that is all; a pool gets at least two batches per worker where
+    there are tiles enough, so that a worker that finishes early takes
+    another.  Returns index ranges into ``tiles``.
+    """
+    share = -(-len(tiles) // (1 if workers == 1 else 2 * workers))
+    batches: list[range] = []
+    for k, tile in enumerate(tiles):
+        if batches:
+            last = batches[-1]
+            first = tiles[last.start]
+            room = min(share, _BATCH_SAMPLES // first.elevations.size)
+            same = (tile.shape, tile.steps_per_degree) == (first.shape, first.steps_per_degree)
+            if same and len(last) < room:
+                batches[-1] = range(last.start, k + 1)
+                continue
+        batches.append(range(k, k + 1))
+    return batches
+
+
+def _bounding_batch(args) -> tuple[list[BoundingOutcome], SearchWork, float]:
+    """One batch's bounding pass, its search counts and its seconds."""
+    tiles, i_min, distance_mode = args
     start = time.perf_counter()
     search = SearchWork()
-    cands = finalization_pass(tile, peaks, metric, search)
+    outcomes = bounding_pass(tiles, i_min, distance_mode, search)
+    return outcomes, search, time.perf_counter() - start
+
+
+def _finalization_batch(args) -> tuple[np.ndarray, SearchWork, float]:
+    """One batch's finalization pass, its search counts and its seconds."""
+    tiles, peaks, positions, distance_mode = args
+    start = time.perf_counter()
+    search = SearchWork()
+    cands = finalization_pass(tiles, peaks, positions, final_metric(distance_mode), search)
     return cands, search, time.perf_counter() - start
 
 
@@ -682,8 +752,10 @@ def run_pipeline(
         area: integer-degree aligned search area.
         tiles: the 1-degree tiles covering it, keyed by SW corner.
         threads: worker processes for the tile passes, at most one per
-            tile and one per CPU this process may run on; output is
-            identical for any value.
+            tile and one per CPU this process may run on; each pass hands
+            them batches of tiles (at least two per worker where there are
+            tiles enough), so no worker gets more than a batch at a time.
+            Output is identical for any value.
 
     Raises:
         MissingTilesError: a tile inside the area is unavailable.
@@ -702,25 +774,29 @@ def run_pipeline(
     workers = min(threads, len(keys), len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        # Bounding pass: tile-parallel, merged in key order.
+        # Bounding pass: batch-parallel, merged in key order.
         t0 = time.perf_counter()
-        bound_args = [(tiles[k], i_min, distance_mode) for k in keys]
+        area_tiles = [tiles[k] for k in keys]
+        batches = _batches(area_tiles, workers)
+        bound_args = [([area_tiles[k] for k in b], i_min, distance_mode) for b in batches]
         if pool is None:
-            outcomes = [_bounding_task(a) for a in bound_args]
+            bound_out = [_bounding_batch(a) for a in bound_args]
         else:
-            outcomes = list(pool.map(_bounding_task, bound_args))
+            bound_out = list(pool.map(_bounding_batch, bound_args))
         bounding_s = time.perf_counter() - t0
 
-        stats = PipelineStats(tiles=len(keys))
+        stats = PipelineStats(tiles=len(keys), bounding_batches=len(batches))
+        outcomes = [outcome for batch, _search, _seconds in bound_out for outcome in batch]
         for outcome in outcomes:
             stats.samples += outcome.samples
             stats.discarded += outcome.discarded
             stats.dilation_discards += outcome.dilation_discards
-            stats.bounding_queries += outcome.search.queries
-            stats.bounding_window_resolved += outcome.search.window_resolved
-            stats.bounding_pairs += outcome.search.pairs
-            stats.bounding_leaf_samples += outcome.search.leaf_samples
-            stats.bounding_task_s += outcome.seconds
+        for _batch, search, seconds in bound_out:
+            stats.bounding_queries += search.queries
+            stats.bounding_window_resolved += search.window_resolved
+            stats.bounding_pairs += search.pairs
+            stats.bounding_leaf_samples += search.leaf_samples
+            stats.bounding_task_s += seconds
         stats.peaks_found = count_qualifying(o.qualifying for o in outcomes)
 
         # High-point pass: a few peaks per tile, cheaper in this process
@@ -767,19 +843,27 @@ def run_pipeline(
             answers["peak"] = at[first + answers["peak"]]
             candidates.append(answers[answers["peak"] >= 0])
 
-        starts = np.flatnonzero(_starts(pair_tiles)).tolist()
-        spans = list(zip(starts, starts[1:] + [len(pair_tiles)]))
+        # The tiles with pairs left, in key order, and each pair's ordinal
+        # among them.
+        new_tile = _starts(pair_tiles)
+        starts = np.append(np.flatnonzero(new_tile), len(pair_tiles))
+        ordinals = np.cumsum(new_tile) - 1
+        final_tiles = [tiles[index.keys[t]] for t in pair_tiles[starts[:-1]].tolist()]
+        batches = _batches(final_tiles, workers)
+        stats.finalization_batches = len(batches)
         final_args = []
-        for a, b in spans:
-            assigned = peaks[pair_rows[a:b]]
-            assigned["bound"] = pair_bounds[a:b]
-            final_args.append((tiles[index.keys[pair_tiles[a]]], assigned, distance_mode))
+        for b in batches:
+            a, z = starts[b.start], starts[b.stop]
+            assigned = peaks[pair_rows[a:z]]
+            assigned["bound"] = pair_bounds[a:z]
+            batch_tiles = [final_tiles[k] for k in b]
+            final_args.append((batch_tiles, assigned, ordinals[a:z] - b.start, distance_mode))
         if pool is None:
-            final_out = [_finalization_task(a) for a in final_args]
+            final_out = [_finalization_batch(a) for a in final_args]
         else:
-            final_out = list(pool.map(_finalization_task, final_args))
-        for (a, _b), (cands, search, seconds) in zip(spans, final_out):
-            cands["peak"] = pair_rows[a + cands["peak"]]
+            final_out = list(pool.map(_finalization_batch, final_args))
+        for b, (cands, search, seconds) in zip(batches, final_out):
+            cands["peak"] = pair_rows[starts[b.start] + cands["peak"]]
             candidates.append(cands)
             stats.finalization_queries += search.queries
             stats.finalization_window_resolved += search.window_resolved

@@ -5,26 +5,30 @@ live in fixed-capacity leaves, overflowing leaves center-split along their
 longer side, and the first levels are pre-built quadtree-style so the early
 (clustered) insertions cannot degenerate the tree.
 
-``ElevationPyramid`` is the static per-tile index of the bounding and
-finalization passes: the maximum elevation of every 8x8 block of samples,
-and a sample that attains it, max-pooled 2x2 up to one root cell, stored
-as numpy arrays per level.  It answers a whole tile's queries for the
-nearest strictly higher sample in two vectorised stages.  Most answers lie
-a few samples from their query, so a window of samples around each query
-inside the grid comes first; the query is settled there when a lower bound
-on the rest of the grid is beyond the window's best.  The other queries,
-and those outside the grid, go to a level-synchronous descent over (query,
-cell) pair arrays that starts from the window's best.  A tile's samples lie
-on a regular latitude/longitude grid, so the search's geometry comes from
-per-row and per-column tables: the haversine of each (query, sample) pair,
-the lower bound of each row and column band (a cell or a strip outside a
-window) and the upper bound of each cell's maximum sample, with no
-trigonometry per sample.  Only the samples in a narrow band around each
-query's nearest by the haversine get the metric's exact distance, from an
-array twin bit-identical to the scalar one.  The answers are
-:data:`CANDIDATE_DTYPE` rows, one per query with a higher sample: the
-format the pipeline's passes hand on.  Both stages pick each query's answer
-with :func:`nearest_per_peak`, the rule the pipeline's ``finalize`` applies
+``ElevationPyramid`` is the static index of the bounding and finalization
+passes over a stack of same-shape tiles (a batch): per tile, the maximum
+elevation of every 8x8 block of samples, and a sample that attains it,
+max-pooled 2x2 up to the tile's root cell, stored as numpy arrays per level
+with a leading tile axis.  It answers a whole batch's queries, each for the
+nearest strictly higher sample of its own tile, in two vectorised stages,
+so a batch of small tiles pays the search's fixed cost of numpy calls once.
+Most answers lie a few samples from their query, so a window of samples
+around each query inside its tile comes first; the query is settled there
+when a lower bound on the rest of the tile is beyond the window's best.
+The other queries, and those outside their tile, go to a level-synchronous
+descent over (query, cell) pair arrays from their tile's root, starting
+from the window's best.  A tile's samples lie on a regular
+latitude/longitude grid, so the search's geometry comes from per-row and
+per-column tables, the tiles' own concatenated: the haversine of each
+(query, sample) pair, the lower bound of each row and column band (a cell
+or a strip outside a window) and the upper bound of each cell's maximum
+sample, with no trigonometry per sample.  Only the samples in a narrow band
+around each query's nearest by the haversine get the metric's exact
+distance, from an array twin bit-identical to the scalar one.  The answers
+are :data:`CANDIDATE_DTYPE` rows, one per query with a higher sample: the
+format the pipeline's passes hand on, and each the one a pyramid of the
+query's tile alone gives.  Both stages pick each query's answer with
+:func:`nearest_per_peak`, the rule the pipeline's ``finalize`` applies
 across tiles.
 
 ``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,9 +113,13 @@ _LEAF_SIDE = 8
 # that ElevationPyramid.nearest_higher_many searches before the descent.
 _WINDOW_HALF = 3
 
-# Queries per batched pyramid search: bounds the (query, cell) pair arrays
-# when queries with loose upper bounds fan out.
-_QUERY_CHUNK = 256
+# Queries per chunk of a pyramid search: bounds the (query, cell) pair arrays
+# when queries with loose upper bounds fan out, while a batch of tiles goes
+# in a few chunks.  Chosen by measurement: on a 3601x3601 tile at threshold 0
+# (363,569 queries, one worker) 1024 read a maxrss of 310.5 MB against 309.9
+# at 256, and 1536 to 4096 read 320 MB: the allocator keeps the heap that
+# their larger leaf-block arrays grow.
+_QUERY_CHUNK = 1024
 
 
 class OutOfBoundsError(ValueError):
@@ -462,9 +470,10 @@ class SearchWork:
 
 
 class _Level(NamedTuple):
-    """One pyramid level: ``maxima[i, j]`` is the highest elevation of cell
-    (i, j), and (``arg_rows[i, j]``, ``arg_cols[i, j]``) a sample of the tile
-    that attains it."""
+    """One pyramid level of a stack of tiles: ``maxima[t, i, j]`` is the
+    highest elevation of cell (i, j) of tile ``t``, and (``arg_rows[t, i, j]``,
+    ``arg_cols[t, i, j]``) a sample of that tile that attains it, as a row
+    and a column of the stack's tables."""
 
     maxima: np.ndarray
     arg_rows: np.ndarray
@@ -472,21 +481,22 @@ class _Level(NamedTuple):
 
 
 def _pool(values: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum of each ``side`` x ``side`` block, and the (row, col) in ``values`` of
-    an entry that attains it.
+    """Maximum of each ``side`` x ``side`` block of each tile of a (tiles, rows,
+    cols) stack, and the (row, col) in its tile of an entry that attains it.
 
     Ragged edge blocks are smaller; their missing entries never win.
     """
-    rows, cols = values.shape
+    tiles, rows, cols = values.shape
     out_rows, out_cols = -(-rows // side), -(-cols // side)
-    padded = np.full((out_rows * side, out_cols * side), np.iinfo(np.int32).min, dtype=np.int32)
-    padded[:rows, :cols] = values
-    blocks = padded.reshape(out_rows, side, out_cols, side).transpose(0, 2, 1, 3)
-    blocks = blocks.reshape(out_rows, out_cols, side * side)
-    arg = blocks.argmax(axis=2)
-    block_rows, block_cols = np.indices(arg.shape)
+    shape = (tiles, out_rows * side, out_cols * side)
+    padded = np.full(shape, np.iinfo(np.int32).min, dtype=np.int32)
+    padded[:, :rows, :cols] = values
+    blocks = padded.reshape(tiles, out_rows, side, out_cols, side).transpose(0, 1, 3, 2, 4)
+    blocks = blocks.reshape(tiles, out_rows, out_cols, side * side)
+    arg = blocks.argmax(axis=3)
+    _, block_rows, block_cols = np.indices(arg.shape)
     return (
-        np.take_along_axis(blocks, arg[..., None], axis=2)[..., 0],
+        np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0],
         block_rows * side + arg // side,
         block_cols * side + arg % side,
     )
@@ -500,12 +510,13 @@ def _half_angles(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Queries(NamedTuple):
     """A search's query points, longitude wrapped as :class:`GeoPoint` wraps
-    it, and their half-angle and latitude-cosine terms (see
-    :meth:`ElevationPyramid._hav`)."""
+    it, each one's tile (its position in the stack), and their half-angle
+    and latitude-cosine terms (see :meth:`ElevationPyramid._hav`)."""
 
     lats: np.ndarray
     lngs: np.ndarray
     elevations: np.ndarray
+    tiles: np.ndarray
     lat_sin: np.ndarray
     lat_cos: np.ndarray
     cos_lat: np.ndarray
@@ -513,13 +524,14 @@ class _Queries(NamedTuple):
     lng_cos: np.ndarray
 
     @classmethod
-    def of(cls, lats, lngs, elevations) -> "_Queries":
+    def of(cls, lats, lngs, elevations, tiles) -> "_Queries":
         lats = np.asarray(lats, dtype=np.float64)
         lngs = wrap_longitude_many(np.asarray(lngs, dtype=np.float64))
         return cls(
             lats,
             lngs,
             np.asarray(elevations),
+            np.asarray(tiles, dtype=np.intp),
             *_half_angles(lats),
             np.cos(np.radians(lats)),
             *_half_angles(lngs),
@@ -573,34 +585,51 @@ _WINDOW_OFFSETS = np.arange(-_WINDOW_HALF, _WINDOW_HALF + 1)
 
 
 class ElevationPyramid:
-    """Static max-elevation pyramid over one tile's sample grid.
+    """Static max-elevation pyramid over a stack of same-shape tiles.
 
     Level 0 holds the maximum elevation of each 8x8 block of samples (edge
     blocks may be smaller); each level above max-pools 2x2 cells of the one
-    below, up to a single root cell.  Every cell also keeps the (row, col)
-    of one sample that attains its maximum.  A cell covers the closed
-    quadrilateral spanned by its samples' coordinates.
+    below, up to a single root cell.  Every tile is pooled on its own, so no
+    cell spans two tiles and each tile has its own root.  Every cell also
+    keeps the row and column of one sample that attains its maximum.  A
+    cell covers the closed quadrilateral spanned by its samples'
+    coordinates.
 
-    The geometry of a search comes from per-row and per-column tables: the
-    sine and cosine of half of each row's latitude and each column's
-    longitude, and each row's cosine of latitude (:meth:`_hav`).
+    The geometry of a search comes from per-row and per-column tables, the
+    tiles' own concatenated in stack order: the sine and cosine of half of
+    each row's latitude and each column's longitude, and each row's cosine
+    of latitude (:meth:`_hav`).  Row ``r`` of tile ``t`` is row
+    ``t * rows + r`` of the stack, and its column ``c`` column ``t * cols +
+    c``.  A stack of one tile holds its grid without a copy.
 
     Immutable after construction; safe for concurrent readers.
     """
 
-    def __init__(self, tile: Tile):
-        self._elevations = tile.elevations
-        self._lats = tile.sample_lats()
-        self._lngs = tile.sample_lngs()
-        self._steps_per_degree = tile.steps_per_degree
+    def __init__(self, tiles: Sequence[Tile]):
+        first = tiles[0]
+        spacing = (first.shape, first.steps_per_degree)
+        if any((t.shape, t.steps_per_degree) != spacing for t in tiles):
+            raise ValueError("a pyramid stacks tiles of one shape and sample spacing")
+        self._tile_shape = rows, cols = first.shape
+        self._steps_per_degree = first.steps_per_degree
+        # The grids as one (tiles * rows, cols) array: stack rows, tile columns.
+        if len(tiles) == 1:
+            self._grid = first.elevations
+        else:
+            self._grid = np.concatenate([t.elevations for t in tiles])
+        self._lats = np.concatenate([t.sample_lats() for t in tiles])
+        self._lngs = np.concatenate([t.sample_lngs() for t in tiles])
         self._lat_sin, self._lat_cos = _half_angles(self._lats)
         self._cos_lat = np.cos(np.radians(self._lats))
         self._lng_sin, self._lng_cos = _half_angles(self._lngs)
-        maxima, arg_rows, arg_cols = _pool(tile.elevations, _LEAF_SIDE)
+        maxima, arg_rows, arg_cols = _pool(self._grid.reshape(len(tiles), rows, cols), _LEAF_SIDE)
+        stack = np.arange(len(tiles))[:, None, None]
+        arg_rows, arg_cols = arg_rows + stack * rows, arg_cols + stack * cols
         self.levels: list[_Level] = [_Level(maxima, arg_rows, arg_cols)]
-        while maxima.shape != (1, 1):
+        while maxima.shape[1:] != (1, 1):
             maxima, child_rows, child_cols = _pool(maxima, 2)
-            arg_rows, arg_cols = arg_rows[child_rows, child_cols], arg_cols[child_rows, child_cols]
+            arg_rows = arg_rows[stack, child_rows, child_cols]
+            arg_cols = arg_cols[stack, child_rows, child_cols]
             self.levels.append(_Level(maxima, arg_rows, arg_cols))
 
     def nearest_higher_many(
@@ -608,31 +637,35 @@ class ElevationPyramid:
         lats: np.ndarray,
         lngs: np.ndarray,
         elevations: np.ndarray,
+        tiles: np.ndarray,
         metric,
         work: Optional[SearchWork] = None,
     ) -> np.ndarray:
-        """Nearest sample strictly higher than each query's elevation.
+        """Nearest sample of its tile strictly higher than each query's elevation.
 
-        Two stages, :data:`_QUERY_CHUNK` queries at a time, both on the
-        row and column tables (:meth:`_hav`), with no trigonometry per
-        sample.  The window stage (:meth:`_window`) answers a query inside
-        the grid from the samples within :data:`_WINDOW_HALF` rows and
-        columns of its nearest sample when one of them is strictly higher
-        and a lower bound on the rest of the grid (:meth:`_floor`) is beyond
-        the window's best.  The other queries, and all queries outside the
-        grid, go to a level-synchronous branch and bound over (query, cell)
-        pair arrays (:meth:`_descend`), starting from the window's best
-        distance.  At each level every pair expands to the children whose
-        maximum is strictly above its query's elevation; a child is pruned
-        when the lower bound of its row and column band exceeds the query's
-        smallest upper bound, the distance to a cell's stored maximum
-        sample scaled by the metric's ``high``.  Both stages rank the
-        strictly higher samples of their blocks (:meth:`_nearest_in_blocks`)
-        and take the exact distance only of those in the chord band,
-        ``metric.anisotropy`` times the nearest's great-circle distance
-        plus a slack; ties break by ascending (lat, lng), so each answer is
-        bit-identical to a scalar scan.  Queries may lie outside the tile.
-        ``work``, if given, accumulates the search's counts.
+        ``tiles`` gives each query's tile as its position in the stack; a
+        query may lie outside its tile, and every answer is the one a
+        pyramid of that tile alone gives.  Two stages,
+        :data:`_QUERY_CHUNK` queries at a time, both on the row and column
+        tables (:meth:`_hav`), with no trigonometry per sample.  The window
+        stage (:meth:`_window`) answers a query inside its tile from the
+        samples within :data:`_WINDOW_HALF` rows and columns of its nearest
+        sample when one of them is strictly higher and a lower bound on the
+        rest of the tile (:meth:`_floor`) is beyond the window's best.  The
+        other queries, and all queries outside their tile, go to a
+        level-synchronous branch and bound over (query, cell) pair arrays
+        (:meth:`_descend`), each from its tile's root, starting from an
+        upper bound on the window's best.  At each level every pair expands
+        to the children whose maximum is strictly above its query's
+        elevation; a child is pruned when the lower bound of its row and
+        column band exceeds the query's smallest upper bound, the distance
+        to a cell's stored maximum sample scaled by the metric's ``high``.
+        Both stages rank the strictly higher samples of their blocks
+        (:meth:`_chord_band`) and take the exact distance only of those in
+        the chord band, ``metric.anisotropy`` times the nearest's
+        great-circle distance plus a slack; ties break by ascending (lat,
+        lng), so each answer is bit-identical to a scalar scan.  ``work``,
+        if given, accumulates the search's counts.
 
         Returns:
             One :data:`CANDIDATE_DTYPE` row per query with a strictly higher
@@ -645,71 +678,94 @@ class ElevationPyramid:
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
         elevations = np.asarray(elevations)
+        tiles = np.asarray(tiles, dtype=np.intp)
         n = len(lats)
         work = SearchWork() if work is None else work
         work.queries += n
         found = np.empty(n, dtype=CANDIDATE_DTYPE)
         answered = np.zeros(n, dtype=bool)
-        best = np.full(n, np.inf)
+        best = np.empty(n)
         for start in range(0, n, _QUERY_CHUNK):
             part = np.arange(start, min(start + _QUERY_CHUNK, n))
-            queries = _Queries.of(lats[part], lngs[part], elevations[part])
-            nearest, settled = self._window(queries, metric)
-            nearest["peak"] = part[nearest["peak"]]
-            best[nearest["peak"]] = nearest["distance"]
-            settled = nearest[settled]
+            queries = _Queries.of(lats[part], lngs[part], elevations[part], tiles[part])
+            settled, best[part] = self._window(queries, metric)
+            settled["peak"] = part[settled["peak"]]
             found[settled["peak"]], answered[settled["peak"]] = settled, True
         work.window_resolved += int(answered.sum())
         pending = np.flatnonzero(~answered)
         for start in range(0, len(pending), _QUERY_CHUNK):
             part = pending[start : start + _QUERY_CHUNK]
-            queries = _Queries.of(lats[part], lngs[part], elevations[part])
+            queries = _Queries.of(lats[part], lngs[part], elevations[part], tiles[part])
             rows = self._descend(queries, best[part], metric, work)
             rows["peak"] = part[rows["peak"]]
             found[rows["peak"]], answered[rows["peak"]] = rows, True
         return found[answered]
 
+    def _edges(self, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first row and the first column of each tile in the stack's tables."""
+        rows, cols = self._tile_shape
+        return tiles * rows, tiles * cols
+
     def _window(self, p: _Queries, metric) -> tuple[np.ndarray, np.ndarray]:
         """Each query's nearest higher sample in the window around its nearest sample.
 
-        Returns the :data:`CANDIDATE_DTYPE` rows of the queries inside the
-        grid whose window holds a strictly higher sample, and a mask of the
-        rows that are the query's answer: where the lower bound on the at
-        most four strips of the grid outside the window is beyond the row's
-        distance by more than the slack.
+        Returns the :data:`CANDIDATE_DTYPE` rows of the queries the window
+        settles, and for each query an upper bound on its answer (inf when
+        its window holds nothing higher).  A query inside its tile whose
+        window holds a strictly higher sample is settled when the lower
+        bound on the at most four strips of the tile outside the window is
+        beyond the exact distance of the window's best by more than the
+        slack.  That bound is first held against the window's least table
+        haversine: a query whose strips come that close is not settled
+        whatever its exact distance, so it gets none, and the table upper
+        bound of that nearest sample goes to the descent instead.
         """
-        lats, lngs = self._lats, self._lngs
-        inside = (lats[-1] <= p.lats) & (p.lats <= lats[0])  # row 0 is north
-        inside &= (lngs[0] <= p.lngs) & (p.lngs <= lngs[-1])
+        rows, cols = self._tile_shape
+        top, left = self._edges(p.tiles)
+        north, south = self._lats[top], self._lats[top + rows - 1]  # row 0 is north
+        west, east = self._lngs[left], self._lngs[left + cols - 1]
+        inside = (south <= p.lats) & (p.lats <= north) & (west <= p.lngs) & (p.lngs <= east)
         q = np.flatnonzero(inside)
-        grid_rows, grid_cols = self._elevations.shape
         steps = self._steps_per_degree
-        centre_rows = np.clip(np.rint((lats[0] - p.lats[q]) * steps), 0, grid_rows - 1)
-        centre_cols = np.clip(np.rint((p.lngs[q] - lngs[0]) * steps), 0, grid_cols - 1)
-        centre_rows, centre_cols = centre_rows.astype(np.intp), centre_cols.astype(np.intp)
+        centre_rows = np.clip(np.rint((north[q] - p.lats[q]) * steps), 0, rows - 1)
+        centre_cols = np.clip(np.rint((p.lngs[q] - west[q]) * steps), 0, cols - 1)
+        centre_rows = top[q] + centre_rows.astype(np.intp)
+        centre_cols = left[q] + centre_cols.astype(np.intp)
         window_rows = centre_rows[:, None] + _WINDOW_OFFSETS
         window_cols = centre_cols[:, None] + _WINDOW_OFFSETS
-        nearest = self._nearest_in_blocks(q, window_rows, window_cols, p, metric)
-        at = np.searchsorted(q, nearest["peak"])
-        strip, *band = self._strips(centre_rows[at], centre_cols[at])
-        outside = np.full(len(nearest), np.inf)
-        np.minimum.at(outside, strip, self._floor(*band, nearest["peak"][strip], p))
-        return nearest, outside > _reach(nearest["distance"], metric)
+        lowest, *band = self._chord_band(q, window_rows, window_cols, p, metric)
+        has = np.flatnonzero(lowest < np.inf)
+        at = np.searchsorted(q, has)
+        strip, *strips = self._strips(centre_rows[at], centre_cols[at], p.tiles[has])
+        outside = np.full(len(p.lats), np.inf)
+        np.minimum.at(outside, has[strip], self._floor(*strips, has[strip], p))
+        upper = _upper(lowest, metric)
+        # _reach of the exact distance of any window sample lies above the
+        # window's least table haversine (slack and rounding allowance), so
+        # strips at or below it leave the query unsettled.  A query with
+        # nothing higher in its window has both at inf.
+        may_settle = outside > lowest
+        nearest = self._exact(*_select(may_settle[band[0]], *band), p, metric)
+        upper[nearest["peak"]] = nearest["distance"]
+        settled = outside[nearest["peak"]] > _reach(nearest["distance"], metric)
+        return nearest[settled], upper
 
-    def _strips(self, centre_rows, centre_cols) -> tuple[np.ndarray, ...]:
-        """The strips of the grid outside the window around each centre sample:
+    def _strips(self, centre_rows, centre_cols, tiles) -> tuple[np.ndarray, ...]:
+        """The strips of each centre sample's tile outside the window around it:
         the full-width strips north and south of it, and the strips west and
         east of it across its rows, where they exist.  With the window they
-        cover the grid once.  Returns each strip's window (an index into the
+        cover the tile once.  Centres, and the strips' rows and columns, are
+        rows and columns of the stack's tables; ``tiles`` gives each
+        centre's tile.  Returns each strip's window (an index into the
         centres) and its first and last rows and columns.
         """
-        grid_rows, grid_cols = self._elevations.shape
-        top = np.maximum(centre_rows - _WINDOW_HALF, 0)
-        bottom = np.minimum(centre_rows + _WINDOW_HALF, grid_rows - 1)
-        left = np.maximum(centre_cols - _WINDOW_HALF, 0)
-        right = np.minimum(centre_cols + _WINDOW_HALF, grid_cols - 1)
-        north, south = np.zeros_like(top), np.full_like(top, grid_rows - 1)
-        west, east = np.zeros_like(left), np.full_like(left, grid_cols - 1)
+        rows, cols = self._tile_shape
+        north, west = self._edges(tiles)
+        south, east = north + rows - 1, west + cols - 1
+        top = np.maximum(centre_rows - _WINDOW_HALF, north)
+        bottom = np.minimum(centre_rows + _WINDOW_HALF, south)
+        left = np.maximum(centre_cols - _WINDOW_HALF, west)
+        right = np.minimum(centre_cols + _WINDOW_HALF, east)
         window = np.arange(len(top))
         strips = [
             _select(exists, window, *band)
@@ -723,41 +779,46 @@ class ElevationPyramid:
         return tuple(np.concatenate(columns) for columns in zip(*strips))
 
     def _descend(self, p: _Queries, best: np.ndarray, metric, work: SearchWork) -> np.ndarray:
-        """Descend the pyramid with one chunk of queries, down to the leaf blocks.
+        """Descend the pyramid with one chunk of queries, each from its tile's
+        root down to the leaf blocks.
 
         ``best`` holds an upper bound on each query's answer (inf for none).
         Returns the answers as :data:`CANDIDATE_DTYPE` rows, ``peak`` being
         the query's index in the chunk.
         """
         n = len(p.lats)
-        grid_rows, grid_cols = self._elevations.shape
+        grid_rows, grid_cols = self._tile_shape
+        top, left = self._edges(p.tiles)
         reach = _reach(best, metric)
-        # Every query starts at a virtual cell whose child (0, 0) is the root.
-        q = np.arange(n)
+        # Every query starts at a virtual cell whose child (0, 0) is the
+        # root of its tile, t.
+        q, t = np.arange(n), p.tiles
         i = j = np.zeros(n, dtype=np.intp)
         for depth in reversed(range(len(self.levels))):
             level, side = self.levels[depth], _LEAF_SIDE << depth
-            q = np.repeat(q, 4)
+            q, t = np.repeat(q, 4), np.repeat(t, 4)
             i = (2 * i[:, None] + _CHILD_ROWS).ravel()
             j = (2 * j[:, None] + _CHILD_COLS).ravel()
-            rows, cols = level.maxima.shape
-            q, i, j = _select((i < rows) & (j < cols), q, i, j)
-            q, i, j = _select(level.maxima[i, j] > p.elevations[q], q, i, j)
-            first_row, first_col = i * side, j * side
-            last_row = np.minimum(first_row + side, grid_rows) - 1
-            last_col = np.minimum(first_col + side, grid_cols) - 1
+            _, rows, cols = level.maxima.shape
+            q, t, i, j = _select((i < rows) & (j < cols), q, t, i, j)
+            q, t, i, j = _select(level.maxima[t, i, j] > p.elevations[q], q, t, i, j)
+            first_row, first_col = top[q] + i * side, left[q] + j * side
+            last_row = top[q] + np.minimum(i * side + side, grid_rows) - 1
+            last_col = left[q] + np.minimum(j * side + side, grid_cols) - 1
             floor = self._floor(first_row, last_row, first_col, last_col, q, p)
-            q, i, j, floor = _select(floor <= reach[q], q, i, j, floor)
+            q, t, i, j, floor = _select(floor <= reach[q], q, t, i, j, floor)
             # A cell's maximum sample is strictly higher than the query.
             upper = np.full(n, np.inf)
-            np.minimum.at(upper, q, self._hav(level.arg_rows[i, j], level.arg_cols[i, j], q, p))
+            cell = t, i, j
+            np.minimum.at(upper, q, self._hav(level.arg_rows[cell], level.arg_cols[cell], q, p))
             best = np.minimum(best, _upper(upper, metric))
             reach = _reach(best, metric)
-            q, i, j = _select(floor <= reach[q], q, i, j)
+            q, t, i, j = _select(floor <= reach[q], q, t, i, j)
             work.pairs += len(q)
-        rows = i[:, None] * _LEAF_SIDE + _LEAF_OFFSETS
-        cols = j[:, None] * _LEAF_SIDE + _LEAF_OFFSETS
-        return self._nearest_in_blocks(q, rows, cols, p, metric, work)
+        rows = (top[q] + i * _LEAF_SIDE)[:, None] + _LEAF_OFFSETS
+        cols = (left[q] + j * _LEAF_SIDE)[:, None] + _LEAF_OFFSETS
+        _lowest, *band = self._chord_band(q, rows, cols, p, metric, work)
+        return self._exact(*band, p, metric)
 
     def _hav_lat(self, rows, q, p: _Queries):
         """hav(latitude difference) of table rows ``rows`` from queries ``q``.
@@ -802,26 +863,31 @@ class ElevationPyramid:
         edge = np.minimum(self._hav_lng(first_col, q, p), self._hav_lng(last_col, q, p))
         return hav_lat + p.cos_lat[q] * cos_lat * np.where(between, 0.0, edge)
 
-    def _nearest_in_blocks(self, q, rows, cols, p: _Queries, metric, work=None) -> np.ndarray:
-        """Each query's nearest strictly higher sample in its blocks.
+    def _chord_band(self, q, rows, cols, p: _Queries, metric, work=None):
+        """The strictly higher samples of each query's blocks that may be its nearest.
 
         Block ``e`` of query ``q[e]`` is the samples (``rows[e, a]``,
-        ``cols[e, b]``); entries off the grid are left out.  The blocks are
-        gathered as one (blocks, side, side) array and ranked by haversine
-        (:meth:`_hav`).  Of each query's samples, those within the chord band
-        of the nearest, ``metric.anisotropy`` times its great-circle
-        distance plus the slack of :func:`_padded`, are kept: the nearest by
-        the metric is one of them, because its ratio to the great-circle
-        distance lies in a band that narrow.  They alone get the exact
-        distance (``metric.distance_exact_many``) and go to
-        :func:`nearest_per_peak`.  Returns its rows; ``work``, if given,
-        counts the strictly higher samples as leaf samples.
+        ``cols[e, b]``), rows and columns of the stack's tables; entries off
+        the query's tile are left out.  The blocks are gathered as one
+        (blocks, side, side) array and ranked by haversine (:meth:`_hav`).
+        Of each query's samples, those within the chord band of the nearest,
+        ``metric.anisotropy`` times its great-circle distance plus the slack
+        of :func:`_padded`, are kept: the nearest by the metric is one of
+        them, because its ratio to the great-circle distance lies in a band
+        that narrow.  ``work``, if given, counts the strictly higher samples
+        as leaf samples.
+
+        Returns each query's least haversine (inf for none), and the query,
+        row and column of every sample kept.
         """
-        grid_rows, grid_cols = self._elevations.shape
+        grid_rows, grid_cols = self._tile_shape
+        top, left = self._edges(p.tiles[q])
+        rows, cols = rows - top[:, None], cols - left[:, None]  # in the tile
         row_in, col_in = (0 <= rows) & (rows < grid_rows), (0 <= cols) & (cols < grid_cols)
-        rows = np.minimum(np.maximum(rows, 0), grid_rows - 1)
+        rows = np.minimum(np.maximum(rows, 0), grid_rows - 1) + top[:, None]
         cols = np.minimum(np.maximum(cols, 0), grid_cols - 1)
-        higher = self._elevations[rows[:, :, None], cols[:, None, :]] > p.elevations[q, None, None]
+        higher = self._grid[rows[:, :, None], cols[:, None, :]] > p.elevations[q, None, None]
+        cols += left[:, None]
         higher &= row_in[:, :, None]
         higher &= col_in[:, None, :]
         k = q[:, None]
@@ -837,10 +903,15 @@ class ElevationPyramid:
         a, b = np.divmod(a, side)
         if work is not None:
             work.leaf_samples += int(np.count_nonzero(higher))
-        k = q[e]
-        out = np.empty(len(e), dtype=CANDIDATE_DTYPE)
-        out["peak"], out["lat"] = k, self._lats[rows[e, a]]
-        out["lng"] = wrap_longitude_many(self._lngs[cols[e, b]])
+        return lowest, q[e], rows[e, a], cols[e, b]
+
+    def _exact(self, k, rows, cols, p: _Queries, metric) -> np.ndarray:
+        """The exact distance (``metric.distance_exact_many``) from each query
+        ``k`` to its sample (``rows``, ``cols``), and each query's nearest of
+        them by :func:`nearest_per_peak`, as :data:`CANDIDATE_DTYPE` rows."""
+        out = np.empty(len(k), dtype=CANDIDATE_DTYPE)
+        out["peak"], out["lat"] = k, self._lats[rows]
+        out["lng"] = wrap_longitude_many(self._lngs[cols])
         out["distance"] = metric.distance_exact_many(p.lats[k], p.lngs[k], out["lat"], out["lng"])
         _check_finite("distance", out["distance"], p.lats[k], p.lngs[k])
         return nearest_per_peak(out)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import results_by_location
 from isoscan import dem, multipass, spatial_index
+from isoscan.cli import write_csv
 from isoscan.dem import (
     Peak,
     PeakCells,
@@ -93,7 +97,7 @@ class TestBoundingPass:
         metric = EllipsoidMetric()
         universe = SampleUniverse.from_tiles(tiles.values())
         for tile in tiles.values():
-            outcome = bounding_pass(tile, 0.0, "staged")
+            outcome = bounding_pass([tile], 0.0, "staged")[0]
             bounded = as_peaks(outcome.bounded)
             reference = {
                 r.peak.location: r for r in brute_force_all(bounded, universe, metric)
@@ -105,7 +109,7 @@ class TestBoundingPass:
 
     def test_infinite_threshold_discards_all_bounded(self):
         area, tiles = world(1, 1, seed=41)
-        outcome = bounding_pass(next(iter(tiles.values())), math.inf, "staged")
+        outcome = bounding_pass([next(iter(tiles.values()))], math.inf, "staged")[0]
         assert len(outcome.bounded) == 0
         assert outcome.discarded > 0
         assert len(outcome.deferred)  # the tile high point always defers
@@ -113,7 +117,7 @@ class TestBoundingPass:
     def test_high_point_always_deferred(self):
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, 0.0, "staged")
+        outcome = bounding_pass([tile], 0.0, "staged")[0]
         assert outcome.max_elevation_m == tile.max_elevation_m
         deferred_elevs = set(outcome.deferred["elevation"].tolist())
         assert tile.max_elevation_m in deferred_elevs
@@ -127,7 +131,7 @@ class TestBoundingPass:
         # each bound that distance times the inflation factor, exactly.
         area, tiles = world(1, 1, seed=43, profile="cones", n=121)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, 0.0, mode)
+        outcome = bounding_pass([tile], 0.0, mode)[0]
         universe = SampleUniverse.from_tiles([tile])
         reference = {
             r.peak.location: r
@@ -196,8 +200,9 @@ class TestDilationDiscard:
         d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
         i_min = d * BOUND_INFLATION * (1.0 + margin)
         assert dominated_samples(tile, i_min / BOUND_INFLATION)[120, 40] == discarded
-        outcome = bounding_pass(tile, i_min, "staged")
-        assert outcome.search.queries == len(cells) - int(discarded)
+        search = SearchWork()
+        outcome = bounding_pass([tile], i_min, "staged", search)[0]
+        assert search.queries == len(cells) - int(discarded)
         bounded = [pk.location for pk in as_peaks(outcome.bounded)]
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
@@ -258,7 +263,7 @@ class TestDilationDiscard:
         tile, i_min = self.flat_summit_tile(37)
         assert tile.sample_point(120, 40) in [p.location for p in detect_peaks(tile)]
         walked = self.record_walks(monkeypatch)
-        outcome = bounding_pass(tile, i_min, "staged")
+        outcome = bounding_pass([tile], i_min, "staged")[0]
         assert 100 in walked
         assert 100 not in outcome.searched["elevation"].tolist()
         assert outcome.dilation_discards >= 1
@@ -266,7 +271,7 @@ class TestDilationDiscard:
     def test_flat_summit_dominated_everywhere_is_never_walked(self, monkeypatch):
         tile, i_min = self.flat_summit_tile(37, 44)
         walked = self.record_walks(monkeypatch)
-        outcome = bounding_pass(tile, i_min, "staged")
+        outcome = bounding_pass([tile], i_min, "staged")[0]
         assert 100 not in walked
         assert 0 in walked  # the plateau around it is walked
         assert 100 not in outcome.searched["elevation"].tolist()
@@ -283,7 +288,7 @@ class TestDilationDiscard:
         monkeypatch.setattr(dem, "qualifying_samples", counting)
         monkeypatch.setattr(multipass, "qualifying_samples", counting)
         area, tiles = world(1, 1, seed=68, n=121)
-        outcome = bounding_pass(tiles[(45, 7)], 2000.0, "staged")
+        outcome = bounding_pass([tiles[(45, 7)]], 2000.0, "staged")[0]
         assert calls == [(45, 7)]
         assert len(outcome.searched) > 0
 
@@ -301,7 +306,7 @@ class TestDilationDiscard:
         # at least one pair per level of the descent and computes at least
         # one leaf distance; the deferred peaks have none.
         descended = answered - stats.bounding_window_resolved
-        levels = len(ElevationPyramid(tiles[(45, 7)]).levels)
+        levels = len(ElevationPyramid([tiles[(45, 7)]]).levels)
         assert stats.bounding_pairs >= descended * levels
         assert stats.bounding_leaf_samples >= descended
 
@@ -349,9 +354,9 @@ class TestSearchOnce:
         sent = []
         real = multipass.finalization_pass
 
-        def recording(tile, peaks, metric, search=None):
-            sent.extend((tile.key, loc) for loc in locations(peaks))
-            return real(tile, peaks, metric, search)
+        def recording(tiles, peaks, positions, metric, search=None):
+            sent.extend((tiles[t].key, loc) for t, loc in zip(positions, locations(peaks)))
+            return real(tiles, peaks, positions, metric, search)
 
         monkeypatch.setattr(multipass, "finalization_pass", recording)
         outcome = run_pipeline(area, tiles, i_min=0.0)
@@ -366,7 +371,7 @@ class TestSearchOnce:
         outcome = run_pipeline(area, tiles, i_min=0.0)
         stats = outcome.stats
         searched = {
-            key: set(locations(bounding_pass(t, 0.0, "staged").searched))
+            key: set(locations(bounding_pass([t], 0.0, "staged")[0].searched))
             for key, t in tiles.items()
         }
         elevation = {r.peak.location: r.peak.elevation_m for r in outcome.results}
@@ -386,13 +391,15 @@ class TestSearchOnce:
         queried = []
 
         class Recording(ElevationPyramid):
-            def __init__(self, tile):
-                super().__init__(tile)
-                self.key = tile.key
+            def __init__(self, tiles):
+                super().__init__(tiles)
+                self.keys = [t.key for t in tiles]
 
-            def nearest_higher_many(self, lats, lngs, elevations, metric, work=None):
-                queried.extend((self.key, GeoPoint(a, b)) for a, b in zip(lats, lngs))
-                return super().nearest_higher_many(lats, lngs, elevations, metric, work)
+            def nearest_higher_many(self, lats, lngs, elevations, tiles, metric, work=None):
+                queried.extend(
+                    (self.keys[t], GeoPoint(a, b)) for a, b, t in zip(lats, lngs, tiles)
+                )
+                return super().nearest_higher_many(lats, lngs, elevations, tiles, metric, work)
 
         monkeypatch.setattr(multipass, "ElevationPyramid", Recording)
         area, tiles = world(2, 2, seed=70, n=61)
@@ -405,7 +412,7 @@ class TestHighpointPass:
     def test_single_tile_world_high_point_undefined(self):
         area, tiles = world(1, 1, seed=44)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass(tile, 0.0, "staged")
+        outcome = bounding_pass([tile], 0.0, "staged")[0]
         index = TileIndex([(tile.key, tile.max_elevation_m)])
         hp = highpoint_pass(index, outcome.deferred, i_min=0.0)
         no_higher_elevs = set(hp.no_higher["elevation"].tolist())
@@ -418,7 +425,7 @@ class TestHighpointPass:
             key_a, key_b = key_b, key_a
             tile_a, tile_b = tile_b, tile_a
         # now tile_b holds the higher maximum; a's high point defers to it
-        outcome = bounding_pass(tile_a, 0.0, "staged")
+        outcome = bounding_pass([tile_a], 0.0, "staged")[0]
         high = outcome.deferred[outcome.deferred["elevation"] == tile_a.max_elevation_m]
         assert len(high) == 1
         index = TileIndex([(k, t.max_elevation_m) for k, t in tiles.items()])
@@ -445,7 +452,7 @@ class TestFinalizationPass:
         area, tiles = world(1, 1, seed=47)
         tile = next(iter(tiles.values()))
         too_high = peak_array((44.5, 6.5, tile.max_elevation_m + 100, 44, 6, 1e6))
-        cands = finalization_pass(tile, too_high, EllipsoidMetric())
+        cands = finalization_pass([tile], too_high, np.zeros(1, dtype=int), EllipsoidMetric())
         assert len(cands) == 0
 
     def test_home_tile_assignment_matches_single_sweep(self):
@@ -455,7 +462,8 @@ class TestFinalizationPass:
         peaks = detect_peaks(tile)
         swept = run_sweep(build_events(tile, peaks), tile.quad, metric)
         search = SearchWork()
-        cands = finalization_pass(tile, peak_rows(tile, peaks.rows, peaks.cols), metric, search)
+        rows = peak_rows(tile, peaks.rows, peaks.cols)
+        cands = finalization_pass([tile], rows, np.zeros(len(rows), dtype=int), metric, search)
         assert search.queries == len(cands)
         by_loc = {
             peaks[k].location: (d, GeoPoint(lat, lng)) for k, d, lat, lng in cands.tolist()
@@ -731,6 +739,7 @@ class TestRunPipeline:
         assert stats.assign_candidates >= stats.assigned_pairs
         assert 0 < stats.bounding_task_s <= stats.bounding_s
         assert stats.finalization_task_s == 0.0
+        assert (stats.bounding_batches, stats.finalization_batches) == (1, 0)
 
     def test_stats_populated(self):
         area, tiles = world(1, 2, seed=64, n=31)
@@ -747,6 +756,81 @@ class TestRunPipeline:
         stages = [stats.bounding_s, stats.assign_s, stats.highpoint_s, stats.finalization_s]
         assert all(s > 0 for s in stages)
         assert sum(stages) <= stats.total_s
+
+
+def stats_counts(stats) -> dict:
+    """The counts of PipelineStats: every field but the seconds and the batches."""
+    return {
+        k: v
+        for k, v in dataclasses.asdict(stats).items()
+        if not k.endswith("_s") and not k.endswith("_batches")
+    }
+
+
+def csv_text(outcome) -> str:
+    buf = io.StringIO()
+    write_csv(outcome.arrays, buf, min_isolation_m=0.0)
+    return buf.getvalue()
+
+
+class TestBatches:
+    def test_batches_are_runs_of_one_shape_within_the_budget(self, monkeypatch):
+        def tile(lng, n):
+            return Tile(45, lng, np.zeros((n, n), dtype=np.int16), n - 1)
+
+        tiles = [tile(0, 31), tile(1, 31), tile(2, 31), tile(3, 61), tile(4, 31), tile(5, 31)]
+        batches = multipass._batches
+        assert batches(tiles, 1) == [range(0, 3), range(3, 4), range(4, 6)]
+        # Two workers: at least four batches where there are tiles enough.
+        assert batches(tiles, 2) == [range(0, 2), range(2, 3), range(3, 4), range(4, 6)]
+        assert batches(tiles[:2], 3) == [range(0, 1), range(1, 2)]
+        monkeypatch.setattr(multipass, "_BATCH_SAMPLES", 2 * 31 * 31)
+        assert batches(tiles, 1) == [range(0, 2), range(2, 3), range(3, 4), range(4, 6)]
+        monkeypatch.setattr(multipass, "_BATCH_SAMPLES", 1)
+        assert batches(tiles, 1) == [range(k, k + 1) for k in range(6)]
+        assert batches([], 2) == []
+
+    @pytest.mark.parametrize("budget_tiles", [None, 2])
+    def test_one_pyramid_and_one_search_per_batch_and_pass(self, monkeypatch, budget_tiles):
+        n = 41
+        if budget_tiles is not None:
+            monkeypatch.setattr(multipass, "_BATCH_SAMPLES", budget_tiles * n * n)
+        built, searched = [], []
+
+        class Counting(ElevationPyramid):
+            def __init__(self, tiles):
+                super().__init__(tiles)
+                built.append([t.key for t in tiles])
+
+            def nearest_higher_many(self, *args, **kwargs):
+                searched.append(built[-1])
+                return super().nearest_higher_many(*args, **kwargs)
+
+        monkeypatch.setattr(multipass, "ElevationPyramid", Counting)
+        area, tiles = world(2, 3, seed=71, n=n)
+        stats = run_pipeline(area, tiles, i_min=0.0, threads=1).stats
+        batches = stats.bounding_batches + stats.finalization_batches
+        assert len(built) == len(searched) == batches
+        assert searched == built
+        # The bounding pass's batches cover the area's tiles once, in key order.
+        bounding = built[: stats.bounding_batches]
+        assert [key for batch in bounding for key in batch] == sorted(tiles)
+        most = len(tiles) if budget_tiles is None else budget_tiles
+        assert max(len(batch) for batch in built) == most
+        assert stats.finalization_batches > 0
+
+    def test_csv_and_counts_do_not_depend_on_the_batches(self, monkeypatch):
+        # Three usable CPUs whatever the host has, so that 1, 2 and 3 workers
+        # cut the 12 tiles into 1, 4 and 6 batches.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        area, tiles = world(3, 4, seed=72, n=31)
+        runs = [run_pipeline(area, tiles, i_min=0.0, threads=t) for t in (1, 2, 3)]
+        assert [r.stats.bounding_batches for r in runs] == [1, 4, 6]
+        assert len({r.stats.finalization_batches for r in runs}) == 3
+        assert len({csv_text(r) for r in runs}) == 1
+        counts = [stats_counts(r.stats) for r in runs]
+        assert counts[0] == counts[1] == counts[2]
+        assert counts[0]["finalization_queries"] > 0
 
 
 class TestAudit:

@@ -465,6 +465,29 @@ class TestTileIndex:
 
 METRICS = [GreatCircleMetric(), EllipsoidMetric()]
 
+# How a test's tile is held: in a pyramid of its own, or as tile 1 of a
+# stack of three (see in_pyramid).
+LAYOUTS = ["alone", "stacked"]
+
+
+def in_pyramid(tile, layout):
+    """A pyramid that holds ``tile``, and the tile's position in its stack.
+
+    Stacked, the tile lies between two same-shape tiles higher than any
+    query: one beside it, east or west, and one on top of it.  A search
+    that read a sample of either, or a table row or column of either, would
+    answer differently from the tile alone.
+    """
+    if layout == "alone":
+        return ElevationPyramid([tile]), 0
+    high = np.full_like(tile.elevations, 32000)
+    q = tile.quad
+    width = q.lng_max - q.lng_min
+    lng = q.lng_max if q.lng_max + width <= 180 else q.lng_min - width
+    beside = Tile(tile.origin_lat, int(lng), high, tile.steps_per_degree)
+    on_top = Tile(tile.origin_lat, tile.origin_lng, high, tile.steps_per_degree)
+    return ElevationPyramid([beside, tile, on_top]), 1
+
 
 # Grids whose bounds must hold: 1-degree tiles at mid-latitude, touching
 # either pole, and on both sides of the antimeridian, and grids of 30 and 40
@@ -517,14 +540,18 @@ def exact_distances(tile, lats, lngs, metric):
     return np.array(out).reshape(len(lats), rows, cols)
 
 
-def assert_floors_sound(pyramid, lats, lngs, dists, metric, bands):
+def assert_floors_sound(pyramid, position, lats, lngs, dists, metric, bands):
     """No band's table lower bound prunes a sample that is not farther than ``best``:
-    every sample lies within :func:`spatial_index._reach` of its own distance."""
-    queries = spatial_index._Queries.of(lats, lngs, np.zeros(len(lats)))
+    every sample lies within :func:`spatial_index._reach` of its own distance.
+
+    Bands are rows and columns of the tile at ``position`` in the pyramid's
+    stack, which the bound reads as rows and columns of the stack."""
+    k = np.arange(len(lats))
+    queries = spatial_index._Queries.of(lats, lngs, np.zeros(len(k)), np.full(len(k), position))
+    top, left = pyramid._edges(np.array(position))
     for first_row, last_row, first_col, last_col in bands:
-        k = np.arange(len(lats))
-        edge = [np.full(len(k), v) for v in (first_row, last_row, first_col, last_col)]
-        floor = pyramid._floor(*edge, k, queries)
+        edge = (first_row + top, last_row + top, first_col + left, last_col + left)
+        floor = pyramid._floor(*(np.full(len(k), v) for v in edge), k, queries)
         inside = dists[:, first_row : last_row + 1, first_col : last_col + 1].reshape(len(k), -1)
         reach = spatial_index._reach(inside, metric)
         assert (floor[:, None] <= reach).all(), (first_row, last_row, first_col, last_col)
@@ -533,36 +560,41 @@ def assert_floors_sound(pyramid, lats, lngs, dists, metric, bands):
 class TestTableBounds:
     """The pyramid's row-and-column bounds against the exact distance of every sample."""
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_cell_bounds(self, metric, lat, lng, side, steps):
+    def test_cell_bounds(self, metric, lat, lng, side, steps, layout):
         grid = np.random.default_rng(side).integers(0, 50, size=(side, side)).astype(np.int16)
         tile = Tile(lat, lng, grid, steps)
-        pyramid = ElevationPyramid(tile)
+        pyramid, position = in_pyramid(tile, layout)
         lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 180)
         dists = exact_distances(tile, lats, lngs, metric)
         # A cell's upper bound is that of its stored maximum sample: check
         # every sample's.
-        queries = spatial_index._Queries.of(lats, lngs, np.zeros(len(lats)))
+        queries = spatial_index._Queries.of(
+            lats, lngs, np.zeros(len(lats)), np.full(len(lats), position)
+        )
         k, r, c = (a.ravel() for a in np.indices(dists.shape))
-        upper = spatial_index._upper(pyramid._hav(r, c, k, queries), metric)
+        top, left = pyramid._edges(np.array(position))
+        upper = spatial_index._upper(pyramid._hav(r + top, c + left, k, queries), metric)
         assert (upper >= dists.ravel()).all()
         # Every cell of every level, and every single sample, where a bound
         # is tightest.
         bands = [(i, i, j, j) for i, j in np.ndindex(grid.shape)]
         for depth, level in enumerate(pyramid.levels):
             cell = 8 << depth
-            for i, j in np.ndindex(level.maxima.shape):
+            for i, j in np.ndindex(level.maxima.shape[1:]):
                 last_row, last_col = min((i + 1) * cell, side) - 1, min((j + 1) * cell, side) - 1
                 bands.append((i * cell, last_row, j * cell, last_col))
-        assert_floors_sound(pyramid, lats, lngs, dists, metric, bands)
+        assert_floors_sound(pyramid, position, lats, lngs, dists, metric, bands)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_window_strip_bounds(self, metric, lat, lng, side, steps):
+    def test_window_strip_bounds(self, metric, lat, lng, side, steps, layout):
         grid = np.zeros((side, side), dtype=np.int16)
         tile = Tile(lat, lng, grid, steps)
-        pyramid = ElevationPyramid(tile)
+        pyramid, position = in_pyramid(tile, layout)
         lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 181)
         dists = exact_distances(tile, lats, lngs, metric)
         # Windows at the corners, along the edges, a step in from them and
@@ -570,33 +602,40 @@ class TestTableBounds:
         last = side - 1
         centres = np.array([0, 1, 2, 3, 4, last // 2, last - 3, last - 1, last])
         centre_rows, centre_cols = (c.ravel() for c in np.meshgrid(centres, centres))
-        window, *band = pyramid._strips(centre_rows, centre_cols)
+        top, left = pyramid._edges(np.array(position))
+        window, *band = pyramid._strips(
+            centre_rows + top, centre_cols + left, np.full(len(centre_rows), position)
+        )
+        band = [band[0] - top, band[1] - top, band[2] - left, band[3] - left]
         # With its window, each centre's strips cover the grid once.
         for w, (row, col) in enumerate(zip(centre_rows.tolist(), centre_cols.tolist())):
             cover = np.zeros(grid.shape, dtype=int)
             cover[max(row - K, 0) : row + K + 1, max(col - K, 0) : col + K + 1] += 1
             for r0, r1, c0, c1 in zip(*(edge[window == w].tolist() for edge in band)):
+                assert 0 <= r0 <= r1 < side and 0 <= c0 <= c1 < side
                 cover[r0 : r1 + 1, c0 : c1 + 1] += 1
             assert (cover == 1).all(), (row, col)
         strips = zip(*(edge.tolist() for edge in band))
-        assert_floors_sound(pyramid, lats, lngs, dists, metric, strips)
+        assert_floors_sound(pyramid, position, lats, lngs, dists, metric, strips)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("lat", "lng", "side", "steps"), BOUND_GRIDS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_answers_match_a_linear_scan_from_anywhere(self, metric, lat, lng, side, steps):
+    def test_answers_match_a_linear_scan_from_anywhere(self, metric, lat, lng, side, steps, layout):
         grid = np.random.default_rng(side + 1).integers(0, 50, size=(side, side)).astype(np.int16)
         tile = Tile(lat, lng, grid, steps)
         lats, lngs = bound_queries(tile, seed=(lat + 90) * 1000 + lng + 182)
         elevations = np.random.default_rng(lat + 90).integers(0, 50, len(lats))
         points = [GeoPoint(a, b) for a, b in zip(lats.tolist(), lngs.tolist())]
         queries = [(p, int(e)) for p, e in zip(points, elevations)]
-        found = query_batch(ElevationPyramid(tile), queries, metric)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric)
         assert_matches_linear_scan(tile, queries, found, metric)
 
 
 @st.composite
 def pyramid_batches(draw):
-    """A tile of a side that is not a multiple of 8, 1-20 queries and a metric.
+    """A tile of a side that is not a multiple of 8, 1-20 queries, a metric and
+    a layout (see in_pyramid).
 
     Grids draw from one value (a plateau), three values (many exact ties)
     or many.  Each query lies on a sample at its own elevation (as peaks
@@ -627,14 +666,17 @@ def pyramid_batches(draw):
             if where == "top":
                 elevation = int(grid.max())
         queries.append((p, elevation))
-    return tile, queries, draw(st.sampled_from(METRICS))
+    return tile, queries, draw(st.sampled_from(METRICS)), draw(st.sampled_from(LAYOUTS))
 
 
-def query_batch(pyramid, queries, metric, work=None):
-    """Per query, the (sample, distance) of its row from the pyramid, None for no row."""
+def query_batch(pyramid, position, queries, metric, work=None):
+    """Per query, the (sample, distance) of its row from the pyramid, searching
+    the tile at ``position`` in its stack; None for no row."""
     lats = [p.lat_deg for p, _ in queries]
     lngs = [p.lng_deg for p, _ in queries]
-    rows = pyramid.nearest_higher_many(lats, lngs, [e for _, e in queries], metric, work)
+    elevations = [e for _, e in queries]
+    positions = np.full(len(queries), position)
+    rows = pyramid.nearest_higher_many(lats, lngs, elevations, positions, metric, work)
     assert rows.dtype == CANDIDATE_DTYPE
     assert (np.diff(rows["peak"]) > 0).all()  # query order, one row per query at most
     assert ((-180.0 < rows["lng"]) & (rows["lng"] <= 180.0)).all()
@@ -659,13 +701,14 @@ class TestElevationPyramid:
     @given(pyramid_batches())
     @settings(max_examples=400, deadline=None)
     def test_matches_linear_scan_of_higher_samples(self, case):
-        tile, queries, metric = case
+        tile, queries, metric, layout = case
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert_matches_linear_scan(tile, queries, found, metric)
         assert work.queries == len(queries)
 
-    def test_chunk_boundaries_inside_one_call(self, monkeypatch):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_chunk_boundaries_inside_one_call(self, monkeypatch, layout):
         monkeypatch.setattr(spatial_index, "_QUERY_CHUNK", 3)
         grid = np.random.default_rng(8).integers(0, 50, size=(41, 41)).astype(np.int16)
         tile = Tile(45, 7, grid, 40)
@@ -681,32 +724,37 @@ class TestElevationPyramid:
             queries[k] = (queries[k][0], int(grid.max()))  # no higher sample
         work = SearchWork()
         for metric in METRICS:
-            found = query_batch(ElevationPyramid(tile), queries, metric, work)
+            found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
             assert_matches_linear_scan(tile, queries, found, metric)
         assert any(got is None for got in found) and any(got is not None for got in found)
         assert work.queries == len(METRICS) * len(queries)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_rows_in_query_order_and_no_row_without_a_higher_sample(self, metric):
+    def test_rows_in_query_order_and_no_row_without_a_higher_sample(self, metric, layout):
         grid = np.random.default_rng(14).integers(0, 60, size=(41, 41)).astype(np.int16)
         tile = Tile(45, 7, grid, 40)
         rng = np.random.default_rng(15)
         lats, lngs = rng.uniform(44.8, 46.2, 30), rng.uniform(6.8, 8.2, 30)
         elevations = rng.integers(0, 60, 30)
         elevations[[0, 9, 10, 29]] = grid.max()  # nothing higher
-        rows = ElevationPyramid(tile).nearest_higher_many(lats, lngs, elevations, metric)
+        pyramid, position = in_pyramid(tile, layout)
+        rows = pyramid.nearest_higher_many(lats, lngs, elevations, np.full(30, position), metric)
         assert rows.dtype == CANDIDATE_DTYPE
         assert rows["peak"].tolist() == np.flatnonzero(elevations < grid.max()).tolist()
 
-    def test_empty_query_set_gives_no_rows(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_empty_query_set_gives_no_rows(self, layout):
         tile = Tile(45, 7, np.zeros((9, 9), dtype=np.int16), 8)
         work = SearchWork()
-        rows = ElevationPyramid(tile).nearest_higher_many([], [], [], GreatCircleMetric(), work)
+        pyramid, _position = in_pyramid(tile, layout)
+        rows = pyramid.nearest_higher_many([], [], [], [], GreatCircleMetric(), work)
         assert rows.dtype == CANDIDATE_DTYPE and len(rows) == 0
         assert work.queries == 0
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_answer_on_the_antimeridian_reports_lng_180(self, metric):
+    def test_answer_on_the_antimeridian_reports_lng_180(self, metric, layout):
         # Column 0 of a tile at lng -180 lies at -180.0; the answer's
         # longitude is wrapped into (-180, 180], as GeoPoint wraps it.
         grid = np.zeros((41, 41), dtype=np.int16)
@@ -718,12 +766,15 @@ class TestElevationPyramid:
         # A query in the grid, settled by the window, and one across the
         # antimeridian outside the grid, settled by the descent.
         queries = [(GeoPoint(lat, lng), 10), (GeoPoint(lat, 179.99), 10)]
-        pyramid = ElevationPyramid(tile)
+        pyramid, position = in_pyramid(tile, layout)
         work = SearchWork()
-        rows = pyramid.nearest_higher_many([lat, lat], [lng, 179.99], [10, 10], metric, work)
+        rows = pyramid.nearest_higher_many(
+            [lat, lat], [lng, 179.99], [10, 10], [position] * 2, metric, work
+        )
         assert rows[["peak", "lat", "lng"]].tolist() == [(0, lat, 180.0), (1, lat, 180.0)]
         assert work.window_resolved == 1
-        assert_matches_linear_scan(tile, queries, query_batch(pyramid, queries, metric), metric)
+        found = query_batch(pyramid, position, queries, metric)
+        assert_matches_linear_scan(tile, queries, found, metric)
 
     # Two higher samples equidistant from the query at sample (8, 8): one
     # column (row) away, inside the window, or twice the window's half-side
@@ -733,9 +784,10 @@ class TestElevationPyramid:
         pytest.param(2 * spatial_index._WINDOW_HALF, 0, id="descent"),
     ]
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("offset", "window_resolved"), TIE_STAGES)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_distance_tie_goes_to_the_smaller_lng(self, metric, offset, window_resolved):
+    def test_distance_tie_goes_to_the_smaller_lng(self, metric, offset, window_resolved, layout):
         grid = np.zeros((17, 17), dtype=np.int16)
         grid[8, 8 - offset] = grid[8, 8 + offset] = 5
         tile = Tile(45, 7, grid, 16)
@@ -743,16 +795,16 @@ class TestElevationPyramid:
         west, east = tile.sample_point(8, 8 - offset), tile.sample_point(8, 8 + offset)
         assert metric.distance(p, west) == metric.distance(p, east)
         work = SearchWork()
-        rows = ElevationPyramid(tile).nearest_higher_many(
-            [p.lat_deg], [p.lng_deg], [0], metric, work
-        )
+        pyramid, position = in_pyramid(tile, layout)
+        rows = pyramid.nearest_higher_many([p.lat_deg], [p.lng_deg], [0], [position], metric, work)
         assert rows[["peak", "distance", "lat", "lng"]].tolist() == [
             (0, metric.distance(p, west), west.lat_deg, west.lng_deg)
         ]
         assert work.window_resolved == window_resolved
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("offset", "window_resolved"), TIE_STAGES)
-    def test_distance_tie_goes_to_the_smaller_lat(self, offset, window_resolved):
+    def test_distance_tie_goes_to_the_smaller_lat(self, offset, window_resolved, layout):
         # Along a meridian the great-circle distance is the same north and
         # south; the ellipsoid's is not, so only the sphere ties here.
         metric = GreatCircleMetric()
@@ -763,32 +815,34 @@ class TestElevationPyramid:
         north, south = tile.sample_point(8 - offset, 8), tile.sample_point(8 + offset, 8)
         assert metric.distance(p, north) == metric.distance(p, south)
         work = SearchWork()
-        rows = ElevationPyramid(tile).nearest_higher_many(
-            [p.lat_deg], [p.lng_deg], [0], metric, work
-        )
+        pyramid, position = in_pyramid(tile, layout)
+        rows = pyramid.nearest_higher_many([p.lat_deg], [p.lng_deg], [0], [position], metric, work)
         assert rows[["peak", "lat", "lng"]].tolist() == [(0, south.lat_deg, south.lng_deg)]
         assert work.window_resolved == window_resolved
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("shape", [(2, 2), (9, 9), (17, 33), (41, 41), (131, 131)])
-    def test_cells_store_a_maximum_sample_inside_them(self, shape):
+    def test_cells_store_a_maximum_sample_inside_them(self, shape, layout):
         rows, cols = shape
         grid = np.random.default_rng(rows).integers(0, 5, size=shape).astype(np.int16)
         tile = Tile(45, 7, grid, rows - 1)
-        levels = ElevationPyramid(tile).levels
-        for depth, level in enumerate(levels):
+        pyramid, t = in_pyramid(tile, layout)
+        top, left = pyramid._edges(np.array(t))
+        for depth, level in enumerate(pyramid.levels):
             side = 8 << depth
-            for i in range(level.maxima.shape[0]):
+            for i in range(level.maxima.shape[1]):
                 r0, r1 = i * side, min((i + 1) * side, rows) - 1
-                for j in range(level.maxima.shape[1]):
+                for j in range(level.maxima.shape[2]):
                     c0, c1 = j * side, min((j + 1) * side, cols) - 1
-                    r, c = level.arg_rows[i, j], level.arg_cols[i, j]
+                    r, c = level.arg_rows[t, i, j] - top, level.arg_cols[t, i, j] - left
                     assert r0 <= r <= r1 and c0 <= c <= c1
                     block_max = grid[r0 : r1 + 1, c0 : c1 + 1].max()
-                    assert level.maxima[i, j] == grid[r, c] == block_max
-        assert levels[-1].maxima.shape == (1, 1)
+                    assert level.maxima[t, i, j] == grid[r, c] == block_max
+        assert pyramid.levels[-1].maxima.shape[1:] == (1, 1)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_search_makes_no_point_objects_and_no_scalar_calls(self, metric, monkeypatch):
+    def test_search_makes_no_point_objects_and_no_scalar_calls(self, metric, monkeypatch, layout):
         class NoScalar(type(metric)):
             def distance(self, a, b):
                 raise AssertionError("scalar distance on the search path")
@@ -802,16 +856,18 @@ class TestElevationPyramid:
         rng = np.random.default_rng(7)
         lats, lngs = rng.uniform(44.5, 46.5, 60), rng.uniform(6.5, 8.5, 60)
         work = SearchWork()
-        rows = ElevationPyramid(tile).nearest_higher_many(
-            lats, lngs, rng.integers(0, 60, 60), NoScalar(), work
+        pyramid, position = in_pyramid(tile, layout)
+        rows = pyramid.nearest_higher_many(
+            lats, lngs, rng.integers(0, 60, 60), np.full(60, position), NoScalar(), work
         )
         assert len(rows) > 0 and 0 < work.window_resolved < len(rows)
 
     # A query the window settles, and one outside the grid, which the
     # descent settles.
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(("lat", "lng"), [(45.5, 7.5), (44.9, 7.5)], ids=["window", "descent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_metric_values_raise(self, value, lat, lng):
+    def test_non_finite_metric_values_raise(self, value, lat, lng, layout):
         # The pyramid's only metric call is the exact distance of the
         # samples in the chord band; its bounds come from the tables.
         class Broken(GreatCircleMetric):
@@ -820,13 +876,97 @@ class TestElevationPyramid:
 
         grid = np.random.default_rng(3).integers(0, 100, size=(17, 17)).astype(np.int16)
         grid[8, 8], grid[8, 9] = 10, 200
-        pyramid = ElevationPyramid(Tile(45, 7, grid, 16))
+        pyramid, position = in_pyramid(Tile(45, 7, grid, 16), layout)
         work = SearchWork()
         with pytest.raises(NonFiniteDistanceError, match=f"distance {value!r}"):
-            pyramid.nearest_higher_many([lat], [lng], [10], Broken(), work)
+            pyramid.nearest_higher_many([lat], [lng], [10], [position], Broken(), work)
         assert work.window_resolved == 0
-        rows = pyramid.nearest_higher_many([lat], [lng], [10], GreatCircleMetric(), work)
+        metric = GreatCircleMetric()
+        rows = pyramid.nearest_higher_many([lat], [lng], [10], [position], metric, work)
         assert len(rows) == 1 and work.window_resolved == (lat == 45.5)
+
+
+# A stack's tiles: on both sides of the antimeridian, touching either pole,
+# and at mid-latitude, 33 samples a side.
+STACK_ORIGINS = [(10, 179), (10, -180), (89, 30), (45, 7), (-90, -60)]
+
+
+def stack_tiles(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        Tile(lat, lng, rng.integers(0, 60, size=(33, 33)).astype(np.int16), 32)
+        for lat, lng in STACK_ORIGINS
+    ]
+
+
+def stack_queries(tiles, seed):
+    """Queries of every tile of a stack, shuffled: on its samples at their own
+    elevation, as peaks query; between samples inside it; on its edges, the
+    seams it shares with a neighbour; and outside it, near and anywhere.
+    Returns their latitudes, longitudes, elevations and tiles."""
+    rng = np.random.default_rng(seed)
+    lats, lngs, elevations, positions = [], [], [], []
+    for t, tile in enumerate(tiles):
+        q = tile.quad
+        rows, cols = rng.integers(0, 33, 20), rng.integers(0, 33, 20)
+        lat = [tile.sample_lats()[rows], rng.uniform(q.lat_min, q.lat_max, 20)]
+        lng = [tile.sample_lngs()[cols], rng.uniform(q.lng_min, q.lng_max, 20)]
+        along = rng.uniform(0, 1, (2, 10))
+        lat += [np.repeat([q.lat_min, q.lat_max], 5), q.lat_min + along[0]]
+        lng += [q.lng_min + along[1], np.tile([q.lng_min, q.lng_max], 5)]
+        lat += [rng.uniform(q.lat_min - 2, q.lat_max + 2, 20), rng.uniform(-90, 90, 10)]
+        lng += [rng.uniform(q.lng_min - 2, q.lng_max + 2, 20), rng.uniform(-180, 180, 10)]
+        lat = np.clip(np.concatenate(lat), -90.0, 90.0)
+        elevation = rng.integers(0, 61, len(lat))
+        elevation[:20] = tile.elevations[rows, cols]
+        lats.append(lat)
+        lngs.append(np.concatenate(lng))
+        elevations.append(elevation)
+        positions.append(np.full(len(lat), t))
+    order = rng.permutation(sum(len(a) for a in lats))
+    return tuple(np.concatenate(a)[order] for a in (lats, lngs, elevations, positions))
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_answers_and_counts_equal_one_tile_searches(self, metric, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(spatial_index, "_QUERY_CHUNK", chunk)
+        tiles = stack_tiles(seed=30)
+        lats, lngs, elevations, positions = stack_queries(tiles, seed=31)
+        stacked = SearchWork()
+        got = ElevationPyramid(tiles).nearest_higher_many(
+            lats, lngs, elevations, positions, metric, stacked
+        )
+        alone = SearchWork()
+        expected = []
+        for t, tile in enumerate(tiles):
+            mine = np.flatnonzero(positions == t)
+            rows = ElevationPyramid([tile]).nearest_higher_many(
+                lats[mine], lngs[mine], elevations[mine], np.zeros(len(mine)), metric, alone
+            )
+            rows["peak"] = mine[rows["peak"]]
+            expected.append(rows)
+        expected = np.concatenate(expected)
+        expected = expected[np.argsort(expected["peak"])]
+        assert got.tobytes() == expected.tobytes()
+        assert stacked == alone
+        # Both stages ran, and queries outside their tile were answered.
+        assert 0 < stacked.window_resolved < len(got) and stacked.pairs > 0
+        assert len(got) > stacked.window_resolved + 100
+
+    def test_a_stack_of_one_tile_holds_its_grid(self):
+        tile = stack_tiles(seed=32)[0]
+        assert ElevationPyramid([tile])._grid is tile.elevations
+
+    def test_tiles_of_another_shape_or_spacing_are_rejected(self):
+        tile = stack_tiles(seed=33)[3]
+        wider = Tile(45, 8, np.zeros((33, 65), dtype=np.int16), 32)
+        finer = Tile(45, 8, np.zeros((33, 33), dtype=np.int16), 16)
+        for other in (wider, finer):
+            with pytest.raises(ValueError, match="one shape"):
+                ElevationPyramid([tile, other])
 
 
 def candidates(*rows) -> np.ndarray:
@@ -900,8 +1040,9 @@ def sample_queries(tile, cells):
 
 class TestPyramidWindow:
     @pytest.mark.parametrize("outside", [(K + 1, 0), (-K - 1, 0), (0, K + 1), (0, -K - 1)])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_closer_sample_just_outside_the_window_wins(self, metric, outside):
+    def test_closer_sample_just_outside_the_window_wins(self, metric, outside, layout):
         # The grid is the query's window and one more row or column on the
         # side of ``outside``, so that strip alone bounds the samples outside
         # the window.  Near the equator a row and a column step are about
@@ -915,27 +1056,56 @@ class TestPyramidWindow:
         tile = Tile(-K, 10, grid, 1)
         queries = sample_queries(tile, [(i, j)])
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert found[0][0] == tile.sample_point(i + dr, j + dc)
         assert_matches_linear_scan(tile, queries, found, metric)
         assert work.window_resolved == 0
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_close_sample_is_resolved_in_the_window(self, metric):
+    def test_no_exact_distance_for_a_window_the_strips_beat(self, metric, layout):
+        # The grid of test_closer_sample_just_outside_the_window_wins, south:
+        # the strip's row comes closer than the window's nearest higher
+        # sample, its corner (K, K), so the window is not settled whatever
+        # that sample's exact distance, and none is taken.  The leaf stage
+        # ranks the corner outside the chord band of the answer.
+        evaluated = []
+
+        class Recording(type(metric)):
+            def distance_exact_many(self, a_lats, a_lngs, b_lats, b_lngs):
+                evaluated.extend(zip(np.asarray(b_lats).tolist(), np.asarray(b_lngs).tolist()))
+                return super().distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
+
+        grid = np.zeros((2 * K + 2, 2 * K + 1), dtype=np.int16)
+        grid[K, K] = 10
+        grid[2 * K, 2 * K] = grid[2 * K + 1, K] = 20
+        tile = Tile(-K, 10, grid, 1)
+        queries = sample_queries(tile, [(K, K)])
+        work = SearchWork()
+        found = query_batch(*in_pyramid(tile, layout), queries, Recording(), work)
+        assert found[0][0] == tile.sample_point(2 * K + 1, K)
+        assert work.window_resolved == 0
+        assert tuple(tile.sample_point(2 * K, 2 * K)) not in evaluated
+        assert tuple(found[0][0]) in evaluated
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
+    def test_close_sample_is_resolved_in_the_window(self, metric, layout):
         grid = np.zeros((41, 41), dtype=np.int16)
         grid[20, 20] = 10
         grid[21, 21] = grid[20 + K + 1, 20] = 20
         tile = Tile(0, 10, grid, 40)
         queries = sample_queries(tile, [(20, 20)])
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert found[0][0] == tile.sample_point(21, 21)
         assert_matches_linear_scan(tile, queries, found, metric)
         assert work.window_resolved == 1 and work.pairs == work.leaf_samples == 0
 
     @pytest.mark.parametrize("origin", [(45, 7), (-90, 20), (89, -180), (-1, 179)])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_windows_clipped_at_corners_and_edges(self, metric, origin):
+    def test_windows_clipped_at_corners_and_edges(self, metric, origin, layout):
         rows = cols = 33
         grid = np.random.default_rng(rows).integers(0, 30, size=(rows, cols)).astype(np.int16)
         tile = Tile(*origin, grid, 32)
@@ -947,24 +1117,26 @@ class TestPyramidWindow:
             grid[min(i + 1, last), min(j + 1, last)] = 25
         queries = sample_queries(tile, cells)
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert_matches_linear_scan(tile, queries, found, metric)
         assert work.window_resolved > 0
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_grid_smaller_than_the_window(self, metric):
+    def test_grid_smaller_than_the_window(self, metric, layout):
         grid = np.random.default_rng(5).integers(0, 9, size=(5, 5)).astype(np.int16)
         tile = Tile(45, 7, grid, 4)
         queries = sample_queries(tile, [(i, j) for i in range(5) for j in range(5)])
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert_matches_linear_scan(tile, queries, found, metric)
         # The window covers the whole grid: every query with a higher sample
         # is settled there.
         assert work.window_resolved == sum(hit is not None for hit in found) > 0
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_off_grid_queries_on_a_strided_pyramid(self, metric):
+    def test_off_grid_queries_on_a_strided_pyramid(self, metric, layout):
         grid = np.random.default_rng(12).integers(0, 40, size=(121, 121)).astype(np.int16)
         tile = Tile(45, 7, grid, 120)
         strided = downsample(tile, 2)
@@ -979,12 +1151,13 @@ class TestPyramidWindow:
             )
         ]
         work = SearchWork()
-        found = query_batch(ElevationPyramid(strided), queries, metric, work)
+        found = query_batch(*in_pyramid(strided, layout), queries, metric, work)
         assert_matches_linear_scan(strided, queries, found, metric)
         assert work.window_resolved > 0
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_queries_outside_the_grid_skip_the_window(self, metric):
+    def test_queries_outside_the_grid_skip_the_window(self, metric, layout):
         # A small grid with a higher sample everywhere: a window around any
         # of these points would settle it.
         grid = np.full((5, 5), 20, dtype=np.int16)
@@ -992,6 +1165,6 @@ class TestPyramidWindow:
         points = [(44.999, 7.5), (46.001, 7.5), (45.5, 6.999), (45.5, 8.001), (44.9, 8.1)]
         queries = [(GeoPoint(lat, lng), 10) for lat, lng in points]
         work = SearchWork()
-        found = query_batch(ElevationPyramid(tile), queries, metric, work)
+        found = query_batch(*in_pyramid(tile, layout), queries, metric, work)
         assert_matches_linear_scan(tile, queries, found, metric)
         assert work.window_resolved == 0 and work.queries == len(queries)
