@@ -45,6 +45,10 @@ from .sweep import IlpResult, SweepConsistencyError, SweepInvariantError
 
 CSV_HEADER = "latitude,longitude,elevation_m,isolation_km,ilp_latitude,ilp_longitude"
 
+# Rows write_csv formats and writes at a time, so that it holds the Python
+# objects of one slice of the CSV, not of all of it.
+_CSV_SLICE_ROWS = 1 << 15
+
 
 @dataclass
 class RunConfig:
@@ -126,11 +130,13 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"--min-isolation-km must be >= 0, got {args.min_isolation_km}")
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     return RunConfig(
         data_dir=args.data_dir,
         bounds=Quadrilateral(lat_min, lat_max, lng_min, lng_max),
         min_isolation_m=args.min_isolation_km * 1000.0,
-        threads=max(1, args.threads),
+        threads=args.threads,
         distance_mode=args.distance_mode,
         mode=args.mode,
         output=args.output,
@@ -174,21 +180,26 @@ def write_csv(
             (peaks["lng"][keep], peaks["lat"][keep], np.where(undefined, 1.0, -iso_km)[keep])
         )
     ]
-    rows = zip(
-        peaks["lat"][order].tolist(),
-        peaks["lng"][order].tolist(),
-        peaks["elevation"][order].tolist(),
-        iso_km[order].tolist(),
-        answers["lat"][order].tolist(),
-        answers["lng"][order].tolist(),
-    )
-    lines = [CSV_HEADER + "\n"]
-    for lat, lng, elevation, km, ilp_lat, ilp_lng in rows:
-        if km != km:  # NaN: no higher sample anywhere
-            lines.append(f"{lat:.6f},{lng:.6f},{elevation},-1,,\n")
-        else:
-            lines.append(f"{lat:.6f},{lng:.6f},{elevation},{km:.4f},{ilp_lat:.6f},{ilp_lng:.6f}\n")
-    stream.write("".join(lines))
+    stream.write(CSV_HEADER + "\n")
+    for start in range(0, len(order), _CSV_SLICE_ROWS):
+        part = order[start : start + _CSV_SLICE_ROWS]
+        rows = zip(
+            peaks["lat"][part].tolist(),
+            peaks["lng"][part].tolist(),
+            peaks["elevation"][part].tolist(),
+            iso_km[part].tolist(),
+            answers["lat"][part].tolist(),
+            answers["lng"][part].tolist(),
+        )
+        lines = []
+        for lat, lng, elevation, km, ilp_lat, ilp_lng in rows:
+            if km != km:  # NaN: no higher sample anywhere
+                lines.append(f"{lat:.6f},{lng:.6f},{elevation},-1,,\n")
+            else:
+                lines.append(
+                    f"{lat:.6f},{lng:.6f},{elevation},{km:.4f},{ilp_lat:.6f},{ilp_lng:.6f}\n"
+                )
+        stream.write("".join(lines))
     return len(order)
 
 
@@ -301,6 +312,10 @@ def cmd_synth(args) -> int:
         rows, cols = int(rows_s), int(cols_s)
     except ValueError:
         raise ValueError(f"--tiles expects RxC, got {args.tiles!r}") from None
+    # compute reads only tiles whose sample spacing is a whole arcsecond.
+    n = args.samples_per_side
+    if n < 2 or 3600 % (n - 1):
+        raise ValueError(f"--samples-per-side must be N with N - 1 dividing 3600, got {n}")
     tiles = generate_synthetic(
         rows,
         cols,

@@ -12,20 +12,26 @@ one search, for their nearest strictly higher samples in their tile under
 the final metric.  Each answer is the peak's finalization candidate from
 its home tile, and its distance, inflated by BOUND_INFLATION, bounds the
 peak's isolation and the great-circle reach of the tiles that can hold its
-limit point.  Peaks bounded below the threshold are discarded too.  Peaks with no
-higher sample in their tile (always including the tile high point) are
-deferred.
+limit point.  Peaks with no higher sample in their tile (always including
+the tile high point) are deferred, with bound inf.  Each batch of tiles
+gives one :class:`BoundingOutcome`: every row it searched, with its bound,
+and the answers.
 
-Pass 2 (high-point) resolves the deferred peaks against the
+Pass 2 (high-point) bounds the deferred rows against the
 :class:`~isoscan.spatial_index.TileIndex` of per-tile maximum elevations:
 the maximum distance to the nearest higher tile bounds the peak's
 isolation.  The peak with no higher tile anywhere is the search-area high
-point and gets undefined isolation.
+point, keeps bound inf and gets undefined isolation.
 
-Tile assignment then sends every bounded peak, in one batched
-``TileIndex.tiles_within`` query, to every tile within its bound.  A peak
-is its location: a seam peak found by several tiles is one peak, with the
-smallest home tile, and each (tile, peak) pair keeps its smallest bound.
+The main process joins the batches' rows once and works on that one
+array.  A row is kept when its bound is at least the threshold; the others
+are discarded.  A peak is its location: one sort (:func:`distinct_peaks`)
+gives every row its location, a seam peak found by several tiles is one
+peak, with the smallest home tile of all its rows, as
+``dem.detect_peaks_deduped`` picks it, and it is kept when any of its rows
+is.  Tile assignment then sends every kept row with a finite bound, in one
+batched ``TileIndex.tiles_within`` query, to every tile within its bound,
+and each (tile, peak) pair keeps its smallest bound.
 
 Pass 3 (finalization) asks a full-resolution pyramid of each batch of
 tiles, in one search, for the nearest strictly higher sample in each tile
@@ -33,8 +39,8 @@ of every peak assigned to it that the tile did not already search in pass
 1, under the final metric; the final answer per peak is the closest
 candidate over its tiles, pass 1's included.  In both pyramid searches most queries are
 settled by a window of samples around the peak and only the rest descend
-the pyramid; both count their work, window-settled queries included
-(:class:`~isoscan.spatial_index.SearchWork`), into :class:`PipelineStats`.
+the pyramid; both count their work, window-settled queries included, into one
+:class:`~isoscan.spatial_index.SearchWork` per pass of :class:`PipelineStats`.
 
 Peaks and candidates cross between the passes, and to and from the worker
 processes, as structured numpy arrays (:data:`PEAK_DTYPE`, and
@@ -59,7 +65,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -325,28 +331,27 @@ def count_qualifying(parts: Iterable[Qualifying]) -> int:
     ``parts``, each location once: the ``peaks=`` of the run summary."""
     parts = list(parts)
     on_edge = np.concatenate([np.empty(0, dtype=PEAK_DTYPE)] + [p.on_edge for p in parts])
-    return sum(p.interior for p in parts) + len(distinct_peaks(on_edge)[0])
+    order = np.lexsort((on_edge["lng"], on_edge["lat"]))
+    distinct = _starts(on_edge["lat"][order], on_edge["lng"][order])
+    return sum(p.interior for p in parts) + int(np.count_nonzero(distinct))
 
 
 @dataclass
 class BoundingOutcome:
-    """One tile's bounding pass; the peaks are :data:`PEAK_DTYPE` rows."""
+    """One batch's bounding pass; the peaks are :data:`PEAK_DTYPE` rows."""
 
-    key: TileKey
-    max_elevation_m: int
-    # Every peak searched, with its bound (inf when the tile holds nothing
-    # higher), and the answer of each one with a higher sample in the tile:
-    # CANDIDATE_DTYPE rows whose ``peak`` indexes ``searched``.
+    # Every peak searched, tile by tile, with its bound (inf where its tile
+    # holds nothing higher), and the answer of each one with a higher sample
+    # in its tile: CANDIDATE_DTYPE rows whose ``peak`` indexes ``searched``.
     searched: np.ndarray
     answers: np.ndarray
-    bounded: np.ndarray
-    deferred: np.ndarray
-    # Qualifying samples the dilation dominates, and searched peaks bounded
-    # below the threshold.
-    discarded: int
+    # Per tile of the batch: its maximum elevation and its rows of ``searched``.
+    maxima: np.ndarray
+    peak_counts: np.ndarray
+    # Qualifying samples the dilation dominates, over the batch, and each
+    # tile's qualifying samples.
     dilation_discards: int
-    qualifying: Qualifying
-    samples: int
+    qualifying: list[Qualifying]
 
 
 def bounding_pass(
@@ -354,7 +359,7 @@ def bounding_pass(
     i_min: float,
     distance_mode: str,
     search: SearchWork | None = None,
-) -> list[BoundingOutcome]:
+) -> BoundingOutcome:
     """Settle each peak of a batch of same-shape tiles inside its own tile, at
     full resolution.
 
@@ -368,92 +373,62 @@ def bounding_pass(
     in its own tile of the batch's full-resolution pyramid under the final
     metric, all in one search whose counts are added to ``search`` if given;
     the answer is the peak's finalization candidate from its tile, and its
-    distance times :data:`BOUND_INFLATION` is the bound tested against the
-    threshold and used for tile assignment.
-
-    Returns:
-        One :class:`BoundingOutcome` per tile, in the order of ``tiles``.
+    distance times :data:`BOUND_INFLATION` is the peak's bound, which the
+    caller tests against the threshold and assigns tiles by.
     """
-    peaks, dilation_discards, qualifying_parts = [], [], []
+    peaks, dilation_discards, qualifying_parts = [], 0, []
     for tile in tiles:
         mask = qualifying_samples(tile)
         dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
         cells = detect_peaks(tile, dominated, mask)
         peaks.append(peak_rows(tile, cells.rows, cells.cols))
-        dilation_discards.append(int(np.count_nonzero(mask & dominated)))
+        dilation_discards += int(np.count_nonzero(mask & dominated))
         qualifying_parts.append(qualifying(tile, mask))
-    sizes = [len(p) for p in peaks]
-    edges = np.cumsum([0] + sizes)
-    peaks = np.concatenate(peaks)
+    sizes = np.array([len(p) for p in peaks])
+    searched = np.concatenate(peaks)
     # A tile's high point is never dominated, so every tile has a peak.
     answers = ElevationPyramid(tiles).nearest_higher_many(
-        peaks["lat"],
-        peaks["lng"],
-        peaks["elevation"],
+        searched["lat"],
+        searched["lng"],
+        searched["elevation"],
         np.repeat(np.arange(len(tiles)), sizes),
         final_metric(distance_mode),
         search,
     )
-    peaks["bound"][answers["peak"]] = answers["distance"] * BOUND_INFLATION
-    # Answers come in query order, so each tile's are consecutive.
-    answer_edges = np.searchsorted(answers["peak"], edges)
-    outcomes = []
-    for k, tile in enumerate(tiles):
-        searched = peaks[edges[k] : edges[k + 1]]
-        found = answers[answer_edges[k] : answer_edges[k + 1]]
-        found["peak"] -= edges[k]
-        deferred = np.isinf(searched["bound"])
-        low = searched["bound"] < i_min
-        rows, cols = tile.shape
-        outcomes.append(
-            BoundingOutcome(
-                key=tile.key,
-                max_elevation_m=tile.max_elevation_m,
-                searched=searched,
-                answers=found,
-                bounded=searched[~deferred & ~low],
-                deferred=searched[deferred],
-                discarded=dilation_discards[k] + int(low.sum()),
-                dilation_discards=dilation_discards[k],
-                qualifying=qualifying_parts[k],
-                samples=rows * cols,
-            )
-        )
-    return outcomes
+    searched["bound"][answers["peak"]] = answers["distance"] * BOUND_INFLATION
+    return BoundingOutcome(
+        searched=searched,
+        answers=answers,
+        maxima=np.array([t.max_elevation_m for t in tiles]),
+        peak_counts=sizes,
+        dilation_discards=dilation_discards,
+        qualifying=qualifying_parts,
+    )
 
 
-@dataclass
-class HighpointOutcome:
-    """The deferred peaks a higher tile bounds (with their bounds), and those
-    with no higher tile anywhere; :data:`PEAK_DTYPE` rows."""
-
-    assigned: np.ndarray
-    no_higher: np.ndarray
-    discarded: int
-
-
-def highpoint_pass(index: TileIndex, deferred: np.ndarray, i_min: float) -> HighpointOutcome:
+def highpoint_pass(index: TileIndex, deferred: np.ndarray) -> np.ndarray:
     """Bound deferred peaks via the nearest tile holding higher ground.
 
     One batched ``TileIndex.nearest_higher_tile`` query: the maximum
-    distance to the closest higher tile is an upper bound on a peak's
-    isolation.  Peaks with no higher tile anywhere are the search-area high
-    points.
+    distance to the closest higher tile, inflated by
+    :data:`BOUND_INFLATION`, is an upper bound on a peak's isolation.
+    Returns the bound of each of the :data:`PEAK_DTYPE` rows ``deferred``:
+    inf for a search-area high point, which has no higher tile anywhere.
     """
     tiles, _dist = index.nearest_higher_tile(
         deferred["lat"], deferred["lng"], deferred["elevation"]
     )
-    bounded = deferred[tiles >= 0]
-    bounded["bound"] = [
+    bounds = np.full(len(deferred), np.inf)
+    higher = np.flatnonzero(tiles >= 0)
+    bounds[higher] = [
         max_distance(tile_quad(index.keys[t]), GeoPoint(lat, lng)) * BOUND_INFLATION
         for t, lat, lng in zip(
-            tiles[tiles >= 0].tolist(), bounded["lat"].tolist(), bounded["lng"].tolist()
+            tiles[higher].tolist(),
+            deferred["lat"][higher].tolist(),
+            deferred["lng"][higher].tolist(),
         )
     ]
-    low = bounded["bound"] < i_min
-    return HighpointOutcome(
-        assigned=bounded[~low], no_higher=deferred[tiles < 0], discarded=int(low.sum())
-    )
+    return bounds
 
 
 def distinct_peaks(peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,15 +446,10 @@ def distinct_peaks(peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Assignment(NamedTuple):
-    """Peaks and the tiles they are assigned to.
+    """(tile, peak) pairs: parallel arrays of tile ordinals (into
+    ``TileIndex.keys``), peak ids and each pair's smallest bound, in (tile,
+    peak) order."""
 
-    ``peaks`` are the distinct peaks in location order (:data:`PEAK_DTYPE`);
-    the (tile, peak) pairs are parallel arrays of tile ordinals (into
-    ``TileIndex.keys``), rows of ``peaks`` and each pair's smallest bound,
-    in (tile, location) order.
-    """
-
-    peaks: np.ndarray
     tiles: np.ndarray
     peak_rows: np.ndarray
     bounds: np.ndarray
@@ -488,23 +458,21 @@ class Assignment(NamedTuple):
 def assign_tiles(
     index: TileIndex,
     found: np.ndarray,
-    unbounded: np.ndarray,
+    peak_ids: np.ndarray,
     work: Optional[SearchWork] = None,
 ) -> Assignment:
     """Assign every bound found to the tiles within it, in one batched query.
 
-    ``found`` holds the bounded peaks and ``unbounded`` the search-area high
-    points, which no tile is assigned; both are :data:`PEAK_DTYPE` rows, and
-    a peak may have several.  ``work``, if given, counts the
-    ``tiles_within`` work.
+    ``found`` holds :data:`PEAK_DTYPE` rows with a finite bound, and
+    ``peak_ids`` the peak each of them belongs to; a peak may have several
+    rows.  ``work``, if given, counts the ``tiles_within`` work.
     """
-    peaks, rows = distinct_peaks(np.concatenate([found, unbounded]))
     entry, tiles = index.tiles_within(found["lat"], found["lng"], found["bound"], work)
-    rows, bounds = rows[entry], found["bound"][entry]
-    order = np.lexsort((bounds, rows, tiles))
-    tiles, rows, bounds = tiles[order], rows[order], bounds[order]
-    first = _starts(tiles, rows)
-    return Assignment(peaks, tiles[first], rows[first], bounds[first])
+    ids, bounds = peak_ids[entry], found["bound"][entry]
+    order = np.lexsort((bounds, ids, tiles))
+    tiles, ids, bounds = tiles[order], ids[order], bounds[order]
+    first = _starts(tiles, ids)
+    return Assignment(tiles[first], ids[first], bounds[first])
 
 
 def finalization_pass(
@@ -601,18 +569,12 @@ class PipelineStats:
     peaks_kept: int = 0
     deferred: int = 0
     discarded: int = 0
-    # Bounding pass, summed over tiles: qualifying samples the dilation
-    # dominates, and the peaks the pyramid search queries.
+    # Qualifying samples the bounding pass's dilation dominates.
     dilation_discards: int = 0
-    bounding_queries: int = 0
-    # Pyramid search counts (see SearchWork), summed over batches, per pass.
-    bounding_window_resolved: int = 0
-    bounding_pairs: int = 0
-    bounding_leaf_samples: int = 0
-    finalization_queries: int = 0
-    finalization_window_resolved: int = 0
-    finalization_pairs: int = 0
-    finalization_leaf_samples: int = 0
+    # Pyramid search counts of each tile pass (see SearchWork), summed over
+    # its batches: the bounding pass queries the peaks the dilation leaves.
+    bounding: SearchWork = field(default_factory=SearchWork)
+    finalization: SearchWork = field(default_factory=SearchWork)
     # Tile assignment: (peak, tile) pairs whose vector distance was computed,
     # and the pairs kept after deduplication.
     assign_candidates: int = 0
@@ -638,8 +600,8 @@ class PipelineResult:
     stats: PipelineStats
     area: Quadrilateral
     # What the audit views below are built from, on first use: every bound
-    # found (PEAK_DTYPE rows, in the order found), and the assignment over
-    # the tiles of tile_keys.
+    # found (PEAK_DTYPE rows, in the order found), and the assignment of the
+    # peaks of ``arrays`` to the tiles of tile_keys.
     found: np.ndarray
     assignment: Assignment
     tile_keys: list[TileKey]
@@ -664,12 +626,12 @@ class PipelineResult:
     def map_snapshot(self) -> dict[TileKey, list[tuple[GeoPoint, float]]]:
         """Per tile, the (location, smallest bound) of each peak assigned to it,
         in location order."""
-        peaks, tiles, rows, bounds = self.assignment
+        peaks = self.arrays.peaks
         locations = [
             GeoPoint(lat, lng) for lat, lng in zip(peaks["lat"].tolist(), peaks["lng"].tolist())
         ]
         out: dict[TileKey, list[tuple[GeoPoint, float]]] = {}
-        for t, k, bound in zip(tiles.tolist(), rows.tolist(), bounds.tolist()):
+        for t, k, bound in zip(*(a.tolist() for a in self.assignment)):
             out.setdefault(self.tile_keys[t], []).append((locations[k], bound))
         return out
 
@@ -712,13 +674,13 @@ def _batches(tiles: Sequence[Tile], workers: int) -> list[range]:
     return batches
 
 
-def _bounding_batch(args) -> tuple[list[BoundingOutcome], SearchWork, float]:
+def _bounding_batch(args) -> tuple[BoundingOutcome, SearchWork, float]:
     """One batch's bounding pass, its search counts and its seconds."""
     tiles, i_min, distance_mode = args
     start = time.perf_counter()
     search = SearchWork()
-    outcomes = bounding_pass(tiles, i_min, distance_mode, search)
-    return outcomes, search, time.perf_counter() - start
+    outcome = bounding_pass(tiles, i_min, distance_mode, search)
+    return outcome, search, time.perf_counter() - start
 
 
 def _finalization_batch(args) -> tuple[np.ndarray, SearchWork, float]:
@@ -728,15 +690,6 @@ def _finalization_batch(args) -> tuple[np.ndarray, SearchWork, float]:
     search = SearchWork()
     cands = finalization_pass(tiles, peaks, positions, final_metric(distance_mode), search)
     return cands, search, time.perf_counter() - start
-
-
-def _rows_at(peaks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The row of ``peaks`` (distinct, in location order) at the location
-    of each of ``rows``; -1 where ``peaks`` has none."""
-    both, ids = distinct_peaks(np.concatenate([peaks, rows]))
-    at = np.full(len(both), -1, dtype=np.intp)
-    at[ids[: len(peaks)]] = np.arange(len(peaks))
-    return at[ids[len(peaks) :]]
 
 
 def run_pipeline(
@@ -774,7 +727,8 @@ def run_pipeline(
     workers = min(threads, len(keys), len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        # Bounding pass: batch-parallel, merged in key order.
+        # Bounding pass: batch-parallel, joined in key order, so that tile t
+        # of the index holds the searched rows of by_tile == t.
         t0 = time.perf_counter()
         area_tiles = [tiles[k] for k in keys]
         batches = _batches(area_tiles, workers)
@@ -785,63 +739,65 @@ def run_pipeline(
             bound_out = list(pool.map(_bounding_batch, bound_args))
         bounding_s = time.perf_counter() - t0
 
-        stats = PipelineStats(tiles=len(keys), bounding_batches=len(batches))
-        outcomes = [outcome for batch, _search, _seconds in bound_out for outcome in batch]
-        for outcome in outcomes:
-            stats.samples += outcome.samples
-            stats.discarded += outcome.discarded
-            stats.dilation_discards += outcome.dilation_discards
-        for _batch, search, seconds in bound_out:
-            stats.bounding_queries += search.queries
-            stats.bounding_window_resolved += search.window_resolved
-            stats.bounding_pairs += search.pairs
-            stats.bounding_leaf_samples += search.leaf_samples
+        stats = PipelineStats(
+            tiles=len(keys),
+            samples=sum(t.elevations.size for t in area_tiles),
+            bounding_batches=len(batches),
+        )
+        for _outcome, search, seconds in bound_out:
+            stats.bounding += search
             stats.bounding_task_s += seconds
-        stats.peaks_found = count_qualifying(o.qualifying for o in outcomes)
+        outcomes = [outcome for outcome, _search, _seconds in bound_out]
+        stats.dilation_discards = sum(o.dilation_discards for o in outcomes)
+        stats.peaks_found = count_qualifying(q for o in outcomes for q in o.qualifying)
+        searched = np.concatenate([o.searched for o in outcomes])
+        by_tile = np.repeat(np.arange(len(keys)), np.concatenate([o.peak_counts for o in outcomes]))
+        # Each batch's answers index its own rows.
+        answers = np.concatenate([o.answers for o in outcomes])
+        firsts = np.cumsum([0] + [len(o.searched) for o in outcomes])[:-1]
+        answers["peak"] += np.repeat(firsts, [len(o.answers) for o in outcomes])
 
         # High-point pass: a few peaks per tile, cheaper in this process
         # than a round trip through the pool.
         t0 = time.perf_counter()
-        index = TileIndex([(o.key, o.max_elevation_m) for o in outcomes])
-        deferred = np.concatenate([o.deferred for o in outcomes])
-        hp = highpoint_pass(index, deferred, i_min)
-        stats.discarded += hp.discarded
+        index = TileIndex(zip(keys, np.concatenate([o.maxima for o in outcomes]).tolist()))
+        deferred = np.flatnonzero(np.isinf(searched["bound"]))
+        searched["bound"][deferred] = highpoint_pass(index, searched[deferred])
         stats.deferred = len(deferred)
         highpoint_s = time.perf_counter() - t0
 
-        # Tile assignment of every bound found.
+        # Tile assignment of every bound found.  A peak is its location: its
+        # row of smallest home tile, kept when any of its rows is bounded at
+        # or above the threshold.
         t0 = time.perf_counter()
-        found = np.concatenate([o.bounded for o in outcomes] + [hp.assigned])
+        kept = searched["bound"] >= i_min
+        stats.discarded = stats.dilation_discards + int(np.count_nonzero(~kept))
+        locations, ids = distinct_peaks(searched)
+        live = np.zeros(len(locations), dtype=bool)
+        live[ids[kept]] = True
+        peaks = locations[live]
+        peak_of = np.where(live, np.cumsum(live) - 1, -1)[ids]
+        found = np.flatnonzero(kept & np.isfinite(searched["bound"]))
         work = SearchWork()
-        assignment = assign_tiles(index, found, hp.no_higher, work)
+        assignment = assign_tiles(index, searched[found], peak_of[found], work)
         stats.assign_candidates = work.pairs
         stats.assigned_pairs = len(assignment.tiles)
-        stats.peaks_kept = len(assignment.peaks)
+        stats.peaks_kept = len(peaks)
         assign_s = time.perf_counter() - t0
 
         # Finalization pass: the bounding pass's answers are the candidates
         # of the (tile, peak) pairs it searched, so only the other pairs are
-        # searched, tile-parallel.  Outcome t is tile t of the index: both
-        # are in key order.
+        # searched, tile-parallel.
         t0 = time.perf_counter()
-        peaks, pair_tiles, pair_rows, pair_bounds = assignment
-        sizes = [len(o.searched) for o in outcomes]
-        at = _rows_at(peaks, np.concatenate([o.searched for o in outcomes]))
-        by_tile = np.repeat(np.arange(len(outcomes)), sizes)
-        kept = at >= 0
+        pair_tiles, pair_rows, _bounds = assignment
+        row_live = peak_of >= 0
         settled = np.isin(
-            pair_tiles * len(peaks) + pair_rows, by_tile[kept] * len(peaks) + at[kept]
+            pair_tiles * len(peaks) + pair_rows,
+            by_tile[row_live] * len(peaks) + peak_of[row_live],
         )
-        pair_tiles, pair_rows, pair_bounds = (
-            pair_tiles[~settled],
-            pair_rows[~settled],
-            pair_bounds[~settled],
-        )
-        candidates = [np.empty(0, dtype=CANDIDATE_DTYPE)]
-        for outcome, first in zip(outcomes, np.cumsum(sizes) - sizes):
-            answers = outcome.answers.copy()
-            answers["peak"] = at[first + answers["peak"]]
-            candidates.append(answers[answers["peak"] >= 0])
+        pair_tiles, pair_rows = pair_tiles[~settled], pair_rows[~settled]
+        answers["peak"] = peak_of[answers["peak"]]
+        candidates = [answers[answers["peak"] >= 0]]
 
         # The tiles with pairs left, in key order, and each pair's ordinal
         # among them.
@@ -854,10 +810,10 @@ def run_pipeline(
         final_args = []
         for b in batches:
             a, z = starts[b.start], starts[b.stop]
-            assigned = peaks[pair_rows[a:z]]
-            assigned["bound"] = pair_bounds[a:z]
             batch_tiles = [final_tiles[k] for k in b]
-            final_args.append((batch_tiles, assigned, ordinals[a:z] - b.start, distance_mode))
+            final_args.append(
+                (batch_tiles, peaks[pair_rows[a:z]], ordinals[a:z] - b.start, distance_mode)
+            )
         if pool is None:
             final_out = [_finalization_batch(a) for a in final_args]
         else:
@@ -865,10 +821,7 @@ def run_pipeline(
         for b, (cands, search, seconds) in zip(batches, final_out):
             cands["peak"] = pair_rows[starts[b.start] + cands["peak"]]
             candidates.append(cands)
-            stats.finalization_queries += search.queries
-            stats.finalization_window_resolved += search.window_resolved
-            stats.finalization_pairs += search.pairs
-            stats.finalization_leaf_samples += search.leaf_samples
+            stats.finalization += search
             stats.finalization_task_s += seconds
         arrays = finalize(peaks, np.concatenate(candidates))
         finalization_s = time.perf_counter() - t0
@@ -885,7 +838,7 @@ def run_pipeline(
         arrays=arrays,
         stats=stats,
         area=area,
-        found=found,
+        found=searched[found],
         assignment=assignment,
         tile_keys=index.keys,
     )

@@ -51,7 +51,7 @@ distance, which scales the pyramid's great-circle bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -467,6 +467,12 @@ class SearchWork:
     window_resolved: int = 0
     pairs: int = 0
     leaf_samples: int = 0
+
+    def __iadd__(self, other: SearchWork) -> SearchWork:
+        """Add ``other``'s counts to these."""
+        for field in fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
+        return self
 
 
 class _Level(NamedTuple):

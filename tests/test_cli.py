@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isoscan import cli
 from isoscan.cli import CSV_HEADER, main, write_csv
 from isoscan.dem import Peak, hgt_filename, load_hgt
 from isoscan.geo import GeoPoint
@@ -89,6 +90,16 @@ class TestSynth:
         assert main(synth_args(b, seed=9, profile="fractal")) == 0
         for name in ("N45E007.hgt", "N46E008.hgt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_spacing_compute_cannot_read_exit_1(self, tmp_path, capsys):
+        # 99 intervals do not divide a degree into whole arcseconds, so
+        # compute would refuse the tile (exit 2): synth writes nothing.
+        out = tmp_path / "d"
+        args = synth_args(out)
+        args[args.index("--samples-per-side") + 1] = "100"
+        assert main(args) == 1
+        assert "--samples-per-side" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_adjacent_tiles_share_overlap(self, tmp_path):
         out = tmp_path / "d"
@@ -185,16 +196,45 @@ class TestComputeCsv:
         ]
 
 
+def src_env(*dirs: Path) -> dict:
+    """The environment with ``src`` and ``dirs`` of the repository on PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), *(str(root / d) for d in dirs), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 class TestEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         done = subprocess.run(
             [sys.executable, "-m", "isoscan", "compute", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert "--data-dir" in done.stdout
+
+    def test_benchmark_tracer_wraps_a_compute_run(self, cones_world_dir, tmp_path):
+        # perfbench's tracer replaces pipeline functions by name and reads
+        # the result's fields; a renamed one fails here, not only in the
+        # benchmark.  The traced run writes the untraced run's bytes.
+        plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+        extra = ["--min-isolation-km", "0", "--threads", "2"]
+        assert main(compute_args(cones_world_dir, plain, extra=extra)) == 0
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import tracer\n"
+            "tracer.install(Path(sys.argv[1]))\n"
+            "from isoscan import cli\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        (tmp_path / "trace").mkdir()
+        argv = compute_args(cones_world_dir, traced, extra=extra)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "trace"), *argv],
+            env=src_env(Path("perfbench")), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert traced.read_bytes() == plain.read_bytes()
 
 
 class TestExitCodes:
@@ -253,6 +293,15 @@ class TestExitCodes:
         out_csv = tmp_path / "o.csv"
         assert main(compute_args(cones_world_dir, out_csv, extra=["--stride", stride])) == 1
         assert "--stride" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exit_1(self, cones_world_dir, tmp_path, capsys, threads):
+        out_csv = tmp_path / "o.csv"
+        args = compute_args(cones_world_dir, out_csv)
+        args[args.index("--threads") + 1] = threads
+        assert main(args) == 1
+        assert "--threads" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_infinite_threshold_emits_only_the_high_point(self, cones_world_dir, tmp_path):
@@ -330,6 +379,16 @@ class TestWriteCsv:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "45.123457,7.100000,2000,12.3457,45.200000,7.200000"
         assert lines[2] == "45.900000,7.900000,3000,-1,,"
+
+    def test_slices_write_the_same_bytes(self, cones_world_dir, tmp_path, monkeypatch):
+        whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
+        extra = ["--min-isolation-km", "0"]
+        assert main(compute_args(cones_world_dir, whole, extra=extra)) == 0
+        monkeypatch.setattr(cli, "_CSV_SLICE_ROWS", 3)
+        assert main(compute_args(cones_world_dir, sliced, extra=extra)) == 0
+        rows = len(whole.read_text().splitlines()) - 1
+        assert rows > 3
+        assert sliced.read_bytes() == whole.read_bytes()
 
     def test_order_is_isolation_then_location_with_the_high_point_last(self):
         def result(lat, lng, isolation_m):

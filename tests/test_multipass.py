@@ -34,6 +34,7 @@ from isoscan.multipass import (
     assign_tiles,
     audit_pipeline,
     bounding_pass,
+    distinct_peaks,
     dominated_samples,
     finalization_pass,
     finalize,
@@ -86,6 +87,17 @@ def qualifying_locations(tiles) -> set[GeoPoint]:
     }
 
 
+def fates(outcome, i_min: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The bounded and deferred rows of a bounding outcome and the count of
+    its discards, as run_pipeline reads them: a row is deferred while its
+    bound is inf, and discarded, like a sample the dilation dominates, when
+    its bound is below ``i_min``."""
+    rows = outcome.searched
+    deferred = np.isinf(rows["bound"])
+    low = rows["bound"] < i_min
+    return rows[~deferred & ~low], rows[deferred], outcome.dilation_discards + int(low.sum())
+
+
 def peak_array(*rows) -> np.ndarray:
     """PEAK_DTYPE rows from (lat, lng, elevation, home_lat, home_lng, bound) tuples."""
     return np.array(list(rows), dtype=PEAK_DTYPE)
@@ -97,29 +109,31 @@ class TestBoundingPass:
         metric = EllipsoidMetric()
         universe = SampleUniverse.from_tiles(tiles.values())
         for tile in tiles.values():
-            outcome = bounding_pass([tile], 0.0, "staged")[0]
-            bounded = as_peaks(outcome.bounded)
+            rows, _deferred, _discarded = fates(bounding_pass([tile], 0.0, "staged"), 0.0)
+            bounded = as_peaks(rows)
             reference = {
                 r.peak.location: r for r in brute_force_all(bounded, universe, metric)
             }
-            for peak, bound in zip(bounded, outcome.bounded["bound"].tolist()):
+            for peak, bound in zip(bounded, rows["bound"].tolist()):
                 ref = reference[peak.location]
                 assert ref.isolation_m is not None
                 assert bound >= ref.isolation_m
 
     def test_infinite_threshold_discards_all_bounded(self):
         area, tiles = world(1, 1, seed=41)
-        outcome = bounding_pass([next(iter(tiles.values()))], math.inf, "staged")[0]
-        assert len(outcome.bounded) == 0
-        assert outcome.discarded > 0
-        assert len(outcome.deferred)  # the tile high point always defers
+        outcome = bounding_pass([next(iter(tiles.values()))], math.inf, "staged")
+        bounded, deferred, discarded = fates(outcome, math.inf)
+        assert len(bounded) == 0
+        assert discarded > 0
+        assert len(deferred)  # the tile high point always defers
 
     def test_high_point_always_deferred(self):
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass([tile], 0.0, "staged")[0]
-        assert outcome.max_elevation_m == tile.max_elevation_m
-        deferred_elevs = set(outcome.deferred["elevation"].tolist())
+        outcome = bounding_pass([tile], 0.0, "staged")
+        assert outcome.maxima.tolist() == [tile.max_elevation_m]
+        _bounded, deferred, _discarded = fates(outcome, 0.0)
+        deferred_elevs = set(deferred["elevation"].tolist())
         assert tile.max_elevation_m in deferred_elevs
 
     @pytest.mark.parametrize(
@@ -131,14 +145,15 @@ class TestBoundingPass:
         # each bound that distance times the inflation factor, exactly.
         area, tiles = world(1, 1, seed=43, profile="cones", n=121)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass([tile], 0.0, mode)[0]
+        outcome = bounding_pass([tile], 0.0, mode)
+        bounded, _deferred, _discarded = fates(outcome, 0.0)
         universe = SampleUniverse.from_tiles([tile])
         reference = {
             r.peak.location: r
             for r in brute_force_all(as_peaks(outcome.searched), universe, metric)
         }
-        assert len(outcome.bounded) > 0
-        for loc, bound in zip(locations(outcome.bounded), outcome.bounded["bound"].tolist()):
+        assert len(bounded) > 0
+        for loc, bound in zip(locations(bounded), bounded["bound"].tolist()):
             assert bound == reference[loc].isolation_m * BOUND_INFLATION
         searched = locations(outcome.searched)
         for k, dist, lat, lng in outcome.answers.tolist():
@@ -201,9 +216,9 @@ class TestDilationDiscard:
         i_min = d * BOUND_INFLATION * (1.0 + margin)
         assert dominated_samples(tile, i_min / BOUND_INFLATION)[120, 40] == discarded
         search = SearchWork()
-        outcome = bounding_pass([tile], i_min, "staged", search)[0]
+        outcome = bounding_pass([tile], i_min, "staged", search)
         assert search.queries == len(cells) - int(discarded)
-        bounded = [pk.location for pk in as_peaks(outcome.bounded)]
+        bounded = [pk.location for pk in as_peaks(fates(outcome, i_min)[0])]
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
     def test_counts_add_up_without_flat_samples(self):
@@ -213,8 +228,8 @@ class TestDilationDiscard:
         tile = Tile(45, 7, grid.astype(np.int16), 120)
         stats = run_pipeline(tile.quad, [tile], i_min=5000.0).stats
         assert stats.dilation_discards > 0
-        assert stats.bounding_queries > 0
-        assert stats.bounding_queries == stats.peaks_found - stats.dilation_discards
+        assert stats.bounding.queries > 0
+        assert stats.bounding.queries == stats.peaks_found - stats.dilation_discards
         assert stats.peaks_found == len(detect_peaks(tile))
 
     def test_flat_summits_search_at_most_the_undominated_samples(self):
@@ -223,7 +238,7 @@ class TestDilationDiscard:
         stats = run_pipeline(area, tiles, i_min=2000.0).stats
         assert len(detect_peaks(tile)) < qualifying_samples(tile).sum() == stats.peaks_found
         assert stats.dilation_discards > 0
-        assert 0 < stats.bounding_queries <= stats.peaks_found - stats.dilation_discards
+        assert 0 < stats.bounding.queries <= stats.peaks_found - stats.dilation_discards
 
     def test_seam_samples_count_once(self):
         area, tiles = world(2, 2, seed=68, n=61)
@@ -263,7 +278,7 @@ class TestDilationDiscard:
         tile, i_min = self.flat_summit_tile(37)
         assert tile.sample_point(120, 40) in [p.location for p in detect_peaks(tile)]
         walked = self.record_walks(monkeypatch)
-        outcome = bounding_pass([tile], i_min, "staged")[0]
+        outcome = bounding_pass([tile], i_min, "staged")
         assert 100 in walked
         assert 100 not in outcome.searched["elevation"].tolist()
         assert outcome.dilation_discards >= 1
@@ -271,7 +286,7 @@ class TestDilationDiscard:
     def test_flat_summit_dominated_everywhere_is_never_walked(self, monkeypatch):
         tile, i_min = self.flat_summit_tile(37, 44)
         walked = self.record_walks(monkeypatch)
-        outcome = bounding_pass([tile], i_min, "staged")[0]
+        outcome = bounding_pass([tile], i_min, "staged")
         assert 100 not in walked
         assert 0 in walked  # the plateau around it is walked
         assert 100 not in outcome.searched["elevation"].tolist()
@@ -288,7 +303,7 @@ class TestDilationDiscard:
         monkeypatch.setattr(dem, "qualifying_samples", counting)
         monkeypatch.setattr(multipass, "qualifying_samples", counting)
         area, tiles = world(1, 1, seed=68, n=121)
-        outcome = bounding_pass([tiles[(45, 7)]], 2000.0, "staged")[0]
+        outcome = bounding_pass([tiles[(45, 7)]], 2000.0, "staged")
         assert calls == [(45, 7)]
         assert len(outcome.searched) > 0
 
@@ -299,22 +314,22 @@ class TestDilationDiscard:
         # In one tile the bounding pass answers every pair: every kept peak
         # but the high point has its candidate from there.
         candidates = sum(1 for r in outcome.results if r.ilp is not None)
-        answered = stats.bounding_queries - stats.deferred
+        answered = stats.bounding.queries - stats.deferred
         assert answered >= candidates > 0
-        assert stats.finalization_queries == 0
+        assert stats.finalization.queries == 0
         # A query with a higher sample that its window does not settle keeps
         # at least one pair per level of the descent and computes at least
         # one leaf distance; the deferred peaks have none.
-        descended = answered - stats.bounding_window_resolved
+        descended = answered - stats.bounding.window_resolved
         levels = len(ElevationPyramid([tiles[(45, 7)]]).levels)
-        assert stats.bounding_pairs >= descended * levels
-        assert stats.bounding_leaf_samples >= descended
+        assert stats.bounding.pairs >= descended * levels
+        assert stats.bounding.leaf_samples >= descended
 
     def test_window_resolves_queries_of_both_passes(self):
         area, tiles = world(2, 2, seed=69, n=121)
         stats = run_pipeline(area, tiles, i_min=0.0, threads=1).stats
-        assert 0 < stats.bounding_window_resolved <= stats.bounding_queries
-        assert 0 < stats.finalization_window_resolved <= stats.finalization_queries
+        assert 0 < stats.bounding.window_resolved <= stats.bounding.queries
+        assert 0 < stats.finalization.window_resolved <= stats.finalization.queries
 
 
 def seam_world(*spikes: tuple[int, int, int]) -> tuple[Quadrilateral, dict]:
@@ -366,12 +381,55 @@ class TestSearchOnce:
         assert sent and seam not in [loc for _key, loc in sent]
         assert results_by_location(outcome.results)[seam].ilp == tiles[(45, 7)].sample_point(10, 14)
 
+    def test_seam_peak_one_tile_discards_keeps_its_smallest_home_tile(self, monkeypatch):
+        # Tiles (45, 7) and (46, 7) of 21 samples a side on flat ground,
+        # world row 20 the seam: a 100 m seam peak, a 200 m sample two rows
+        # south and a 300 m one 18 rows north.  The south tile bounds the
+        # peak just below the threshold and discards it; the north tile
+        # keeps it.
+        grid = np.zeros((41, 21), dtype=np.int16)
+        grid[20, 10], grid[22, 10], grid[2, 10] = 100, 200, 300
+        north = Tile(46, 7, np.ascontiguousarray(grid[:21]), 20)
+        south = Tile(45, 7, np.ascontiguousarray(grid[20:]), 20)
+        area, tiles = Quadrilateral(45, 47, 7, 8), {north.key: north, south.key: south}
+        seam, below = south.sample_point(0, 10), south.sample_point(2, 10)
+        i_min = BOUND_INFLATION * (great_circle_distance(seam, below) - 3.0)
+        rows = bounding_pass([south], i_min, "staged").searched
+        assert rows["bound"][locations(rows).index(seam)] < i_min
+        sent = []
+        real = multipass.finalization_pass
+
+        def recording(tiles, peaks, positions, metric, search=None):
+            sent.extend((tiles[t].key, loc) for t, loc in zip(positions, locations(peaks)))
+            return real(tiles, peaks, positions, metric, search)
+
+        monkeypatch.setattr(multipass, "finalization_pass", recording)
+        outcome = run_pipeline(area, tiles, i_min=i_min)
+        got = results_by_location(outcome.results)[seam]
+        assert got.ilp == below
+        assert (south.key, seam) not in sent
+        swept = results_by_location(run_merged_sweep(area, tiles, EllipsoidMetric()))
+        assert got.peak.home_tile == swept[seam].peak.home_tile == south.key
+        assert stats_counts(outcome.stats) == {
+            "tiles": 2,
+            "samples": 882,
+            "peaks_found": 840,
+            "peaks_kept": 5,
+            "deferred": 2,
+            "discarded": 19,
+            "dilation_discards": 18,
+            "bounding": {"queries": 6, "window_resolved": 1, "pairs": 9, "leaf_samples": 4},
+            "finalization": {"queries": 2, "window_resolved": 0, "pairs": 7, "leaf_samples": 2},
+            "assign_candidates": 7,
+            "assigned_pairs": 7,
+        }
+
     def test_finalization_searches_only_the_pairs_left(self):
         area, tiles = world(2, 2, seed=69, n=61)
         outcome = run_pipeline(area, tiles, i_min=0.0)
         stats = outcome.stats
         searched = {
-            key: set(locations(bounding_pass([t], 0.0, "staged")[0].searched))
+            key: set(locations(bounding_pass([t], 0.0, "staged").searched))
             for key, t in tiles.items()
         }
         elevation = {r.peak.location: r.peak.elevation_m for r in outcome.results}
@@ -383,8 +441,8 @@ class TestSearchOnce:
                 elif elevation[loc] >= tiles[key].max_elevation_m:
                     # Nothing in the tile is higher: skipped without a query.
                     skipped += 1
-        assert answered > 0 and stats.finalization_queries > 0
-        assert stats.finalization_queries == stats.assigned_pairs - answered - skipped
+        assert answered > 0 and stats.finalization.queries > 0
+        assert stats.finalization.queries == stats.assigned_pairs - answered - skipped
 
     @pytest.mark.parametrize("i_min", [0.0, 3000.0])
     def test_no_pair_is_searched_twice(self, monkeypatch, i_min):
@@ -405,17 +463,17 @@ class TestSearchOnce:
         area, tiles = world(2, 2, seed=70, n=61)
         stats = run_pipeline(area, tiles, i_min=i_min).stats
         assert len(queried) == len(set(queried)) > 0
-        assert len(queried) == stats.bounding_queries + stats.finalization_queries
+        assert len(queried) == stats.bounding.queries + stats.finalization.queries
 
 
 class TestHighpointPass:
     def test_single_tile_world_high_point_undefined(self):
         area, tiles = world(1, 1, seed=44)
         tile = next(iter(tiles.values()))
-        outcome = bounding_pass([tile], 0.0, "staged")[0]
+        _bounded, deferred, _discarded = fates(bounding_pass([tile], 0.0, "staged"), 0.0)
         index = TileIndex([(tile.key, tile.max_elevation_m)])
-        hp = highpoint_pass(index, outcome.deferred, i_min=0.0)
-        no_higher_elevs = set(hp.no_higher["elevation"].tolist())
+        bounds = highpoint_pass(index, deferred)
+        no_higher_elevs = set(deferred["elevation"][np.isinf(bounds)].tolist())
         assert tile.max_elevation_m in no_higher_elevs
 
     def test_two_tile_bound_is_max_distance_to_higher_tile(self):
@@ -425,15 +483,15 @@ class TestHighpointPass:
             key_a, key_b = key_b, key_a
             tile_a, tile_b = tile_b, tile_a
         # now tile_b holds the higher maximum; a's high point defers to it
-        outcome = bounding_pass([tile_a], 0.0, "staged")[0]
-        high = outcome.deferred[outcome.deferred["elevation"] == tile_a.max_elevation_m]
+        _bounded, deferred, _discarded = fates(bounding_pass([tile_a], 0.0, "staged"), 0.0)
+        high = deferred[deferred["elevation"] == tile_a.max_elevation_m]
         assert len(high) == 1
         index = TileIndex([(k, t.max_elevation_m) for k, t in tiles.items()])
-        hp = highpoint_pass(index, high, i_min=0.0)
-        assert len(hp.assigned) == 1
-        assert as_peaks(hp.assigned) == as_peaks(high)
+        bounds = highpoint_pass(index, high)
+        assert np.count_nonzero(np.isfinite(bounds)) == 1
+        assert as_peaks(high[np.isfinite(bounds)]) == as_peaks(high)
         (peak,) = as_peaks(high)
-        bound = hp.assigned["bound"][0]
+        bound = bounds[0]
         assert bound == max_distance(tile_quad(key_b), peak.location) * BOUND_INFLATION
 
     def test_final_isolation_below_highpoint_bound(self):
@@ -532,7 +590,6 @@ class TestFinalize:
 
 class TestAssignTiles:
     INDEX = TileIndex([((45, 7), 100), ((45, 8), 100)])
-    NONE = np.empty(0, dtype=PEAK_DTYPE)
 
     def test_one_entry_per_tile_per_location(self):
         # A seam peak found by both tiles, twice by one of them: one pair
@@ -542,16 +599,18 @@ class TestAssignTiles:
             (45.5, 8.0, 50, 45, 7, 6000.0),
             (45.5, 8.0, 50, 45, 8, 5000.0),
         )
-        assignment = assign_tiles(self.INDEX, found, self.NONE)
-        assert as_peaks(assignment.peaks) == [Peak(GeoPoint(45.5, 8.0), 50, (45, 7))]
+        peaks, ids = distinct_peaks(found)
+        assignment = assign_tiles(self.INDEX, found, ids)
+        assert as_peaks(peaks) == [Peak(GeoPoint(45.5, 8.0), 50, (45, 7))]
         assert assignment.tiles.tolist() == [0, 1]
         assert assignment.peak_rows.tolist() == [0, 0]
 
     def test_smallest_bound_kept_per_tile(self):
         found = peak_array((45.5, 7.5, 50, 45, 7, 5000.0), (45.5, 7.5, 50, 45, 7, 3000.0))
         high_point = peak_array((45.2, 7.2, 90, 45, 7, math.inf))
-        assignment = assign_tiles(self.INDEX, found, high_point)
-        assert [p.location for p in as_peaks(assignment.peaks)] == [
+        peaks, ids = distinct_peaks(np.concatenate([found, high_point]))
+        assignment = assign_tiles(self.INDEX, found, ids[: len(found)])
+        assert [p.location for p in as_peaks(peaks)] == [
             GeoPoint(45.2, 7.2),
             GeoPoint(45.5, 7.5),
         ]
@@ -735,7 +794,7 @@ class TestRunPipeline:
         # One tile: the bounding pass searched every assigned pair, so the
         # finalization pass has no query and no task.
         assert stats.assigned_pairs > 0
-        assert stats.finalization_queries == 0
+        assert stats.finalization.queries == 0
         assert stats.assign_candidates >= stats.assigned_pairs
         assert 0 < stats.bounding_task_s <= stats.bounding_s
         assert stats.finalization_task_s == 0.0
@@ -830,7 +889,7 @@ class TestBatches:
         assert len({csv_text(r) for r in runs}) == 1
         counts = [stats_counts(r.stats) for r in runs]
         assert counts[0] == counts[1] == counts[2]
-        assert counts[0]["finalization_queries"] > 0
+        assert counts[0]["finalization"]["queries"] > 0
 
 
 class TestAudit:
