@@ -180,27 +180,38 @@ def write_csv(
             (peaks["lng"][keep], peaks["lat"][keep], np.where(undefined, 1.0, -iso_km)[keep])
         )
     ]
+    # Each distinct coordinate and elevation is formatted once.
+    lat_text, lat_of = _distinct_text(np.concatenate([peaks["lat"], answers["lat"]]), ".6f")
+    lng_text, lng_of = _distinct_text(np.concatenate([peaks["lng"], answers["lng"]]), ".6f")
+    elevation_text, elevation_of = _distinct_text(peaks["elevation"], "d")
+    n = len(peaks)
     stream.write(CSV_HEADER + "\n")
     for start in range(0, len(order), _CSV_SLICE_ROWS):
         part = order[start : start + _CSV_SLICE_ROWS]
         rows = zip(
-            peaks["lat"][part].tolist(),
-            peaks["lng"][part].tolist(),
-            peaks["elevation"][part].tolist(),
+            lat_text[lat_of[part]].tolist(),
+            lng_text[lng_of[part]].tolist(),
+            elevation_text[elevation_of[part]].tolist(),
             iso_km[part].tolist(),
-            answers["lat"][part].tolist(),
-            answers["lng"][part].tolist(),
+            lat_text[lat_of[part + n]].tolist(),
+            lng_text[lng_of[part + n]].tolist(),
         )
-        lines = []
-        for lat, lng, elevation, km, ilp_lat, ilp_lng in rows:
-            if km != km:  # NaN: no higher sample anywhere
-                lines.append(f"{lat:.6f},{lng:.6f},{elevation},-1,,\n")
-            else:
-                lines.append(
-                    f"{lat:.6f},{lng:.6f},{elevation},{km:.4f},{ilp_lat:.6f},{ilp_lng:.6f}\n"
-                )
+        lines = [
+            f"{lat},{lng},{elevation},-1,,\n"
+            if km != km  # NaN: no higher sample anywhere
+            else f"{lat},{lng},{elevation},{km:.4f},{ilp_lat},{ilp_lng}\n"
+            for lat, lng, elevation, km, ilp_lat, ilp_lng in rows
+        ]
         stream.write("".join(lines))
     return len(order)
+
+
+def _distinct_text(values: np.ndarray, spec: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of ``values`` formatted with ``spec``, as an object
+    array, and each value's index in it.  Values are told apart by their
+    bits, so -0.0 keeps its sign."""
+    bits, of = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array([format(v, spec) for v in bits.view(values.dtype).tolist()], dtype=object), of
 
 
 def _emit(arrays: ResultArrays, config: RunConfig) -> int:

@@ -39,6 +39,7 @@ __all__ = [
     "save_hgt",
     "qualifying_samples",
     "detect_peaks",
+    "peak_indices",
     "detect_peaks_deduped",
     "build_events",
     "downsample",
@@ -298,21 +299,27 @@ def _lowest_nesw_grid(elev: np.ndarray) -> np.ndarray:
     return out
 
 
-def qualifying_samples(tile: Tile) -> np.ndarray:
+def qualifying_samples(grid: np.ndarray) -> np.ndarray:
     """Mask of the samples with no strictly higher one among their eight neighbors.
 
-    Neighbors outside the grid are treated as absent.  A sample qualifies
-    exactly when the maximum over its clamped 3x3 neighborhood is its own
-    elevation.
+    ``grid`` is one tile's elevations, (rows, cols), or a stack of tiles'
+    grids, (tiles, rows, cols), each a tile of its own.  Neighbors outside
+    the tile are treated as absent.  A sample qualifies exactly when the
+    maximum over its clamped 3x3 neighborhood is its own elevation.
     """
-    elev = tile.elevations
-    padded = np.pad(elev, 1, constant_values=np.iinfo(elev.dtype).min)
-    across = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
-    around = np.maximum(np.maximum(across[:-2], across[1:-1]), across[2:])
-    return around == elev
+    across = grid.copy()
+    np.maximum(across[..., 1:], grid[..., :-1], out=across[..., 1:])
+    np.maximum(across[..., :-1], grid[..., 1:], out=across[..., :-1])
+    around = across.copy()
+    np.maximum(around[..., 1:, :], across[..., :-1, :], out=around[..., 1:, :])
+    np.maximum(around[..., :-1, :], across[..., 1:, :], out=around[..., :-1, :])
+    return around == grid
 
 
+# Neighbor offsets (rows, cols): all eight, and the four that come later in
+# (row, col) order.
 _NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+_LATER_NEIGHBORS = [(0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 def detect_peaks(
@@ -327,69 +334,138 @@ def detect_peaks(
     i.e. the NW-most, then W-most one.  Results are ordered by (row, col).
 
     ``dominated``, a mask over the grid, leaves out the peaks on it: a flat
-    region is walked only from a qualifying sample off the mask, and its
+    region is labelled only from a qualifying sample off the mask, and its
     representative is then kept only if it is off the mask too.  The result
     is the unmasked one less the peaks on the mask, but a flat region that
-    the mask covers at every qualifying sample is never walked.
+    the mask covers at every qualifying sample is never labelled.
 
     ``qualifies`` is the tile's :func:`qualifying_samples` mask, when the
-    caller has it at hand.
+    caller has it at hand.  The one-tile case of :func:`peak_indices`.
     """
-    elev = tile.elevations
-    rows, cols = elev.shape
+    rows, cols = np.divmod(peak_indices(tile.elevations, dominated, qualifies), tile.shape[1])
+    return PeakCells(tile, rows, cols)
+
+
+def peak_indices(
+    grid: np.ndarray, dominated: Optional[np.ndarray] = None, qualifies: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The peaks of each tile of ``grid``, as ascending flat indices into it.
+
+    ``grid`` is one tile's elevations or a (tiles, rows, cols) stack of
+    them; each tile is on its own, so a flat region never joins across the
+    boundary of two stacked tiles.  ``dominated`` and ``qualifies`` are
+    masks over ``grid``, as in :func:`detect_peaks`.
+
+    A qualifying sample off ``dominated`` with no neighbor as high is a peak
+    of its own.  The others seed the flat summits: every sample 8-connected
+    to a seed at equal elevation is collected by a frontier expansion, the
+    collected samples are joined into components (:func:`_components`), and
+    each component keeps its first qualifying member.
+    """
     if qualifies is None:
-        qualifies = qualifying_samples(tile)
-    q_rows, q_cols = np.nonzero(qualifies if dominated is None else qualifies & ~dominated)
-    # A qualifying sample is flat when one of its neighbors is as high.
-    level = elev[q_rows, q_cols]
-    flat = np.zeros(len(q_rows), dtype=bool)
-    for di, dj in _NEIGHBORS:
-        n_rows, n_cols = q_rows + di, q_cols + dj
-        inside = (n_rows >= 0) & (n_rows < rows) & (n_cols >= 0) & (n_cols < cols)
-        flat |= inside & (elev[n_rows.clip(0, rows - 1), n_cols.clip(0, cols - 1)] == level)
+        qualifies = qualifying_samples(grid)
+    shape = grid.shape
+    elev = grid.reshape(-1)
+    seeds = np.flatnonzero(qualifies if dominated is None else qualifies & ~dominated)
+    flat = np.zeros(len(seeds), dtype=bool)
+    for at, _nxt in _equal_neighbors(elev, shape, seeds, _NEIGHBORS):
+        flat[at] = True
 
-    # Flat summits: walk each equal-elevation component holding a flat
-    # qualifying sample and keep its representative.
-    flat_reps: list[tuple[int, int]] = []
-    visited = np.zeros(elev.shape, dtype=bool)
-    for i, j in zip(q_rows[flat].tolist(), q_cols[flat].tolist()):
-        if not visited[i, j]:
-            flat_reps.append(_flat_summit(elev, qualifies, visited, i, j))
-    flat_rows, flat_cols = np.array(flat_reps, dtype=np.intp).reshape(-1, 2).T
+    members = _flat_members(elev, shape, seeds[flat])
+    label = _flat_labels(elev, shape, members)
+
+    candidates = np.flatnonzero(qualifies.reshape(-1)[members])
+    _labels, first = np.unique(label[candidates], return_index=True)
+    summits = members[candidates[first]]
     if dominated is not None:
-        off = ~dominated[flat_rows, flat_cols]
-        flat_rows, flat_cols = flat_rows[off], flat_cols[off]
-
-    peak_rows = np.concatenate([q_rows[~flat], flat_rows])
-    peak_cols = np.concatenate([q_cols[~flat], flat_cols])
-    order = np.lexsort((peak_cols, peak_rows))
-    return PeakCells(tile, peak_rows[order], peak_cols[order])
+        summits = summits[~dominated.reshape(-1)[summits]]
+    return np.sort(np.concatenate([seeds[~flat], summits]))
 
 
-def _flat_summit(
-    elev: np.ndarray, qualifies: np.ndarray, visited: np.ndarray, i: int, j: int
-) -> tuple[int, int]:
-    """Walk the equal-elevation component of (``i``, ``j``), marking it visited.
+def _flat_members(elev: np.ndarray, shape: tuple[int, ...], seeds: np.ndarray) -> np.ndarray:
+    """Every sample 8-connected at equal elevation, within its tile, to one of
+    ``seeds``, as ascending flat indices: a frontier expansion from the seeds."""
+    member = np.zeros(elev.shape, dtype=bool)
+    member[seeds] = True
+    frontier = seeds
+    while len(frontier):
+        found = []
+        for _at, nxt in _equal_neighbors(elev, shape, frontier, _NEIGHBORS):
+            nxt = nxt[~member[nxt]]
+            member[nxt] = True
+            found.append(nxt)
+        frontier = np.concatenate(found)
+    return np.flatnonzero(member)
 
-    The walk goes through members that abut higher ground too; returns the
-    component's first qualifying member in (row, col) order.
+
+def _flat_labels(elev: np.ndarray, shape: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+    """The equal-elevation component of each of ``members``, a set closed
+    under equal-elevation neighbors, as a label shared by its members only.
+
+    Members side by side in a row at equal elevation form a run; runs joined
+    from one row to the next form a component (:func:`_components`).
     """
-    rows, cols = elev.shape
-    level = elev[i, j]
-    rep = (i, j)
-    stack = [(i, j)]
-    visited[i, j] = True
-    while stack:
-        ci, cj = stack.pop()
-        if qualifies[ci, cj] and (ci, cj) < rep:
-            rep = (ci, cj)
-        for di, dj in _NEIGHBORS:
-            ni, nj = ci + di, cj + dj
-            if 0 <= ni < rows and 0 <= nj < cols and not visited[ni, nj]:
-                if elev[ni, nj] == level:
-                    visited[ni, nj] = True
-                    stack.append((ni, nj))
-    return rep
+    pairs = _equal_neighbors(elev, shape, members, _LATER_NEIGHBORS)
+    at, _east = next(pairs)
+    run_start = np.ones(len(members), dtype=bool)
+    run_start[at + 1] = False
+    run = np.cumsum(run_start) - 1
+    uppers, lowers = [], []
+    for at, below in pairs:
+        upper, lower = run[at], run[np.searchsorted(members, below)]
+        # Both come in ascending order, so repeated pairs are adjacent.
+        new = np.ones(len(at), dtype=bool)
+        new[1:] = (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+        uppers.append(upper[new])
+        lowers.append(lower[new])
+    runs = int(np.count_nonzero(run_start))
+    return _components(runs, np.concatenate(uppers), np.concatenate(lowers))[run]
+
+
+def _equal_neighbors(elev: np.ndarray, shape: tuple[int, ...], index: np.ndarray, offsets):
+    """Per offset, the positions in ``index`` whose neighbor there is as high.
+
+    ``elev`` is a grid of ``shape`` (tiles, rows, cols), flattened, and
+    ``index`` flat indices into it.  Yields, for each (row, col) offset, the
+    positions in ``index`` whose neighbor at that offset lies on the same
+    tile at equal elevation, and those neighbors' flat indices.
+    """
+    rows, cols = shape[-2:]
+    row, col = index // cols % rows, index % cols
+    row_ok = {-1: row > 0, 1: row < rows - 1}
+    col_ok = {-1: col > 0, 1: col < cols - 1}
+    level = elev[index]
+    for di, dj in offsets:
+        if di and dj:
+            inside = row_ok[di] & col_ok[dj]
+        else:
+            inside = row_ok[di] if di else col_ok[dj]
+        at = np.flatnonzero(inside)
+        nxt = index[at] + (di * cols + dj)
+        same = elev[nxt] == level[at]
+        yield at[same], nxt[same]
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component of each of ``n`` nodes joined by the edges (``u``, ``v``),
+    labelled by its smallest node.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
+    each round every root with an edge to a smaller root hooks onto the
+    smallest one, and every node then jumps to its root.  Pointers only go
+    down, so a component's root is its smallest node.  Edges inside one
+    component are dropped as they appear.
+    """
+    parent = np.arange(n)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        across = pu != pv
+        u, v, pu, pv = u[across], v[across], pu[across], pv[across]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+    return parent
 
 
 def detect_peaks_deduped(tiles: Iterable[Tile]) -> list[Peak]:

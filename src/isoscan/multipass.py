@@ -5,8 +5,9 @@ resolution.  A grey-scale dilation of the tile's grid, by a footprint of a
 few rectangles of samples all closer than r = i_min / BOUND_INFLATION,
 marks every sample with a strictly higher sample that close: a peak there
 has isolation below the minimum-isolation threshold, so its row could never
-be emitted, and peak detection walks only the flat summits with a
-qualifying sample off that mask.  The surviving peaks ask an
+be emitted, and peak detection labels only the flat summits with a
+qualifying sample off that mask.  Mask, dilation and detection run once per
+batch, on its stacked grids.  The surviving peaks ask an
 :class:`~isoscan.spatial_index.ElevationPyramid` over their tile's batch, in
 one search, for their nearest strictly higher samples in their tile under
 the final metric.  Each answer is the peak's finalization candidate from
@@ -61,6 +62,7 @@ single-sweep reference path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -75,10 +77,11 @@ from .dem import (
     Peak,
     Tile,
     build_events,
-    detect_peaks,
+    detect_peaks,  # no caller here; perfbench's tracer wraps multipass.detect_peaks
     detect_peaks_deduped,
     downsample,  # no caller here; perfbench's tracer wraps multipass.downsample
     merge_tiles,
+    peak_indices,
     qualifying_samples,
 )
 from .geo import MEAN_RADIUS_M, GeoPoint, wrap_longitude_many
@@ -238,7 +241,8 @@ def _footprint(tile: Tile, radius_m: float) -> list[tuple[int, int]]:
         # The corners nearest to evenly spaced angles on the outline.
         k = np.arange(1, _DILATION_RECTANGLES + 1)
         angles = k * (0.5 * math.pi / (_DILATION_RECTANGLES + 1))
-        pick = np.unique(np.searchsorted(a, a[-1] * np.sin(angles)))
+        pick = np.searchsorted(a, a[-1] * np.sin(angles))
+        pick = pick[_starts(pick)]
         a, b = a[pick], b[pick]
     return list(zip(a.tolist(), b.tolist()))
 
@@ -270,18 +274,23 @@ def _window_max(grid: np.ndarray, half: int, axis: int) -> np.ndarray:
     return np.maximum(run[cut(0, n)], run[cut(width - span, n)])
 
 
-def dominated_samples(tile: Tile, radius_m: float) -> np.ndarray:
+def dominated_samples(tiles: Sequence[Tile], grid: np.ndarray, radius_m: float) -> np.ndarray:
     """Mask of the samples that have a strictly higher sample closer than ``radius_m``.
 
-    A grey-scale dilation of the tile's own grid by the union of the
-    rectangles of :func:`_footprint`: a sample is dominated exactly when the
-    dilated value there is above its elevation.  Every higher sample found
-    is in the tile and closer than ``radius_m`` along the great circle.
+    ``grid`` is the (tiles, rows, cols) stack of the grids of ``tiles``.  A
+    grey-scale dilation of each tile's grid by the union of the rectangles
+    of its own :func:`_footprint`, made once for each run of consecutive
+    tiles with one footprint: a sample is dominated exactly when the dilated
+    value there is above its elevation.  Every higher sample found is in
+    the sample's tile and closer than ``radius_m`` along the great circle.
     """
-    grid = tile.elevations
     dominated = np.zeros(grid.shape, dtype=bool)
-    for a, b in _footprint(tile, radius_m):
-        dominated |= _window_max(_window_max(grid, a, 0), b, 1) > grid
+    start = 0
+    for footprint, run in itertools.groupby(_footprint(t, radius_m) for t in tiles):
+        part = slice(start, start + len(list(run)))
+        for a, b in footprint:
+            dominated[part] |= _window_max(_window_max(grid[part], a, 1), b, 2) > grid[part]
+        start = part.stop
     return dominated
 
 
@@ -318,7 +327,7 @@ def qualifying(tile: Tile, mask: Optional[np.ndarray] = None) -> Qualifying:
     """The :class:`Qualifying` samples of ``tile``, from ``mask`` when it is
     already at hand (``dem.qualifying_samples``)."""
     if mask is None:
-        mask = qualifying_samples(tile)
+        mask = qualifying_samples(tile.elevations)
     edge = np.zeros_like(mask)
     edge[[0, -1]] = mask[[0, -1]]
     edge[:, [0, -1]] = mask[:, [0, -1]]
@@ -369,29 +378,34 @@ def bounding_pass(
     the higher sample, and that is below the great-circle distance times
     the high end of ``geo.ELLIPSOID_RATIO_BAND``, 1.00449 < 1.011, so below
     ``i_min``: it is discarded, and the flat summits it covers everywhere
-    are never walked (``dem.detect_peaks``).  Every other peak is searched
+    are never labelled (``dem.peak_indices``).  The qualifying mask, the
+    dilation and the detection each run once, on the stack of the batch's
+    grids that its pyramid holds.  Every other peak is searched
     in its own tile of the batch's full-resolution pyramid under the final
     metric, all in one search whose counts are added to ``search`` if given;
     the answer is the peak's finalization candidate from its tile, and its
     distance times :data:`BOUND_INFLATION` is the peak's bound, which the
     caller tests against the threshold and assigns tiles by.
     """
-    peaks, dilation_discards, qualifying_parts = [], 0, []
-    for tile in tiles:
-        mask = qualifying_samples(tile)
-        dominated = dominated_samples(tile, i_min / BOUND_INFLATION)
-        cells = detect_peaks(tile, dominated, mask)
-        peaks.append(peak_rows(tile, cells.rows, cells.cols))
-        dilation_discards += int(np.count_nonzero(mask & dominated))
-        qualifying_parts.append(qualifying(tile, mask))
-    sizes = np.array([len(p) for p in peaks])
-    searched = np.concatenate(peaks)
+    pyramid = ElevationPyramid(tiles)
+    grid = pyramid.stack
+    mask = qualifying_samples(grid)
+    dominated = dominated_samples(tiles, grid, i_min / BOUND_INFLATION)
+    by_tile, rows, cols = np.unravel_index(peak_indices(grid, dominated, mask), grid.shape)
     # A tile's high point is never dominated, so every tile has a peak.
-    answers = ElevationPyramid(tiles).nearest_higher_many(
+    sizes = np.bincount(by_tile, minlength=len(tiles))
+    cut = np.cumsum(sizes)[:-1]
+    searched = np.concatenate(
+        [
+            peak_rows(tile, tile_rows, tile_cols)
+            for tile, tile_rows, tile_cols in zip(tiles, np.split(rows, cut), np.split(cols, cut))
+        ]
+    )
+    answers = pyramid.nearest_higher_many(
         searched["lat"],
         searched["lng"],
         searched["elevation"],
-        np.repeat(np.arange(len(tiles)), sizes),
+        by_tile,
         final_metric(distance_mode),
         search,
     )
@@ -401,8 +415,8 @@ def bounding_pass(
         answers=answers,
         maxima=np.array([t.max_elevation_m for t in tiles]),
         peak_counts=sizes,
-        dilation_discards=dilation_discards,
-        qualifying=qualifying_parts,
+        dilation_discards=int(np.count_nonzero(mask & dominated)),
+        qualifying=[qualifying(tile, tile_mask) for tile, tile_mask in zip(tiles, mask)],
     )
 
 
@@ -563,8 +577,8 @@ class PipelineStats:
     tiles: int = 0
     samples: int = 0
     # Samples with no strictly higher 8-neighbour, each location once
-    # (count_qualifying): flat summits are not all walked, so they are not
-    # counted as components.
+    # (count_qualifying): flat summits are not all labelled, so they are
+    # not counted as components.
     peaks_found: int = 0
     peaks_kept: int = 0
     deferred: int = 0
@@ -791,9 +805,12 @@ def run_pipeline(
         t0 = time.perf_counter()
         pair_tiles, pair_rows, _bounds = assignment
         row_live = peak_of >= 0
+        # Keys are unique on both sides: an assignment pair once, and a tile
+        # finds each location once.
         settled = np.isin(
             pair_tiles * len(peaks) + pair_rows,
             by_tile[row_live] * len(peaks) + peak_of[row_live],
+            assume_unique=True,
         )
         pair_tiles, pair_rows = pair_tiles[~settled], pair_rows[~settled]
         answers["peak"] = peak_of[answers["peak"]]

@@ -638,6 +638,12 @@ class ElevationPyramid:
             arg_cols = arg_cols[stack, child_rows, child_cols]
             self.levels.append(_Level(maxima, arg_rows, arg_cols))
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The tiles' grids as one (tiles, rows, cols) array, the tile's own
+        grid for a stack of one."""
+        return self._grid.reshape(-1, *self._tile_shape)
+
     def nearest_higher_many(
         self,
         lats: np.ndarray,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -236,6 +237,39 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert traced.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize(
+        "tiles, samples, km",
+        [
+            ("5x5", 31, "1"),  # enough tiles for np.isin to sort
+            ("1x1", 601, "5"),  # a dilation footprint of more than 4 corners
+        ],
+    )
+    def test_compute_does_not_import_numpy_ma(self, tmp_path, tiles, samples, km):
+        # A bare np.unique imports numpy.ma, about 13 ms, on the main
+        # process's critical path; np.isin calls it unless told its keys are
+        # unique.
+        data = tmp_path / "tiles"
+        synth = ["synth", "--tiles", tiles, "--profile", "fractal", "--seed", "11"]
+        assert main([*synth, "--out", str(data), "--samples-per-side", str(samples)]) == 0
+        side = int(tiles.partition("x")[0])
+        argv = compute_args(
+            data, tmp_path / "out.csv", bounds=(45, 45 + side, 7, 7 + side),
+            extra=["--min-isolation-km", km],
+        )
+        script = (
+            "import sys\n"
+            "from isoscan import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False"]
+
 
 class TestExitCodes:
     def test_missing_tiles_exit_2(self, cones_world_dir, tmp_path, capsys):
@@ -389,6 +423,67 @@ class TestWriteCsv:
         rows = len(whole.read_text().splitlines()) - 1
         assert rows > 3
         assert sliced.read_bytes() == whole.read_bytes()
+
+    @staticmethod
+    def formatted_row_by_row(results, min_isolation_m: float) -> str:
+        """write_csv's output, each field formatted in its own row: the reference."""
+        peaks, answers = results
+        lines = [CSV_HEADER + "\n"]
+        rows = []
+        for k in range(len(peaks)):
+            distance = float(answers["distance"][k])
+            if distance == distance and distance < min_isolation_m:
+                continue
+            lat, lng, elevation = float(peaks["lat"][k]), float(peaks["lng"][k]), int(peaks["elevation"][k])
+            if distance != distance:
+                rows.append(((1, 0.0, lat, lng), f"{lat:.6f},{lng:.6f},{elevation},-1,,\n"))
+            else:
+                km, ilp_lat, ilp_lng = distance / 1000.0, float(answers["lat"][k]), float(answers["lng"][k])
+                line = f"{lat:.6f},{lng:.6f},{elevation},{km:.4f},{ilp_lat:.6f},{ilp_lng:.6f}\n"
+                rows.append(((0, -km, lat, lng), line))
+        return "".join(lines + [line for _key, line in sorted(rows)])
+
+    @pytest.mark.parametrize("slice_rows", [3, 1 << 15])
+    def test_matches_row_by_row_formatting(self, monkeypatch, slice_rows):
+        # Zero of both signs, negative coordinates, shared and distinct
+        # values, and two undefined rows, written 3 rows at a time too.
+        from isoscan.multipass import ANSWER_DTYPE, PEAK_DTYPE, ResultArrays
+
+        nan = float("nan")
+        peaks = np.array(
+            [
+                (0.0, -0.0, 0, 0, -1, np.inf),
+                (-0.0, 0.0, -12, -1, 0, np.inf),
+                (-45.5, -179.25, 3000, -46, -180, np.inf),
+                (-45.5, 179.75, 3000, -46, 179, np.inf),
+                (10.125, -0.0, 5, 10, -1, np.inf),
+                (89.999999, -7.0000004, 8848, 89, -8, np.inf),
+                (-0.5, -0.5, 1, -1, -1, np.inf),
+                (-0.5, 0.5, 1, -1, 0, np.inf),
+            ],
+            dtype=PEAK_DTYPE,
+        )
+        answers = np.array(
+            [
+                (1500.0, -0.0, 0.0),
+                (2500.0, 0.0, -0.0),
+                (nan, nan, nan),
+                (1500.0, -45.5, -179.25),
+                (999.0, 10.0, -0.0),
+                (nan, nan, nan),
+                (2500.0, -0.5, -0.25),
+                (123456.78901, 0.0, 0.5),
+            ],
+            dtype=ANSWER_DTYPE,
+        )
+        results = ResultArrays(peaks, answers)
+        monkeypatch.setattr(cli, "_CSV_SLICE_ROWS", slice_rows)
+        buf = io.StringIO()
+        assert write_csv(results, buf, min_isolation_m=1000.0) == 7
+        text = buf.getvalue()
+        assert text == self.formatted_row_by_row(results, 1000.0)
+        assert "0.000000,-0.000000,0,1.5000,-0.000000,0.000000\n" in text
+        assert text.endswith(",-1,,\n")
 
     def test_order_is_isolation_then_location_with_the_high_point_last(self):
         def result(lat, lng, isolation_m):

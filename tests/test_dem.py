@@ -25,15 +25,69 @@ from isoscan.dem import (
     load_hgt,
     merge_tiles,
     parse_hgt_filename,
+    peak_indices,
     qualifying_samples,
     save_hgt,
 )
 from isoscan.geo import GeoPoint
+from isoscan.multipass import BOUND_INFLATION, _footprint, dominated_samples
 
 
 def make_tile(grid, origin=(45, 7)) -> Tile:
     arr = np.asarray(grid, dtype=np.int16)
     return Tile(origin[0], origin[1], arr, arr.shape[0] - 1)
+
+
+def walked_peaks(grid: np.ndarray, dominated=None) -> list[tuple[int, int]]:
+    """detect_peaks in plain Python, by walking each flat summit: the reference.
+
+    A qualifying sample (no strictly higher 8-neighbour in the grid) off
+    ``dominated`` with no neighbour as high is a peak.  One with a neighbour
+    as high seeds a walk over its equal-elevation component, whose first
+    qualifying member in (row, col) order is kept when it is off
+    ``dominated``; each component is walked once.
+    """
+    rows, cols = grid.shape
+    elev = grid.tolist()
+    off = [[True] * cols for _ in range(rows)] if dominated is None else (~dominated).tolist()
+
+    def neighbours(i, j):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if (di or dj) and 0 <= i + di < rows and 0 <= j + dj < cols:
+                    yield i + di, j + dj
+
+    qualifies = [
+        [all(elev[n][m] <= elev[i][j] for n, m in neighbours(i, j)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    visited = [[False] * cols for _ in range(rows)]
+    peaks = []
+    for i in range(rows):
+        for j in range(cols):
+            if not (qualifies[i][j] and off[i][j]) or visited[i][j]:
+                continue
+            level = elev[i][j]
+            if all(elev[n][m] != level for n, m in neighbours(i, j)):
+                peaks.append((i, j))
+                continue
+            rep, stack = (i, j), [(i, j)]
+            visited[i][j] = True
+            while stack:
+                ci, cj = stack.pop()
+                if qualifies[ci][cj] and (ci, cj) < rep:
+                    rep = (ci, cj)
+                for n, m in neighbours(ci, cj):
+                    if not visited[n][m] and elev[n][m] == level:
+                        visited[n][m] = True
+                        stack.append((n, m))
+            if off[rep[0]][rep[1]]:
+                peaks.append(rep)
+    return sorted(peaks)
+
+
+def cells_of(cells) -> list[tuple[int, int]]:
+    return list(zip(cells.rows.tolist(), cells.cols.tolist()))
 
 
 class TestTileModel:
@@ -237,16 +291,91 @@ class TestDetectPeaks:
             for j in range(7):
                 block = grid[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
                 higher[i, j] = (block > grid[i, j]).any()
-        assert np.array_equal(qualifying_samples(tile), ~higher)
+        assert np.array_equal(qualifying_samples(tile.elevations), ~higher)
         every = detect_peaks(tile)
         masked = detect_peaks(tile, dominated)
         off = ~dominated[every.rows, every.cols]
         assert masked.rows.tolist() == every.rows[off].tolist()
         assert masked.cols.tolist() == every.cols[off].tolist()
         # The qualifying mask, given, changes nothing.
-        given_mask = detect_peaks(tile, dominated, qualifying_samples(tile))
+        given_mask = detect_peaks(tile, dominated, qualifying_samples(tile.elevations))
         assert given_mask.rows.tolist() == masked.rows.tolist()
         assert given_mask.cols.tolist() == masked.cols.tolist()
+
+    @given(
+        st.integers(2, 14).flatmap(
+            lambda rows: st.integers(2, 14).flatmap(
+                lambda cols: st.tuples(
+                    arrays(np.int16, (rows, cols), elements=st.integers(0, 3)),
+                    st.none() | arrays(np.bool_, (rows, cols)),
+                )
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plateaus_match_the_walk(self, case):
+        # Four levels make flat regions of every shape.
+        grid, dominated = case
+        tile = Tile(45, 7, grid, 1)
+        assert cells_of(detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda tiles: st.tuples(
+                arrays(np.int16, (tiles, 6, 5), elements=st.integers(0, 2)),
+                arrays(np.bool_, (tiles, 6, 5)),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_stacked_tile_on_its_own(self, case):
+        stack, dominated = case
+        expected = [
+            (t * 30 + i * 5 + j)
+            for t in range(len(stack))
+            for i, j in walked_peaks(stack[t], dominated[t])
+        ]
+        assert peak_indices(stack, dominated).tolist() == expected
+
+    def test_plateau_on_a_stacking_seam_does_not_join(self):
+        # Tile 0's south row and tile 1's north row are one flat ridge in
+        # the stack's memory order; each tile keeps its own representative.
+        stack = np.zeros((2, 5, 5), dtype=np.int16)
+        stack[0, -1, :] = 7
+        stack[1, 0, :] = 7
+        ridge = [int(k) for k in peak_indices(stack) if stack.reshape(-1)[k] == 7]
+        assert ridge == [20, 25]  # (tile 0, row 4, col 0) and (tile 1, row 0, col 0)
+        per_tile = [walked_peaks(stack[t]) for t in range(2)]
+        assert peak_indices(stack).tolist() == [
+            t * 25 + i * 5 + j for t in range(2) for i, j in per_tile[t]
+        ]
+
+    def test_batch_with_different_footprints(self):
+        # Tiles of one batch at 58-61 N: the northernmost has a footprint
+        # of its own, and each tile is dilated by its own.
+        tiles = generate_synthetic(4, 1, seed=5, profile="fractal", samples_per_side=121, origin=(58, 7))
+        radius = 5000.0 / BOUND_INFLATION
+        assert len({tuple(_footprint(t, radius)) for t in tiles}) > 1
+        stack = np.stack([t.elevations for t in tiles])
+        dominated = dominated_samples(tiles, stack, radius)
+        expected = []
+        for k, tile in enumerate(tiles):
+            own = dominated_samples([tile], tile.elevations[None], radius)[0]
+            assert np.array_equal(dominated[k], own)
+            expected += [k * 121 * 121 + i * 121 + j for i, j in walked_peaks(tile.elevations, own)]
+        assert peak_indices(stack, dominated).tolist() == expected
+
+    @pytest.mark.parametrize("radius", [None, 2000.0])
+    def test_tile_that_is_mostly_sea_plateau(self, radius):
+        tile = generate_synthetic(1, 1, seed=9, profile="fractal", samples_per_side=121)[0]
+        sea = np.percentile(tile.elevations, 60)
+        grid = np.maximum(tile.elevations, sea).astype(np.int16)
+        assert (grid == sea).mean() >= 0.6
+        tile = Tile(45, 7, grid, 120)
+        dominated = None
+        if radius is not None:
+            dominated = dominated_samples([tile], grid[None], radius)[0]
+        assert cells_of(detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
 
 
 class TestLowestNeighbor:

@@ -83,7 +83,7 @@ def qualifying_locations(tiles) -> set[GeoPoint]:
     return {
         t.sample_point(i, j)
         for t in tiles
-        for i, j in zip(*(a.tolist() for a in np.nonzero(qualifying_samples(t))))
+        for i, j in zip(*(a.tolist() for a in np.nonzero(qualifying_samples(t.elevations))))
     }
 
 
@@ -189,7 +189,7 @@ class TestDilationDiscard:
     def test_every_discard_has_a_closer_higher_sample(self, case, i_min):
         tile, cells = case
         radius = i_min / BOUND_INFLATION
-        dominated = dominated_samples(tile, radius)[cells.rows, cells.cols]
+        dominated = dominated_samples([tile], tile.elevations[None], radius)[0][cells.rows, cells.cols]
         if i_min == 0.0:
             assert not dominated.any()
         lats, lngs = tile.sample_lats(), tile.sample_lngs()
@@ -214,7 +214,8 @@ class TestDilationDiscard:
         peak = next(k for k in range(len(cells)) if cells[k].elevation_m == 100)
         d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
         i_min = d * BOUND_INFLATION * (1.0 + margin)
-        assert dominated_samples(tile, i_min / BOUND_INFLATION)[120, 40] == discarded
+        radius = i_min / BOUND_INFLATION
+        assert dominated_samples([tile], tile.elevations[None], radius)[0, 120, 40] == discarded
         search = SearchWork()
         outcome = bounding_pass([tile], i_min, "staged", search)
         assert search.queries == len(cells) - int(discarded)
@@ -236,7 +237,7 @@ class TestDilationDiscard:
         area, tiles = world(1, 1, seed=68, n=121)
         tile = tiles[(45, 7)]
         stats = run_pipeline(area, tiles, i_min=2000.0).stats
-        assert len(detect_peaks(tile)) < qualifying_samples(tile).sum() == stats.peaks_found
+        assert len(detect_peaks(tile)) < qualifying_samples(tile.elevations).sum() == stats.peaks_found
         assert stats.dilation_discards > 0
         assert 0 < stats.bounding.queries <= stats.peaks_found - stats.dilation_discards
 
@@ -244,7 +245,7 @@ class TestDilationDiscard:
         area, tiles = world(2, 2, seed=68, n=61)
         stats = run_pipeline(area, tiles, i_min=2000.0).stats
         assert stats.peaks_found == len(qualifying_locations(tiles.values()))
-        assert stats.peaks_found < sum(int(qualifying_samples(t).sum()) for t in tiles.values())
+        assert stats.peaks_found < sum(int(qualifying_samples(t.elevations).sum()) for t in tiles.values())
 
     @staticmethod
     def flat_summit_tile(*spike_cols: int) -> tuple[Tile, float]:
@@ -259,52 +260,58 @@ class TestDilationDiscard:
         return tile, d * BOUND_INFLATION * (1.0 + 1e-6)
 
     @staticmethod
-    def record_walks(monkeypatch) -> list[int]:
-        """Elevations of the flat summits detect_peaks walks."""
-        walked = []
-        real = dem._flat_summit
+    def record_labelling(monkeypatch) -> tuple[list[int], list[int]]:
+        """Elevations of the seeds and of the members of the flat summits
+        detect_peaks labels."""
+        seeded, labelled = [], []
+        real = dem._flat_members
 
-        def recording(elev, qualifies, visited, i, j):
-            walked.append(int(elev[i, j]))
-            return real(elev, qualifies, visited, i, j)
+        def recording(elev, shape, seeds):
+            members = real(elev, shape, seeds)
+            seeded.extend(elev[seeds].tolist())
+            labelled.extend(elev[members].tolist())
+            return members
 
-        monkeypatch.setattr(dem, "_flat_summit", recording)
-        return walked
+        monkeypatch.setattr(dem, "_flat_members", recording)
+        return seeded, labelled
 
     def test_flat_summit_with_a_dominated_representative_is_discarded(self, monkeypatch):
         # The spike dominates the NW-most member (3 columns away) but not the
-        # other (4 columns): the summit is walked from the survivor and its
-        # representative, the dominated member, is discarded as before.
+        # other (4 columns): the summit is seeded from the survivor, both
+        # members are labelled, and its representative, the dominated member,
+        # is discarded as before.
         tile, i_min = self.flat_summit_tile(37)
         assert tile.sample_point(120, 40) in [p.location for p in detect_peaks(tile)]
-        walked = self.record_walks(monkeypatch)
+        seeded, labelled = self.record_labelling(monkeypatch)
         outcome = bounding_pass([tile], i_min, "staged")
-        assert 100 in walked
+        assert seeded.count(100) == 1
+        assert labelled.count(100) == 2
         assert 100 not in outcome.searched["elevation"].tolist()
         assert outcome.dilation_discards >= 1
 
     def test_flat_summit_dominated_everywhere_is_never_walked(self, monkeypatch):
         tile, i_min = self.flat_summit_tile(37, 44)
-        walked = self.record_walks(monkeypatch)
+        seeded, labelled = self.record_labelling(monkeypatch)
         outcome = bounding_pass([tile], i_min, "staged")
-        assert 100 not in walked
-        assert 0 in walked  # the plateau around it is walked
+        assert 100 not in seeded and 100 not in labelled
+        assert 0 in seeded and 0 in labelled  # the plateau around it is labelled
         assert 100 not in outcome.searched["elevation"].tolist()
 
-    def test_qualifying_mask_computed_once_per_tile(self, monkeypatch):
-        # detect_peaks takes the mask bounding_pass already has.
+    def test_qualifying_mask_computed_once_per_batch(self, monkeypatch):
+        # The batch's mask is made once, on its stacked grid, and
+        # detect_peaks takes it from bounding_pass.
         calls = []
         real = dem.qualifying_samples
 
-        def counting(tile):
-            calls.append(tile.key)
-            return real(tile)
+        def counting(grid):
+            calls.append(grid.shape)
+            return real(grid)
 
         monkeypatch.setattr(dem, "qualifying_samples", counting)
         monkeypatch.setattr(multipass, "qualifying_samples", counting)
-        area, tiles = world(1, 1, seed=68, n=121)
-        outcome = bounding_pass([tiles[(45, 7)]], 2000.0, "staged")
-        assert calls == [(45, 7)]
+        area, tiles = world(1, 3, seed=68, n=121)
+        outcome = bounding_pass(list(tiles.values()), 2000.0, "staged")
+        assert calls == [(3, 121, 121)]
         assert len(outcome.searched) > 0
 
     def test_search_counts_of_a_one_tile_run(self):
