@@ -12,7 +12,7 @@ from .quad import Quadrilateral
 from .dem import Peak, Tile, generate_synthetic, load_hgt, save_hgt
 from .spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from .sweep import IlpResult, run_sweep
-from .oracle import SampleUniverse, brute_force_ilp
+from .oracle import SampleUniverse, brute_force_all
 from .multipass import run_merged_sweep, run_pipeline
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "IlpResult",
     "run_sweep",
     "SampleUniverse",
-    "brute_force_ilp",
+    "brute_force_all",
     "run_merged_sweep",
     "run_pipeline",
     "__version__",

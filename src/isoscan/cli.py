@@ -25,6 +25,7 @@ from .dem import (
     load_hgt,
     save_hgt,
 )
+from .geo import GeoPoint
 from .multipass import (
     MissingTilesError,
     PipelineStats,
@@ -244,32 +245,43 @@ def _run_mode(config: RunConfig, tiles) -> tuple[ResultArrays, PipelineStats]:
     if config.mode == "single-sweep":
         metric = final_metric(config.distance_mode)
         t0 = time.perf_counter()
-        results = run_merged_sweep(config.bounds, tiles, metric)
+        arrays = run_merged_sweep(config.bounds, tiles, metric)
         stats = PipelineStats(
             tiles=len(tiles),
             samples=sum(t.shape[0] * t.shape[1] for t in tiles.values()),
             peaks_found=count_qualifying(qualifying(t) for t in tiles.values()),
-            peaks_kept=len(results),
+            peaks_kept=len(arrays.peaks),
             total_s=time.perf_counter() - t0,
         )
-        return result_arrays(results), stats
+        return arrays, stats
     raise ValueError(f"unknown mode {config.mode!r}")
 
 
-def _results_differ(label_a, a: Sequence[IlpResult], label_b, b: Sequence[IlpResult]) -> list[str]:
+def _differences(label_a: str, a: ResultArrays, label_b: str, b: ResultArrays) -> list[str]:
+    """A line for each peak location that only one of ``a`` and ``b`` holds,
+    and for each where they differ in a field, NaNs being equal; the bound,
+    which only the pipeline finds, is not compared."""
+    rows_a, rows_b = _by_location(a), _by_location(b)
     problems = []
-    map_a = {r.peak.location: r for r in a}
-    map_b = {r.peak.location: r for r in b}
-    for loc in sorted(set(map_a) | set(map_b)):
-        ra, rb = map_a.get(loc), map_b.get(loc)
+    for loc in sorted(rows_a.keys() | rows_b.keys()):
+        ra, rb = rows_a.get(loc), rows_b.get(loc)
         if ra is None or rb is None:
             problems.append(f"peak {loc}: only in {label_a if rb is None else label_b}")
-        elif (ra.isolation_m, ra.ilp) != (rb.isolation_m, rb.ilp):
-            problems.append(
-                f"peak {loc}: {label_a} {ra.isolation_m} @ {ra.ilp} vs "
-                f"{label_b} {rb.isolation_m} @ {rb.ilp}"
-            )
+        elif ra != rb:
+            problems.append(f"peak {loc}: {label_a} {ra} vs {label_b} {rb}")
     return problems
+
+
+def _by_location(arrays: ResultArrays) -> dict[GeoPoint, dict]:
+    """Each peak's elevation, home tile and answer, a NaN as None, by its location."""
+    peaks, answers = arrays
+    columns = {name: peaks[name] for name in ("elevation", "home_lat", "home_lng")}
+    columns.update(isolation_m=answers["distance"], ilp_lat=answers["lat"], ilp_lng=answers["lng"])
+    rows = zip(*(c.tolist() for c in columns.values()))
+    return {
+        GeoPoint(lat, lng): {name: None if v != v else v for name, v in zip(columns, row)}
+        for lat, lng, row in zip(peaks["lat"].tolist(), peaks["lng"].tolist(), rows)
+    }
 
 
 def cmd_compute(args) -> int:
@@ -299,10 +311,10 @@ def _oracle_check(config: RunConfig, tiles, io_s: float) -> int:
     )
     swept = run_merged_sweep(config.bounds, tiles, metric)
     universe = SampleUniverse.from_tiles(tiles.values())
-    reference = brute_force_all([r.peak for r in swept], universe, metric)
+    reference = brute_force_all(swept.peaks, universe, metric)
 
-    problems = _results_differ("pipeline", outcome.results, "sweep", swept)
-    problems += _results_differ("sweep", swept, "oracle", reference)
+    problems = _differences("pipeline", outcome.arrays, "sweep", swept)
+    problems += _differences("sweep", swept, "oracle", reference)
     problems += audit_pipeline(outcome)
     if problems:
         for p in problems:
@@ -310,7 +322,7 @@ def _oracle_check(config: RunConfig, tiles, io_s: float) -> int:
         print(f"oracle-check: {len(problems)} discrepancies", file=sys.stderr)
         return 3
     print(
-        f"oracle-check: {len(outcome.results)} peaks agree across pipeline, "
+        f"oracle-check: {len(outcome.arrays.peaks)} peaks agree across pipeline, "
         f"single sweep, and brute force (io_s={io_s:.3f})",
         file=sys.stderr,
     )

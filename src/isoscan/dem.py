@@ -1,4 +1,4 @@
-"""Tile data model, HGT ingestion, synthetic terrain, peaks, and events.
+"""Tile data model, HGT ingestion, synthetic terrain, peaks, and sweep events.
 
 Grids are row-major with row 0 the northernmost line, matching the HGT file
 layout.  A 1-degree tile of N samples per side shares its edge row/column
@@ -16,11 +16,11 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geo import GeoPoint
+from .geo import GeoPoint, wrap_longitude_many
 from .quad import Quadrilateral
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
     "HgtFormatError",
     "Tile",
     "Peak",
-    "PeakCells",
-    "Event",
+    "PEAK_DTYPE",
+    "EVENT_DTYPE",
     "EVENT_PEAK",
     "EVENT_INSERT",
     "EVENT_REMOVE",
@@ -40,7 +40,6 @@ __all__ = [
     "qualifying_samples",
     "detect_peaks",
     "peak_indices",
-    "detect_peaks_deduped",
     "build_events",
     "downsample",
     "generate_synthetic",
@@ -55,6 +54,10 @@ EVENT_PEAK = 0
 EVENT_INSERT = 1
 EVENT_REMOVE = 2
 
+# One sweep event: its sample, as a row-major index into the swept grid, and
+# its kind.
+EVENT_DTYPE = np.dtype([("sample", np.int64), ("kind", np.int8)])
+
 _INT32_BIG = np.int32(2**30)
 
 # Spectral exponent of the fractal profile: amplitude falls as |k| ** -beta.
@@ -62,7 +65,8 @@ _FRACTAL_BETA = 1.8
 
 
 class HgtFormatError(ValueError):
-    """Malformed HGT file (size, naming, or all-void content)."""
+    """Malformed HGT data: a file's size, naming or all-void content, or
+    seams that neighbouring tiles disagree on."""
 
 
 class Tile:
@@ -181,37 +185,21 @@ class Peak:
     home_tile: tuple[int, int]
 
 
-class PeakCells(Sequence):
-    """One tile's peaks as (row, col) index arrays, in (row, col) order.
-
-    The arrays are all the bounding pass reads.  Indexing or iterating
-    makes the :class:`Peak` of a cell, located by ``Tile.sample_point``: the
-    reference path and the tests take their peaks this way.
-    """
-
-    __slots__ = ("tile", "rows", "cols")
-
-    def __init__(self, tile: Tile, rows: np.ndarray, cols: np.ndarray):
-        self.tile = tile
-        self.rows = rows
-        self.cols = cols
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, k: int) -> Peak:
-        i, j = int(self.rows[k]), int(self.cols[k])
-        tile = self.tile
-        return Peak(tile.sample_point(i, j), int(tile.elevations[i, j]), tile.key)
-
-
-class Event(NamedTuple):
-    """Sweep event; the sequence is ordered by descending elevation."""
-
-    elevation_m: int
-    kind: int
-    point: GeoPoint
-    peak: Optional[Peak]
+# One peak as found by one tile, as the pipeline, the sweep and the oracle
+# hand peaks on: location (longitude wrapped into (-180, 180] as GeoPoint
+# wraps it, so a sample has one location whichever tile finds it),
+# elevation, home tile (the SW corner of the tile that found it) and the
+# bound on its isolation (inf while none).
+PEAK_DTYPE = np.dtype(
+    [
+        ("lat", np.float64),
+        ("lng", np.float64),
+        ("elevation", np.int32),
+        ("home_lat", np.int32),
+        ("home_lng", np.int32),
+        ("bound", np.float64),
+    ]
+)
 
 
 _HGT_NAME = re.compile(r"^([NS])(\d{2})([EW])(\d{3})$")
@@ -324,14 +312,15 @@ _LATER_NEIGHBORS = [(0, 1), (1, -1), (1, 0), (1, 1)]
 
 def detect_peaks(
     tile: Tile, dominated: Optional[np.ndarray] = None, qualifies: Optional[np.ndarray] = None
-) -> PeakCells:
-    """Samples with all eight neighbors of lower or equal elevation.
+) -> np.ndarray:
+    """Samples with all eight neighbors of lower or equal elevation, as
+    ascending row-major indices into the tile's grid.
 
     Neighbors outside the grid are treated as absent, so boundary samples
     qualify on their existing neighbors alone (:func:`qualifying_samples`).
     A connected flat region of equal elevation yields exactly one
     representative: the first qualifying sample in (row, col) scan order,
-    i.e. the NW-most, then W-most one.  Results are ordered by (row, col).
+    i.e. the NW-most, then W-most one.
 
     ``dominated``, a mask over the grid, leaves out the peaks on it: a flat
     region is labelled only from a qualifying sample off the mask, and its
@@ -342,8 +331,7 @@ def detect_peaks(
     ``qualifies`` is the tile's :func:`qualifying_samples` mask, when the
     caller has it at hand.  The one-tile case of :func:`peak_indices`.
     """
-    rows, cols = np.divmod(peak_indices(tile.elevations, dominated, qualifies), tile.shape[1])
-    return PeakCells(tile, rows, cols)
+    return peak_indices(tile.elevations, dominated, qualifies)
 
 
 def peak_indices(
@@ -468,51 +456,38 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return parent
 
 
-def detect_peaks_deduped(tiles: Iterable[Tile]) -> list[Peak]:
-    """Per-tile peak detection with seam duplicates merged by coordinate.
-
-    The same summit detected from several tiles (shared edge rows) keeps the
-    copy with the smallest home-tile key.  Results sorted by location.
-    """
-    by_location: dict[GeoPoint, Peak] = {}
-    for tile in sorted(tiles, key=lambda t: t.key):
-        for pk in detect_peaks(tile):
-            cur = by_location.get(pk.location)
-            if cur is None:
-                by_location[pk.location] = pk
-            elif cur.elevation_m != pk.elevation_m:
-                raise ValueError(f"seam elevation mismatch at {pk.location}")
-        # ties on location keep the first (smallest) home tile
-    return [by_location[loc] for loc in sorted(by_location)]
-
-
-def build_events(tile: Tile, peaks: Sequence[Peak]) -> list[Event]:
+def build_events(grid: Tile, peak_ids: np.ndarray) -> np.ndarray:
     """Sorted sweep events: one insert and remove per sample plus peak events.
 
-    Removal fires at the elevation of the sample's lowest NESW neighbor,
-    clamped to the sample's own elevation (a sample whose neighbors are all
-    higher would otherwise be removed before it was inserted).  Order is by
-    descending elevation, then peak < insert < remove, then (lat, lng).
+    ``peak_ids`` are the distinct peaks' samples, as row-major indices into
+    ``grid``.  Returns :data:`EVENT_DTYPE` rows.  Removal fires at the
+    elevation of the sample's lowest NESW neighbor, clamped to the sample's
+    own elevation (a sample whose neighbors are all higher would otherwise
+    be removed before it was inserted).  Order is by descending elevation,
+    then peak < insert < remove, then (lat, lng) with the longitude wrapped
+    as GeoPoint wraps it.
     """
-    elev32 = tile.elevations.astype(np.int32)
-    remove_elev = np.minimum(_lowest_nesw_grid(elev32), elev32)
-    lats = tile.sample_lats().tolist()
-    lngs = tile.sample_lngs().tolist()
-    elev_rows = tile.elevations.tolist()
-    remove_rows = remove_elev.tolist()
-
-    events: list[Event] = []
-    append = events.append
-    for i, lat in enumerate(lats):
-        erow = elev_rows[i]
-        rrow = remove_rows[i]
-        for j, lng in enumerate(lngs):
-            pt = GeoPoint(lat, lng)
-            append(Event(erow[j], EVENT_INSERT, pt, None))
-            append(Event(rrow[j], EVENT_REMOVE, pt, None))
-    for pk in peaks:
-        append(Event(pk.elevation_m, EVENT_PEAK, pk.location, pk))
-    events.sort(key=lambda ev: (-ev.elevation_m, ev.kind, ev.point))
+    elevations = grid.elevations.ravel()
+    removal = np.minimum(_lowest_nesw_grid(grid.elevations).ravel(), elevations).astype(np.int16)
+    # The samples in location order: latitude rises from the last row, the
+    # southernmost, and each row's samples in wrapped-longitude order.
+    rows, cols = grid.shape
+    by_lng = np.argsort(wrap_longitude_many(grid.sample_lngs()), kind="stable")
+    by_location = (np.arange(rows - 1, -1, -1)[:, None] * cols + by_lng).ravel()
+    is_peak = np.zeros(len(elevations), dtype=bool)
+    is_peak[peak_ids] = True
+    peaks = by_location[is_peak[by_location]]
+    # The peaks, the inserts and the removes, each in location order: a
+    # stable sort by descending elevation keeps both tie-breaks.  ~level is
+    # -level - 1 without overflow, and on 16 bits the stable sort is a radix
+    # sort.
+    samples = np.concatenate([peaks, by_location, by_location])
+    level = np.concatenate([elevations[peaks], elevations[by_location], removal[by_location]])
+    order = np.argsort(~level, kind="stable")
+    kinds = np.array([EVENT_PEAK, EVENT_INSERT, EVENT_REMOVE], dtype=np.int8)
+    events = np.empty(len(order), dtype=EVENT_DTYPE)
+    events["sample"] = samples[order]
+    events["kind"] = np.repeat(kinds, [len(peaks), len(by_location), len(by_location)])[order]
     return events
 
 
@@ -649,6 +624,9 @@ def merge_tiles(tiles: Sequence[Tile]) -> Tile:
 
     Seam rows/columns must agree bit-exactly between neighbors; the merged
     grid holds each physical sample once.
+
+    Raises:
+        HgtFormatError: two tiles disagree on a seam sample.
     """
     if not tiles:
         raise ValueError("no tiles to merge")
@@ -682,11 +660,14 @@ def merge_tiles(tiles: Sequence[Tile]) -> Tile:
         top = (lats[0] + rows - 1 - la) * spd
         left = (ln - lngs[0]) * spd
         region = (slice(top, top + spd + 1), slice(left, left + spd + 1))
-        overlap = filled[region]
-        if overlap.any() and not np.array_equal(
-            world[region][overlap], t.elevations[overlap]
-        ):
-            raise ValueError(f"seam mismatch at tile {(la, ln)}")
+        differ = filled[region] & (world[region] != t.elevations)
+        if differ.any():
+            # Of the tiles merged before, only those south and west of this
+            # one share samples with it.
+            i, j = np.argwhere(differ)[0].tolist()
+            other = (la - 1, ln) if i == spd and (la - 1, ln) in by_key else (la, ln - 1)
+            at = f"{t.sample_point(i, j)}: {world[region][i, j]} m vs {t.elevations[i, j]} m"
+            raise HgtFormatError(f"seam mismatch between tiles {other} and {(la, ln)} at {at}")
         world[region] = t.elevations
         filled[region] = True
     return Tile(lats[0], lngs[0], world, spd)

@@ -28,11 +28,10 @@ The main process joins the batches' rows once and works on that one
 array.  A row is kept when its bound is at least the threshold; the others
 are discarded.  A peak is its location: one sort (:func:`distinct_peaks`)
 gives every row its location, a seam peak found by several tiles is one
-peak, with the smallest home tile of all its rows, as
-``dem.detect_peaks_deduped`` picks it, and it is kept when any of its rows
-is.  Tile assignment then sends every kept row with a finite bound, in one
-batched ``TileIndex.tiles_within`` query, to every tile within its bound,
-and each (tile, peak) pair keeps its smallest bound.
+peak, with the smallest home tile of all its rows, and it is kept when any
+of its rows is.  Tile assignment then sends every kept row with a finite
+bound, in one batched ``TileIndex.tiles_within`` query, to every tile
+within its bound, and each (tile, peak) pair keeps its smallest bound.
 
 Pass 3 (finalization) asks a full-resolution pyramid of each batch of
 tiles, in one search, for the nearest strictly higher sample in each tile
@@ -47,9 +46,10 @@ Peaks and candidates cross between the passes, and to and from the worker
 processes, as structured numpy arrays (:data:`PEAK_DTYPE`, and
 :data:`CANDIDATE_DTYPE`, the rows the pyramid search returns, defined in
 :mod:`~isoscan.spatial_index`), and the answers leave the pipeline as
-arrays too (:data:`ANSWER_DTYPE`), from which the CSV is written; ``Peak`` and
-``IlpResult`` objects are made only on demand, for the audit, the oracle
-check and the tests (``PipelineResult.results``).
+arrays too (:data:`ANSWER_DTYPE`), from which the CSV is written and which
+``oracle-check`` compares; ``Peak`` and ``IlpResult`` objects are made only
+on demand (``PipelineResult.results``), for the audit and for callers that
+read the results peak by peak.
 Bounding and finalization run batch-parallel in worker processes: each
 pass cuts its tiles, in key order, into batches of consecutive same-shape
 tiles (:func:`_batches`), and builds one stacked pyramid and makes one
@@ -57,7 +57,8 @@ search per batch, so that small tiles do not each pay the search's fixed
 cost.  Every answer is the one a search of its tile alone gives, and results
 are merged in deterministic key order, so output is identical for any
 worker count.  The event sweep (:func:`run_merged_sweep`) is the paper's
-single-sweep reference path.
+single-sweep reference path: it resolves the same peak set, joined at
+seams by :func:`distinct_peaks`, and returns its answers in the same arrays.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dem import (
+    PEAK_DTYPE,
     Peak,
     Tile,
     build_events,
-    detect_peaks,  # no caller here; perfbench's tracer wraps multipass.detect_peaks
-    detect_peaks_deduped,
+    detect_peaks,
     downsample,  # no caller here; perfbench's tracer wraps multipass.downsample
     merge_tiles,
     peak_indices,
@@ -96,7 +97,7 @@ from .spatial_index import (
     TileKey,
     nearest_per_peak,
 )
-from .sweep import IlpResult, run_sweep
+from .sweep import ANSWER_DTYPE, IlpResult, PeakTrace, ResultArrays, run_sweep
 
 __all__ = [
     "BOUND_INFLATION",
@@ -128,26 +129,6 @@ __all__ = [
     "PipelineStats",
     "audit_pipeline",
 ]
-
-# One peak as found by one tile, between the passes: location (longitude
-# wrapped into (-180, 180] as GeoPoint wraps it, so a sample has one
-# location whichever tile finds it), elevation, home tile (the SW corner of
-# the tile that found it) and the bound on its isolation (inf while none).
-PEAK_DTYPE = np.dtype(
-    [
-        ("lat", np.float64),
-        ("lng", np.float64),
-        ("elevation", np.int32),
-        ("home_lat", np.int32),
-        ("home_lng", np.int32),
-        ("bound", np.float64),
-    ]
-)
-
-# One peak's answer: the distance to its nearest strictly higher sample and
-# that sample's location, all NaN when it has none (the search-area high
-# point).
-ANSWER_DTYPE = np.dtype([("distance", np.float64), ("lat", np.float64), ("lng", np.float64)])
 
 # Bounds are final-metric distances times BOUND_INFLATION, and tiles are
 # assigned by great-circle distance.  Under the ellipsoid metric the ratio of
@@ -521,14 +502,6 @@ def finalization_pass(
     return out
 
 
-class ResultArrays(NamedTuple):
-    """Peaks and their answers: parallel :data:`PEAK_DTYPE` and
-    :data:`ANSWER_DTYPE` rows."""
-
-    peaks: np.ndarray
-    answers: np.ndarray
-
-
 def finalize(peaks: np.ndarray, candidates: np.ndarray) -> ResultArrays:
     """Pick the closest candidate per peak; no candidate means undefined.
 
@@ -865,30 +838,44 @@ def run_merged_sweep(
     area: Quadrilateral,
     tiles: Mapping[TileKey, Tile] | Sequence[Tile],
     metric,
-) -> list[IlpResult]:
+    trace_sink: Optional[list[PeakTrace]] = None,
+) -> ResultArrays:
     """Single sweep over the merged area with the pipeline's peak set.
 
-    Peaks are detected per tile and deduplicated at seams, the same set the
-    multi-pass pipeline resolves, so both paths are directly comparable.
+    Peaks are detected per tile and joined at seams by :func:`distinct_peaks`,
+    the set the multi-pass pipeline resolves, so both paths are directly
+    comparable.  Returns the peaks in location order and their answers.
+    ``trace_sink`` is handed to ``run_sweep``.
     """
-    if isinstance(tiles, Mapping):
-        tile_list = [tiles[k] for k in sorted(tiles)]
-    else:
-        tile_list = sorted(tiles, key=lambda t: t.key)
+    if not isinstance(tiles, Mapping):
+        tiles = {t.key: t for t in tiles}
     keys = area_tile_keys(area)
-    missing = [k for k in keys if k not in {t.key for t in tile_list}]
+    missing = [k for k in keys if k not in tiles]
     if missing:
         raise MissingTilesError(missing)
-    tile_list = [t for t in tile_list if t.key in set(keys)]
+    tile_list = [tiles[k] for k in keys]
     merged = merge_tiles(tile_list)
-    peaks = detect_peaks_deduped(tile_list)
-    events = build_events(merged, peaks)
-    bounds = merged.quad
-    if bounds.lng_min == -180:
-        # Samples on the west edge wrap to lng 180, as GeoPoint wraps them,
-        # so the tree must span every longitude to hold them.
-        bounds = bounds._replace(lng_max=180)
-    return run_sweep(events, bounds, metric)
+    spd = merged.steps_per_degree
+    width = merged.shape[1]
+    # Each tile's peak rows, and their samples in the merged grid.
+    tile_peaks, samples = [], []
+    for tile in tile_list:
+        rows, cols = np.divmod(detect_peaks(tile), tile.shape[1])
+        tile_peaks.append(peak_rows(tile, rows, cols))
+        top = (merged.quad.lat_max - tile.quad.lat_max) * spd
+        left = (tile.origin_lng - merged.origin_lng) * spd
+        samples.append((rows + top) * width + cols + left)
+    peaks, ids = distinct_peaks(np.concatenate(tile_peaks))
+    peak_samples = np.empty(len(peaks), dtype=np.int64)
+    peak_samples[ids] = np.concatenate(samples)
+    events = build_events(merged, peak_samples)
+    candidates = run_sweep(events, merged, metric, trace_sink=trace_sink)
+    # Each candidate's peak, from its sample to its row of peaks.
+    by_sample = np.argsort(peak_samples)
+    candidates["peak"] = by_sample[
+        np.searchsorted(peak_samples, candidates["peak"], sorter=by_sample)
+    ]
+    return finalize(peaks, candidates)
 
 
 def audit_pipeline(outcome: PipelineResult) -> list[str]:

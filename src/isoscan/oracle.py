@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .dem import Peak, Tile
+from .dem import Tile
 from .geo import MEAN_RADIUS_M, METRIC_ANISOTROPY, GeoPoint, to_cartesian
 from .spatial_index import EllipsoidMetric
-from .sweep import IlpResult
+from .sweep import ANSWER_DTYPE, ResultArrays
 
-__all__ = ["SampleUniverse", "brute_force_ilp", "brute_force_all"]
+__all__ = ["SampleUniverse", "brute_force_all"]
 
 
 @dataclass
@@ -33,7 +33,6 @@ class SampleUniverse:
     lats: np.ndarray
     lngs: np.ndarray
     elevations: np.ndarray
-    _by_location: Optional[dict[GeoPoint, int]] = field(default=None, repr=False)
     _units: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     @classmethod
@@ -66,14 +65,6 @@ class SampleUniverse:
     def __len__(self) -> int:
         return len(self.lats)
 
-    def elevation_at(self, p: GeoPoint) -> int:
-        if self._by_location is None:
-            self._by_location = {
-                GeoPoint(lat, lng): i
-                for i, (lat, lng) in enumerate(zip(self.lats.tolist(), self.lngs.tolist()))
-            }
-        return int(self.elevations[self._by_location[p]])
-
     def unit_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._units is None:
             phi = np.radians(self.lats)
@@ -83,57 +74,48 @@ class SampleUniverse:
         return self._units
 
 
-def _chord_candidates(
-    universe: SampleUniverse, start: int, p: GeoPoint, anisotropy: float
-) -> np.ndarray:
-    """Indices (into the suffix) of samples within the candidate screen.
+def _nearest_higher(
+    location: GeoPoint, elevation_m: int, universe: SampleUniverse, metric
+) -> Optional[tuple[float, GeoPoint]]:
+    """Exact (distance, point) of the nearest strictly higher sample, or None.
 
-    Chord length is monotone in the central angle, so the near-minimal set
-    under any sphere-based metric is found without per-sample trigonometry.
+    The strictly higher samples are screened by chord length, monotone in
+    the central angle, so the near-minimal set under any sphere-based metric
+    is found without per-sample trigonometry: the screen keeps everything
+    within METRIC_ANISOTROPY of the nearest chord, plus an absolute slack,
+    under the ellipsoid metric.  The exact scalar distance then re-ranks the
+    candidates, so the result is bit-identical to a pure scalar scan; ties
+    on distance break by ascending (lat, lng), the same rule the sweep uses.
     """
+    start = int(np.searchsorted(universe.elevations, elevation_m, side="right"))
+    if start == len(universe.elevations):
+        return None
     ux, uy, uz = universe.unit_vectors()
-    pv = to_cartesian(p)
+    pv = to_cartesian(location)
     dot = ux[start:] * pv.x + uy[start:] * pv.y + uz[start:] * pv.z
-    chord2 = 2.0 - 2.0 * dot
-    np.clip(chord2, 0.0, 4.0, out=chord2)
+    chord2 = np.clip(2.0 - 2.0 * dot, 0.0, 4.0)
     sigma_min = 2.0 * math.asin(min(1.0, math.sqrt(float(chord2.min())) * 0.5))
     slack = (1e-3 + sigma_min * MEAN_RADIUS_M * 1e-9) / MEAN_RADIUS_M
-    sigma_thr = min(sigma_min * anisotropy + slack, math.pi)
-    chord_thr = 2.0 * math.sin(sigma_thr * 0.5)
-    return np.nonzero(chord2 <= chord_thr * chord_thr)[0]
-
-
-def brute_force_ilp(peak: Peak, universe: SampleUniverse, metric) -> IlpResult:
-    """Exact isolation by exhaustive scan over all strictly higher samples.
-
-    Ties on distance break by ascending (lat, lng) of the candidate, the
-    same rule the sweep uses.  Returns ``ilp=None`` when no sample is
-    strictly higher than the peak.
-    """
-    start = int(np.searchsorted(universe.elevations, peak.elevation_m, side="right"))
-    if start == len(universe.elevations):
-        return IlpResult(peak, None, None)
-    lats = universe.lats[start:]
-    lngs = universe.lngs[start:]
-    # Chord screening keeps everything within METRIC_ANISOTROPY of the
-    # nearest chord, plus an absolute slack, under the ellipsoid metric.
     anisotropy = METRIC_ANISOTROPY if isinstance(metric, EllipsoidMetric) else 1.0 + 1e-9
-    candidates = _chord_candidates(universe, start, peak.location, anisotropy)
-    # Re-rank candidates with the exact scalar distance so the result is
-    # bit-identical to a pure scalar scan.
+    chord_thr = 2.0 * math.sin(min(sigma_min * anisotropy + slack, math.pi) * 0.5)
     best: Optional[tuple[float, GeoPoint]] = None
-    for idx in candidates.tolist():
-        pt = GeoPoint(lats[idx], lngs[idx])
-        d = metric.distance(peak.location, pt)
+    for idx in (start + np.flatnonzero(chord2 <= chord_thr * chord_thr)).tolist():
+        pt = GeoPoint(universe.lats[idx], universe.lngs[idx])
+        d = metric.distance(location, pt)
         if best is None or (d, pt) < best:
             best = (d, pt)
-    return IlpResult(peak, best[1], best[0])
+    return best
 
 
-def brute_force_all(
-    peaks: Sequence[Peak], universe: SampleUniverse, metric
-) -> list[IlpResult]:
-    """Oracle results for many peaks, sorted by peak location."""
-    results = [brute_force_ilp(pk, universe, metric) for pk in peaks]
-    results.sort(key=lambda r: r.peak.location)
-    return results
+def brute_force_all(peaks: np.ndarray, universe: SampleUniverse, metric) -> ResultArrays:
+    """Oracle answers for the :data:`~isoscan.dem.PEAK_DTYPE` rows ``peaks``,
+    sorted by peak location; a peak with no strictly higher sample gets NaN."""
+    peaks = peaks[np.lexsort((peaks["lng"], peaks["lat"]))]
+    answers = np.full(len(peaks), np.nan, dtype=ANSWER_DTYPE)
+    for k, (lat, lng, elevation) in enumerate(
+        zip(peaks["lat"].tolist(), peaks["lng"].tolist(), peaks["elevation"].tolist())
+    ):
+        best = _nearest_higher(GeoPoint(lat, lng), elevation, universe, metric)
+        if best is not None:
+            answers[k] = (best[0], *best[1])
+    return ResultArrays(peaks, answers)

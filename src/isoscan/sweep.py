@@ -5,6 +5,9 @@ at their insert event and inactive at their remove event; at a peak event
 every active point is strictly higher than the peak (peaks sort before
 same-elevation inserts), so the nearest active point is the peak's
 isolation limit point.
+Events are sample ids into the swept grid, and a sample's point is made only
+when it is inserted, removed or queried.  The results of the sweep, the
+pipeline and the oracle share one format, :class:`ResultArrays`.
 """
 
 from __future__ import annotations
@@ -12,14 +15,18 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .dem import EVENT_INSERT, EVENT_REMOVE, Event, Peak
-from .geo import GeoPoint
-from .quad import Quadrilateral
-from .spatial_index import PointNotFoundError, SphereKdTree
+import numpy as np
+
+from .dem import EVENT_INSERT, EVENT_REMOVE, Peak, Tile
+from .geo import GeoPoint, wrap_longitude_many
+from .spatial_index import CANDIDATE_DTYPE, PointNotFoundError, SphereKdTree
 
 __all__ = [
+    "ANSWER_DTYPE",
+    "ResultArrays",
     "IlpResult",
     "PeakTrace",
     "SweepConsistencyError",
@@ -27,6 +34,23 @@ __all__ = [
     "run_sweep",
     "assert_sweep_invariant",
 ]
+
+# One peak's answer: the distance to its nearest strictly higher sample and
+# that sample's location, all NaN when it has none (the search-area high
+# point).
+ANSWER_DTYPE = np.dtype([("distance", np.float64), ("lat", np.float64), ("lng", np.float64)])
+
+# Events run_sweep turns into points at a time, so that it holds the Python
+# objects of one slice of the events, not of all of them.
+_SLICE_EVENTS = 1 << 15
+
+
+class ResultArrays(NamedTuple):
+    """Peaks and their answers: parallel :data:`~isoscan.dem.PEAK_DTYPE` and
+    :data:`ANSWER_DTYPE` rows."""
+
+    peaks: np.ndarray
+    answers: np.ndarray
 
 
 class SweepConsistencyError(RuntimeError):
@@ -56,71 +80,83 @@ class PeakTrace(NamedTuple):
 
 
 def run_sweep(
-    events: Sequence[Event],
-    bounds: Quadrilateral,
+    events: np.ndarray,
+    grid: Tile,
     metric,
     trace_sink: Optional[list[PeakTrace]] = None,
-) -> list[IlpResult]:
+) -> np.ndarray:
     """Process a descending event sequence and resolve every peak event.
 
     Args:
-        events: sorted per the ``build_events`` contract.
-        bounds: quadrilateral covering all insert points.
+        events: :data:`~isoscan.dem.EVENT_DTYPE` rows over ``grid``, sorted
+            per the ``build_events`` contract.
+        grid: the grid whose samples the events index.
         metric: distance metric used for the nearest-neighbor queries.
         trace_sink: when given, a :class:`PeakTrace` is appended per peak
             event for invariant checking.
 
     Returns:
-        One result per peak event, sorted by peak location.  A peak that
-        sees no active point (the area's highest) gets ``ilp=None``.
+        One :data:`~isoscan.spatial_index.CANDIDATE_DTYPE` row per peak event
+        that sees an active point, in event order, ``peak`` being the peak's
+        sample.  A peak that sees none (the area's highest) has no row.
     """
+    bounds = grid.quad
+    if bounds.lng_min == -180:
+        # Samples on the west edge wrap to lng 180, as GeoPoint wraps them,
+        # so the tree must span every longitude to hold them.
+        bounds = bounds._replace(lng_max=180)
     tree = SphereKdTree(bounds)
-    results: list[IlpResult] = []
+    lats = grid.sample_lats()
+    lngs = wrap_longitude_many(grid.sample_lngs())
+    cols = grid.shape[1]
+    elevations = grid.elevations.reshape(-1)
+    found: list[tuple[int, float, float, float]] = []
     instrument = trace_sink is not None
     if instrument:
-        elevation_of: dict[GeoPoint, int] = {}
+        # The elevations of the active samples, as counts and a lazy min-heap.
         level_counts: Counter[int] = Counter()
         level_heap: list[int] = []
 
-    for index, ev in enumerate(events):
-        kind = ev.kind
-        if kind == EVENT_INSERT:
-            tree.insert(ev.point)
-            if instrument:
-                elevation_of[ev.point] = ev.elevation_m
-                level_counts[ev.elevation_m] += 1
-                heapq.heappush(level_heap, ev.elevation_m)
-        elif kind == EVENT_REMOVE:
-            try:
-                tree.remove(ev.point)
-            except PointNotFoundError as exc:
-                raise SweepConsistencyError(
-                    f"event {index}: remove of absent point {ev.point}"
-                ) from exc
-            if instrument:
-                level_counts[elevation_of.pop(ev.point)] -= 1
-        else:
-            if instrument:
-                while level_heap and level_counts[level_heap[0]] == 0:
-                    heapq.heappop(level_heap)
-                trace_sink.append(
-                    PeakTrace(
-                        index,
-                        ev.elevation_m,
-                        len(tree),
-                        level_heap[0] if level_heap else None,
-                    )
-                )
-            if len(tree) == 0:
-                results.append(IlpResult(ev.peak, None, None))
+    for start in range(0, len(events), _SLICE_EVENTS):
+        part = events[start : start + _SLICE_EVENTS]
+        samples = part["sample"]
+        row, col = np.divmod(samples, cols)
+        for index, sample, kind, elevation, lat, lng in zip(
+            count(start),
+            samples.tolist(),
+            part["kind"].tolist(),
+            elevations[samples].tolist(),
+            lats[row].tolist(),
+            lngs[col].tolist(),
+        ):
+            point = GeoPoint(lat, lng)
+            if kind == EVENT_INSERT:
+                tree.insert(point)
+                if instrument:
+                    level_counts[elevation] += 1
+                    heapq.heappush(level_heap, elevation)
+            elif kind == EVENT_REMOVE:
+                try:
+                    tree.remove(point)
+                except PointNotFoundError as exc:
+                    raise SweepConsistencyError(
+                        f"event {index}: remove of absent sample {sample} at {point}"
+                    ) from exc
+                if instrument:
+                    level_counts[elevation] -= 1
             else:
-                point, dist = tree.nearest_neighbor(ev.point, metric)
-                results.append(IlpResult(ev.peak, point, dist))
+                if instrument:
+                    while level_heap and level_counts[level_heap[0]] == 0:
+                        heapq.heappop(level_heap)
+                    lowest = level_heap[0] if level_heap else None
+                    trace_sink.append(PeakTrace(index, elevation, len(tree), lowest))
+                if len(tree):
+                    ilp, distance = tree.nearest_neighbor(point, metric)
+                    found.append((sample, distance, *ilp))
 
     if len(tree) != 0:
         raise SweepConsistencyError(f"{len(tree)} points still active after the last event")
-    results.sort(key=lambda r: r.peak.location)
-    return results
+    return np.array(found, dtype=CANDIDATE_DTYPE)
 
 
 def assert_sweep_invariant(trace: Sequence[PeakTrace]) -> None:

@@ -8,14 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from isoscan.dem import Tile, generate_synthetic
+from isoscan.dem import Peak, Tile, detect_peaks, generate_synthetic
 from isoscan.geo import METRIC_ANISOTROPY, GeoPoint, great_circle_distance_many
-from isoscan.multipass import PipelineResult, run_pipeline
+from isoscan.multipass import (
+    PipelineResult,
+    ResultArrays,
+    distinct_peaks,
+    peak_rows,
+    run_merged_sweep,
+    run_pipeline,
+)
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
-from isoscan.sweep import IlpResult, PeakTrace, run_sweep
-from isoscan.dem import build_events, detect_peaks_deduped, merge_tiles
+from isoscan.sweep import IlpResult, PeakTrace
 
 ACCEPTANCE_WORLD_COUNT = 20
 WORLD_ROWS = 2
@@ -35,9 +41,9 @@ class WorldRun:
     universe: SampleUniverse
     events_total: int
     trace: list[PeakTrace]
-    sweep_results: list[IlpResult]
+    sweep_results: ResultArrays
     sweep_seconds: float
-    oracle_results: list[IlpResult]
+    oracle_results: ResultArrays
     oracle_seconds: float
     pipeline: PipelineResult = field(repr=False)
 
@@ -61,17 +67,14 @@ def build_world(index: int) -> WorldRun:
     )
     metric = EllipsoidMetric()
 
-    merged = merge_tiles(tiles)
-    peaks = detect_peaks_deduped(tiles)
-    events = build_events(merged, peaks)
     trace: list[PeakTrace] = []
     t0 = time.perf_counter()
-    swept = run_sweep(events, merged.quad, metric, trace_sink=trace)
+    swept = run_merged_sweep(area, by_key, metric, trace_sink=trace)
     sweep_seconds = time.perf_counter() - t0
 
     universe = SampleUniverse.from_tiles(tiles)
     t0 = time.perf_counter()
-    reference = brute_force_all(peaks, universe, metric)
+    reference = brute_force_all(area_peaks(tiles), universe, metric)
     oracle_seconds = time.perf_counter() - t0
 
     pipeline = run_pipeline(area, by_key, i_min=0.0, threads=1)
@@ -81,7 +84,8 @@ def build_world(index: int) -> WorldRun:
         area=area,
         tiles=by_key,
         universe=universe,
-        events_total=len(events),
+        # Two events a sample of the merged grid, and one a peak.
+        events_total=2 * len(universe) + len(swept.peaks),
         trace=trace,
         sweep_results=swept,
         sweep_seconds=sweep_seconds,
@@ -94,6 +98,22 @@ def build_world(index: int) -> WorldRun:
 @pytest.fixture(scope="session")
 def acceptance_runs() -> list[WorldRun]:
     return [build_world(i) for i in range(ACCEPTANCE_WORLD_COUNT)]
+
+
+def area_peaks(tiles) -> np.ndarray:
+    """The tiles' peaks, a seam peak once with its smallest home tile: the
+    PEAK_DTYPE rows of the pipeline's and the sweep's peak set, in location
+    order."""
+    rows = [peak_rows(t, *np.divmod(detect_peaks(t), t.shape[1])) for t in tiles]
+    return distinct_peaks(np.concatenate(rows))[0]
+
+
+def peaks_of(tile: Tile, samples: np.ndarray) -> list[Peak]:
+    """The Peak of each of the tile's ``samples``, row-major indices into its grid."""
+    return [
+        Peak(tile.sample_point(*divmod(k, tile.shape[1])), int(tile.elevations.flat[k]), tile.key)
+        for k in samples.tolist()
+    ]
 
 
 def results_by_location(results) -> dict[GeoPoint, IlpResult]:

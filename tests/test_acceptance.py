@@ -17,7 +17,14 @@ import pytest
 from conftest import WorldRun, exact_nearest, results_by_location
 from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
 from isoscan.cli import main, write_csv
-from isoscan.dem import build_events, detect_peaks, generate_synthetic, load_hgt, save_hgt
+from isoscan.dem import (
+    build_events,
+    detect_peaks,
+    downsample,
+    generate_synthetic,
+    load_hgt,
+    save_hgt,
+)
 from isoscan.geo import (
     MEAN_RADIUS_M as R,
     GeoPoint,
@@ -25,7 +32,7 @@ from isoscan.geo import (
     great_circle_distance,
     great_circle_distance_many,
 )
-from isoscan.multipass import audit_pipeline, run_pipeline
+from isoscan.multipass import audit_pipeline, ilp_results, run_pipeline
 from isoscan.quad import Quadrilateral, max_distance, min_distance
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from isoscan.sweep import assert_sweep_invariant
@@ -41,12 +48,13 @@ def test_c01_single_sweep_matches_oracle(acceptance_runs: list[WorldRun]):
     total_peaks = 0
     for run in acceptance_runs:
         total_seconds += run.sweep_seconds + run.oracle_seconds
-        assert len(run.sweep_results) == len(run.oracle_results)
-        for got, want in zip(run.sweep_results, run.oracle_results):
+        swept, reference = ilp_results(run.sweep_results), ilp_results(run.oracle_results)
+        assert len(swept) == len(reference)
+        for got, want in zip(swept, reference):
             assert got.peak == want.peak
             assert got.isolation_m == want.isolation_m  # bit-exact
             assert got.ilp == want.ilp
-        total_peaks += len(run.sweep_results)
+        total_peaks += len(swept)
     assert len(acceptance_runs) >= 20
     assert total_seconds < 60.0
     _verdict(
@@ -60,8 +68,9 @@ def test_c02_pipeline_equivalence(acceptance_runs: list[WorldRun]):
     """Pipeline == single sweep == oracle, one undefined isolation per world."""
     for run in acceptance_runs:
         triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
-        assert triples(run.pipeline.results) == triples(run.sweep_results)
-        assert triples(run.sweep_results) == triples(run.oracle_results)
+        swept, reference = ilp_results(run.sweep_results), ilp_results(run.oracle_results)
+        assert triples(run.pipeline.results) == triples(swept)
+        assert triples(swept) == triples(reference)
         undefined = [r for r in run.pipeline.results if r.isolation_m is None]
         assert len(undefined) == 1
     _verdict(2, f"three-way equivalence on {len(acceptance_runs)} worlds")
@@ -204,15 +213,10 @@ def test_c07_event_count(acceptance_runs: list[WorldRun]):
     tiles_checked = 0
     for run in acceptance_runs[:6]:
         for tile in run.tiles.values():
-            peaks = detect_peaks(tile)
-            events = build_events(tile, peaks)
-            rows, cols = tile.shape
-            assert len(events) == 2 * rows * cols + len(peaks)
-            from isoscan.dem import downsample
-
-            strided = downsample(tile, 2)
-            srows, scols = strided.shape
-            assert len(build_events(strided, peaks)) == 2 * srows * scols + len(peaks)
+            for grid in (tile, downsample(tile, 2)):
+                peaks = detect_peaks(grid)
+                rows, cols = grid.shape
+                assert len(build_events(grid, peaks)) == 2 * rows * cols + len(peaks)
             tiles_checked += 1
     _verdict(7, f"2n+p exact on {tiles_checked} tiles (full and strided)")
 

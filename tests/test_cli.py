@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import area_peaks
 from isoscan import cli
 from isoscan.cli import CSV_HEADER, main, write_csv
-from isoscan.dem import Peak, hgt_filename, load_hgt
+from isoscan.dem import Peak, Tile, generate_synthetic, hgt_filename, load_hgt, save_hgt
 from isoscan.geo import GeoPoint
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.spatial_index import EllipsoidMetric
 from isoscan.sweep import IlpResult
-from isoscan.dem import detect_peaks_deduped
 
 MINI = 121
 
@@ -125,13 +125,11 @@ class TestComputeCsv:
             for la in (45, 46)
             for ln in (7, 8)
         }
-        peaks = detect_peaks_deduped(tiles.values())
-        reference = brute_force_all(
-            peaks, SampleUniverse.from_tiles(tiles.values()), EllipsoidMetric()
+        _peaks, answers = brute_force_all(
+            area_peaks(tiles.values()), SampleUniverse.from_tiles(tiles.values()), EllipsoidMetric()
         )
-        expected = sum(
-            1 for r in reference if r.isolation_m is None or r.isolation_m >= 1000.0
-        )
+        distances = answers["distance"]
+        expected = np.count_nonzero(np.isnan(distances) | (distances >= 1000.0))
         assert len(lines) - 1 == expected
 
     def test_undefined_isolation_row_format(self, cones_world_dir, tmp_path):
@@ -377,23 +375,66 @@ class TestOracleCheckMode:
     def test_forced_disagreement_exits_three(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "tiles"
         assert main(synth_args(out, seed=5, profile="cones", extra=["--cones", "4"])) == 0
-
-        import isoscan.cli as cli_mod
-        from isoscan.sweep import IlpResult
-
-        real = cli_mod.run_merged_sweep
+        real = cli.run_merged_sweep
+        skewed_at = []
 
         def skewed(*args, **kwargs):
-            results = real(*args, **kwargs)
-            first_defined = next(i for i, r in enumerate(results) if r.isolation_m is not None)
-            res = results[first_defined]
-            results[first_defined] = IlpResult(res.peak, res.ilp, res.isolation_m + 1.0)
-            return results
+            arrays = real(*args, **kwargs)
+            k = int(np.flatnonzero(~np.isnan(arrays.answers["distance"]))[0])
+            arrays.answers["distance"][k] += 1.0
+            skewed_at.append(GeoPoint(*arrays.peaks[["lat", "lng"]][k].tolist()))
+            return arrays
 
-        monkeypatch.setattr(cli_mod, "run_merged_sweep", skewed)
+        monkeypatch.setattr(cli, "run_merged_sweep", skewed)
+        capsys.readouterr()
         code = main(compute_args(out, extra=["--mode", "oracle-check"]))
         assert code == 3
-        assert "discrepanc" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        # The pipeline and the oracle both disagree with the skewed sweep there.
+        assert [line.partition(" {")[0] for line in err] == [
+            f"oracle-check: peak {skewed_at[0]}: pipeline",
+            f"oracle-check: peak {skewed_at[0]}: sweep",
+            "oracle-check: 2 discrepancies",
+        ]
+
+    def test_peak_found_by_one_leg_exits_three(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "tiles"
+        assert main(synth_args(out, seed=5, profile="cones", extra=["--cones", "4"])) == 0
+        real = cli.run_merged_sweep
+        dropped = []
+
+        def dropping(*args, **kwargs):
+            peaks, answers = real(*args, **kwargs)
+            dropped.append(GeoPoint(*peaks[["lat", "lng"]][3].tolist()))
+            keep = np.arange(len(peaks)) != 3
+            return cli.ResultArrays(peaks[keep], answers[keep])
+
+        monkeypatch.setattr(cli, "run_merged_sweep", dropping)
+        capsys.readouterr()
+        code = main(compute_args(out, extra=["--mode", "oracle-check"]))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        # The oracle answers the sweep's peaks, so only the pipeline has it.
+        assert err == [
+            f"oracle-check: peak {dropped[0]}: only in pipeline",
+            "oracle-check: 1 discrepancies",
+        ]
+
+    @pytest.mark.parametrize("mode", ["single-sweep", "oracle-check"])
+    def test_seam_mismatch_exits_two(self, tmp_path, capsys, mode):
+        # Two tiles of 121 samples a side; one sample of the shared column
+        # is 7 m higher in the eastern tile's file.
+        data = tmp_path / "tiles"
+        data.mkdir()
+        west, east = generate_synthetic(1, 2, seed=5, profile="fractal", samples_per_side=MINI)
+        bad = east.elevations.copy()
+        bad[60, 0] += 7
+        save_hgt(west, data / hgt_filename(*west.key))
+        save_hgt(Tile(*east.key, bad, east.steps_per_degree), data / hgt_filename(*east.key))
+        argv = compute_args(data, tmp_path / "o.csv", bounds=(45, 46, 7, 9), extra=["--mode", mode])
+        assert main(argv) == 2
+        named = f"seam mismatch between tiles (45, 7) and (45, 8) at {east.sample_point(60, 0)}"
+        assert f"bad data: {named}" in capsys.readouterr().err
 
 
 class TestWriteCsv:

@@ -18,7 +18,6 @@ from isoscan.dem import (
     _lowest_nesw_grid,
     build_events,
     detect_peaks,
-    detect_peaks_deduped,
     downsample,
     generate_synthetic,
     hgt_filename,
@@ -29,6 +28,7 @@ from isoscan.dem import (
     qualifying_samples,
     save_hgt,
 )
+from conftest import area_peaks, peaks_of
 from isoscan.geo import GeoPoint
 from isoscan.multipass import BOUND_INFLATION, _footprint, dominated_samples
 
@@ -86,8 +86,8 @@ def walked_peaks(grid: np.ndarray, dominated=None) -> list[tuple[int, int]]:
     return sorted(peaks)
 
 
-def cells_of(cells) -> list[tuple[int, int]]:
-    return list(zip(cells.rows.tolist(), cells.cols.tolist()))
+def cells_of(tile: Tile, samples: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(*(a.tolist() for a in np.divmod(samples, tile.shape[1]))))
 
 
 class TestTileModel:
@@ -201,14 +201,16 @@ class TestDetectPeaks:
     def test_single_center_peak(self):
         grid = np.full((3, 3), 90, dtype=np.int16)
         grid[1, 1] = 100
-        peaks = detect_peaks(Tile(45, 7, grid, 2))
+        tile = Tile(45, 7, grid, 2)
+        peaks = peaks_of(tile, detect_peaks(tile))
         assert len(peaks) == 1
         assert peaks[0].elevation_m == 100
         assert peaks[0].location == GeoPoint(45.5, 7.5)
 
     def test_monotone_ramp_peaks_only_on_high_edge(self):
         grid = np.tile(np.arange(9, dtype=np.int16) * 10, (9, 1))
-        peaks = detect_peaks(Tile(45, 7, grid, 8))
+        tile = Tile(45, 7, grid, 8)
+        peaks = peaks_of(tile, detect_peaks(tile))
         assert peaks, "the high edge qualifies via existing neighbors"
         for pk in peaks:
             assert pk.location.lng_deg == 8.0  # east edge is the high one
@@ -216,20 +218,19 @@ class TestDetectPeaks:
     def test_flat_summit_single_nw_representative(self):
         grid = np.full((5, 5), 10, dtype=np.int16)
         grid[2:4, 2:4] = 50  # 2x2 flat summit
-        peaks = detect_peaks(Tile(45, 7, grid, 4))
+        t = Tile(45, 7, grid, 4)
+        peaks = peaks_of(t, detect_peaks(t))
         assert len(peaks) == 2  # the summit plus the surrounding flat sea ring
         summit = [p for p in peaks if p.elevation_m == 50]
         assert len(summit) == 1
-        t = Tile(45, 7, grid, 4)
         assert summit[0].location == t.sample_point(2, 2)  # NW-most, then W-most
 
     def test_flat_region_next_to_higher_ground_uses_qualifying_representative(self):
         grid = np.full((5, 5), 10, dtype=np.int16)
         grid[0, 0] = 99  # NW corner of the flat region's component is disqualified
-        peaks = detect_peaks(Tile(45, 7, grid, 4))
-        flat_reps = [p for p in peaks if p.elevation_m == 10]
-        assert len(flat_reps) == 1
         t = Tile(45, 7, grid, 4)
+        flat_reps = [p for p in peaks_of(t, detect_peaks(t)) if p.elevation_m == 10]
+        assert len(flat_reps) == 1
         assert flat_reps[0].location == t.sample_point(0, 2)  # first qualifying in scan order
 
     @given(
@@ -242,7 +243,7 @@ class TestDetectPeaks:
     @settings(max_examples=120, deadline=None)
     def test_detection_invariant(self, grid):
         tile = Tile(45, 7, grid, 6)
-        peaks = detect_peaks(tile)
+        peaks = peaks_of(tile, detect_peaks(tile))
         elev = grid.astype(np.int32)
         locations = {p.location for p in peaks}
 
@@ -294,13 +295,10 @@ class TestDetectPeaks:
         assert np.array_equal(qualifying_samples(tile.elevations), ~higher)
         every = detect_peaks(tile)
         masked = detect_peaks(tile, dominated)
-        off = ~dominated[every.rows, every.cols]
-        assert masked.rows.tolist() == every.rows[off].tolist()
-        assert masked.cols.tolist() == every.cols[off].tolist()
+        assert masked.tolist() == every[~dominated.flat[every]].tolist()
         # The qualifying mask, given, changes nothing.
         given_mask = detect_peaks(tile, dominated, qualifying_samples(tile.elevations))
-        assert given_mask.rows.tolist() == masked.rows.tolist()
-        assert given_mask.cols.tolist() == masked.cols.tolist()
+        assert given_mask.tolist() == masked.tolist()
 
     @given(
         st.integers(2, 14).flatmap(
@@ -317,7 +315,7 @@ class TestDetectPeaks:
         # Four levels make flat regions of every shape.
         grid, dominated = case
         tile = Tile(45, 7, grid, 1)
-        assert cells_of(detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
+        assert cells_of(tile, detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -375,7 +373,7 @@ class TestDetectPeaks:
         dominated = None
         if radius is not None:
             dominated = dominated_samples([tile], grid[None], radius)[0]
-        assert cells_of(detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
+        assert cells_of(tile, detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
 
 
 class TestLowestNeighbor:
@@ -394,7 +392,70 @@ class TestLowestNeighbor:
         assert (_lowest_nesw_grid(tile.elevations) == 42).all()
 
 
+def sorted_events(grid: Tile, peaks: np.ndarray) -> list[tuple[int, int]]:
+    """(sample, kind) of every event, in the order Python's sorted gives the
+    keys (-elevation, kind, (lat, wrapped lng)): one insert at the sample's
+    elevation and one remove at its lowest NESW neighbour's, clamped to its
+    own, per sample in row-major order, then one per peak."""
+    rows, cols = grid.shape
+    elev = grid.elevations.tolist()
+    keyed = []
+    for i in range(rows):
+        for j in range(cols):
+            around = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+            lowest = min(elev[a][b] for a, b in around if 0 <= a < rows and 0 <= b < cols)
+            at = grid.sample_point(i, j)
+            keyed.append(((-elev[i][j], EVENT_INSERT, at), i * cols + j))
+            keyed.append(((-min(lowest, elev[i][j]), EVENT_REMOVE, at), i * cols + j))
+    for sample in peaks.tolist():
+        i, j = divmod(sample, cols)
+        keyed.append(((-elev[i][j], EVENT_PEAK, grid.sample_point(i, j)), sample))
+    return [(sample, key[1]) for key, sample in sorted(keyed, key=lambda entry: entry[0])]
+
+
+def event_list(events: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(events["sample"].tolist(), events["kind"].tolist()))
+
+
+def west_edge_area() -> Tile:
+    """A 1x2 plateau area whose west edge is -180: column 0 wraps to 180."""
+    tiles = generate_synthetic(
+        1, 2, seed=8, profile="plateau", samples_per_side=9, origin=(10, -180)
+    )
+    return merge_tiles(tiles)
+
+
 class TestBuildEvents:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            generate_synthetic(1, 1, seed=6, profile="cones", samples_per_side=31)[0],
+            generate_synthetic(1, 1, seed=9, profile="plateau", samples_per_side=11)[0],
+            west_edge_area(),
+        ],
+        ids=["cones", "plateau", "west-edge"],
+    )
+    def test_order_is_sorted_tuples(self, grid):
+        peaks = detect_peaks(grid)
+        events = build_events(grid, peaks)
+        assert event_list(events) == sorted_events(grid, peaks)
+        n = grid.elevations.size
+        assert np.bincount(events["kind"]).tolist() == [len(peaks), n, n]
+        for kind in (EVENT_INSERT, EVENT_REMOVE):
+            assert np.array_equal(np.sort(events["sample"][events["kind"] == kind]), np.arange(n))
+        assert np.array_equal(events, build_events(grid, peaks))
+
+    def test_west_edge_column_sorts_last(self):
+        # Every sample is at 500 m, so each kind's events run in location
+        # order: rows from the south, and in each row column 0, at lng 180,
+        # after every other column.
+        grid = west_edge_area()
+        rows, cols = grid.shape
+        inserts = build_events(grid, detect_peaks(grid))
+        inserts = inserts["sample"][inserts["kind"] == EVENT_INSERT]
+        expected = [i * cols + j for i in range(rows - 1, -1, -1) for j in [*range(1, cols), 0]]
+        assert inserts.tolist() == expected
+
     def test_count_is_two_n_plus_p(self):
         tiles = generate_synthetic(1, 1, seed=5, profile="fractal", samples_per_side=41)
         tile = tiles[0]
@@ -403,50 +464,19 @@ class TestBuildEvents:
         n = tile.shape[0] * tile.shape[1]
         assert len(events) == 2 * n + len(peaks)
 
-    def test_flat_tile_inserts_before_removes(self):
-        tile = make_tile(np.full((5, 5), 7))
-        events = build_events(tile, [])
-        kinds = [ev.kind for ev in events]
-        first_remove = kinds.index(EVENT_REMOVE)
-        assert all(k == EVENT_INSERT for k in kinds[:first_remove])
-        assert all(k == EVENT_REMOVE for k in kinds[first_remove:])
-
-    def test_sorted_descending_with_kind_rank(self):
-        tiles = generate_synthetic(1, 1, seed=6, profile="fractal", samples_per_side=31)
-        tile = tiles[0]
-        events = build_events(tile, detect_peaks(tile))
-        keys = [(-ev.elevation_m, ev.kind, ev.point) for ev in events]
-        assert keys == sorted(keys)
-
-    def test_deterministic_across_runs(self):
-        tiles = generate_synthetic(1, 1, seed=7, profile="fractal", samples_per_side=31)
-        tile = tiles[0]
-        peaks = detect_peaks(tile)
-        assert build_events(tile, peaks) == build_events(tile, peaks)
-
-    def test_event_conservation_counts(self):
-        tiles = generate_synthetic(1, 1, seed=18, profile="fractal", samples_per_side=41)
-        tile = tiles[0]
-        peaks = detect_peaks(tile)
-        events = build_events(tile, peaks)
-        kinds = [ev.kind for ev in events]
-        n = tile.shape[0] * tile.shape[1]
-        assert kinds.count(EVENT_INSERT) == n
-        assert kinds.count(EVENT_REMOVE) == n
-        assert kinds.count(EVENT_PEAK) == len(peaks)
-
     def test_pit_sample_remove_clamped_to_own_elevation(self):
-        # center sample lower than all four neighbors: removal must not
-        # be scheduled above its insertion
+        # center sample lower than all four neighbors: removal must not be
+        # scheduled above its insertion.  At 1 m come its insert, then the
+        # removes of its own and of the four 9 m samples beside it, whose
+        # lowest neighbor it is, from the south row up.
         grid = np.array(
             [[5, 9, 5], [9, 1, 9], [5, 9, 5]], dtype=np.int16
         )
         tile = Tile(45, 7, grid, 2)
-        events = build_events(tile, [])
-        center = tile.sample_point(1, 1)
-        removes = [ev for ev in events if ev.kind == EVENT_REMOVE and ev.point == center]
-        assert removes == [removes[0]]
-        assert removes[0].elevation_m == 1
+        events = build_events(tile, np.empty(0, dtype=np.int64))
+        assert event_list(events[-6:]) == [(4, EVENT_INSERT)] + [
+            (sample, EVENT_REMOVE) for sample in (7, 3, 4, 5, 1)
+        ]
 
 
 class TestDownsample:
@@ -524,6 +554,21 @@ class TestMergeAndDedup:
         with pytest.raises(ValueError, match="seam"):
             merge_tiles(tiles)
 
+    @pytest.mark.parametrize("sample, other", [((30, 12), (45, 8)), ((12, 0), (46, 7))])
+    def test_seam_mismatch_is_bad_data_naming_both_tiles(self, sample, other):
+        # Tile (46, 8) is merged last; its south row is (45, 8)'s north row
+        # and its west column (46, 7)'s east column.
+        world = generate_synthetic(2, 2, seed=17, profile="fractal", samples_per_side=31)
+        tiles = {t.key: t for t in world}
+        bad = tiles[(46, 8)].elevations.copy()
+        bad[sample] += 7
+        tiles[(46, 8)] = Tile(46, 8, bad, 30)
+        at = tiles[(46, 8)].sample_point(*sample)
+        with pytest.raises(HgtFormatError) as err:
+            merge_tiles(list(tiles.values()))
+        message = f"seam mismatch between tiles {other} and (46, 8) at {at}:"
+        assert str(err.value).startswith(message)
+
     def test_merge_rejects_gaps(self):
         tiles = generate_synthetic(2, 2, seed=15, profile="plateau", samples_per_side=31)
         with pytest.raises(ValueError):
@@ -531,7 +576,7 @@ class TestMergeAndDedup:
 
     def test_dedup_unique_locations(self):
         tiles = generate_synthetic(2, 2, seed=16, profile="fractal", samples_per_side=41)
-        peaks = detect_peaks_deduped(tiles)
-        locations = [p.location for p in peaks]
+        peaks = area_peaks(tiles)
+        locations = list(zip(peaks["lat"].tolist(), peaks["lng"].tolist()))
         assert len(locations) == len(set(locations))
         assert locations == sorted(locations)

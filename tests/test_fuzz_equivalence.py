@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from isoscan.dem import Tile, detect_peaks_deduped
-from isoscan.multipass import audit_pipeline, run_merged_sweep, run_pipeline
+from conftest import area_peaks
+from isoscan.dem import Tile
+from isoscan.multipass import audit_pipeline, ilp_results, run_merged_sweep, run_pipeline
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
@@ -39,9 +40,9 @@ def test_tie_heavy_world_equivalence(seed):
     metric = EllipsoidMetric() if seed % 2 else GreatCircleMetric()
     mode = "staged" if seed % 2 else "great-circle-only"
     outcome = run_pipeline(area, tiles, i_min=0.0, threads=1, distance_mode=mode)
-    swept = run_merged_sweep(area, tiles, metric)
-    peaks = detect_peaks_deduped(tiles.values())
-    reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
+    swept = ilp_results(run_merged_sweep(area, tiles, metric))
+    universe = SampleUniverse.from_tiles(tiles.values())
+    reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
     triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
     assert triples(outcome.results) == triples(swept) == triples(reference)
     assert audit_pipeline(outcome) == []
@@ -60,6 +61,6 @@ def test_binary_world_equivalence(seed):
     outcome = run_pipeline(
         area, tiles, i_min=0.0, threads=1, distance_mode="great-circle-only"
     )
-    swept = run_merged_sweep(area, tiles, metric)
+    swept = ilp_results(run_merged_sweep(area, tiles, metric))
     triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
     assert triples(outcome.results) == triples(swept)

@@ -12,15 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import results_by_location
+from conftest import area_peaks, peaks_of, results_by_location
 from isoscan import dem, multipass, spatial_index
 from isoscan.cli import write_csv
 from isoscan.dem import (
     Peak,
-    PeakCells,
     Tile,
     detect_peaks,
-    detect_peaks_deduped,
     generate_synthetic,
     qualifying_samples,
 )
@@ -55,8 +53,7 @@ from isoscan.spatial_index import (
     SearchWork,
     TileIndex,
 )
-from isoscan.sweep import IlpResult, run_sweep
-from isoscan.dem import build_events
+from isoscan.sweep import IlpResult
 
 
 def world(rows, cols, seed, profile="fractal", n=61, **kw):
@@ -112,7 +109,7 @@ class TestBoundingPass:
             rows, _deferred, _discarded = fates(bounding_pass([tile], 0.0, "staged"), 0.0)
             bounded = as_peaks(rows)
             reference = {
-                r.peak.location: r for r in brute_force_all(bounded, universe, metric)
+                r.peak.location: r for r in ilp_results(brute_force_all(rows, universe, metric))
             }
             for peak, bound in zip(bounded, rows["bound"].tolist()):
                 ref = reference[peak.location]
@@ -150,7 +147,7 @@ class TestBoundingPass:
         universe = SampleUniverse.from_tiles([tile])
         reference = {
             r.peak.location: r
-            for r in brute_force_all(as_peaks(outcome.searched), universe, metric)
+            for r in ilp_results(brute_force_all(outcome.searched, universe, metric))
         }
         assert len(bounded) > 0
         for loc, bound in zip(locations(bounded), bounded["bound"].tolist()):
@@ -163,7 +160,7 @@ class TestBoundingPass:
 
 @st.composite
 def spiked_tiles(draw):
-    """A flat tile with seeded spikes, and cells to test: every spike plus random samples.
+    """A flat tile with seeded spikes, and samples to test: every spike plus random ones.
 
     Origins cover both hemispheres, a tile touching the equator and tiles
     beyond 60 degrees; steps per degree cover 1", 3" and coarse grids.
@@ -180,23 +177,22 @@ def spiked_tiles(draw):
     rows = np.concatenate([spike_rows, rng.integers(0, spd + 1, 200)])
     cols = np.concatenate([spike_cols, rng.integers(0, spd + 1, 200)])
     tile = Tile(lat, 7, grid, spd)
-    return tile, PeakCells(tile, rows, cols)
+    return tile, rows * (spd + 1) + cols
 
 
 class TestDilationDiscard:
     @given(spiked_tiles(), st.sampled_from([0.0, 1000.0, 20000.0, math.inf]))
     @settings(max_examples=30, deadline=None)
     def test_every_discard_has_a_closer_higher_sample(self, case, i_min):
-        tile, cells = case
+        tile, samples = case
         radius = i_min / BOUND_INFLATION
-        dominated = dominated_samples([tile], tile.elevations[None], radius)[0][cells.rows, cells.cols]
+        dominated = dominated_samples([tile], tile.elevations[None], radius)[0].flat[samples]
         if i_min == 0.0:
             assert not dominated.any()
         lats, lngs = tile.sample_lats(), tile.sample_lngs()
         higher_rows, higher_cols = np.nonzero(tile.elevations)
         heights = tile.elevations[higher_rows, higher_cols]
-        for k in np.flatnonzero(dominated).tolist():
-            peak = cells[k]
+        for peak in peaks_of(tile, samples[dominated]):
             higher = heights > peak.elevation_m
             dists = great_circle_distance_many(
                 lats[higher_rows[higher]], lngs[higher_cols[higher]], *peak.location
@@ -211,7 +207,6 @@ class TestDilationDiscard:
         grid[120, 40], grid[120, 43] = 100, 200
         tile = Tile(45, 7, grid, 120)
         cells = detect_peaks(tile)
-        peak = next(k for k in range(len(cells)) if cells[k].elevation_m == 100)
         d = great_circle_distance(tile.sample_point(120, 40), tile.sample_point(120, 43))
         i_min = d * BOUND_INFLATION * (1.0 + margin)
         radius = i_min / BOUND_INFLATION
@@ -281,7 +276,8 @@ class TestDilationDiscard:
         # members are labelled, and its representative, the dominated member,
         # is discarded as before.
         tile, i_min = self.flat_summit_tile(37)
-        assert tile.sample_point(120, 40) in [p.location for p in detect_peaks(tile)]
+        peaks = peaks_of(tile, detect_peaks(tile))
+        assert tile.sample_point(120, 40) in [p.location for p in peaks]
         seeded, labelled = self.record_labelling(monkeypatch)
         outcome = bounding_pass([tile], i_min, "staged")
         assert seeded.count(100) == 1
@@ -363,7 +359,7 @@ class TestSearchOnce:
         foreign = tiles[(45, 8)].sample_point(10, foreign_col - 20)
         got = results_by_location(outcome.results)[west.sample_point(10, 17)]
         assert got.ilp == (foreign if foreign_wins else home)
-        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
         assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.peak.location, r.isolation_m, r.ilp) for r in swept
         ]
@@ -415,7 +411,7 @@ class TestSearchOnce:
         got = results_by_location(outcome.results)[seam]
         assert got.ilp == below
         assert (south.key, seam) not in sent
-        swept = results_by_location(run_merged_sweep(area, tiles, EllipsoidMetric()))
+        swept = results_by_location(ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric())))
         assert got.peak.home_tile == swept[seam].peak.home_tile == south.key
         assert stats_counts(outcome.stats) == {
             "tiles": 2,
@@ -524,10 +520,10 @@ class TestFinalizationPass:
         area, tiles = world(1, 1, seed=48)
         tile = next(iter(tiles.values()))
         metric = EllipsoidMetric()
-        peaks = detect_peaks(tile)
-        swept = run_sweep(build_events(tile, peaks), tile.quad, metric)
+        peaks = peaks_of(tile, detect_peaks(tile))
+        swept = ilp_results(run_merged_sweep(area, tiles, metric))
         search = SearchWork()
-        rows = peak_rows(tile, peaks.rows, peaks.cols)
+        rows = peak_rows(tile, *np.divmod(detect_peaks(tile), tile.shape[1]))
         cands = finalization_pass([tile], rows, np.zeros(len(rows), dtype=int), metric, search)
         assert search.queries == len(cands)
         by_loc = {
@@ -544,8 +540,8 @@ def one_peak(seed: int) -> tuple[Peak, np.ndarray]:
     """The first peak of a one-tile world, as a Peak and as its PEAK_DTYPE row."""
     area, tiles = world(1, 1, seed=seed)
     tile = next(iter(tiles.values()))
-    cells = detect_peaks(tile)
-    return cells[0], peak_rows(tile, cells.rows[:1], cells.cols[:1])
+    first = detect_peaks(tile)[:1]
+    return peaks_of(tile, first)[0], peak_rows(tile, *np.divmod(first, tile.shape[1]))
 
 
 class TestFinalize:
@@ -570,9 +566,9 @@ class TestFinalize:
     def test_each_peak_gets_its_own_nearest_candidate(self):
         _area, tiles = world(1, 1, seed=52)
         tile = next(iter(tiles.values()))
-        cells = detect_peaks(tile)
-        assert len(cells) >= 3
-        peaks = peak_rows(tile, cells.rows[:3], cells.cols[:3])
+        samples = detect_peaks(tile)
+        assert len(samples) >= 3
+        peaks = peak_rows(tile, *np.divmod(samples[:3], tile.shape[1]))
         cands = np.array(
             [
                 (2, 50.0, 45.1, 7.1),
@@ -685,7 +681,7 @@ class TestRunPipeline:
     def test_single_tile_pipeline_equals_single_sweep(self):
         area, tiles = world(1, 1, seed=55)
         outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
         assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.peak.location, r.isolation_m, r.ilp) for r in swept
         ]
@@ -694,9 +690,9 @@ class TestRunPipeline:
         area, tiles = world(2, 2, seed=56, n=41)
         metric = EllipsoidMetric()
         outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = run_merged_sweep(area, tiles, metric)
-        peaks = detect_peaks_deduped(tiles.values())
-        reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
+        swept = ilp_results(run_merged_sweep(area, tiles, metric))
+        universe = SampleUniverse.from_tiles(tiles.values())
+        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
         triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
         assert triples(outcome.results) == triples(swept) == triples(reference)
         assert audit_pipeline(outcome) == []
@@ -707,7 +703,7 @@ class TestRunPipeline:
         outcome = run_pipeline(
             area, tiles, i_min=0.0, threads=1, distance_mode="great-circle-only"
         )
-        swept = run_merged_sweep(area, tiles, metric)
+        swept = ilp_results(run_merged_sweep(area, tiles, metric))
         assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.isolation_m, r.ilp) for r in swept
         ]
@@ -745,8 +741,8 @@ class TestRunPipeline:
         i_min = 1000.0
         metric = EllipsoidMetric()
         outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
-        peaks = detect_peaks_deduped(tiles.values())
-        reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
+        universe = SampleUniverse.from_tiles(tiles.values())
+        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
         kept = results_by_location(outcome.results)
         for ref in reference:
             significant = ref.isolation_m is None or ref.isolation_m >= i_min
@@ -763,8 +759,8 @@ class TestRunPipeline:
         assert outcome.stats.discarded > 0
         assert outcome.stats.peaks_kept < outcome.stats.peaks_found
         metric = EllipsoidMetric()
-        peaks = detect_peaks_deduped(tiles.values())
-        reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles.values()), metric)
+        universe = SampleUniverse.from_tiles(tiles.values())
+        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
         assert outcome.stats.peaks_found == len(qualifying_locations(tiles.values()))
         kept = results_by_location(outcome.results)
         for ref in reference:
@@ -784,7 +780,7 @@ class TestRunPipeline:
         # maximum, so all peaks have undefined isolation
         area, tiles = world(2, 2, seed=63, profile="plateau", n=31)
         outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
         assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
             (r.isolation_m, r.ilp) for r in swept
         ]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from isoscan.dem import Peak, Tile, generate_synthetic
+from isoscan.dem import PEAK_DTYPE, Peak, Tile, detect_peaks, generate_synthetic
 from isoscan.geo import GeoPoint
-from isoscan.oracle import SampleUniverse, brute_force_all, brute_force_ilp
+from isoscan.multipass import ilp_results, peak_rows
+from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
+from isoscan.sweep import IlpResult
 
 
 def tile_5x5(grid, origin=(45, 7)) -> Tile:
@@ -19,11 +21,18 @@ def peak_at(tile: Tile, i: int, j: int) -> Peak:
     return Peak(tile.sample_point(i, j), int(tile.elevations[i, j]), tile.key)
 
 
+def oracle_result(peak: Peak, universe: SampleUniverse, metric) -> IlpResult:
+    """The oracle's answer for one peak."""
+    row = np.array([(*peak.location, peak.elevation_m, *peak.home_tile, np.inf)], dtype=PEAK_DTYPE)
+    (result,) = ilp_results(brute_force_all(row, universe, metric))
+    return result
+
+
 class TestHandComputedGrids:
     def test_single_sample_universe_has_no_higher(self):
         tile = tile_5x5(np.full((5, 5), 100))
         universe = SampleUniverse.from_tiles([tile])
-        res = brute_force_ilp(peak_at(tile, 2, 2), universe, GreatCircleMetric())
+        res = oracle_result(peak_at(tile, 2, 2), universe, GreatCircleMetric())
         assert res.ilp is None and res.isolation_m is None
 
     def test_one_higher_sample_is_the_answer(self):
@@ -32,10 +41,9 @@ class TestHandComputedGrids:
         grid[0, 4] = 60
         tile = tile_5x5(grid)
         metric = GreatCircleMetric()
-        res = brute_force_ilp(peak_at(tile, 2, 2), universe := SampleUniverse.from_tiles([tile]), metric)
+        res = oracle_result(peak_at(tile, 2, 2), SampleUniverse.from_tiles([tile]), metric)
         assert res.ilp == tile.sample_point(0, 4)
         assert res.isolation_m == metric.distance(tile.sample_point(2, 2), tile.sample_point(0, 4))
-        assert universe.elevation_at(res.ilp) == 60
 
     def test_nearer_of_two_higher_samples_wins(self):
         # peak at center; higher samples one step east and two steps west:
@@ -46,7 +54,7 @@ class TestHandComputedGrids:
         grid[2, 0] = 80
         tile = tile_5x5(grid)
         metric = GreatCircleMetric()
-        res = brute_force_ilp(peak_at(tile, 2, 2), SampleUniverse.from_tiles([tile]), metric)
+        res = oracle_result(peak_at(tile, 2, 2), SampleUniverse.from_tiles([tile]), metric)
         assert res.ilp == tile.sample_point(2, 3)
 
     def test_equidistant_tie_breaks_by_lat_lng(self):
@@ -63,7 +71,7 @@ class TestHandComputedGrids:
         assert metric.distance(tile.sample_point(2, 2), north) == metric.distance(
             tile.sample_point(2, 2), south
         )
-        res = brute_force_ilp(peak_at(tile, 2, 2), SampleUniverse.from_tiles([tile]), metric)
+        res = oracle_result(peak_at(tile, 2, 2), SampleUniverse.from_tiles([tile]), metric)
         assert res.ilp == south  # smaller latitude
 
 
@@ -97,7 +105,7 @@ class TestChordScreenExactness:
         ]
         for i, j in sample_pts:
             peak = peak_at(tile, i, j)
-            got = brute_force_ilp(peak, universe, metric)
+            got = oracle_result(peak, universe, metric)
             best = None
             for idx in range(len(universe)):
                 if universe.elevations[idx] <= peak.elevation_m:
@@ -116,9 +124,11 @@ class TestBruteForceAll:
     def test_sorted_by_location(self):
         tiles = generate_synthetic(1, 1, seed=33, profile="cones", samples_per_side=41, n_cones=4)
         tile = tiles[0]
-        from isoscan.dem import detect_peaks
-
-        peaks = detect_peaks(tile)
-        results = brute_force_all(peaks, SampleUniverse.from_tiles([tile]), GreatCircleMetric())
+        rows, cols = np.divmod(detect_peaks(tile), tile.shape[1])
+        universe = SampleUniverse.from_tiles([tile])
+        metric = GreatCircleMetric()
+        results = ilp_results(brute_force_all(peak_rows(tile, rows, cols), universe, metric))
         locations = [r.peak.location for r in results]
         assert locations == sorted(locations)
+        # Each answer is the one a query of its peak alone gets.
+        assert results == [oracle_result(r.peak, universe, metric) for r in results]

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from isoscan.dem import (
+    EVENT_DTYPE,
     EVENT_INSERT,
+    EVENT_PEAK,
     EVENT_REMOVE,
-    Event,
     Tile,
     build_events,
     detect_peaks,
     generate_synthetic,
 )
-from isoscan.geo import GeoPoint, great_circle_distance
+from isoscan.geo import great_circle_distance
+from isoscan.multipass import ilp_results, run_merged_sweep
 from isoscan.oracle import SampleUniverse, brute_force_all
-from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
 from isoscan.sweep import (
     PeakTrace,
@@ -27,9 +28,19 @@ from isoscan.sweep import (
 
 
 def sweep_tile(tile: Tile, metric):
-    peaks = detect_peaks(tile)
-    events = build_events(tile, peaks)
-    return run_sweep(events, tile.quad, metric), peaks
+    """The sweep's results on one tile, one per peak in location order, and
+    its result arrays."""
+    arrays = run_merged_sweep(tile.quad, [tile], metric)
+    return ilp_results(arrays), arrays
+
+
+def tile_events(tile: Tile):
+    return build_events(tile, detect_peaks(tile))
+
+
+def events(*pairs) -> np.ndarray:
+    """EVENT_DTYPE rows from (sample, kind) pairs."""
+    return np.array(list(pairs), dtype=EVENT_DTYPE)
 
 
 class TestHandBuiltGrids:
@@ -47,9 +58,9 @@ class TestHandBuiltGrids:
             dtype=np.int16,
         )
         tile = Tile(45, 7, grid, 4)
-        results, peaks = sweep_tile(tile, GreatCircleMetric())
+        results, _arrays = sweep_tile(tile, GreatCircleMetric())
         # the flat 0-level background also yields one representative peak
-        assert sorted(p.elevation_m for p in peaks) == [0, 80, 100]
+        assert sorted(r.peak.elevation_m for r in results) == [0, 80, 100]
         by_elev = {r.peak.elevation_m: r for r in results}
         assert by_elev[100].ilp is None  # grid maximum
         bump = by_elev[80]
@@ -63,14 +74,14 @@ class TestHandBuiltGrids:
         tiles = generate_synthetic(1, 1, seed=20, profile="cones", samples_per_side=81, n_cones=6)
         tile = tiles[0]
         results, _ = sweep_tile(tile, GreatCircleMetric())
-        universe = SampleUniverse.from_tiles([tile])
+        elevation_at = {tile.sample_point(i, j): e for (i, j), e in np.ndenumerate(tile.elevations)}
         top = max(r.peak.elevation_m for r in results)
         for r in results:
             if r.peak.elevation_m == top:
                 assert r.ilp is None
             else:
                 assert r.ilp is not None
-                assert universe.elevation_at(r.ilp) > r.peak.elevation_m
+                assert elevation_at[r.ilp] > r.peak.elevation_m
 
     def test_two_cones_ilp_on_flank(self):
         # cone A high, cone B lower: B's limit point is a flank sample of A,
@@ -78,9 +89,9 @@ class TestHandBuiltGrids:
         tiles = generate_synthetic(1, 1, seed=21, profile="cones", samples_per_side=61, n_cones=2)
         tile = tiles[0]
         metric = GreatCircleMetric()
-        results, peaks = sweep_tile(tile, metric)
+        results, arrays = sweep_tile(tile, metric)
         universe = SampleUniverse.from_tiles([tile])
-        reference = brute_force_all(peaks, universe, metric)
+        reference = ilp_results(brute_force_all(arrays.peaks, universe, metric))
         assert [(r.isolation_m, r.ilp) for r in results] == [
             (r.isolation_m, r.ilp) for r in reference
         ]
@@ -93,9 +104,11 @@ class TestOracleEquivalence:
         tiles = generate_synthetic(1, 1, seed=seed, profile=profile, samples_per_side=41)
         tile = tiles[0]
         metric = EllipsoidMetric()
-        results, peaks = sweep_tile(tile, metric)
-        reference = brute_force_all(peaks, SampleUniverse.from_tiles([tile]), metric)
-        assert len(results) == len(reference)
+        results, arrays = sweep_tile(tile, metric)
+        reference = ilp_results(
+            brute_force_all(arrays.peaks, SampleUniverse.from_tiles([tile]), metric)
+        )
+        assert len(results) == len(detect_peaks(tile)) == len(reference)
         for got, want in zip(results, reference):
             assert got.peak == want.peak
             assert got.ilp == want.ilp
@@ -103,38 +116,48 @@ class TestOracleEquivalence:
 
 
 class TestEventStreamErrors:
+    TILE = Tile(45, 7, np.full((3, 3), 100, dtype=np.int16), 2)
+
     def test_remove_of_absent_point_aborts(self):
-        bounds = Quadrilateral(45, 46, 7, 8)
-        pt = GeoPoint(45.5, 7.5)
-        events = [Event(100, EVENT_REMOVE, pt, None)]
-        with pytest.raises(SweepConsistencyError):
-            run_sweep(events, bounds, GreatCircleMetric())
+        stream = events((4, EVENT_INSERT), (3, EVENT_REMOVE), (4, EVENT_REMOVE))
+        with pytest.raises(SweepConsistencyError, match="event 1: remove of absent sample 3"):
+            run_sweep(stream, self.TILE, GreatCircleMetric())
 
     def test_leftover_active_points_abort(self):
-        bounds = Quadrilateral(45, 46, 7, 8)
-        pt = GeoPoint(45.5, 7.5)
-        events = [Event(100, EVENT_INSERT, pt, None)]
-        with pytest.raises(SweepConsistencyError):
-            run_sweep(events, bounds, GreatCircleMetric())
+        stream = events((4, EVENT_INSERT), (3, EVENT_INSERT), (4, EVENT_REMOVE))
+        with pytest.raises(SweepConsistencyError, match="1 points still active"):
+            run_sweep(stream, self.TILE, GreatCircleMetric())
+
+    def test_balanced_stream_resolves_its_peak(self):
+        # The same samples with every insert removed: the peak at sample 0,
+        # queried while sample 4 is active, finds it.
+        stream = events(
+            (4, EVENT_INSERT),
+            (0, EVENT_PEAK),
+            (3, EVENT_INSERT),
+            (4, EVENT_REMOVE),
+            (3, EVENT_REMOVE),
+        )
+        (found,) = run_sweep(stream, self.TILE, GreatCircleMetric()).tolist()
+        corner, centre = self.TILE.sample_point(0, 0), self.TILE.sample_point(1, 1)
+        assert found == (0, great_circle_distance(corner, centre), *centre)
 
 
 class TestInstrumentation:
     def test_flat_tile_no_active_at_peak(self):
         grid = np.full((9, 9), 5, dtype=np.int16)
         tile = Tile(45, 7, grid, 8)
-        peaks = detect_peaks(tile)
         trace: list[PeakTrace] = []
-        run_sweep(build_events(tile, peaks), tile.quad, GreatCircleMetric(), trace_sink=trace)
-        assert len(trace) == len(peaks) == 1
+        run_sweep(tile_events(tile), tile, GreatCircleMetric(), trace_sink=trace)
+        assert len(trace) == len(detect_peaks(tile)) == 1
         assert trace[0].active_count == 0
         assert_sweep_invariant(trace)
 
     def test_ramp_tile_invariant_holds(self):
         grid = np.tile(np.arange(21, dtype=np.int16) * 5, (21, 1))
         tile = Tile(45, 7, grid, 20)
-        peaks = detect_peaks(tile)
         trace: list[PeakTrace] = []
-        run_sweep(build_events(tile, peaks), tile.quad, GreatCircleMetric(), trace_sink=trace)
+        run_sweep(tile_events(tile), tile, GreatCircleMetric(), trace_sink=trace)
         assert trace
         assert_sweep_invariant(trace)
 
@@ -142,10 +165,14 @@ class TestInstrumentation:
         for seed in range(6):
             tiles = generate_synthetic(1, 1, seed=seed, profile="fractal", samples_per_side=41)
             tile = tiles[0]
-            peaks = detect_peaks(tile)
+            stream = tile_events(tile)
             trace: list[PeakTrace] = []
-            run_sweep(build_events(tile, peaks), tile.quad, GreatCircleMetric(), trace_sink=trace)
-            assert len(trace) == len(peaks)
+            run_sweep(stream, tile, GreatCircleMetric(), trace_sink=trace)
+            peak_events = np.flatnonzero(stream["kind"] == EVENT_PEAK)
+            assert [entry.event_index for entry in trace] == peak_events.tolist()
+            assert [entry.peak_elevation_m for entry in trace] == [
+                tile.elevations.flat[s] for s in stream["sample"][peak_events]
+            ]
             assert_sweep_invariant(trace)
 
     def test_violation_detected(self):
@@ -162,5 +189,7 @@ class TestDeterminism:
         first, _ = sweep_tile(tile, metric)
         second, _ = sweep_tile(tile, metric)
         assert first == second
+        stream = tile_events(tile)
+        assert np.array_equal(run_sweep(stream, tile, metric), run_sweep(stream, tile, metric))
         locations = [r.peak.location for r in first]
         assert locations == sorted(locations)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from isoscan.dem import Tile, detect_peaks_deduped, generate_synthetic
-from isoscan.multipass import audit_pipeline, run_merged_sweep, run_pipeline
+from conftest import area_peaks
+from isoscan.dem import Tile, generate_synthetic
+from isoscan.multipass import audit_pipeline, ilp_results, run_merged_sweep, run_pipeline
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
@@ -20,9 +21,9 @@ def check_world(rows, cols, seed, origin, profile="fractal", n=41):
     by_key = {t.key: t for t in tiles}
     metric = EllipsoidMetric()
     outcome = run_pipeline(area, by_key, i_min=0.0, threads=1)
-    swept = run_merged_sweep(area, by_key, metric)
-    peaks = detect_peaks_deduped(tiles)
-    reference = brute_force_all(peaks, SampleUniverse.from_tiles(tiles), metric)
+    swept = ilp_results(run_merged_sweep(area, by_key, metric))
+    universe = SampleUniverse.from_tiles(tiles)
+    reference = ilp_results(brute_force_all(area_peaks(tiles), universe, metric))
     triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
     assert triples(outcome.results) == triples(swept) == triples(reference)
     assert audit_pipeline(outcome) == []
@@ -82,7 +83,7 @@ class TestExtremeDeferral:
         assert serial.stats.deferred >= len(highs) >= 2
         assert serial.results == parallel.results
         assert serial.map_snapshot == parallel.map_snapshot
-        swept = run_merged_sweep(area, by_key, EllipsoidMetric())
+        swept = ilp_results(run_merged_sweep(area, by_key, EllipsoidMetric()))
         assert [(r.isolation_m, r.ilp) for r in serial.results] == [
             (r.isolation_m, r.ilp) for r in swept
         ]
