@@ -3,8 +3,9 @@
 Computes, for every mountain peak in a search area, the distance to the
 nearest strictly higher ground: a tile-parallel three-pass pipeline that
 queries per-tile max-elevation pyramids, the paper's top-down sweep over a
-dynamic spherical k-d tree as the single-sweep reference, and a
-brute-force oracle for verification.
+k-d tree of the swept grid's samples, built once and counting the active
+ones, as the single-sweep reference, and a brute-force oracle for
+verification.
 """
 
 from .geo import GeoPoint

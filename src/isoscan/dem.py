@@ -58,6 +58,10 @@ EVENT_REMOVE = 2
 # its kind.
 EVENT_DTYPE = np.dtype([("sample", np.int64), ("kind", np.int8)])
 
+# Events build_events gathers at a time, so that its temporaries stay small
+# beside the events themselves.
+_GATHER_EVENTS = 1 << 20
+
 _INT32_BIG = np.int32(2**30)
 
 # Spectral exponent of the fractal profile: amplitude falls as |k| ** -beta.
@@ -481,13 +485,24 @@ def build_events(grid: Tile, peak_ids: np.ndarray) -> np.ndarray:
     # stable sort by descending elevation keeps both tie-breaks.  ~level is
     # -level - 1 without overflow, and on 16 bits the stable sort is a radix
     # sort.
-    samples = np.concatenate([peaks, by_location, by_location])
     level = np.concatenate([elevations[peaks], elevations[by_location], removal[by_location]])
+    del removal
     order = np.argsort(~level, kind="stable")
-    kinds = np.array([EVENT_PEAK, EVENT_INSERT, EVENT_REMOVE], dtype=np.int8)
+    del level
+    # Each event's kind and sample from its place in that layout, a slice of
+    # the events at a time: places below len(peaks) are peaks, the next n
+    # inserts and the last n removes.
+    n = len(by_location)
     events = np.empty(len(order), dtype=EVENT_DTYPE)
-    events["sample"] = samples[order]
-    events["kind"] = np.repeat(kinds, [len(peaks), len(by_location), len(by_location)])[order]
+    for start in range(0, len(order), _GATHER_EVENTS):
+        place = order[start : start + _GATHER_EVENTS] - len(peaks)
+        kind = (place >= 0).astype(np.int8) + (place >= n)
+        place[place >= n] -= n
+        sample = by_location[place]  # a peak's place is negative: replaced below
+        peak = kind == EVENT_PEAK
+        sample[peak] = peaks[place[peak] + len(peaks)]
+        events["kind"][start : start + len(place)] = kind
+        events["sample"][start : start + len(place)] = sample
     return events
 
 
@@ -630,11 +645,15 @@ def merge_tiles(tiles: Sequence[Tile]) -> Tile:
     """
     if not tiles:
         raise ValueError("no tiles to merge")
-    spd = tiles[0].steps_per_degree
+    first = tiles[0]
+    spd = first.steps_per_degree
     by_key: dict[tuple[int, int], Tile] = {}
     for t in tiles:
         if t.steps_per_degree != spd:
-            raise ValueError("mixed resolutions cannot be merged")
+            raise ValueError(
+                f"mixed resolutions cannot be merged: tile {first.key} has {spd} steps "
+                f"per degree, tile {t.key} has {t.steps_per_degree}"
+            )
         if t.extent_deg != (1, 1):
             raise ValueError("merge expects 1-degree tiles")
         if t.key in by_key:

@@ -1,9 +1,9 @@
 """Spatial search structures for the sweep and the pipeline's passes.
 
-``SphereKdTree`` is the dynamic point index maintained by the sweep: points
-live in fixed-capacity leaves, overflowing leaves center-split along their
-longer side, and the first levels are pre-built quadtree-style so the early
-(clustered) insertions cannot degenerate the tree.
+``SphereKdTree`` is the sweep's index of active samples: a k-d tree built
+once over the swept grid's rows and columns, whose nodes count their active
+samples, so the sweep activates and deactivates samples by id and a search
+makes points only for the active samples of the leaves it scans.
 
 ``ElevationPyramid`` is the static index of the bounding and finalization
 passes over a stack of same-shape tiles (a batch): per tile, the maximum
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,11 +68,10 @@ from .geo import (
     great_circle_distance_exact_many,
     wrap_longitude_many,
 )
-from .quad import Quadrilateral, contains, min_distance, min_distance_many
+from .quad import Quadrilateral, min_distance, min_distance_many
 
 __all__ = [
-    "OutOfBoundsError",
-    "PointNotFoundError",
+    "SampleStateError",
     "EmptyTreeError",
     "NonFiniteDistanceError",
     "GreatCircleMetric",
@@ -102,9 +101,8 @@ _PRUNE_SLACK_M = 1e-6
 # geo.ELLIPSOID_RATIO_BAND keeps pruning sound under the ellipsoid metric.
 _ELLIPSOID_PRUNE_FACTOR = 0.9935
 
-# A leaf whose quadrilateral spans at most one arc-second, the finest HGT
-# sample spacing, overflows instead of splitting further.
-_MIN_SPLIT_SPAN_DEG = 1.0 / 3600.0
+# Samples of a SphereKdTree leaf, at most.
+_LEAF_SAMPLES = 32
 
 # Samples per side of an ElevationPyramid leaf block.
 _LEAF_SIDE = 8
@@ -122,12 +120,8 @@ _WINDOW_HALF = 3
 _QUERY_CHUNK = 1024
 
 
-class OutOfBoundsError(ValueError):
-    """Point lies outside the tree's covered quadrilateral."""
-
-
-class PointNotFoundError(KeyError):
-    """Removal of a point that is not in the tree (a sweep-logic bug)."""
+class SampleStateError(LookupError):
+    """Insert of an active sample or removal of an inactive one (a sweep-logic bug)."""
 
 
 class EmptyTreeError(LookupError):
@@ -177,186 +171,146 @@ class EllipsoidMetric:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p)
 
 
-def _halve(q: Quadrilateral, axis: int) -> tuple[float, Quadrilateral, Quadrilateral]:
-    """Center split of ``q`` along ``axis`` (0 latitude, 1 longitude): (split, low, high)."""
-    lo = 2 * axis  # field index of the axis' minimum: lat_min or lng_min
-    split = (q[lo] + q[lo + 1]) * 0.5
-    low, high = list(q), list(q)
-    low[lo + 1] = high[lo] = split
-    return split, Quadrilateral(*low), Quadrilateral(*high)
-
-
-def _split_axis(q: Quadrilateral) -> Optional[int]:
-    """Axis of the longer ground extent of ``q``; None once ``q`` has collapsed."""
-    extent_lat = q.lat_max - q.lat_min
-    mid_cos = math.cos(math.radians((q.lat_min + q.lat_max) * 0.5))
-    extent_lng = (q.lng_max - q.lng_min) * mid_cos
-    if max(extent_lat, extent_lng) <= _MIN_SPLIT_SPAN_DEG:
-        return None
-    return 0 if extent_lat >= extent_lng else 1
-
-
-class _Node:
-    __slots__ = ("quad", "axis", "split", "low", "high", "points", "size", "permanent")
-
-    def __init__(self, quad: Quadrilateral, permanent: bool = False):
-        self.quad = quad
-        self.axis: Optional[int] = None  # None = leaf; 0 = latitude, 1 = longitude
-        self.split = 0.0
-        self.low: Optional[_Node] = None
-        self.high: Optional[_Node] = None
-        self.points: Optional[list[GeoPoint]] = []
-        self.size = 0
-        self.permanent = permanent
-
-
 class SphereKdTree:
-    """Dynamic k-d tree over points on the sphere.
+    """Nearest active sample of one latitude/longitude grid.
 
-    Points are stored in leaves only; inner nodes carry the quadrilateral
-    they cover.  Leaves hold at most ``leaf_capacity`` points, except leaves
-    whose quadrilateral has collapsed to one arc-second or that hold only
-    duplicates of one coordinate (tile-seam points), which may overflow
-    rather than split forever.
+    A k-d tree (Bentley, CACM 1975) built once over the grid's rows and
+    columns: sample ``r * len(lngs) + c`` is the point ``(lats[r], lngs[c])``.
+    Each node is a rectangle of rows and columns, halved at its middle row or
+    column along its longer ground side until it holds at most
+    ``_LEAF_SAMPLES`` samples, and keeps the closed quadrilateral of its
+    samples' coordinates and the count of its active samples.  Nodes are
+    numbered as in a binary heap: the children of node ``n`` are ``2n + 1``
+    and ``2n + 2``.  Inserting or removing a sample flips its activity flag
+    and counts it along its fixed path from the root; a search skips nodes
+    that hold no active sample.
 
     Single-writer: no concurrent mutation; each sweep owns its instance.
     """
 
-    def __init__(
-        self,
-        bounds: Quadrilateral,
-        leaf_capacity: int = 32,
-        prebuilt_levels: int = 4,
-    ):
-        if leaf_capacity < 1:
-            raise ValueError("leaf_capacity must be >= 1")
-        if prebuilt_levels < 0:
-            raise ValueError("prebuilt_levels must be >= 0")
-        self.bounds = bounds
-        self.leaf_capacity = leaf_capacity
-        self._root = _Node(bounds, permanent=False)
-        self._prebuild(self._root, 2 * prebuilt_levels)
-
-    def _prebuild(self, node: _Node, half_levels: int) -> None:
-        # Two alternating center splits (latitude then longitude) per level
-        # give the quadtree-like 4^k partition of the bounds.
-        if half_levels == 0:
-            return
-        axis = half_levels % 2  # the even count at the root splits latitude
-        split, low_q, high_q = _halve(node.quad, axis)
-        node.axis = axis
-        node.split = split
-        node.points = None
-        node.permanent = True
-        node.low = _Node(low_q)
-        node.high = _Node(high_q)
-        self._prebuild(node.low, half_levels - 1)
-        self._prebuild(node.high, half_levels - 1)
+    def __init__(self, lats: np.ndarray, lngs: np.ndarray):
+        self._lats = lats = np.asarray(lats, dtype=np.float64).tolist()
+        self._lngs = lngs = np.asarray(lngs, dtype=np.float64).tolist()
+        rows, cols = len(lats), len(lngs)
+        self._cols = cols
+        self._active = bytearray(rows * cols)
+        leaf_of = np.empty((rows, cols), dtype=np.int32)
+        quads: list[Optional[Quadrilateral]] = []
+        # Per leaf, its (first row, stop row, first column, stop column) and
+        # its path of nodes from the root; None elsewhere.
+        rects: list[Optional[tuple[int, int, int, int]]] = []
+        paths: list[Optional[tuple[int, ...]]] = []
+        level = [((0,), 0, rows, 0, cols)]
+        while level:
+            # Level k holds nodes 2^k - 1 to 2^(k + 1) - 2.
+            slots = [None] * (len(quads) + 1)
+            quads += slots
+            rects += slots
+            paths += slots
+            below = []
+            for path, r0, r1, c0, c1 in level:
+                node = path[-1]
+                lat, lng = lats[r0:r1], lngs[c0:c1]
+                quad = quads[node] = Quadrilateral(min(lat), max(lat), min(lng), max(lng))
+                if (r1 - r0) * (c1 - c0) <= _LEAF_SAMPLES:
+                    rects[node] = (r0, r1, c0, c1)
+                    paths[node] = path
+                    leaf_of[r0:r1, c0:c1] = node
+                    continue
+                ground_lat = quad.lat_max - quad.lat_min
+                mid_cos = math.cos(math.radians((quad.lat_min + quad.lat_max) * 0.5))
+                ground_lng = (quad.lng_max - quad.lng_min) * mid_cos
+                low, high = path + (2 * node + 1,), path + (2 * node + 2,)
+                if c1 - c0 == 1 or (r1 - r0 > 1 and ground_lat >= ground_lng):
+                    mid = (r0 + r1) // 2
+                    below += [(low, r0, mid, c0, c1), (high, mid, r1, c0, c1)]
+                else:
+                    mid = (c0 + c1) // 2
+                    below += [(low, r0, r1, c0, mid), (high, r0, r1, mid, c1)]
+            level = below
+        self._quads, self._rects, self._paths = quads, rects, paths
+        self._counts = [0] * len(quads)
+        self._leaf_of = memoryview(leaf_of.reshape(-1))
 
     def __len__(self) -> int:
-        return self._root.size
+        return self._counts[0]
 
-    def insert(self, p: GeoPoint) -> None:
-        """Add ``p``; splits the target leaf if it exceeds capacity."""
-        if not contains(self.bounds, p):
-            raise OutOfBoundsError(f"{p} outside index bounds {self.bounds}")
-        node = self._root
-        node.size += 1
-        while node.axis is not None:
-            node = node.low if p[node.axis] < node.split else node.high
-            node.size += 1
-        node.points.append(p)
-        if len(node.points) > self.leaf_capacity:
-            self._split(node)
-
-    def remove(self, p: GeoPoint) -> None:
-        """Remove one instance of ``p``; emptied subtrees revert to leaves."""
-        node = self._root
-        path = [node]
-        while node.axis is not None:
-            node = node.low if p[node.axis] < node.split else node.high
-            path.append(node)
-        try:
-            node.points.remove(p)
-        except ValueError:
-            raise PointNotFoundError(f"{p} not in index") from None
-        for nd in path:
-            nd.size -= 1
-        for nd in path:
-            if nd.size == 0 and not nd.permanent and nd.axis is not None:
-                nd.axis = None
-                nd.low = nd.high = None
-                nd.points = []
-                break
-
-    def _split(self, node: _Node) -> None:
-        capacity = self.leaf_capacity
-        pending = [node]
-        while pending:
-            nd = pending.pop()
-            pts = nd.points
-            if len(pts) <= capacity:
-                continue
-            first = pts[0]
-            if all(pt == first for pt in pts):
-                continue  # duplicate-coordinate overflow
-            axis = _split_axis(nd.quad)
-            if axis is None:
-                continue  # collapsed quadrilateral, allow overflow
-            split, low_q, high_q = _halve(nd.quad, axis)
-            low = _Node(low_q)
-            high = _Node(high_q)
-            for pt in pts:
-                (low if pt[axis] < split else high).points.append(pt)
-            low.size = len(low.points)
-            high.size = len(high.points)
-            nd.axis = axis
-            nd.split = split
-            nd.points = None
-            nd.low = low
-            nd.high = high
-            pending.append(low)
-            pending.append(high)
-
-    def nearest_neighbor(self, p: GeoPoint, metric) -> tuple[GeoPoint, float]:
-        """Exact nearest active point to ``p`` under ``metric``.
-
-        Ties on distance are broken by ascending (lat, lng) of the stored
-        point.
+    def insert(self, sample: int) -> None:
+        """Activate ``sample``.
 
         Raises:
-            EmptyTreeError: no point is active.
+            SampleStateError: ``sample`` is already active.
+        """
+        if self._active[sample]:
+            raise SampleStateError(f"insert of active sample {sample}")
+        self._active[sample] = 1
+        counts = self._counts
+        for node in self._paths[self._leaf_of[sample]]:
+            counts[node] += 1
+
+    def remove(self, sample: int) -> None:
+        """Deactivate ``sample``.
+
+        Raises:
+            SampleStateError: ``sample`` is not active.
+        """
+        if not self._active[sample]:
+            raise SampleStateError(f"remove of absent sample {sample}")
+        self._active[sample] = 0
+        counts = self._counts
+        for node in self._paths[self._leaf_of[sample]]:
+            counts[node] -= 1
+
+    def nearest_neighbor(self, p: GeoPoint, metric) -> tuple[GeoPoint, float]:
+        """Exact nearest active sample to ``p`` under ``metric``, as its point
+        and distance.
+
+        Ties on distance are broken by ascending (lat, lng) of the sample.
+
+        Raises:
+            EmptyTreeError: no sample is active.
             NonFiniteDistanceError: the metric gave a NaN or infinite
                 distance or bound.
         """
-        if self._root.size == 0:
+        counts, quads, rects = self._counts, self._quads, self._rects
+        if not counts[0]:
             raise EmptyTreeError("nearest_neighbor on empty index")
+        lats, lngs, cols, active = self._lats, self._lngs, self._cols, self._active
         dist = metric.distance
         bound = metric.lower_bound
         isfinite = math.isfinite
         best_d = math.inf
         best_pt: Optional[GeoPoint] = None
 
-        def child_bound(child: _Node) -> float:
-            if not child.size:
+        def child_bound(node: int) -> float:
+            if not counts[node]:
                 return math.inf
-            b = bound(child.quad, p)
+            b = bound(quads[node], p)
             if not isfinite(b):
                 raise _non_finite("bound", b, p)
             return b
 
-        def visit(node: _Node) -> None:
+        def visit(node: int) -> None:
+            # A node with no active sample is never entered: its bound is
+            # inf, and it is second to a sibling that makes best_d finite.
             nonlocal best_d, best_pt
-            if node.axis is None:
-                for q in node.points:
-                    d = dist(p, q)
-                    if not isfinite(d):
-                        raise _non_finite("distance", d, p)
-                    if d < best_d or (d == best_d and (best_pt is None or q < best_pt)):
-                        best_d = d
-                        best_pt = q
+            rect = rects[node]
+            if rect is not None:
+                r0, r1, c0, c1 = rect
+                for r in range(r0, r1):
+                    lat, base = lats[r], r * cols
+                    for c in range(c0, c1):
+                        if not active[base + c]:
+                            continue
+                        q = GeoPoint(lat, lngs[c])
+                        d = dist(p, q)
+                        if not isfinite(d):
+                            raise _non_finite("distance", d, p)
+                        if d < best_d or (d == best_d and (best_pt is None or q < best_pt)):
+                            best_d = d
+                            best_pt = q
                 return
-            low, high = node.low, node.high
+            low, high = 2 * node + 1, 2 * node + 2
             b_low = child_bound(low)
             b_high = child_bound(high)
             if b_low <= b_high:
@@ -368,53 +322,8 @@ class SphereKdTree:
             if b_second <= best_d + _PRUNE_SLACK_M:
                 visit(second)
 
-        visit(self._root)
+        visit(0)
         return best_pt, best_d
-
-    def points(self) -> Iterator[GeoPoint]:
-        """Iterate over all active points (arbitrary order)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.axis is None:
-                yield from node.points
-            else:
-                stack.append(node.low)
-                stack.append(node.high)
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.axis is not None:
-                stack.append(node.low)
-                stack.append(node.high)
-        return count
-
-    def check_invariants(self) -> None:
-        """Verify structural invariants; raises AssertionError on violation."""
-
-        def walk(node: _Node, quad: Quadrilateral) -> int:
-            assert node.quad == quad
-            if node.axis is None:
-                for pt in node.points:
-                    assert contains(quad, pt), f"{pt} escapes leaf {quad}"
-                if len(node.points) > self.leaf_capacity:
-                    first = node.points[0]
-                    assert (
-                        all(pt == first for pt in node.points) or _split_axis(quad) is None
-                    ), "overfull leaf without collapsed quadrilateral"
-                assert node.size == len(node.points)
-                return node.size
-            split, low_q, high_q = _halve(quad, node.axis)
-            assert node.split == split, f"split {node.split} off the center of {quad}"
-            n = walk(node.low, low_q) + walk(node.high, high_q)
-            assert node.size == n
-            return n
-
-        walk(self._root, self.bounds)
 
 
 def _non_finite(what: str, value: float, p: GeoPoint) -> NonFiniteDistanceError:
@@ -1065,7 +974,7 @@ class TileIndex:
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64)
-        reach = radii + 1e-3 + radii * 1e-9  # the slack of _within_slack
+        reach = _padded(radii)
         rho = reach / MEAN_RADIUS_M
         rho_deg = np.degrees(rho) + _CAP_PAD_DEG
         rows, cols = self._grid.shape

@@ -5,9 +5,11 @@ at their insert event and inactive at their remove event; at a peak event
 every active point is strictly higher than the peak (peaks sort before
 same-elevation inserts), so the nearest active point is the peak's
 isolation limit point.
-Events are sample ids into the swept grid, and a sample's point is made only
-when it is inserted, removed or queried.  The results of the sweep, the
-pipeline and the oracle share one format, :class:`ResultArrays`.
+Events are sample ids into the swept grid.  The active samples live in a
+k-d tree built once over that grid, which counts them by id; a point is made
+only for a peak's query and answer, and for the active samples of the tree's
+leaves a query scans.  The results of the sweep, the pipeline and the oracle
+share one format, :class:`ResultArrays`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dem import EVENT_INSERT, EVENT_REMOVE, Peak, Tile
+from .dem import EVENT_INSERT, EVENT_PEAK, Peak, Tile
 from .geo import GeoPoint, wrap_longitude_many
-from .spatial_index import CANDIDATE_DTYPE, PointNotFoundError, SphereKdTree
+from .spatial_index import CANDIDATE_DTYPE, SampleStateError, SphereKdTree
 
 __all__ = [
     "ANSWER_DTYPE",
@@ -40,8 +42,8 @@ __all__ = [
 # point).
 ANSWER_DTYPE = np.dtype([("distance", np.float64), ("lat", np.float64), ("lng", np.float64)])
 
-# Events run_sweep turns into points at a time, so that it holds the Python
-# objects of one slice of the events, not of all of them.
+# Events run_sweep reads into Python values at a time, so that it holds those
+# of one slice of the events, not of all of them.
 _SLICE_EVENTS = 1 << 15
 
 
@@ -100,14 +102,10 @@ def run_sweep(
         that sees an active point, in event order, ``peak`` being the peak's
         sample.  A peak that sees none (the area's highest) has no row.
     """
-    bounds = grid.quad
-    if bounds.lng_min == -180:
-        # Samples on the west edge wrap to lng 180, as GeoPoint wraps them,
-        # so the tree must span every longitude to hold them.
-        bounds = bounds._replace(lng_max=180)
-    tree = SphereKdTree(bounds)
-    lats = grid.sample_lats()
-    lngs = wrap_longitude_many(grid.sample_lngs())
+    lats = grid.sample_lats().tolist()
+    lngs = wrap_longitude_many(grid.sample_lngs()).tolist()
+    tree = SphereKdTree(lats, lngs)
+    insert, remove = tree.insert, tree.remove
     cols = grid.shape[1]
     elevations = grid.elevations.reshape(-1)
     found: list[tuple[int, float, float, float]] = []
@@ -120,39 +118,32 @@ def run_sweep(
     for start in range(0, len(events), _SLICE_EVENTS):
         part = events[start : start + _SLICE_EVENTS]
         samples = part["sample"]
-        row, col = np.divmod(samples, cols)
-        for index, sample, kind, elevation, lat, lng in zip(
+        for index, sample, kind, elevation in zip(
             count(start),
             samples.tolist(),
             part["kind"].tolist(),
             elevations[samples].tolist(),
-            lats[row].tolist(),
-            lngs[col].tolist(),
         ):
-            point = GeoPoint(lat, lng)
-            if kind == EVENT_INSERT:
-                tree.insert(point)
-                if instrument:
-                    level_counts[elevation] += 1
-                    heapq.heappush(level_heap, elevation)
-            elif kind == EVENT_REMOVE:
-                try:
-                    tree.remove(point)
-                except PointNotFoundError as exc:
-                    raise SweepConsistencyError(
-                        f"event {index}: remove of absent sample {sample} at {point}"
-                    ) from exc
-                if instrument:
-                    level_counts[elevation] -= 1
-            else:
+            if kind == EVENT_PEAK:
                 if instrument:
                     while level_heap and level_counts[level_heap[0]] == 0:
                         heapq.heappop(level_heap)
                     lowest = level_heap[0] if level_heap else None
                     trace_sink.append(PeakTrace(index, elevation, len(tree), lowest))
                 if len(tree):
-                    ilp, distance = tree.nearest_neighbor(point, metric)
+                    row, col = divmod(sample, cols)
+                    ilp, distance = tree.nearest_neighbor(GeoPoint(lats[row], lngs[col]), metric)
                     found.append((sample, distance, *ilp))
+                continue
+            inserting = kind == EVENT_INSERT
+            try:
+                (insert if inserting else remove)(sample)
+            except SampleStateError as exc:
+                raise SweepConsistencyError(f"event {index}: {exc}") from exc
+            if instrument:
+                level_counts[elevation] += 1 if inserting else -1
+                if inserting:
+                    heapq.heappush(level_heap, elevation)
 
     if len(tree) != 0:
         raise SweepConsistencyError(f"{len(tree)} points still active after the last event")

@@ -93,16 +93,14 @@ def test_c03_bound_validity_and_assignment_audit(acceptance_runs: list[WorldRun]
 
 
 def test_c04_nn_index_exactness():
-    """Tree NN == linear scan for 1e4 points x 1e3 queries, both metrics."""
-    bounds = Quadrilateral(40, 50, 0, 10)
-    rng = np.random.default_rng(1009)
-    lats = rng.uniform(40, 50, 10_000)
-    lngs = rng.uniform(0, 10, 10_000)
-    points = [GeoPoint(a, b) for a, b in zip(lats.tolist(), lngs.tolist())]
-    tree = SphereKdTree(bounds)
-    for p in points:
-        tree.insert(p)
+    """Tree NN == linear scan on a 1e4-sample grid x 1e3 queries, both metrics."""
+    grid_lats, grid_lngs = np.linspace(50, 40, 100), np.linspace(0, 10, 100)
+    lats, lngs = np.repeat(grid_lats, 100), np.tile(grid_lngs, 100)
+    tree = SphereKdTree(grid_lats, grid_lngs)
+    for sample in range(10_000):
+        tree.insert(sample)
 
+    rng = np.random.default_rng(1009)
     q_lats = rng.uniform(38, 52, 1000)
     q_lngs = rng.uniform(-2, 12, 1000)
     queries = [GeoPoint(a, b) for a, b in zip(q_lats.tolist(), q_lngs.tolist())]
@@ -114,21 +112,27 @@ def test_c04_nn_index_exactness():
 
     # shadow-set equivalence over interleaved mutations
     shadow_rng = random.Random(77)
-    shadow_tree = SphereKdTree(bounds, leaf_capacity=16)
-    shadow: list[GeoPoint] = []
+    shadow_tree = SphereKdTree(grid_lats, grid_lngs)
+    shadow: list[int] = []
+    metric = GreatCircleMetric()
     ops = 0
     for step in range(10_000):
         if shadow and shadow_rng.random() < 0.45:
             shadow_tree.remove(shadow.pop(shadow_rng.randrange(len(shadow))))
         else:
-            p = points[shadow_rng.randrange(len(points))]
-            shadow.append(p)
-            shadow_tree.insert(p)
+            sample = shadow_rng.randrange(10_000)
+            if sample in shadow:
+                continue
+            shadow.append(sample)
+            shadow_tree.insert(sample)
         ops += 1
         assert len(shadow_tree) == len(shadow)
         if step % 250 == 0:
-            assert sorted(shadow_tree.points()) == sorted(shadow)
-    assert sorted(shadow_tree.points()) == sorted(shadow)
+            alive = np.array(sorted(shadow))
+            q = queries[step // 250]
+            assert shadow_tree.nearest_neighbor(q, metric) == exact_nearest(
+                lats[alive], lngs[alive], q, metric
+            )
     _verdict(4, f"{checked} queries exact under ellipsoid+great-circle, {ops} shadow ops")
 
 

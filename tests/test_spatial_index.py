@@ -1,4 +1,4 @@
-"""Dynamic tree behavior, NN exactness, and the static tile index."""
+"""The sweep's grid tree, NN exactness, and the static indexes."""
 
 from __future__ import annotations
 
@@ -23,187 +23,260 @@ from isoscan.spatial_index import (
     EmptyTreeError,
     GreatCircleMetric,
     NonFiniteDistanceError,
-    OutOfBoundsError,
-    PointNotFoundError,
+    SampleStateError,
     SearchWork,
     SphereKdTree,
     TileIndex,
     nearest_per_peak,
 )
 
-BOUNDS = Quadrilateral(40, 50, 0, 10)
+
+class Grid:
+    """A latitude/longitude grid, its tree, and the coordinates of each sample."""
+
+    def __init__(self, lats, lngs):
+        self.lats = np.asarray(lats, dtype=np.float64)
+        self.lngs = np.asarray(lngs, dtype=np.float64)
+        self.tree = SphereKdTree(self.lats, self.lngs)
+        self.sample_lats = np.repeat(self.lats, len(self.lngs))
+        self.sample_lngs = np.tile(self.lngs, len(self.lats))
+
+    def __len__(self) -> int:
+        return len(self.sample_lats)
+
+    def point(self, sample: int) -> GeoPoint:
+        return GeoPoint(float(self.sample_lats[sample]), float(self.sample_lngs[sample]))
+
+    def insert(self, samples) -> None:
+        for sample in samples:
+            self.tree.insert(sample)
+
+    def exact(self, samples, query: GeoPoint, metric):
+        """The linear scan's nearest of ``samples`` to ``query``."""
+        samples = np.asarray(sorted(samples))
+        return exact_nearest(self.sample_lats[samples], self.sample_lngs[samples], query, metric)
 
 
-def random_points(n: int, seed: int, bounds: Quadrilateral = BOUNDS) -> list[GeoPoint]:
+def box_grid(step: float = 0.2) -> Grid:
+    """The samples of 40-50 N, 0-10 E every ``step`` degrees, north row first."""
+    n = round(10 / step) + 1
+    return Grid(np.linspace(50, 40, n), np.linspace(0, 10, n))
+
+
+def random_queries(n: int, seed: int, bounds=Quadrilateral(40, 50, 0, 10)) -> list[GeoPoint]:
     rng = np.random.default_rng(seed)
     lats = rng.uniform(bounds.lat_min, bounds.lat_max, n)
     lngs = rng.uniform(bounds.lng_min, bounds.lng_max, n)
     return [GeoPoint(a, b) for a, b in zip(lats.tolist(), lngs.tolist())]
 
 
-class TestInsert:
-    def test_single_point_always_returned(self):
-        tree = SphereKdTree(BOUNDS)
-        p = GeoPoint(45.5, 5.5)
-        tree.insert(p)
+def random_samples(grid: Grid, fraction: float, seed: int) -> list[int]:
+    rng = np.random.default_rng(seed)
+    return np.flatnonzero(rng.random(len(grid)) < fraction).tolist()
+
+
+class TestInsertRemove:
+    def test_single_sample_always_returned(self):
+        grid = box_grid(0.5)
+        grid.tree.insert(7 * 21 + 11)
+        p = grid.point(7 * 21 + 11)
         for q in (GeoPoint(40, 0), GeoPoint(50, 10), GeoPoint(44, 7)):
-            assert tree.nearest_neighbor(q, GreatCircleMetric()) == (
+            assert grid.tree.nearest_neighbor(q, GreatCircleMetric()) == (
                 p,
                 great_circle_distance(q, p),
             )
 
-    def test_capacity_overflow_splits(self):
-        # collinear points along the quad's longer (longitude) side
-        tree = SphereKdTree(Quadrilateral(44, 46, 0, 10), leaf_capacity=8, prebuilt_levels=0)
-        pts = [GeoPoint(45.0, float(1 + i)) for i in range(9)]
-        before = tree.node_count()
-        for p in pts:
-            tree.insert(p)
-        assert tree.node_count() == before + 2  # one center split
-        metric = GreatCircleMetric()
-        for p in pts:
-            assert tree.nearest_neighbor(p, metric) == (p, 0.0)
-
-    def test_out_of_bounds_rejected(self):
-        tree = SphereKdTree(BOUNDS)
-        with pytest.raises(OutOfBoundsError):
-            tree.insert(GeoPoint(51, 5))
-
-    def test_bulk_insert_structure(self):
-        tree = SphereKdTree(BOUNDS, leaf_capacity=16)
-        pts = random_points(10_000, seed=1)
-        for p in pts:
-            tree.insert(p)
-        assert len(tree) == 10_000
-        tree.check_invariants()
-        assert sorted(tree.points()) == sorted(pts)
-
-    def test_duplicate_coordinates_overflow_without_split_loop(self):
-        tree = SphereKdTree(BOUNDS, leaf_capacity=4, prebuilt_levels=0)
-        p = GeoPoint(45.0, 5.0)
-        for _ in range(20):
-            tree.insert(p)
-        assert len(tree) == 20
-        tree.check_invariants()
-        for _ in range(20):
-            tree.remove(p)
-        assert len(tree) == 0
-
-
-class TestRemove:
     def test_insert_remove_leaves_empty(self):
-        tree = SphereKdTree(BOUNDS)
-        p = GeoPoint(44, 4)
-        tree.insert(p)
-        tree.remove(p)
-        assert len(tree) == 0
+        grid = box_grid(0.5)
+        grid.tree.insert(100)
+        grid.tree.remove(100)
+        assert len(grid.tree) == 0
         with pytest.raises(EmptyTreeError):
-            tree.nearest_neighbor(p, GreatCircleMetric())
+            grid.tree.nearest_neighbor(GeoPoint(44, 4), GreatCircleMetric())
 
-    def test_remaining_point_found_from_anywhere(self):
-        tree = SphereKdTree(BOUNDS)
-        a, b = GeoPoint(41, 1), GeoPoint(49, 9)
-        tree.insert(a)
-        tree.insert(b)
-        tree.remove(a)
+    def test_remaining_sample_found_from_anywhere(self):
+        grid = box_grid(0.5)
+        a, b = 2 * 21 + 2, 18 * 21 + 18
+        grid.insert([a, b])
+        grid.tree.remove(a)
         metric = GreatCircleMetric()
-        for q in random_points(50, seed=2):
-            assert tree.nearest_neighbor(q, metric)[0] == b
+        for q in random_queries(50, seed=2):
+            assert grid.tree.nearest_neighbor(q, metric)[0] == grid.point(b)
 
-    def test_absent_point_raises(self):
-        tree = SphereKdTree(BOUNDS)
-        tree.insert(GeoPoint(44, 4))
-        with pytest.raises(PointNotFoundError):
-            tree.remove(GeoPoint(44, 5))
+    def test_insert_of_active_sample_raises(self):
+        grid = box_grid(0.5)
+        grid.tree.insert(5)
+        with pytest.raises(SampleStateError, match="insert of active sample 5"):
+            grid.tree.insert(5)
+        assert len(grid.tree) == 1
+
+    def test_remove_of_inactive_sample_raises(self):
+        grid = box_grid(0.5)
+        grid.tree.insert(5)
+        with pytest.raises(SampleStateError, match="remove of absent sample 6"):
+            grid.tree.remove(6)
+        grid.tree.remove(5)
+        with pytest.raises(SampleStateError, match="remove of absent sample 5"):
+            grid.tree.remove(5)
+        assert len(grid.tree) == 0
 
     def test_shadow_set_interleaved(self):
         rng = random.Random(33)
-        tree = SphereKdTree(BOUNDS, leaf_capacity=8)
-        shadow: list[GeoPoint] = []
-        pool = random_points(3000, seed=3)
+        grid = box_grid(0.2)
+        metric = GreatCircleMetric()
+        shadow: list[int] = []
         for step in range(10_000):
             if shadow and rng.random() < 0.4:
-                victim = shadow.pop(rng.randrange(len(shadow)))
-                tree.remove(victim)
+                grid.tree.remove(shadow.pop(rng.randrange(len(shadow))))
             else:
-                p = pool[rng.randrange(len(pool))]
-                shadow.append(p)
-                tree.insert(p)
-            assert len(tree) == len(shadow)
+                sample = rng.randrange(len(grid))
+                if sample in shadow:
+                    continue
+                shadow.append(sample)
+                grid.tree.insert(sample)
+            assert len(grid.tree) == len(shadow)
             if step % 500 == 0:
-                assert sorted(tree.points()) == sorted(shadow)
-        assert sorted(tree.points()) == sorted(shadow)
+                for q in random_queries(5, seed=step):
+                    assert grid.tree.nearest_neighbor(q, metric) == grid.exact(shadow, q, metric)
 
-    def test_node_recycling_returns_to_skeleton(self):
-        tree = SphereKdTree(BOUNDS, leaf_capacity=4, prebuilt_levels=2)
-        skeleton = tree.node_count()
-        pts = random_points(2000, seed=4)
-        for p in pts:
-            tree.insert(p)
-        grown = tree.node_count()
-        assert grown > skeleton
-        for p in pts:
-            tree.remove(p)
-        assert len(tree) == 0
-        assert tree.node_count() == skeleton
+    def test_removing_every_sample_empties_every_node(self):
+        grid = box_grid(0.2)
+        samples = list(range(len(grid)))
+        grid.insert(samples)
+        random.Random(4).shuffle(samples)
+        for sample in samples:
+            grid.tree.remove(sample)
+        assert len(grid.tree) == 0
+        assert not any(grid.tree._counts)
+
+
+def check_structure(grid: Grid) -> int:
+    """Assert the tree's build on ``grid``; returns its leaf count.
+
+    The leaves hold at most 32 samples and partition the grid; each node's
+    quadrilateral is the closed min/max of its rows' and columns'
+    coordinates; each leaf's path runs from the root through its ancestors.
+    """
+    tree = grid.tree
+    owner = np.full((len(grid.lats), len(grid.lngs)), -1)
+    leaves = 0
+    for node, rect in enumerate(tree._rects):
+        if rect is None:
+            continue
+        leaves += 1
+        r0, r1, c0, c1 = rect
+        assert 0 < (r1 - r0) * (c1 - c0) <= 32
+        assert (owner[r0:r1, c0:c1] == -1).all()
+        owner[r0:r1, c0:c1] = node
+        path = tree._paths[node]
+        assert path[0] == 0 and path[-1] == node
+        assert all(child in (2 * up + 1, 2 * up + 2) for up, child in zip(path, path[1:]))
+        for up in path:
+            quad = tree._quads[up]
+            lats, lngs = grid.lats[r0:r1], grid.lngs[c0:c1]
+            assert quad.lat_min <= lats.min() and lats.max() <= quad.lat_max
+            assert quad.lng_min <= lngs.min() and lngs.max() <= quad.lng_max
+        assert tree._quads[node] == (
+            grid.lats[r0:r1].min(), grid.lats[r0:r1].max(),
+            grid.lngs[c0:c1].min(), grid.lngs[c0:c1].max(),
+        )
+    assert (owner >= 0).all()
+    return leaves
+
+
+class TestStructure:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda: box_grid(0.2),
+            lambda: Grid(np.linspace(90, 88, 81), np.linspace(0, 3, 121)),
+            lambda: Grid([12.0, 11.5, 11.0], [180.0, *np.arange(1, 30) * 0.25 - 180]),
+            lambda: Grid([45.0], np.linspace(7, 8, 100)),
+            lambda: Grid(np.linspace(46, 45, 100), [7.0]),
+        ],
+        ids=["box", "pole", "wrapped-west-column", "one-row", "one-column"],
+    )
+    def test_leaves_partition_the_grid_in_closed_quads(self, grid):
+        grid = grid()
+        assert check_structure(grid) >= len(grid) / 32
+
+    @pytest.mark.parametrize(("lat", "axis"), [(0.0, "lng"), (80.0, "lat")])
+    def test_root_halves_the_longer_ground_side(self, lat, axis):
+        # 11 rows and 31 columns 0.1 degree apart: the columns are the longer
+        # ground side at the equator, the rows at 80 N, where a degree of
+        # longitude is 0.17 of one of latitude.
+        grid = Grid(lat + np.linspace(1, 0, 11), np.linspace(7, 10, 31))
+        low, high = grid.tree._quads[1], grid.tree._quads[2]
+        if axis == "lng":
+            assert (low.lat_min, low.lat_max) == (high.lat_min, high.lat_max)
+            assert low.lng_max < high.lng_min
+        else:
+            assert (low.lng_min, low.lng_max) == (high.lng_min, high.lng_max)
+            assert low.lat_max < high.lat_min or high.lat_max < low.lat_min
 
 
 class TestNearestNeighbor:
     def test_tie_break_smaller_lat_lng(self):
-        tree = SphereKdTree(Quadrilateral(-5, 5, -5, 5))
-        lo, hi = GeoPoint(0, -1), GeoPoint(0, 1)
-        tree.insert(hi)
-        tree.insert(lo)
-        point, _ = tree.nearest_neighbor(GeoPoint(0, 0), GreatCircleMetric())
-        assert point == lo
+        grid = Grid([1.0, 0.0, -1.0], [-1.0, 0.0, 1.0])
+        origin = GeoPoint(0, 0)
+        grid.insert([5, 3])  # (0, 1) and (0, -1)
+        assert grid.tree.nearest_neighbor(origin, GreatCircleMetric())[0] == GeoPoint(0, -1)
+        grid.tree.remove(3)
+        grid.insert([1, 7])  # (1, 0) and (-1, 0)
+        assert grid.tree.nearest_neighbor(origin, GreatCircleMetric())[0] == GeoPoint(-1, 0)
 
     @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_matches_linear_scan(self, metric):
-        pts = random_points(2000, seed=5)
-        lats = np.array([p.lat_deg for p in pts])
-        lngs = np.array([p.lng_deg for p in pts])
-        tree = SphereKdTree(BOUNDS)
-        for p in pts:
-            tree.insert(p)
-        queries = random_points(200, seed=6) + random_points(
+        grid = box_grid(0.2)
+        active = random_samples(grid, 0.6, seed=5)
+        grid.insert(active)
+        queries = random_queries(200, seed=6) + random_queries(
             50, seed=7, bounds=Quadrilateral(35, 55, -5, 15)
         )
         for q in queries:
-            expected = exact_nearest(lats, lngs, q, metric)
-            assert tree.nearest_neighbor(q, metric) == expected
+            assert grid.tree.nearest_neighbor(q, metric) == grid.exact(active, q, metric)
 
     @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
     def test_world_scale_exactness(self, metric):
-        # a global point cloud maximizes the disagreement between the two
-        # metrics, stressing the per-metric pruning bounds
-        rng = np.random.default_rng(811)
-        world = Quadrilateral(-85, 85, -180, 180)
-        lats = rng.uniform(-85, 85, 5000)
-        lngs = rng.uniform(-180, 180, 5000)
-        tree = SphereKdTree(world)
-        for p in (GeoPoint(a, b) for a, b in zip(lats.tolist(), lngs.tolist())):
-            tree.insert(p)
-        q_lats = rng.uniform(-89, 89, 300)
-        q_lngs = rng.uniform(-180, 180, 300)
-        for q in (GeoPoint(a, b) for a, b in zip(q_lats.tolist(), q_lngs.tolist())):
-            assert tree.nearest_neighbor(q, metric) == exact_nearest(lats, lngs, q, metric)
+        # a global grid maximizes the disagreement between the two metrics,
+        # stressing the per-metric pruning bounds
+        grid = Grid(np.linspace(85, -85, 69), np.arange(-175, 181, 5.0))
+        active = random_samples(grid, 0.7, seed=811)
+        grid.insert(active)
+        queries = random_queries(300, seed=812, bounds=Quadrilateral(-89, 89, -180, 180))
+        for q in queries:
+            assert grid.tree.nearest_neighbor(q, metric) == grid.exact(active, q, metric)
+
+    @pytest.mark.parametrize("metric", [GreatCircleMetric(), EllipsoidMetric()])
+    def test_wrapped_west_column_exactness(self, metric):
+        grid = Grid(np.linspace(12, 10, 9), [180.0, *np.arange(1, 41) * 0.05 - 180])
+        active = random_samples(grid, 0.5, seed=13)
+        grid.insert(active)
+        queries = random_queries(100, seed=14, bounds=Quadrilateral(9, 13, -180, -177.5))
+        queries += random_queries(30, seed=15, bounds=Quadrilateral(9, 13, 179, 180))
+        for q in queries:
+            assert grid.tree.nearest_neighbor(q, metric) == grid.exact(active, q, metric)
+
+    def test_pole_row_of_one_physical_point(self):
+        # Every sample of the row at 90 N is the pole: the search splits
+        # that row by column and still returns the linear scan's answer.
+        grid = Grid([90.0, 89.75, 89.5], np.linspace(0, 10, 41))
+        active = list(range(1, len(grid)))
+        grid.insert(active)
+        for metric in (GreatCircleMetric(), EllipsoidMetric()):
+            for q in (grid.point(0), GeoPoint(90, 5), GeoPoint(89.9, 3)):
+                assert grid.tree.nearest_neighbor(q, metric) == grid.exact(active, q, metric)
 
     def test_exactness_with_interleaved_removals(self):
         rng = random.Random(8)
-        pts = random_points(3000, seed=9)
-        tree = SphereKdTree(BOUNDS)
-        alive = []
-        for p in pts:
-            tree.insert(p)
-            alive.append(p)
+        grid = box_grid(0.2)
+        alive = list(range(len(grid)))
+        grid.insert(alive)
         metric = GreatCircleMetric()
         for _ in range(300):
-            victim = alive.pop(rng.randrange(len(alive)))
-            tree.remove(victim)
-        lats = np.array([p.lat_deg for p in alive])
-        lngs = np.array([p.lng_deg for p in alive])
-        for q in random_points(100, seed=10):
-            assert tree.nearest_neighbor(q, metric) == exact_nearest(lats, lngs, q, metric)
+            grid.tree.remove(alive.pop(rng.randrange(len(alive))))
+        for q in random_queries(100, seed=10):
+            assert grid.tree.nearest_neighbor(q, metric) == grid.exact(alive, q, metric)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("method", ["distance", "lower_bound"])
@@ -212,54 +285,11 @@ class TestNearestNeighbor:
             pass
 
         setattr(Broken, method, lambda self, *args: value)
-        tree = SphereKdTree(BOUNDS, leaf_capacity=4, prebuilt_levels=1)
-        for p in random_points(50, seed=11):
-            tree.insert(p)
+        grid = box_grid(1.0)  # 121 samples: the root has children to bound
+        grid.insert(range(len(grid)))
         word = "bound" if method == "lower_bound" else "distance"
         with pytest.raises(NonFiniteDistanceError, match=f"{word} {value!r}"):
-            tree.nearest_neighbor(GeoPoint(45.0, 5.0), Broken())
-
-
-class TestPrebuild:
-    def test_zero_levels_single_leaf(self):
-        tree = SphereKdTree(BOUNDS, prebuilt_levels=0)
-        assert tree.node_count() == 1
-
-    def test_one_level_four_regions(self):
-        tree = SphereKdTree(BOUNDS, prebuilt_levels=1)
-        leaves = []
-
-        def collect(node):
-            if node.axis is None:
-                leaves.append(node.quad)
-            else:
-                collect(node.low)
-                collect(node.high)
-
-        collect(tree._root)
-        assert len(leaves) == 4
-        # the four quads tile the bounds exactly
-        assert {q for q in leaves} == {
-            Quadrilateral(40, 45, 0, 5),
-            Quadrilateral(40, 45, 5, 10),
-            Quadrilateral(45, 50, 0, 5),
-            Quadrilateral(45, 50, 5, 10),
-        }
-
-    def test_default_four_levels_256_regions(self):
-        tree = SphereKdTree(BOUNDS)
-        leaves = 0
-        stack = [tree._root]
-        while stack:
-            node = stack.pop()
-            if node.axis is None:
-                leaves += 1
-            else:
-                stack.extend((node.low, node.high))
-        assert leaves == 4**4
-        for p in random_points(500, seed=11):
-            tree.insert(p)
-        tree.check_invariants()
+            grid.tree.nearest_neighbor(GeoPoint(45.0, 5.0), Broken())
 
 
 class TestPruningSoundness:

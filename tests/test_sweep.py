@@ -15,7 +15,8 @@ from isoscan.dem import (
     detect_peaks,
     generate_synthetic,
 )
-from isoscan.geo import great_circle_distance
+from isoscan import spatial_index, sweep
+from isoscan.geo import GeoPoint, great_circle_distance
 from isoscan.multipass import ilp_results, run_merged_sweep
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
@@ -123,6 +124,16 @@ class TestEventStreamErrors:
         with pytest.raises(SweepConsistencyError, match="event 1: remove of absent sample 3"):
             run_sweep(stream, self.TILE, GreatCircleMetric())
 
+    def test_double_insert_aborts_at_its_event(self):
+        stream = events((4, EVENT_INSERT), (3, EVENT_INSERT), (4, EVENT_INSERT))
+        with pytest.raises(SweepConsistencyError, match="event 2: insert of active sample 4"):
+            run_sweep(stream, self.TILE, GreatCircleMetric())
+
+    def test_remove_of_never_inserted_sample_aborts(self):
+        stream = events((4, EVENT_INSERT), (4, EVENT_REMOVE), (2, EVENT_REMOVE))
+        with pytest.raises(SweepConsistencyError, match="event 2: remove of absent sample 2"):
+            run_sweep(stream, self.TILE, GreatCircleMetric())
+
     def test_leftover_active_points_abort(self):
         stream = events((4, EVENT_INSERT), (3, EVENT_INSERT), (4, EVENT_REMOVE))
         with pytest.raises(SweepConsistencyError, match="1 points still active"):
@@ -141,6 +152,28 @@ class TestEventStreamErrors:
         (found,) = run_sweep(stream, self.TILE, GreatCircleMetric()).tolist()
         corner, centre = self.TILE.sample_point(0, 0), self.TILE.sample_point(1, 1)
         assert found == (0, great_circle_distance(corner, centre), *centre)
+
+
+class TestPointObjects:
+    def test_inserts_and_removes_make_no_points(self, monkeypatch):
+        # The tree counts samples by id: only a peak's query, its answer and
+        # the active samples of the leaves it scans become points.
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return GeoPoint(*args)
+
+        monkeypatch.setattr(spatial_index, "GeoPoint", counting)
+        monkeypatch.setattr(sweep, "GeoPoint", counting)
+        tile = generate_synthetic(1, 1, seed=3, profile="fractal", samples_per_side=41)[0]
+        stream = build_events(tile, np.empty(0, dtype=np.int64))
+        assert len(run_sweep(stream, tile, GreatCircleMetric())) == 0
+        assert made == []
+        stream = tile_events(tile)
+        found = run_sweep(stream, tile, GreatCircleMetric())
+        assert len(found) == np.count_nonzero(stream["kind"] == EVENT_PEAK) - 1
+        assert len(made) > len(found)
 
 
 class TestInstrumentation:

@@ -6,21 +6,28 @@ import numpy as np
 import pytest
 
 from conftest import area_peaks
-from isoscan.dem import Tile, generate_synthetic
-from isoscan.multipass import audit_pipeline, ilp_results, run_merged_sweep, run_pipeline
+from isoscan.cli import main
+from isoscan.dem import Tile, downsample, generate_synthetic, hgt_filename, save_hgt
+from isoscan.multipass import (
+    audit_pipeline,
+    final_metric,
+    ilp_results,
+    run_merged_sweep,
+    run_pipeline,
+)
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
 
 
-def check_world(rows, cols, seed, origin, profile="fractal", n=41):
+def check_world(rows, cols, seed, origin, profile="fractal", n=41, distance_mode="staged"):
     tiles = generate_synthetic(
         rows, cols, seed=seed, profile=profile, samples_per_side=n, origin=origin
     )
     area = Quadrilateral(origin[0], origin[0] + rows, origin[1], origin[1] + cols)
     by_key = {t.key: t for t in tiles}
-    metric = EllipsoidMetric()
-    outcome = run_pipeline(area, by_key, i_min=0.0, threads=1)
+    metric = final_metric(distance_mode)
+    outcome = run_pipeline(area, by_key, i_min=0.0, threads=1, distance_mode=distance_mode)
     swept = ilp_results(run_merged_sweep(area, by_key, metric))
     universe = SampleUniverse.from_tiles(tiles)
     reference = ilp_results(brute_force_all(area_peaks(tiles), universe, metric))
@@ -51,6 +58,49 @@ class TestGeographies:
         outcome = check_world(2, 2, seed=75, origin=(10, -180))
         lngs = outcome.arrays.answers["lng"]
         assert (lngs == 180.0).any() and not (lngs == -180.0).any()
+
+
+class TestPoleRow:
+    @pytest.mark.parametrize("distance_mode", ["staged", "great-circle-only"])
+    def test_world_at_the_north_pole(self, distance_mode):
+        # Row 0 of the northern tiles is the pole, one physical point that
+        # the grid holds once per column.  This pins only that the three
+        # legs agree there, not what the pole's peaks should be.
+        outcome = check_world(3, 3, seed=46, origin=(87, 7), distance_mode=distance_mode)
+        assert (outcome.arrays.peaks["lat"] == 90).sum() == 10
+
+
+class TestMixedResolutions:
+    AREA = Quadrilateral(45, 46, 7, 9)
+
+    def tiles(self):
+        """A 1x2 area cut from one world: the west tile at 60 steps per
+        degree, the east tile decimated to 30."""
+        west, east = generate_synthetic(1, 2, seed=9, profile="fractal", samples_per_side=61)
+        return [west, downsample(east, 2)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pipeline_matches_the_oracle(self, threads):
+        tiles = self.tiles()
+        metric = EllipsoidMetric()
+        outcome = run_pipeline(self.AREA, {t.key: t for t in tiles}, i_min=0.0, threads=threads)
+        reference = brute_force_all(outcome.arrays.peaks, SampleUniverse.from_tiles(tiles), metric)
+        assert len(outcome.arrays.peaks) == 151
+        assert ilp_results(outcome.arrays) == ilp_results(reference)
+        assert audit_pipeline(outcome) == []
+
+    @pytest.mark.parametrize("mode", ["single-sweep", "oracle-check"])
+    def test_reference_modes_refuse_the_area(self, tmp_path, capsys, mode):
+        data = tmp_path / "tiles"
+        data.mkdir()
+        for tile in self.tiles():
+            save_hgt(tile, data / hgt_filename(*tile.key))
+        argv = ["compute", "--data-dir", str(data), "--bounds", "45", "46", "7", "9"]
+        assert main([*argv, "--threads", "1", "--mode", mode]) == 1
+        assert (
+            "bad configuration: mixed resolutions cannot be merged: tile (45, 7) has 60 "
+            "steps per degree, tile (45, 8) has 30"
+        ) in capsys.readouterr().err
 
 
 class TestParameters:
