@@ -138,11 +138,10 @@ def great_circle_distance_many(
     """Vectorized haversine from arrays of points to query points.
 
     Bulk twin of :func:`great_circle_distance` for the tile index's
-    quadrilateral distances.  The query coordinates are arrays that
-    broadcast against the points, or one point as two scalars.  Numpy's
-    trigonometry may round differently from libm's, so exact comparisons
-    must re-check candidates with the scalar function or
-    :func:`great_circle_distance_exact_many`.
+    distances.  The query coordinates are arrays that broadcast against the
+    points, or one point as two scalars.  Numpy's trigonometry may round
+    differently from libm's, so exact comparisons must re-check candidates
+    with the scalar function or :func:`great_circle_distance_exact_many`.
     """
     phi = np.radians(lats_deg)
     phi_p = np.radians(p_lats_deg)

@@ -18,10 +18,13 @@ the tile high point) are deferred, with bound inf.  Each batch of tiles
 gives one :class:`BoundingOutcome`: every row it searched, with its bound,
 and the answers.
 
-Pass 2 (high-point) bounds the deferred rows against the
-:class:`~isoscan.spatial_index.TileIndex` of per-tile maximum elevations:
-the maximum distance to the nearest higher tile bounds the peak's
-isolation.  The peak with no higher tile anywhere is the search-area high
+Pass 2 (high-point) bounds the deferred rows against each other.  A row
+is deferred exactly when its tile holds nothing higher, so every tile's
+first deferred row is a high point of it, and the
+:class:`~isoscan.spatial_index.TileIndex` holds those high points: the
+great-circle distance to the nearest strictly higher one, inflated by
+BOUND_INFLATION, bounds the peak's isolation and the reach of its limit
+point.  The peak with no higher tile anywhere is the search-area high
 point, keeps bound inf and gets undefined isolation.
 
 The main process joins the batches' rows once and works on that one
@@ -86,7 +89,7 @@ from .dem import (
     qualifying_samples,
 )
 from .geo import MEAN_RADIUS_M, GeoPoint, wrap_longitude_many
-from .quad import Quadrilateral, min_distance, max_distance
+from .quad import Quadrilateral, min_distance
 from .spatial_index import (
     CANDIDATE_DTYPE,
     ElevationPyramid,
@@ -335,8 +338,7 @@ class BoundingOutcome:
     # in its tile: CANDIDATE_DTYPE rows whose ``peak`` indexes ``searched``.
     searched: np.ndarray
     answers: np.ndarray
-    # Per tile of the batch: its maximum elevation and its rows of ``searched``.
-    maxima: np.ndarray
+    # Per tile of the batch: its rows of ``searched``.
     peak_counts: np.ndarray
     # Qualifying samples the dilation dominates, over the batch, and each
     # tile's qualifying samples.
@@ -394,7 +396,6 @@ def bounding_pass(
     return BoundingOutcome(
         searched=searched,
         answers=answers,
-        maxima=np.array([t.max_elevation_m for t in tiles]),
         peak_counts=sizes,
         dilation_discards=int(np.count_nonzero(mask & dominated)),
         qualifying=[qualifying(tile, tile_mask) for tile, tile_mask in zip(tiles, mask)],
@@ -402,28 +403,21 @@ def bounding_pass(
 
 
 def highpoint_pass(index: TileIndex, deferred: np.ndarray) -> np.ndarray:
-    """Bound deferred peaks via the nearest tile holding higher ground.
+    """Bound deferred peaks by the nearest strictly higher tile high point.
 
-    One batched ``TileIndex.nearest_higher_tile`` query: the maximum
-    distance to the closest higher tile, inflated by
-    :data:`BOUND_INFLATION`, is an upper bound on a peak's isolation.
-    Returns the bound of each of the :data:`PEAK_DTYPE` rows ``deferred``:
-    inf for a search-area high point, which has no higher tile anywhere.
+    One batched ``TileIndex.nearest_higher_tile`` query gives each peak's
+    great-circle distance g to the nearest tile high point strictly higher
+    than it.  Its isolation is at most its final-metric distance to that
+    sample, at most 1.00449 g, and its limit point lies within great-circle
+    distance 1.00449 g / 0.99440 < 1.0102 g, so g times
+    :data:`BOUND_INFLATION` bounds both.  Returns the bound of each of the
+    :data:`PEAK_DTYPE` rows ``deferred``: inf for a search-area high point,
+    which has no higher tile anywhere.
     """
-    tiles, _dist = index.nearest_higher_tile(
+    _tiles, dists = index.nearest_higher_tile(
         deferred["lat"], deferred["lng"], deferred["elevation"]
     )
-    bounds = np.full(len(deferred), np.inf)
-    higher = np.flatnonzero(tiles >= 0)
-    bounds[higher] = [
-        max_distance(tile_quad(index.keys[t]), GeoPoint(lat, lng)) * BOUND_INFLATION
-        for t, lat, lng in zip(
-            tiles[higher].tolist(),
-            deferred["lat"][higher].tolist(),
-            deferred["lng"][higher].tolist(),
-        )
-    ]
-    return bounds
+    return dists * BOUND_INFLATION
 
 
 def distinct_peaks(peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -661,6 +655,21 @@ def _batches(tiles: Sequence[Tile], workers: int) -> list[range]:
     return batches
 
 
+def _area_tiles(area: Quadrilateral, tiles: Mapping[TileKey, Tile] | Sequence[Tile]) -> list[Tile]:
+    """The tiles covering ``area``, in key order.
+
+    Raises:
+        MissingTilesError: a tile inside the area is unavailable.
+    """
+    if not isinstance(tiles, Mapping):
+        tiles = {t.key: t for t in tiles}
+    keys = area_tile_keys(area)
+    missing = [k for k in keys if k not in tiles]
+    if missing:
+        raise MissingTilesError(missing)
+    return [tiles[k] for k in keys]
+
+
 def _bounding_batch(args) -> tuple[BoundingOutcome, SearchWork, float]:
     """One batch's bounding pass, its search counts and its seconds."""
     tiles, i_min, distance_mode = args
@@ -702,12 +711,8 @@ def run_pipeline(
     """
     started = time.perf_counter()
     final_metric(distance_mode)  # validate early
-    if not isinstance(tiles, Mapping):
-        tiles = {t.key: t for t in tiles}
-    keys = area_tile_keys(area)
-    missing = [k for k in keys if k not in tiles]
-    if missing:
-        raise MissingTilesError(missing)
+    area_tiles = _area_tiles(area, tiles)
+    keys = [t.key for t in area_tiles]
 
     # More workers than tiles would only start idle processes, and more than
     # the CPUs this process may run on would only take turns on them.
@@ -717,7 +722,6 @@ def run_pipeline(
         # Bounding pass: batch-parallel, joined in key order, so that tile t
         # of the index holds the searched rows of by_tile == t.
         t0 = time.perf_counter()
-        area_tiles = [tiles[k] for k in keys]
         batches = _batches(area_tiles, workers)
         bound_args = [([area_tiles[k] for k in b], i_min, distance_mode) for b in batches]
         if pool is None:
@@ -745,10 +749,20 @@ def run_pipeline(
         answers["peak"] += np.repeat(firsts, [len(o.answers) for o in outcomes])
 
         # High-point pass: a few peaks per tile, cheaper in this process
-        # than a round trip through the pool.
+        # than a round trip through the pool.  A tile's high point always
+        # defers, and the rows come tile by tile, so each tile's first
+        # deferred row is its high point in the index.
         t0 = time.perf_counter()
-        index = TileIndex(zip(keys, np.concatenate([o.maxima for o in outcomes]).tolist()))
         deferred = np.flatnonzero(np.isinf(searched["bound"]))
+        first = deferred[_starts(by_tile[deferred])]
+        if len(first) != len(keys):
+            lacking = np.setdiff1d(np.arange(len(keys)), by_tile[first])
+            lacking = [keys[t] for t in lacking.tolist()]
+            raise RuntimeError(f"tiles without a deferred peak: {lacking}")
+        high = searched[first]
+        index = TileIndex(
+            zip(keys, high["lat"].tolist(), high["lng"].tolist(), high["elevation"].tolist())
+        )
         searched["bound"][deferred] = highpoint_pass(index, searched[deferred])
         stats.deferred = len(deferred)
         highpoint_s = time.perf_counter() - t0
@@ -794,7 +808,7 @@ def run_pipeline(
         new_tile = _starts(pair_tiles)
         starts = np.append(np.flatnonzero(new_tile), len(pair_tiles))
         ordinals = np.cumsum(new_tile) - 1
-        final_tiles = [tiles[index.keys[t]] for t in pair_tiles[starts[:-1]].tolist()]
+        final_tiles = [area_tiles[t] for t in pair_tiles[starts[:-1]].tolist()]
         batches = _batches(final_tiles, workers)
         stats.finalization_batches = len(batches)
         final_args = []
@@ -847,13 +861,7 @@ def run_merged_sweep(
     comparable.  Returns the peaks in location order and their answers.
     ``trace_sink`` is handed to ``run_sweep``.
     """
-    if not isinstance(tiles, Mapping):
-        tiles = {t.key: t for t in tiles}
-    keys = area_tile_keys(area)
-    missing = [k for k in keys if k not in tiles]
-    if missing:
-        raise MissingTilesError(missing)
-    tile_list = [tiles[k] for k in keys]
+    tile_list = _area_tiles(area, tiles)
     merged = merge_tiles(tile_list)
     spd = merged.steps_per_degree
     width = merged.shape[1]

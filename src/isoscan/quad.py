@@ -14,16 +14,14 @@ from collections import namedtuple
 import numpy as np
 
 from .geo import (
-    MEAN_RADIUS_M,
     GeoPoint,
-    antipode,
     great_circle_distance,
     great_circle_distance_many,
     wrap_longitude,
     wrap_longitude_many,
 )
 
-__all__ = ["Quadrilateral", "contains", "min_distance", "min_distance_many", "max_distance"]
+__all__ = ["Quadrilateral", "contains", "min_distance", "min_distance_many"]
 
 
 class Quadrilateral(namedtuple("Quadrilateral", ["lat_min", "lat_max", "lng_min", "lng_max"])):
@@ -124,14 +122,3 @@ def min_distance_many(
         )
         out[corner] = np.minimum(out[corner], north)
     return out
-
-
-def max_distance(q: Quadrilateral, p: GeoPoint) -> float:
-    """Upper bound on the great-circle distance from ``p`` to every point of ``q``.
-
-    Exact on the sphere: the farthest point of ``q`` from ``p`` is the
-    nearest point of ``q`` to ``p``'s antipode, so the bound is
-    ``pi * R - min_distance(q, antipode(p))``.  If the antipode lies inside
-    ``q`` this returns the global maximum ``pi * R``.
-    """
-    return math.pi * MEAN_RADIUS_M - min_distance(q, antipode(p))

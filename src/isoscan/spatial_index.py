@@ -31,12 +31,13 @@ query's tile alone gives.  Both stages pick each query's answer with
 :func:`nearest_per_peak`, the rule the pipeline's ``finalize`` applies
 across tiles.
 
-``TileIndex`` holds the search area's 1-degree tiles as flat arrays (keys
-and maximum elevations).  It answers, for arrays of points at once, the
-high-point pass's query for the nearest tile holding strictly higher
-ground, and the tile assignment's query for the tiles within each point's
-radius: an integer tile box of each spherical cap, then the vector
-quadrilateral distance.
+``TileIndex`` holds the search area's 1-degree tiles as flat arrays: each
+tile's key and its high point, one sample of its maximum elevation.  It
+answers, for arrays of points at once, the high-point pass's query for the
+nearest tile high point strictly higher than the point, by the vector
+great-circle distance to every tile's high point, and the tile
+assignment's query for the tiles within each point's radius: an integer
+tile box of each spherical cap, then the vector quadrilateral distance.
 
 Nearest-neighbor queries take one of the two distance metrics,
 ``GreatCircleMetric`` or ``EllipsoidMetric``.  Each pairs its
@@ -66,6 +67,7 @@ from .geo import (
     ellipsoid_distance_exact_many,
     great_circle_distance,
     great_circle_distance_exact_many,
+    great_circle_distance_many,
     wrap_longitude_many,
 )
 from .quad import Quadrilateral, min_distance, min_distance_many
@@ -353,8 +355,7 @@ def _within_slack(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """``lower <= upper`` up to the slack of :func:`_padded`.
 
     Vector distances and bounds may differ from the scalar ones in the last
-    ulps, so nothing within the slack is pruned, and candidates that close
-    to the smallest vector distance are re-ranked with the scalar one.
+    ulps, so nothing within the slack is pruned.
     """
     return lower <= _padded(upper)
 
@@ -866,29 +867,33 @@ _CAP_PAD_DEG = 1e-9
 # the three shifted column ranges of tiles_within then never overlap.
 _CAP_FULL_WIDTH_DEG = 90.0
 
-# Bounds the (query, tile) arrays of nearest_higher_tile.
+# Bounds the (query, tile) distance arrays of nearest_higher_tile.
 _TILE_PAIR_CHUNK = 1 << 20
 
 
 class TileIndex:
     """The area's 1-degree tiles as flat arrays, in ascending key order.
 
-    Tile ``t`` has SW corner ``keys[t]``, covers the closed quadrilateral
-    ``[lat, lat + 1] x [lng, lng + 1]`` of that corner and holds maximum
-    elevation ``max_elevations[t]``.  Both queries take arrays of query
-    points and answer them all at once.
+    Tile ``t`` has SW corner ``keys[t]`` and covers the closed
+    quadrilateral ``[lat, lat + 1] x [lng, lng + 1]`` of that corner.  Its
+    high point is one sample of its maximum elevation, at
+    ``(high_lats[t], high_lngs[t])`` with elevation ``max_elevations[t]``.
+    Both queries take arrays of query points and answer them all at once.
 
     Immutable after construction; safe for concurrent readers.
     """
 
-    def __init__(self, entries: Iterable[tuple[TileKey, int]]):
-        items = sorted(entries)
+    def __init__(self, entries: Iterable[tuple[TileKey, float, float, int]]):
+        """``entries`` are ``(key, lat, lng, elevation)``: each tile's key and high point."""
+        items = sorted((tuple(key), lat, lng, elev) for key, lat, lng, elev in entries)
         if not items:
             raise ValueError("TileIndex needs at least one tile")
-        self.keys: list[TileKey] = [tuple(key) for key, _ in items]
+        self.keys: list[TileKey] = [key for key, _, _, _ in items]
         if len(set(self.keys)) != len(items):
             raise ValueError("duplicate tile keys")
-        self.max_elevations = np.array([elev for _, elev in items], dtype=np.int64)
+        self.high_lats = np.array([lat for _, lat, _, _ in items], dtype=np.float64)
+        self.high_lngs = np.array([lng for _, _, lng, _ in items], dtype=np.float64)
+        self.max_elevations = np.array([elev for _, _, _, elev in items], dtype=np.int64)
         keys = np.array(self.keys, dtype=np.int64)
         self._lat_min = keys[:, 0].astype(np.float64)
         self._lng_min = keys[:, 1].astype(np.float64)
@@ -898,24 +903,13 @@ class TileIndex:
         self._grid = np.full(shape, -1, dtype=np.intp)
         self._grid[keys[:, 0] - self._lat0, keys[:, 1] - self._lng0] = np.arange(len(items))
 
-    def _min_distance(self, tiles: np.ndarray, lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
-        """Vector great-circle distance from each point to its tile, checked finite."""
-        lat_min, lng_min = self._lat_min[tiles], self._lng_min[tiles]
-        dists = min_distance_many(lat_min, lat_min + 1.0, lng_min, lng_min + 1.0, lats, lngs)
-        _check_finite("bound", dists, lats, lngs)
-        return dists
-
     def nearest_higher_tile(
         self, lats: np.ndarray, lngs: np.ndarray, elevations: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Closest tile whose maximum elevation strictly exceeds each query's elevation.
+        """Closest tile whose high point strictly exceeds each query's elevation.
 
-        Distance is the great-circle minimum to the tile's quadrilateral.
-        Every strictly higher tile is measured with the vector distance;
-        those within the slack of :func:`_within_slack` of the smallest are
-        re-ranked with the scalar :func:`~isoscan.quad.min_distance`, ties
-        going to the ascending key, so each answer is the one a scalar scan
-        gives.
+        Distance is the vector great-circle distance to the tile's high
+        point; of equal distances the smaller ordinal wins.
 
         Returns:
             Per query, the ordinal of its tile in :attr:`keys` (-1 when no
@@ -925,27 +919,22 @@ class TileIndex:
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
         elevations = np.asarray(elevations)
-        n, count = len(lats), len(self.keys)
-        found = np.full(n, -1, dtype=np.intp)
-        found_dist = np.full(n, np.inf)
-        chunk = max(1, _TILE_PAIR_CHUNK // count)
-        for start in range(0, n, chunk):
+        found = np.full(len(lats), -1, dtype=np.intp)
+        found_dist = np.full(len(lats), np.inf)
+        chunk = max(1, _TILE_PAIR_CHUNK // len(self.keys))
+        for start in range(0, len(lats), chunk):
             part = slice(start, start + chunk)
-            q, t = np.nonzero(self.max_elevations > elevations[part, None])
-            dists = self._min_distance(t, lats[part][q], lngs[part][q])
-            lowest = np.full(len(elevations[part]), np.inf)
-            np.minimum.at(lowest, q, dists)
-            near = np.flatnonzero(_within_slack(dists, lowest[q]))
-            # Pairs come in ascending (query, tile) order, so of equal scalar
-            # distances the first has the smaller key.
-            for k, tile in zip((q[near] + start).tolist(), t[near].tolist()):
-                lat, lng = self.keys[tile]
-                p = GeoPoint(float(lats[k]), float(lngs[k]))
-                d = min_distance(Quadrilateral(lat, lat + 1, lng, lng + 1), p)
-                if not math.isfinite(d):
-                    raise _non_finite("bound", d, p)
-                if d < found_dist[k]:
-                    found[k], found_dist[k] = tile, d
+            dists = great_circle_distance_many(
+                self.high_lats, self.high_lngs, lats[part, None], lngs[part, None]
+            )
+            higher = self.max_elevations > elevations[part, None]
+            q = np.nonzero(higher)[0]
+            _check_finite("bound", dists[higher], lats[part][q], lngs[part][q])
+            dists[~higher] = np.inf
+            # argmin takes the first of equal distances: the smaller ordinal.
+            best = dists.argmin(axis=1)
+            found_dist[part] = dists[np.arange(len(best)), best]
+            found[part] = np.where(higher.any(axis=1), best, -1)
         return found, found_dist
 
     def tiles_within(
@@ -1004,7 +993,10 @@ class TileIndex:
         if work is not None:
             work.queries += len(lats)
             work.pairs += len(q)
-        keep = _within_slack(self._min_distance(t, lats[q], lngs[q]), radii[q])
+        lat_min, lng_min = self._lat_min[t], self._lng_min[t]
+        dists = min_distance_many(lat_min, lat_min + 1.0, lng_min, lng_min + 1.0, lats[q], lngs[q])
+        _check_finite("bound", dists, lats[q], lngs[q])
+        keep = _within_slack(dists, radii[q])
         q, t = q[keep], t[keep]
         order = np.lexsort((t, q))
         return q[order], t[order]

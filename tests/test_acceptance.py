@@ -33,7 +33,7 @@ from isoscan.geo import (
     great_circle_distance_many,
 )
 from isoscan.multipass import audit_pipeline, ilp_results, run_pipeline
-from isoscan.quad import Quadrilateral, max_distance, min_distance
+from isoscan.quad import Quadrilateral, min_distance
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from isoscan.sweep import assert_sweep_invariant
 
@@ -169,7 +169,7 @@ def test_c05_geometry_tolerances():
         assert rel < 5e-3
         checked += 1
 
-    # quad min/max vs 1e5-point boundary sampling per configuration
+    # quad min vs 1e5-point boundary sampling per configuration
     qrng = random.Random(31337)
     configs = [
         (Quadrilateral(10, 20, 30, 40), GeoPoint(25, 35)),
@@ -192,7 +192,6 @@ def test_c05_geometry_tolerances():
         )
         dists = great_circle_distance_many(lats, lngs, *p)
         assert min_distance(q, p) <= dists.min() + 1e-3
-        assert max_distance(q, p) >= dists.max() - 1e-3
     _verdict(
         5,
         f"closed forms 1e-9, geodesic oracle worst {worst * 100:.3f}% < 0.5%, "

@@ -45,7 +45,7 @@ from isoscan.multipass import (
     tile_quad,
 )
 from isoscan.oracle import SampleUniverse, brute_force_all
-from isoscan.quad import Quadrilateral, max_distance, min_distance
+from isoscan.quad import Quadrilateral, min_distance
 from isoscan.spatial_index import (
     ElevationPyramid,
     EllipsoidMetric,
@@ -128,7 +128,6 @@ class TestBoundingPass:
         area, tiles = world(1, 1, seed=42)
         tile = next(iter(tiles.values()))
         outcome = bounding_pass([tile], 0.0, "staged")
-        assert outcome.maxima.tolist() == [tile.max_elevation_m]
         _bounded, deferred, _discarded = fates(outcome, 0.0)
         deferred_elevs = set(deferred["elevation"].tolist())
         assert tile.max_elevation_m in deferred_elevs
@@ -474,28 +473,29 @@ class TestHighpointPass:
         area, tiles = world(1, 1, seed=44)
         tile = next(iter(tiles.values()))
         _bounded, deferred, _discarded = fates(bounding_pass([tile], 0.0, "staged"), 0.0)
-        index = TileIndex([(tile.key, tile.max_elevation_m)])
+        (high,) = deferred[:1]
+        index = TileIndex([(tile.key, high["lat"], high["lng"], high["elevation"])])
         bounds = highpoint_pass(index, deferred)
         no_higher_elevs = set(deferred["elevation"][np.isinf(bounds)].tolist())
         assert tile.max_elevation_m in no_higher_elevs
 
-    def test_two_tile_bound_is_max_distance_to_higher_tile(self):
+    def test_two_tile_bound_is_inflated_distance_to_higher_high_point(self):
         area, tiles = world(1, 2, seed=45)
-        (key_a, tile_a), (key_b, tile_b) = sorted(tiles.items())
-        if tile_a.max_elevation_m > tile_b.max_elevation_m:
-            key_a, key_b = key_b, key_a
-            tile_a, tile_b = tile_b, tile_a
-        # now tile_b holds the higher maximum; a's high point defers to it
-        _bounded, deferred, _discarded = fates(bounding_pass([tile_a], 0.0, "staged"), 0.0)
-        high = deferred[deferred["elevation"] == tile_a.max_elevation_m]
-        assert len(high) == 1
-        index = TileIndex([(k, t.max_elevation_m) for k, t in tiles.items()])
-        bounds = highpoint_pass(index, high)
-        assert np.count_nonzero(np.isfinite(bounds)) == 1
-        assert as_peaks(high[np.isfinite(bounds)]) == as_peaks(high)
-        (peak,) = as_peaks(high)
-        bound = bounds[0]
-        assert bound == max_distance(tile_quad(key_b), peak.location) * BOUND_INFLATION
+        tile_a, tile_b = sorted(tiles.values(), key=lambda t: t.max_elevation_m)
+        # tile_b holds the higher maximum; a's high point defers to b's
+        high_a = fates(bounding_pass([tile_a], 0.0, "staged"), 0.0)[1]
+        high_b = fates(bounding_pass([tile_b], 0.0, "staged"), 0.0)[1]
+        assert len(high_a) == 1 and len(high_b) == 1
+        index = TileIndex(
+            (t.key, row["lat"], row["lng"], row["elevation"])
+            for t, row in ((tile_a, high_a[0]), (tile_b, high_b[0]))
+        )
+        bounds = highpoint_pass(index, np.concatenate([high_a, high_b]))
+        assert np.isinf(bounds[1])  # b's high point is the area's
+        (peak,), (higher,) = as_peaks(high_a), as_peaks(high_b)
+        assert higher.elevation_m > peak.elevation_m
+        want = great_circle_distance(peak.location, higher.location) * BOUND_INFLATION
+        assert bounds[0] == pytest.approx(want, rel=1e-12)
 
     def test_final_isolation_below_highpoint_bound(self):
         area, tiles = world(3, 3, seed=46, n=41)
@@ -506,6 +506,96 @@ class TestHighpointPass:
             if res.isolation_m is not None:
                 for bound in bounds:
                     assert bound >= res.isolation_m
+
+
+def recorded_high_points(monkeypatch) -> list:
+    """The (key, lat, lng, elevation) entries of every TileIndex run_pipeline builds."""
+    entries = []
+
+    class Recording(TileIndex):
+        def __init__(self, items):
+            items = list(items)
+            entries.extend(items)
+            super().__init__(items)
+
+    monkeypatch.setattr(multipass, "TileIndex", Recording)
+    return entries
+
+
+class TestTileHighPoints:
+    """Every tile of a run gives a deferred row at its maximum elevation, and
+    that row is the tile's high point in the high-point pass's index."""
+
+    def assert_high_points(self, monkeypatch, area, tiles):
+        entries = recorded_high_points(monkeypatch)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
+        assert [key for key, *_ in entries] == sorted(tiles)
+        for key, lat, lng, elevation in entries:
+            tile = tiles[key]
+            assert elevation == tile.max_elevation_m
+            highest = zip(*np.nonzero(tile.elevations == tile.max_elevation_m))
+            assert GeoPoint(lat, lng) in {tile.sample_point(int(i), int(j)) for i, j in highest}
+        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        assert csv_text(outcome) == csv_text(dataclasses.replace(outcome, arrays=swept))
+        assert audit_pipeline(outcome) == []
+        return entries
+
+    def test_plateau_topped_tiles(self, monkeypatch):
+        area, tiles = world(2, 2, seed=63, profile="plateau", n=31)
+        self.assert_high_points(monkeypatch, area, tiles)
+
+    def test_maximum_on_a_seam(self, monkeypatch):
+        # Both tiles' maximum is the seam sample they share, so their high
+        # points tie at one location.
+        area, tiles = seam_world((10, 20, 500), (5, 5, 200), (15, 35, 300))
+        entries = self.assert_high_points(monkeypatch, area, tiles)
+        assert {(lat, lng) for _, lat, lng, _ in entries} == {(45.5, 8.0)}
+
+    def test_maximum_at_two_separate_samples(self, monkeypatch):
+        # The west tile's maximum, 300, is at two samples far apart; both
+        # defer, and the first in the tile's row order is its high point.
+        area, tiles = seam_world((4, 4, 300), (16, 12, 300), (10, 30, 400))
+        outcome = bounding_pass([tiles[(45, 7)]], 0.0, "staged")
+        deferred = fates(outcome, 0.0)[1]
+        assert sorted(deferred["elevation"].tolist()) == [300, 300]
+        entries = self.assert_high_points(monkeypatch, area, tiles)
+        assert entries[0] == ((45, 7), deferred["lat"][0], deferred["lng"][0], 300)
+
+    def test_tile_without_a_deferred_row_raises(self, monkeypatch):
+        # A batch that loses its tile high point must not shift the index.
+        bounding = multipass.bounding_pass
+
+        def lossy(tiles, *args):
+            outcome = bounding(tiles, *args)
+            last = outcome.searched[len(outcome.searched) - outcome.peak_counts[-1] :]
+            last["bound"][np.isinf(last["bound"])] = 5000.0
+            return outcome
+
+        monkeypatch.setattr(multipass, "bounding_pass", lossy)
+        area, tiles = world(1, 2, seed=45, n=31)
+        with pytest.raises(RuntimeError, match=r"without a deferred peak: \[\(45, 8\)\]"):
+            run_pipeline(area, tiles, i_min=0.0, threads=1)
+
+
+class TestPointObjects:
+    @pytest.mark.parametrize("i_min", [0.0, 1000.0])
+    def test_pipeline_makes_no_points(self, monkeypatch, i_min):
+        # Every pass works on arrays: not one GeoPoint is made, in any
+        # module, by a multi-tile run.
+        made = []
+        new = GeoPoint.__new__
+
+        def counting(cls, *args):
+            made.append(args)
+            return new(cls, *args)
+
+        area, tiles = world(3, 3, seed=46, n=41)
+        monkeypatch.setattr(GeoPoint, "__new__", counting)
+        outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
+        assert made == []
+        assert outcome.stats.deferred >= len(tiles) > 1
+        assert outcome.stats.finalization.queries > 0
+        assert outcome.results and made  # the objects made on demand are counted
 
 
 class TestFinalizationPass:
@@ -592,7 +682,7 @@ class TestFinalize:
 
 
 class TestAssignTiles:
-    INDEX = TileIndex([((45, 7), 100), ((45, 8), 100)])
+    INDEX = TileIndex([((45, 7), 45.5, 7.5, 100), ((45, 8), 45.5, 8.5, 100)])
 
     def test_one_entry_per_tile_per_location(self):
         # A seam peak found by both tiles, twice by one of them: one pair
@@ -628,7 +718,7 @@ class TestTileKeysWithin:
         # any extra tile lies within the slack of the radius.
         area = Quadrilateral(40, 50, 0, 10)
         keys = area_tile_keys(area)
-        index = TileIndex([(k, 100) for k in keys])
+        index = TileIndex([(k, k[0], k[1], 100) for k in keys])
         rng = np.random.default_rng(6)
         lats, lngs = rng.uniform(35, 55, 60), rng.uniform(-5, 15, 60)
         radii = rng.uniform(0, 1.5e6, 60)

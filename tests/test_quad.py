@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from isoscan.geo import (
     MEAN_RADIUS_M as R,
     GeoPoint,
-    antipode,
     great_circle_distance,
     great_circle_distance_many,
     wrap_longitude,
 )
-from isoscan.quad import Quadrilateral, contains, max_distance, min_distance, min_distance_many
+from isoscan.quad import Quadrilateral, contains, min_distance, min_distance_many
 
 
 def boundary_samples(q: Quadrilateral, per_edge: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,33 +288,6 @@ class TestMinDistanceMany:
         assert np.abs(got - want).max() <= 1e-6
 
 
-class TestMaxDistance:
-    def test_center_dominated_by_corner(self):
-        q = Quadrilateral(-1, 1, -1, 1)
-        p = GeoPoint(0, 0)
-        assert max_distance(q, p) >= great_circle_distance(p, GeoPoint(1, 1)) - 1e-3
-
-    def test_antipode_inside_gives_global_maximum(self):
-        q = Quadrilateral(10, 20, 30, 40)
-        p = antipode(GeoPoint(15, 35))
-        assert max_distance(q, p) == pytest.approx(math.pi * R, rel=1e-12)
-
-    def test_example_against_dense_boundary(self):
-        q = Quadrilateral(10, 20, 30, 40)
-        p = GeoPoint(25, 35)
-        lats, lngs = boundary_samples(q, 25_000)
-        sampled = great_circle_distance_many(lats, lngs, *p).max()
-        d = max_distance(q, p)
-        assert d >= sampled - 1e-3
-        assert d <= sampled + 1e-3  # duality makes the bound tight
-
-    def test_interior_never_exceeds_bound(self):
-        q = Quadrilateral(44, 47, 6, 10)
-        p = GeoPoint(-20, -100)
-        lats, lngs = interior_grid(q, 150)
-        assert max_distance(q, p) >= great_circle_distance_many(lats, lngs, *p).max() - 1e-3
-
-
 class TestDenseSamplingProperties:
     def test_random_configurations(self):
         rng = random.Random(17)
@@ -328,13 +300,11 @@ class TestDenseSamplingProperties:
             p = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             lats, lngs = boundary_samples(q, 2_500)
             dists = great_circle_distance_many(lats, lngs, *p)
-            lo, hi = min_distance(q, p), max_distance(q, p)
+            lo = min_distance(q, p)
             assert lo <= dists.min() + 1e-3
-            assert hi >= dists.max() - 1e-3
             ilats, ilngs = interior_grid(q, 60)
             idists = great_circle_distance_many(ilats, ilngs, *p)
             assert lo <= idists.min() + 1e-3
-            assert hi >= idists.max() - 1e-3
             if contains(q, p):
                 assert lo == 0.0
             else:
@@ -349,10 +319,15 @@ class TestDenseSamplingProperties:
         st.floats(-180, 180),
     )
     @settings(max_examples=60, deadline=None)
-    def test_min_below_max(self, lat0, lng0, dlat, dlng, plat, plng):
+    def test_min_below_corner_and_center_distances(self, lat0, lng0, dlat, dlng, plat, plng):
         q = Quadrilateral(lat0, lat0 + dlat, lng0, lng0 + dlng)
         p = GeoPoint(plat, plng)
-        assert min_distance(q, p) <= max_distance(q, p) + 1e-9
+        inside = [
+            GeoPoint(lat, lng)
+            for lat in (q.lat_min, (q.lat_min + q.lat_max) / 2, q.lat_max)
+            for lng in (q.lng_min, q.center_lng, q.lng_max)
+        ]
+        assert min_distance(q, p) <= min(great_circle_distance(p, c) for c in inside) + 1e-9
 
     def test_continuity_under_perturbation(self):
         rng = random.Random(23)

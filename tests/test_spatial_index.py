@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from conftest import exact_nearest
 from isoscan import spatial_index
 from isoscan.dem import Tile, downsample
-from isoscan.geo import MEAN_RADIUS_M, GeoPoint, great_circle_distance, wrap_longitude
+from isoscan.geo import (
+    MEAN_RADIUS_M,
+    GeoPoint,
+    great_circle_distance,
+    great_circle_distance_many,
+    wrap_longitude,
+)
 from isoscan.multipass import area_tile_keys, tile_keys_within
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
@@ -310,11 +316,20 @@ class TestPruningSoundness:
 
 
 def _random_tile_entries(n: int, seed: int):
+    """``n`` distinct tiles, each with a high point somewhere in its closed box."""
     rng = random.Random(seed)
     keys = set()
     while len(keys) < n:
         keys.add((rng.randrange(-50, 50), rng.randrange(-170, 170)))
-    return [(key, rng.randrange(0, 4000)) for key in sorted(keys)]
+    return [
+        (key, key[0] + rng.random(), key[1] + rng.random(), rng.randrange(0, 4000))
+        for key in sorted(keys)
+    ]
+
+
+def _flat_index(keys) -> TileIndex:
+    """A TileIndex of ``keys`` whose tiles are all at elevation 0."""
+    return TileIndex([(key, key[0], key[1], 0) for key in keys])
 
 
 def _tile_quad(key) -> Quadrilateral:
@@ -341,76 +356,60 @@ def _assert_superset_within_slack(got, exact, p, radius):
         assert min_distance(_tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9 + 1e-6
 
 
+# Offsets in degrees on a half-degree lattice: of a high point from its
+# tile's SW corner, and of a query from (44, 6) across a 3x4 block of tiles.
+_HALVES = st.integers(0, 2).map(lambda v: v / 2)
+_LATTICE = st.integers(0, 8).map(lambda v: v / 2)
+
+
 class TestTileIndex:
     def test_far_higher_tile_found(self):
-        index = TileIndex([((45, 7), 1000), ((48, 12), 3000)])
+        index = TileIndex([((45, 7), 45.9, 7.9, 1000), ((48, 12), 48.3, 12.6, 3000)])
         key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         assert key == (48, 12)
-        assert dist == min_distance(Quadrilateral(48, 49, 12, 13), GeoPoint(45.5, 7.5))
+        want = great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(48.3, 12.6))
+        assert dist == pytest.approx(want, abs=1e-6)
 
-    def test_own_tile_at_distance_zero(self):
-        index = TileIndex([((45, 7), 2000), ((45, 8), 900)])
+    def test_own_tile_measured_to_its_high_point(self):
+        # The lower neighbour's high point is nearer, but only a higher
+        # sample bounds the query: its own tile's, 54 km away, not 0.
+        index = TileIndex([((45, 7), 45.9, 7.1, 2000), ((45, 8), 45.5, 8.0, 900)])
         key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         assert key == (45, 7)
-        assert dist == 0.0
+        want = great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(45.9, 7.1))
+        assert dist == pytest.approx(want, abs=1e-6)
+        assert dist > great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(45.5, 8.0))
 
     def test_no_higher_tile_returns_none(self):
-        index = TileIndex([((45, 7), 1000)])
+        index = TileIndex([((45, 7), 45.5, 7.5, 1000)])
         assert _nearest_one(index, GeoPoint(45.5, 7.5), 1000) is None  # strict >
 
-    def test_matches_exhaustive_scan(self):
-        entries = _random_tile_entries(100, seed=13)
-        index = TileIndex(entries)
-        rng = random.Random(14)
-        queries = [
-            (GeoPoint(rng.uniform(-55, 55), rng.uniform(-180, 180)), rng.randrange(0, 4200))
-            for _ in range(100)
-        ]
-        tiles, dists = index.nearest_higher_tile(
-            [p.lat_deg for p, _ in queries],
-            [p.lng_deg for p, _ in queries],
-            [e for _, e in queries],
-        )
-        assert len(tiles) == len(dists) == len(queries)
-        for (p, elev), tile, dist in zip(queries, tiles.tolist(), dists.tolist()):
-            want = None
-            for key, max_elev in entries:
-                if max_elev <= elev:
-                    continue
-                cand = (min_distance(_tile_quad(key), p), key)
-                if want is None or cand < want:
-                    want = cand
-            if want is None:
-                assert tile == -1 and dist == math.inf
-            else:
-                assert (index.keys[tile], dist) == (want[1], want[0])
+    def test_non_finite_query_raises(self):
+        index = TileIndex([((45, 7), 45.5, 7.5, 1000)])
+        with pytest.raises(NonFiniteDistanceError):
+            index.nearest_higher_tile([45.5], [math.nan], [0])
 
     @given(
-        st.lists(st.integers(0, 4), min_size=1, max_size=12),
-        st.lists(
-            st.tuples(
-                st.integers(-4, 12).map(lambda v: v / 2),
-                st.integers(-4, 12).map(lambda v: v / 2),
-                st.integers(-1, 4),
-            ),
-            min_size=1,
-            max_size=20,
-        ),
+        st.lists(st.tuples(_HALVES, _HALVES, st.integers(0, 4)), min_size=1, max_size=12),
+        st.lists(st.tuples(_LATTICE, _LATTICE, st.integers(-1, 4)), min_size=1, max_size=20),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_nearest_higher_tile_matches_scalar_filter(self, heights, queries):
-        # Half-degree query points on tile edges and corners tie between
-        # neighbouring tiles; ties go to the ascending key.
-        keys = [(44 + k // 4, 6 + k % 4) for k in range(len(heights))]
-        index = TileIndex(list(zip(keys, heights)))
-        lats = [45.0 + a for a, _, _ in queries]
-        lngs = [7.0 + b for _, b, _ in queries]
+    @settings(max_examples=80, deadline=None)
+    def test_nearest_higher_tile_matches_brute_force_scan(self, highs, queries):
+        # Neighbouring tiles' high points often share a seam point, so
+        # distances tie; ties go to the smaller key.
+        keys = [(44 + k // 4, 6 + k % 4) for k in range(len(highs))]
+        entries = [(key, key[0] + a, key[1] + b, h) for key, (a, b, h) in zip(keys, highs)]
+        index = TileIndex(entries[::-1])
+        assert index.keys == keys
+        lats = [44.0 + a for a, _, _ in queries]
+        lngs = [6.0 + b for _, b, _ in queries]
         tiles, dists = index.nearest_higher_tile(lats, lngs, [e for _, _, e in queries])
+        assert len(tiles) == len(dists) == len(queries)
         for lat, lng, (_a, _b, elev), tile, dist in zip(lats, lngs, queries, tiles, dists):
-            p = GeoPoint(lat, lng)
-            higher = [
-                (min_distance(_tile_quad(k), p), k) for k, h in zip(keys, heights) if h > elev
-            ]
+            to_highs = great_circle_distance_many(
+                np.array([e[1] for e in entries]), np.array([e[2] for e in entries]), lat, lng
+            )
+            higher = [(d, key) for d, (key, _, _, h) in zip(to_highs.tolist(), entries) if h > elev]
             if not higher:
                 assert tile == -1 and dist == math.inf
             else:
@@ -421,9 +420,9 @@ class TestTileIndex:
         entries = _random_tile_entries(60, seed=15)
         index = TileIndex(entries)
         p = GeoPoint(10.25, 10.25)
-        containing = [key for key, _ in entries if contains(_tile_quad(key), p)]
+        containing = [key for key, *_ in entries if contains(_tile_quad(key), p)]
         _assert_superset_within_slack(_within_one(index, p, 0.0), containing, p, 0.0)
-        assert _within_one(index, p, math.pi * MEAN_RADIUS_M) == sorted(k for k, _ in entries)
+        assert _within_one(index, p, math.pi * MEAN_RADIUS_M) == sorted(k for k, *_ in entries)
 
     def test_tiles_within_matches_filter(self):
         entries = _random_tile_entries(80, seed=16)
@@ -435,7 +434,7 @@ class TestTileIndex:
             [p.lat_deg for p in points], [p.lng_deg for p in points], radii
         )
         for k, (p, radius) in enumerate(zip(points, radii)):
-            expected = [key for key, _ in entries if min_distance(_tile_quad(key), p) <= radius]
+            expected = [key for key, *_ in entries if min_distance(_tile_quad(key), p) <= radius]
             got = [index.keys[t] for t in tiles[queries == k].tolist()]
             assert got == sorted(got)
             _assert_superset_within_slack(got, expected, p, radius)
@@ -462,7 +461,7 @@ class TestTileIndex:
         lat1 = min(90, lat0 + rows)
         area = Quadrilateral(lat0, lat1, lng0, min(180, lng0 + cols))
         keys = area_tile_keys(area)
-        index = TileIndex([(key, 0) for key in keys])
+        index = _flat_index(keys)
         points = [
             GeoPoint(
                 area.lat_min + a * (area.lat_max - area.lat_min),
@@ -488,7 +487,7 @@ class TestTileIndex:
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
             TileIndex([])
-        ent = ((45, 7), 100)
+        ent = ((45, 7), 45.5, 7.5, 100)
         with pytest.raises(ValueError):
             TileIndex([ent, ent])
 
