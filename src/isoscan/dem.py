@@ -314,9 +314,7 @@ _NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 _LATER_NEIGHBORS = [(0, 1), (1, -1), (1, 0), (1, 1)]
 
 
-def detect_peaks(
-    tile: Tile, dominated: Optional[np.ndarray] = None, qualifies: Optional[np.ndarray] = None
-) -> np.ndarray:
+def detect_peaks(tile: Tile) -> np.ndarray:
     """Samples with all eight neighbors of lower or equal elevation, as
     ascending row-major indices into the tile's grid.
 
@@ -324,18 +322,10 @@ def detect_peaks(
     qualify on their existing neighbors alone (:func:`qualifying_samples`).
     A connected flat region of equal elevation yields exactly one
     representative: the first qualifying sample in (row, col) scan order,
-    i.e. the NW-most, then W-most one.
-
-    ``dominated``, a mask over the grid, leaves out the peaks on it: a flat
-    region is labelled only from a qualifying sample off the mask, and its
-    representative is then kept only if it is off the mask too.  The result
-    is the unmasked one less the peaks on the mask, but a flat region that
-    the mask covers at every qualifying sample is never labelled.
-
-    ``qualifies`` is the tile's :func:`qualifying_samples` mask, when the
-    caller has it at hand.  The one-tile case of :func:`peak_indices`.
+    i.e. the NW-most, then W-most one.  The one-tile, unmasked case of
+    :func:`peak_indices`.
     """
-    return peak_indices(tile.elevations, dominated, qualifies)
+    return peak_indices(tile.elevations)
 
 
 def peak_indices(
@@ -345,8 +335,15 @@ def peak_indices(
 
     ``grid`` is one tile's elevations or a (tiles, rows, cols) stack of
     them; each tile is on its own, so a flat region never joins across the
-    boundary of two stacked tiles.  ``dominated`` and ``qualifies`` are
-    masks over ``grid``, as in :func:`detect_peaks`.
+    boundary of two stacked tiles.
+
+    ``dominated``, a mask over ``grid``, leaves out the peaks on it: a flat
+    region is labelled only from a qualifying sample off the mask, and its
+    representative is then kept only if it is off the mask too.  The result
+    is the unmasked one less the peaks on the mask, but a flat region that
+    the mask covers at every qualifying sample is never labelled.
+    ``qualifies`` is the :func:`qualifying_samples` mask of ``grid``, when
+    the caller has it at hand.
 
     A qualifying sample off ``dominated`` with no neighbor as high is a peak
     of its own.  The others seed the flat summits: every sample 8-connected

@@ -9,13 +9,17 @@ distance, the reference ellipsoid for the ellipsoid distance.  The
 pruning and inflation constants elsewhere (:data:`ELLIPSOID_RATIO_BAND`
 and those derived from it) were measured for this pair, so it is not a
 parameter.
+
+Each distance has one definition, its scalar function.  Numpy's
+transcendental ufuncs may round differently from libm's, and differently
+again with the CPU features numpy dispatches to, so an exact distance over
+arrays maps the scalar function over the pairs rather than restating it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +37,7 @@ __all__ = [
     "antipode",
     "great_circle_distance",
     "great_circle_distance_many",
-    "great_circle_distance_exact_many",
     "ellipsoid_distance",
-    "ellipsoid_distance_exact_many",
     "to_cartesian",
 ]
 
@@ -114,15 +116,18 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Haversine great-circle distance between two points, in meters.
 
     Args:
-        a, b: end points.
+        a, b: end points, each a :class:`GeoPoint` or a (lat, lng) pair
+            with the longitude in (-180, 180].
 
     Returns:
         Arc length in [0, pi * R].  Symmetric and zero for coincident points.
     """
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    sin_dphi = math.sin(math.radians(b.lat_deg - a.lat_deg) * 0.5)
-    sin_dlng = math.sin(math.radians(b.lng_deg - a.lng_deg) * 0.5)
+    lat1, lng1 = a
+    lat2, lng2 = b
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    sin_dphi = math.sin(math.radians(lat2 - lat1) * 0.5)
+    sin_dlng = math.sin(math.radians(lng2 - lng1) * 0.5)
     h = sin_dphi * sin_dphi + math.cos(phi1) * math.cos(phi2) * sin_dlng * sin_dlng
     if h >= 1.0:
         return math.pi * MEAN_RADIUS_M
@@ -141,7 +146,7 @@ def great_circle_distance_many(
     distances.  The query coordinates are arrays that broadcast against the
     points, or one point as two scalars.  Numpy's trigonometry may round
     differently from libm's, so exact comparisons must re-check candidates
-    with the scalar function or :func:`great_circle_distance_exact_many`.
+    with the scalar function.
     """
     phi = np.radians(lats_deg)
     phi_p = np.radians(p_lats_deg)
@@ -168,12 +173,15 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint) -> float:
     distance on a sphere of :data:`EQUATORIAL_RADIUS_M`.
 
     Args:
-        a, b: end points; should not be antipodal.
+        a, b: end points as in :func:`great_circle_distance`; should not
+            be antipodal.
     """
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
+    lat1, lng1 = a
+    lat2, lng2 = b
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
     dphi = (phi2 - phi1) * 0.5
-    dlng = math.radians(b.lng_deg - a.lng_deg) * 0.5
+    dlng = math.radians(lng2 - lng1) * 0.5
     mean_phi = (phi1 + phi2) * 0.5
 
     sin_dphi2 = math.sin(dphi) ** 2
@@ -199,73 +207,6 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint) -> float:
     else:
         correction -= _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2)
     return 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
-
-
-def _libm(fn, *values: list) -> np.ndarray:
-    """``fn`` of :mod:`math` on each element of the lists: libm's own result.
-
-    Numpy's transcendental ufuncs are other implementations (SIMD ones,
-    chosen by the CPU), which may differ from libm in the last ulp.
-    """
-    return np.fromiter(map(fn, *values), dtype=np.float64, count=len(values[0]))
-
-
-def _libm_squared(fn, values: list) -> np.ndarray:
-    """``fn(x) ** 2`` for each element, as CPython computes it: libm's
-    ``pow(fn(x), 2.0)``, which is not always ``fn(x) * fn(x)``."""
-    return np.fromiter(map(pow, map(fn, values), repeat(2)), dtype=np.float64, count=len(values))
-
-
-def great_circle_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
-    """:func:`great_circle_distance` of each pair ``(a[k], b[k])``, bit for bit.
-
-    One-dimensional arrays of one length, longitudes in (-180, 180] as
-    :class:`GeoPoint` holds them.  The scalar function's operations in its
-    order: numpy only for the correctly rounded ones (+, -, *, /, sqrt,
-    radians, comparisons), and every libm call through :func:`_libm`.
-    """
-    sin_dphi = _libm(math.sin, (np.radians(b_lats - a_lats) * 0.5).tolist())
-    sin_dlng = _libm(math.sin, (np.radians(b_lngs - a_lngs) * 0.5).tolist())
-    cos_phi1 = _libm(math.cos, np.radians(a_lats).tolist())
-    cos_phi2 = _libm(math.cos, np.radians(b_lats).tolist())
-    h = sin_dphi * sin_dphi + cos_phi1 * cos_phi2 * sin_dlng * sin_dlng
-    below = np.minimum(h, 1.0)  # h >= 1 takes the branch below
-    w = _libm(math.atan2, np.sqrt(below).tolist(), np.sqrt(1.0 - below).tolist())
-    return np.where(h >= 1.0, math.pi * MEAN_RADIUS_M, 2.0 * MEAN_RADIUS_M * w)
-
-
-def ellipsoid_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
-    """:func:`ellipsoid_distance` of each pair, bit for bit; arrays as in
-    :func:`great_circle_distance_exact_many`."""
-    phi1 = np.radians(a_lats)
-    phi2 = np.radians(b_lats)
-    dphi = ((phi2 - phi1) * 0.5).tolist()
-    dlng = (np.radians(b_lngs - a_lngs) * 0.5).tolist()
-    mean_phi = ((phi1 + phi2) * 0.5).tolist()
-
-    sin_dphi2 = _libm_squared(math.sin, dphi)
-    cos_dphi2 = _libm_squared(math.cos, dphi)
-    sin_dlng2 = _libm_squared(math.sin, dlng)
-    cos_dlng2 = _libm_squared(math.cos, dlng)
-    sin_mean2 = _libm_squared(math.sin, mean_phi)
-    cos_mean2 = _libm_squared(math.cos, mean_phi)
-
-    s = sin_dphi2 * cos_dlng2 + cos_mean2 * sin_dlng2
-    c = cos_dphi2 * cos_dlng2 + sin_mean2 * sin_dlng2
-    w = _libm(math.atan2, np.sqrt(s).tolist(), np.sqrt(c).tolist())
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.sqrt(s * c) / w  # NaN where w == 0, which returns 0 below
-        f = FLATTENING
-        h1 = (3.0 * r - 1.0) / (2.0 * c)
-        correction = f * h1 * sin_mean2 * cos_dphi2
-        h2 = (3.0 * r + 1.0) / (2.0 * s)
-        correction = np.where(
-            h2 < math.inf,
-            correction - f * h2 * cos_mean2 * sin_dphi2,
-            correction - _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2),
-        )
-    out = 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
-    return np.where(w == 0.0, 0.0, out)
 
 
 def to_cartesian(p: GeoPoint) -> Vec3:

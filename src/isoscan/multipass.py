@@ -414,9 +414,7 @@ def highpoint_pass(index: TileIndex, deferred: np.ndarray) -> np.ndarray:
     :data:`PEAK_DTYPE` rows ``deferred``: inf for a search-area high point,
     which has no higher tile anywhere.
     """
-    _tiles, dists = index.nearest_higher_tile(
-        deferred["lat"], deferred["lng"], deferred["elevation"]
-    )
+    dists = index.nearest_higher_tile(deferred["lat"], deferred["lng"], deferred["elevation"])
     return dists * BOUND_INFLATION
 
 

@@ -15,8 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dem import Tile
-from .geo import MEAN_RADIUS_M, METRIC_ANISOTROPY, GeoPoint, to_cartesian
-from .spatial_index import EllipsoidMetric
+from .geo import MEAN_RADIUS_M, GeoPoint, to_cartesian
 from .sweep import ANSWER_DTYPE, ResultArrays
 
 __all__ = ["SampleUniverse", "brute_force_all"]
@@ -82,8 +81,8 @@ def _nearest_higher(
     The strictly higher samples are screened by chord length, monotone in
     the central angle, so the near-minimal set under any sphere-based metric
     is found without per-sample trigonometry: the screen keeps everything
-    within METRIC_ANISOTROPY of the nearest chord, plus an absolute slack,
-    under the ellipsoid metric.  The exact scalar distance then re-ranks the
+    within ``metric.anisotropy`` times the nearest's central angle, plus a
+    slack.  The exact scalar distance then re-ranks the
     candidates, so the result is bit-identical to a pure scalar scan; ties
     on distance break by ascending (lat, lng), the same rule the sweep uses.
     """
@@ -96,8 +95,7 @@ def _nearest_higher(
     chord2 = np.clip(2.0 - 2.0 * dot, 0.0, 4.0)
     sigma_min = 2.0 * math.asin(min(1.0, math.sqrt(float(chord2.min())) * 0.5))
     slack = (1e-3 + sigma_min * MEAN_RADIUS_M * 1e-9) / MEAN_RADIUS_M
-    anisotropy = METRIC_ANISOTROPY if isinstance(metric, EllipsoidMetric) else 1.0 + 1e-9
-    chord_thr = 2.0 * math.sin(min(sigma_min * anisotropy + slack, math.pi) * 0.5)
+    chord_thr = 2.0 * math.sin(min(sigma_min * metric.anisotropy + slack, math.pi) * 0.5)
     best: Optional[tuple[float, GeoPoint]] = None
     for idx in (start + np.flatnonzero(chord2 <= chord_thr * chord_thr)).tolist():
         pt = GeoPoint(universe.lats[idx], universe.lngs[idx])

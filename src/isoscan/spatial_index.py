@@ -24,7 +24,7 @@ per-column tables, the tiles' own concatenated: the haversine of each
 or a strip outside a window) and the upper bound of each cell's maximum
 sample, with no trigonometry per sample.  Only the samples in a narrow band
 around each query's nearest by the haversine get the metric's exact
-distance, from an array twin bit-identical to the scalar one.  The answers
+distance: its scalar definition mapped over the pairs.  The answers
 are :data:`CANDIDATE_DTYPE` rows, one per query with a higher sample: the
 format the pipeline's passes hand on, and each the one a pyramid of the
 query's tile alone gives.  Both stages pick each query's answer with
@@ -44,9 +44,10 @@ Nearest-neighbor queries take one of the two distance metrics,
 point-to-point distance with a quadrilateral lower bound that never
 exceeds the metric's distance to any point inside the quadrilateral; that
 soundness is what makes pruned searches exactly equivalent to linear scans.
-Each also has an exact array twin of its distance, ``distance_exact_many``,
-and the band (``low``, ``high``) of its distance over the great-circle
-distance, which scales the pyramid's great-circle bounds.
+Each also maps its scalar distance over arrays of pairs,
+``distance_exact_many``, and has the band (``low``, ``high``) of its
+distance over the great-circle distance, which scales the pyramid's
+great-circle bounds.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ from .geo import (
     METRIC_ANISOTROPY,
     GeoPoint,
     ellipsoid_distance,
-    ellipsoid_distance_exact_many,
     great_circle_distance,
-    great_circle_distance_exact_many,
     great_circle_distance_many,
     wrap_longitude_many,
 )
@@ -138,21 +137,29 @@ class NonFiniteDistanceError(ArithmeticError):
     """
 
 
+def _distances(distance, a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
+    """The scalar ``distance`` of each pair ``(a[k], b[k])`` of points given
+    as one-dimensional coordinate arrays of one length: the scalar
+    definition's own values, bit for bit."""
+    a = zip(a_lats.tolist(), a_lngs.tolist())
+    b = zip(b_lats.tolist(), b_lngs.tolist())
+    return np.fromiter(map(distance, a, b), dtype=np.float64, count=len(a_lats))
+
+
 class GreatCircleMetric:
     """Haversine distance with the exact quadrilateral minimum as bound.
 
     ``low`` and ``high`` bound the metric's distance over the great-circle
     distance, and ``anisotropy`` is the width of the chord band within
-    which :class:`ElevationPyramid` keeps samples for the exact re-rank.
+    which :class:`ElevationPyramid` and the oracle keep samples for the
+    exact re-rank.
     """
 
     low = high = anisotropy = 1.0
-
-    def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return great_circle_distance(a, b)
+    distance = staticmethod(great_circle_distance)
 
     def distance_exact_many(self, a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
-        return great_circle_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
+        return _distances(self.distance, a_lats, a_lngs, b_lats, b_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return min_distance(q, p)
@@ -162,12 +169,10 @@ class EllipsoidMetric:
     """Flattening-corrected distance; bound is a safely scaled sphere bound."""
 
     low, high, anisotropy = _ELLIPSOID_PRUNE_FACTOR, ELLIPSOID_RATIO_BAND[1], METRIC_ANISOTROPY
-
-    def distance(self, a: GeoPoint, b: GeoPoint) -> float:
-        return ellipsoid_distance(a, b)
+    distance = staticmethod(ellipsoid_distance)
 
     def distance_exact_many(self, a_lats, a_lngs, b_lats, b_lngs) -> np.ndarray:
-        return ellipsoid_distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
+        return _distances(self.distance, a_lats, a_lngs, b_lats, b_lngs)
 
     def lower_bound(self, q: Quadrilateral, p: GeoPoint) -> float:
         return _ELLIPSOID_PRUNE_FACTOR * min_distance(q, p)
@@ -905,22 +910,14 @@ class TileIndex:
 
     def nearest_higher_tile(
         self, lats: np.ndarray, lngs: np.ndarray, elevations: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Closest tile whose high point strictly exceeds each query's elevation.
-
-        Distance is the vector great-circle distance to the tile's high
-        point; of equal distances the smaller ordinal wins.
-
-        Returns:
-            Per query, the ordinal of its tile in :attr:`keys` (-1 when no
-            tile is higher: the search-area high point) and the distance
-            (inf when none).
-        """
+    ) -> np.ndarray:
+        """Each query's vector great-circle distance to the nearest tile high
+        point strictly higher than it: inf when no tile is higher (the
+        search-area high point)."""
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
         elevations = np.asarray(elevations)
-        found = np.full(len(lats), -1, dtype=np.intp)
-        found_dist = np.full(len(lats), np.inf)
+        found = np.empty(len(lats))
         chunk = max(1, _TILE_PAIR_CHUNK // len(self.keys))
         for start in range(0, len(lats), chunk):
             part = slice(start, start + chunk)
@@ -931,11 +928,8 @@ class TileIndex:
             q = np.nonzero(higher)[0]
             _check_finite("bound", dists[higher], lats[part][q], lngs[part][q])
             dists[~higher] = np.inf
-            # argmin takes the first of equal distances: the smaller ordinal.
-            best = dists.argmin(axis=1)
-            found_dist[part] = dists[np.arange(len(best)), best]
-            found[part] = np.where(higher.any(axis=1), best, -1)
-        return found, found_dist
+            found[part] = dists.min(axis=1)
+        return found
 
     def tiles_within(
         self,

@@ -294,10 +294,10 @@ class TestDetectPeaks:
                 higher[i, j] = (block > grid[i, j]).any()
         assert np.array_equal(qualifying_samples(tile.elevations), ~higher)
         every = detect_peaks(tile)
-        masked = detect_peaks(tile, dominated)
+        masked = peak_indices(tile.elevations, dominated)
         assert masked.tolist() == every[~dominated.flat[every]].tolist()
         # The qualifying mask, given, changes nothing.
-        given_mask = detect_peaks(tile, dominated, qualifying_samples(tile.elevations))
+        given_mask = peak_indices(tile.elevations, dominated, qualifying_samples(tile.elevations))
         assert given_mask.tolist() == masked.tolist()
 
     @given(
@@ -315,7 +315,7 @@ class TestDetectPeaks:
         # Four levels make flat regions of every shape.
         grid, dominated = case
         tile = Tile(45, 7, grid, 1)
-        assert cells_of(tile, detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
+        assert cells_of(tile, peak_indices(grid, dominated)) == walked_peaks(grid, dominated)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -373,7 +373,7 @@ class TestDetectPeaks:
         dominated = None
         if radius is not None:
             dominated = dominated_samples([tile], grid[None], radius)[0]
-        assert cells_of(tile, detect_peaks(tile, dominated)) == walked_peaks(grid, dominated)
+        assert cells_of(tile, peak_indices(grid, dominated)) == walked_peaks(grid, dominated)
 
 
 class TestLowestNeighbor:

@@ -23,9 +23,7 @@ from isoscan.geo import (
     GeoPoint,
     antipode,
     ellipsoid_distance,
-    ellipsoid_distance_exact_many,
     great_circle_distance,
-    great_circle_distance_exact_many,
     great_circle_distance_many,
     to_cartesian,
     wrap_longitude,
@@ -273,8 +271,8 @@ class TestVectorTwinQueryPoints:
 
 
 EXACT_TWINS = [
-    pytest.param(great_circle_distance, great_circle_distance_exact_many, id="great-circle"),
-    pytest.param(ellipsoid_distance, ellipsoid_distance_exact_many, id="ellipsoid"),
+    pytest.param(great_circle_distance, GreatCircleMetric(), id="great-circle"),
+    pytest.param(ellipsoid_distance, EllipsoidMetric(), id="ellipsoid"),
 ]
 
 # Points anywhere, the poles and the antimeridian included (GeoPoint wraps
@@ -318,32 +316,29 @@ PINNED_PAIRS = [
 ]
 
 
-def twin_of(twin, pairs) -> np.ndarray:
+def exact_many(metric, pairs) -> np.ndarray:
     columns = zip(*(a + b for a, b in pairs))
-    return twin(*(np.array(c, dtype=np.float64) for c in columns))
+    return metric.distance_exact_many(*(np.array(c, dtype=np.float64) for c in columns))
 
 
 class TestExactTwins:
-    """The array twins equal their scalar functions bit for bit.
+    """Each metric's ``distance_exact_many`` equals its scalar distance bit for bit."""
 
-    Numpy's own arctan2 and square are no stand-ins: they differ from
-    libm's atan2 and pow(x, 2) in the last ulp on a share of inputs, and
-    with the CPU features numpy dispatches to.
-    """
-
-    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
+    @pytest.mark.parametrize(("scalar", "metric"), EXACT_TWINS)
     @given(st.lists(point_pairs(), min_size=1, max_size=20))
     @settings(max_examples=300, deadline=None)
-    def test_equals_scalar_bit_for_bit(self, scalar, twin, pairs):
+    def test_equals_scalar_bit_for_bit(self, scalar, metric, pairs):
         expected = np.array([scalar(a, b) for a, b in pairs])
-        assert twin_of(twin, pairs).tobytes() == expected.tobytes()
+        assert exact_many(metric, pairs).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
+    @pytest.mark.parametrize(("scalar", "metric"), EXACT_TWINS)
     @pytest.mark.parametrize(("a", "b"), PINNED_PAIRS)
-    def test_pinned_pairs(self, scalar, twin, a, b):
+    def test_pinned_pairs(self, scalar, metric, a, b):
         for pair in ((a, b), (b, a)):
-            got = twin_of(twin, [pair])
+            got = exact_many(metric, [pair])
             assert got.tobytes() == np.array([scalar(*pair)]).tobytes()
+            # A (lat, lng) pair is measured as its GeoPoint is.
+            assert scalar(*map(tuple, pair)) == scalar(*pair)
             assert np.isfinite(got).all()
 
     def test_pinned_subnormal_pairs_take_the_guarded_branch(self, monkeypatch):
@@ -359,8 +354,8 @@ class TestExactTwins:
             ellipsoid_distance(a, b)
         assert len(taken) == 2
 
-    @pytest.mark.parametrize(("scalar", "twin"), EXACT_TWINS)
-    def test_random_pairs_at_every_scale(self, scalar, twin):
+    @pytest.mark.parametrize(("scalar", "metric"), EXACT_TWINS)
+    def test_random_pairs_at_every_scale(self, scalar, metric):
         rng = np.random.default_rng(41)
         n = 20_000
         a_lats = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
@@ -368,39 +363,29 @@ class TestExactTwins:
         step = 10.0 ** rng.uniform(-9, 2.5, n)
         b_lats = np.clip(a_lats + rng.normal(0, 1, n) * step, -90, 90)
         b_lngs = wrap_longitude_many(a_lngs + rng.normal(0, 1, n) * step)
-        got = twin(a_lats, a_lngs, b_lats, b_lngs)
+        got = metric.distance_exact_many(a_lats, a_lngs, b_lats, b_lngs)
         a_points = [GeoPoint(*a) for a in zip(a_lats.tolist(), a_lngs.tolist())]
         b_points = [GeoPoint(*b) for b in zip(b_lats.tolist(), b_lngs.tolist())]
         expected = [scalar(a, b) for a, b in zip(a_points, b_points)]
         assert got.tobytes() == np.array(expected).tobytes()
 
     def test_empty_arrays(self):
-        for _scalar, twin in (p.values for p in EXACT_TWINS):
+        for _scalar, metric in (p.values for p in EXACT_TWINS):
             empty = np.empty(0)
-            assert twin(empty, empty, empty, empty).shape == (0,)
+            assert metric.distance_exact_many(empty, empty, empty, empty).shape == (0,)
 
 
 # Prints, as JSON, the CPU features numpy dispatches to in this process and
-# digests of the exact twins' output and of a small world's CSVs.
+# a digest of a small world's CSVs.
 _DISPATCH_PROBE = """
 import hashlib, json, sys
-import numpy as np
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:
     from numpy.core import _multiarray_umath as umath
 from isoscan.cli import main
-from isoscan.geo import ellipsoid_distance_exact_many, great_circle_distance_exact_many
 
 data_dir, out_dir = sys.argv[1:]
-rng = np.random.default_rng(5)
-a_lats, b_lats = rng.uniform(-90, 90, (2, 5000))
-a_lngs, b_lngs = rng.uniform(-180, 180, (2, 5000))
-b_lats[:2500] = np.clip(a_lats[:2500] + rng.normal(0, 1e-3, 2500), -90, 90)
-twins = b"".join(
-    twin(a_lats, a_lngs, b_lats, b_lngs).tobytes()
-    for twin in (great_circle_distance_exact_many, ellipsoid_distance_exact_many)
-)
 csvs = b""
 for mode in ("staged", "great-circle-only"):
     out = f"{out_dir}/{mode}.csv"
@@ -410,7 +395,6 @@ for mode in ("staged", "great-circle-only"):
     csvs += open(out, "rb").read()
 print(json.dumps({
     "enabled": sorted(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)),
-    "twins": hashlib.sha256(twins).hexdigest(),
     "csvs": hashlib.sha256(csvs).hexdigest(),
 }))
 """
@@ -424,11 +408,12 @@ def _dispatched_features() -> list[str]:
     return sorted(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
 
 
-def test_twins_and_csvs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+def test_csvs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     # With every CPU feature numpy dispatches to on this host switched off,
     # numpy's SIMD loops give way to the baseline ones, whose
-    # transcendental functions may round differently.  The exact twins and
-    # the search that ranks with numpy must give the same bytes.
+    # transcendental functions may round differently.  The search ranks
+    # candidates with numpy's haversine tables, and must still give the
+    # same bytes.
     features = _dispatched_features()
     if not features:
         pytest.skip("numpy dispatches to no CPU feature on this host: nothing to switch off")
@@ -450,7 +435,7 @@ def test_twins_and_csvs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
         reports.append(json.loads(proc.stdout.splitlines()[-1]))
     default, baseline = reports
     assert default["enabled"] == features and baseline["enabled"] == []
-    assert (baseline["twins"], baseline["csvs"]) == (default["twins"], default["csvs"])
+    assert baseline["csvs"] == default["csvs"]
 
 
 class TestCartesian:

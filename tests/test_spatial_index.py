@@ -337,9 +337,9 @@ def _tile_quad(key) -> Quadrilateral:
 
 
 def _nearest_one(index: TileIndex, p: GeoPoint, elevation: int):
-    """One query of the batched nearest_higher_tile, as (key, distance) or None."""
-    tiles, dists = index.nearest_higher_tile([p.lat_deg], [p.lng_deg], [elevation])
-    return None if tiles[0] < 0 else (index.keys[tiles[0]], float(dists[0]))
+    """One query of the batched nearest_higher_tile: its distance, or None for inf."""
+    (dist,) = index.nearest_higher_tile([p.lat_deg], [p.lng_deg], [elevation]).tolist()
+    return None if dist == math.inf else dist
 
 
 def _within_one(index: TileIndex, p: GeoPoint, radius: float) -> list:
@@ -365,8 +365,7 @@ _LATTICE = st.integers(0, 8).map(lambda v: v / 2)
 class TestTileIndex:
     def test_far_higher_tile_found(self):
         index = TileIndex([((45, 7), 45.9, 7.9, 1000), ((48, 12), 48.3, 12.6, 3000)])
-        key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
-        assert key == (48, 12)
+        dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         want = great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(48.3, 12.6))
         assert dist == pytest.approx(want, abs=1e-6)
 
@@ -374,8 +373,7 @@ class TestTileIndex:
         # The lower neighbour's high point is nearer, but only a higher
         # sample bounds the query: its own tile's, 54 km away, not 0.
         index = TileIndex([((45, 7), 45.9, 7.1, 2000), ((45, 8), 45.5, 8.0, 900)])
-        key, dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
-        assert key == (45, 7)
+        dist = _nearest_one(index, GeoPoint(45.5, 7.5), 1500)
         want = great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(45.9, 7.1))
         assert dist == pytest.approx(want, abs=1e-6)
         assert dist > great_circle_distance(GeoPoint(45.5, 7.5), GeoPoint(45.5, 8.0))
@@ -396,25 +394,21 @@ class TestTileIndex:
     @settings(max_examples=80, deadline=None)
     def test_nearest_higher_tile_matches_brute_force_scan(self, highs, queries):
         # Neighbouring tiles' high points often share a seam point, so
-        # distances tie; ties go to the smaller key.
+        # distances tie.
         keys = [(44 + k // 4, 6 + k % 4) for k in range(len(highs))]
         entries = [(key, key[0] + a, key[1] + b, h) for key, (a, b, h) in zip(keys, highs)]
         index = TileIndex(entries[::-1])
         assert index.keys == keys
         lats = [44.0 + a for a, _, _ in queries]
         lngs = [6.0 + b for _, b, _ in queries]
-        tiles, dists = index.nearest_higher_tile(lats, lngs, [e for _, _, e in queries])
-        assert len(tiles) == len(dists) == len(queries)
-        for lat, lng, (_a, _b, elev), tile, dist in zip(lats, lngs, queries, tiles, dists):
+        dists = index.nearest_higher_tile(lats, lngs, [e for _, _, e in queries])
+        assert len(dists) == len(queries)
+        for lat, lng, (_a, _b, elev), dist in zip(lats, lngs, queries, dists.tolist()):
             to_highs = great_circle_distance_many(
                 np.array([e[1] for e in entries]), np.array([e[2] for e in entries]), lat, lng
             )
-            higher = [(d, key) for d, (key, _, _, h) in zip(to_highs.tolist(), entries) if h > elev]
-            if not higher:
-                assert tile == -1 and dist == math.inf
-            else:
-                want_dist, want_key = min(higher)
-                assert (index.keys[tile], dist) == (want_key, want_dist)
+            higher = [d for d, (*_, h) in zip(to_highs.tolist(), entries) if h > elev]
+            assert dist == min(higher, default=math.inf)
 
     def test_tiles_within_radius_zero_and_full(self):
         entries = _random_tile_entries(60, seed=15)
@@ -871,10 +865,19 @@ class TestElevationPyramid:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: type(m).__name__)
-    def test_search_makes_no_point_objects_and_no_scalar_calls(self, metric, monkeypatch, layout):
-        class NoScalar(type(metric)):
+    def test_search_makes_no_point_objects_and_scalar_calls_only_for_exact_distances(
+        self, metric, monkeypatch, layout
+    ):
+        calls = {"scalar": 0, "exact": 0}
+
+        class Counting(type(metric)):
             def distance(self, a, b):
-                raise AssertionError("scalar distance on the search path")
+                calls["scalar"] += 1
+                return super().distance(a, b)
+
+            def distance_exact_many(self, a_lats, *args):
+                calls["exact"] += len(a_lats)
+                return super().distance_exact_many(a_lats, *args)
 
         def no_points(*args):
             raise AssertionError("GeoPoint on the search path")
@@ -887,9 +890,12 @@ class TestElevationPyramid:
         work = SearchWork()
         pyramid, position = in_pyramid(tile, layout)
         rows = pyramid.nearest_higher_many(
-            lats, lngs, rng.integers(0, 60, 60), np.full(60, position), NoScalar(), work
+            lats, lngs, rng.integers(0, 60, 60), np.full(60, position), Counting(), work
         )
         assert len(rows) > 0 and 0 < work.window_resolved < len(rows)
+        # One scalar call per exact distance, and far fewer of those than
+        # the samples the search ranks.
+        assert 0 < calls["scalar"] == calls["exact"] < work.leaf_samples / 2
 
     # A query the window settles, and one outside the grid, which the
     # descent settles.
