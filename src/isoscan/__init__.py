@@ -6,34 +6,47 @@ queries per-tile max-elevation pyramids, the paper's top-down sweep over a
 k-d tree of the swept grid's samples, built once and counting the active
 ones, as the single-sweep reference, and a brute-force oracle for
 verification.
+
+The names below are resolved on first access (PEP 562), so that importing
+the package loads no numpy: ``isoscan.cli`` sets the BLAS thread count
+before numpy is first imported.
 """
 
-from .geo import GeoPoint
-from .quad import Quadrilateral
-from .dem import Peak, Tile, generate_synthetic, load_hgt, save_hgt
-from .spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
-from .sweep import IlpResult, run_sweep
-from .oracle import SampleUniverse, brute_force_all
-from .multipass import run_merged_sweep, run_pipeline
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GeoPoint",
-    "Quadrilateral",
-    "Peak",
-    "Tile",
-    "generate_synthetic",
-    "load_hgt",
-    "save_hgt",
-    "EllipsoidMetric",
-    "GreatCircleMetric",
-    "SphereKdTree",
-    "IlpResult",
-    "run_sweep",
-    "SampleUniverse",
-    "brute_force_all",
-    "run_merged_sweep",
-    "run_pipeline",
-    "__version__",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "GeoPoint": "geo",
+    "Quadrilateral": "quad",
+    "Peak": "dem",
+    "Tile": "dem",
+    "generate_synthetic": "dem",
+    "load_hgt": "dem",
+    "save_hgt": "dem",
+    "EllipsoidMetric": "spatial_index",
+    "GreatCircleMetric": "spatial_index",
+    "SphereKdTree": "spatial_index",
+    "IlpResult": "sweep",
+    "run_sweep": "sweep",
+    "SampleUniverse": "oracle",
+    "brute_force_all": "oracle",
+    "run_merged_sweep": "multipass",
+    "run_pipeline": "multipass",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

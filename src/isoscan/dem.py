@@ -271,14 +271,27 @@ def _fill_voids(grid: np.ndarray) -> tuple[np.ndarray, int]:
         return grid, 0
     if void.all():
         raise HgtFormatError("tile contains only void samples")
-    work = grid.astype(np.int32)
-    work[void] = _INT32_BIG
-    while void.any():
-        neigh = _lowest_nesw_grid(work)
-        ring = void & (neigh < _INT32_BIG)
-        work[ring] = neigh[ring]
-        void &= ~ring
-    return work.astype(np.int16), total
+    # Each pass fills the voids with a valid N/E/S/W neighbor from the one
+    # before, with the lowest of them.  The passes visit the remaining voids
+    # only, by flat index into a copy padded with one ring of absent
+    # samples, so that every void has all four neighbors in the copy.
+    rows, cols = grid.shape
+    width = cols + 2
+    work = np.full((rows + 2, width), _INT32_BIG, dtype=np.int32)
+    inner = work[1:-1, 1:-1]
+    inner[...] = grid
+    inner[void] = _INT32_BIG
+    flat = work.ravel()
+    left = np.flatnonzero(np.pad(void, 1))
+    while len(left):
+        neigh = np.minimum(
+            np.minimum(flat[left - width], flat[left + width]),
+            np.minimum(flat[left - 1], flat[left + 1]),
+        )
+        ring = neigh < _INT32_BIG
+        flat[left[ring]] = neigh[ring]
+        left = left[~ring]
+    return inner.astype(np.int16), total
 
 
 def _lowest_nesw_grid(elev: np.ndarray) -> np.ndarray:

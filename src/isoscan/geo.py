@@ -34,7 +34,6 @@ __all__ = [
     "METRIC_ANISOTROPY",
     "wrap_longitude",
     "wrap_longitude_many",
-    "antipode",
     "great_circle_distance",
     "great_circle_distance_many",
     "ellipsoid_distance",
@@ -105,11 +104,6 @@ ELLIPSOID_RATIO_BAND = (0.99440, 1.00449)
 # the great circle than the great-circle nearest, so a screen that keeps
 # every point within the factor (plus a slack) keeps it.
 METRIC_ANISOTROPY = 1.0102
-
-
-def antipode(p: GeoPoint) -> GeoPoint:
-    """Point diametrically opposite ``p``."""
-    return GeoPoint(-p.lat_deg, wrap_longitude(p.lng_deg + 180.0))
 
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import os
 import subprocess
@@ -267,6 +268,113 @@ class TestEntryPoint:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["False"]
+
+
+def run_python(script: str, *args: str, blas_threads: str | None = None) -> list[str]:
+    """Run ``script`` in a fresh interpreter; its stdout lines.
+
+    ``OPENBLAS_NUM_THREADS`` is unset in its environment, or set to
+    ``blas_threads``.
+    """
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads"
+)
+
+# Counts this process's OS threads.
+THREADS = "len(os.listdir('/proc/self/task'))"
+
+# A joined thread's OS thread can outlive the join by a moment, so the count
+# is given a few seconds to settle; a thread pool stays for good.
+SETTLED_THREADS = (
+    "import time\n"
+    "deadline = time.monotonic() + 5\n"
+    f"while {THREADS} > 1 and time.monotonic() < deadline:\n"
+    "    time.sleep(0.01)\n"
+)
+
+
+class TestStartUp:
+    """A run starts no thread it does not use: numpy's BLAS runs on one."""
+
+    @needs_proc_tasks
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_compute_holds_one_thread(self, cones_world_dir, tmp_path, threads):
+        argv = compute_args(cones_world_dir, tmp_path / "o.csv", extra=["--threads", threads])
+        script = (
+            "import os, sys\n"
+            "from isoscan import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            f"{SETTLED_THREADS}"
+            f"print({THREADS}, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        assert run_python(script, *argv) == ["1 1"]
+
+    @needs_proc_tasks
+    @pytest.mark.parametrize(
+        "entry", ["from isoscan import cli", "import isoscan.cli", "import isoscan.__main__"]
+    )
+    def test_every_entry_sets_blas_threads_before_numpy(self, entry):
+        script = f"import os, sys\n{entry}\nprint('numpy' in sys.modules, {THREADS})\n"
+        assert run_python(script) == ["True 1"]
+
+    def test_callers_blas_threads_kept(self):
+        script = "import os\nfrom isoscan import cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert run_python(script, blas_threads="2") == ["2"]
+
+    def test_package_import_loads_no_numpy(self):
+        script = "import sys\nimport isoscan\nprint('numpy' in sys.modules)\n"
+        assert run_python(script) == ["False"]
+
+    def test_library_import_leaves_blas_threads_unset(self):
+        script = "import os\nimport isoscan.multipass\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        assert run_python(script) == ["None"]
+
+    def test_package_exports_resolve(self):
+        script = (
+            "import isoscan\n"
+            "from isoscan import GeoPoint, run_pipeline\n"
+            "from isoscan.geo import GeoPoint as geo_point\n"
+            "from isoscan.multipass import run_pipeline as pipeline\n"
+            "print(GeoPoint is geo_point, run_pipeline is pipeline)\n"
+            "print(all(getattr(isoscan, name) is not None for name in isoscan.__all__))\n"
+            "print(set(isoscan.__all__) <= set(dir(isoscan)))\n"
+            "print(hasattr(isoscan, 'no_such_name'))\n"
+        )
+        assert run_python(script) == ["True True", "True", "True", "False"]
+
+    def test_src_makes_no_blas_calls(self):
+        # The CLI runs OpenBLAS on one thread because isoscan's parallelism
+        # is worker processes and it makes no BLAS call.  A matrix product
+        # or numpy.linalg here would make that a slowdown.
+        banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    name = "@"
+                elif isinstance(node, ast.Attribute) and node.attr in banned:
+                    name = node.attr
+                elif isinstance(node, ast.ImportFrom):
+                    modules = {*(node.module or "").split("."), *(a.name for a in node.names)}
+                    name = ", ".join(sorted(modules & banned))
+                elif isinstance(node, ast.Import):
+                    name = ", ".join(a.name for a in node.names if banned & set(a.name.split(".")))
+                else:
+                    continue
+                if name:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+        assert not found, "BLAS calls in src/isoscan: " + "; ".join(found)
 
 
 class TestExitCodes:

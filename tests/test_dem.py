@@ -15,6 +15,7 @@ from isoscan.dem import (
     HgtFormatError,
     Tile,
     VOID_VALUE,
+    _fill_voids,
     _lowest_nesw_grid,
     build_events,
     detect_peaks,
@@ -88,6 +89,64 @@ def walked_peaks(grid: np.ndarray, dominated=None) -> list[tuple[int, int]]:
 
 def cells_of(tile: Tile, samples: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(*(a.tolist() for a in np.divmod(samples, tile.shape[1]))))
+
+
+def whole_grid_fill(grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """The void fill as passes over the whole grid: the reference.
+
+    Each pass sets every void with a valid N/E/S/W neighbour to the lowest
+    of them, reading the grid as it was before the pass, until no void is
+    left.
+    """
+    void = grid == VOID_VALUE
+    if not void.any():
+        return grid, 0
+    big = np.iinfo(np.int32).max
+    work = np.pad(grid.astype(np.int32), 1, constant_values=big)
+    work[1:-1, 1:-1][void] = big
+    left = void.copy()
+    while left.any():
+        neigh = np.minimum.reduce(
+            [work[:-2, 1:-1], work[2:, 1:-1], work[1:-1, :-2], work[1:-1, 2:]]
+        )
+        ring = left & (neigh < big)
+        work[1:-1, 1:-1][ring] = neigh[ring]
+        left &= ~ring
+    return work[1:-1, 1:-1].astype(np.int16), int(void.sum())
+
+
+@st.composite
+def void_grids(draw):
+    """Small grids with at least one valid sample, voids placed by kind.
+
+    Kinds: voids anywhere; the outer frame void (every edge and corner);
+    a void ring inside the grid around valid samples; one-sample voids
+    with no void neighbour; all void but one sample.
+    """
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    elevations = st.one_of(st.integers(-3, 3), st.integers(-32767, 32767))
+    grid = draw(arrays(np.int16, (rows, cols), elements=elevations))
+    kind = draw(st.sampled_from(["anywhere", "frame", "ring", "single-sample", "one-valid"]))
+    if kind == "anywhere":
+        grid[draw(arrays(np.bool_, (rows, cols)))] = VOID_VALUE
+    elif kind == "frame":
+        grid[[0, -1], :] = VOID_VALUE
+        grid[:, [0, -1]] = VOID_VALUE
+    elif kind == "ring":
+        top, left = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        bottom, right = draw(st.integers(top, rows - 1)), draw(st.integers(left, cols - 1))
+        grid[[top, bottom], left : right + 1] = VOID_VALUE
+        grid[top : bottom + 1, [left, right]] = VOID_VALUE
+    elif kind == "single-sample":
+        # A checkerboard's voids: none has a void N/E/S/W neighbour.
+        parity = draw(st.integers(0, 1))
+        grid[(np.add.outer(np.arange(rows), np.arange(cols)) % 2 == parity)] = VOID_VALUE
+    else:
+        keep = draw(st.integers(0, rows * cols - 1))
+        grid.flat[np.arange(rows * cols) != keep] = VOID_VALUE
+    if (grid == VOID_VALUE).all():
+        grid.flat[draw(st.integers(0, rows * cols - 1))] = draw(st.integers(-32767, 32767))
+    return grid
 
 
 class TestTileModel:
@@ -374,6 +433,44 @@ class TestDetectPeaks:
         if radius is not None:
             dominated = dominated_samples([tile], grid[None], radius)[0]
         assert cells_of(tile, peak_indices(grid, dominated)) == walked_peaks(grid, dominated)
+
+
+class TestFillVoids:
+    @given(void_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_whole_grid_passes(self, grid):
+        filled, count = _fill_voids(grid.copy())
+        expected, expected_count = whole_grid_fill(grid)
+        assert count == expected_count
+        assert filled.dtype == expected.dtype == np.int16
+        assert np.array_equal(filled, expected)
+        assert not (filled == VOID_VALUE).any()
+
+    def test_voids_on_every_edge_and_corner(self):
+        grid = np.full((5, 6), VOID_VALUE, dtype=np.int16)
+        grid[1:-1, 1:-1] = [[4, 9, 2, 7], [8, 1, 6, 3], [5, 5, 5, 5]]
+        filled, count = _fill_voids(grid)
+        assert count == 18
+        assert np.array_equal(filled, whole_grid_fill(grid)[0])
+        assert filled[0, 0] == 4  # a corner: its neighbours are voids filled one pass before
+        assert filled[0, 3] == 2
+
+    def test_single_valid_sample_fills_the_grid(self):
+        grid = np.full((4, 7), VOID_VALUE, dtype=np.int16)
+        grid[3, 6] = -12
+        filled, count = _fill_voids(grid)
+        assert count == 27
+        assert (filled == -12).all() and filled.dtype == np.int16
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 4)])
+    def test_all_void_rejected(self, shape):
+        with pytest.raises(HgtFormatError, match="only void"):
+            _fill_voids(np.full(shape, VOID_VALUE, dtype=np.int16))
+
+    def test_void_free_grid_passes_through(self):
+        grid = np.arange(-6, 6, dtype=np.int16).reshape(3, 4)
+        filled, count = _fill_voids(grid)
+        assert filled is grid and count == 0
 
 
 class TestLowestNeighbor:

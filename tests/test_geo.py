@@ -21,7 +21,6 @@ from isoscan.geo import (
     ELLIPSOID_RATIO_BAND,
     METRIC_ANISOTROPY,
     GeoPoint,
-    antipode,
     ellipsoid_distance,
     great_circle_distance,
     great_circle_distance_many,
@@ -33,6 +32,11 @@ from isoscan.multipass import BOUND_INFLATION
 from isoscan.spatial_index import _ELLIPSOID_PRUNE_FACTOR, EllipsoidMetric, GreatCircleMetric
 
 R = geo.MEAN_RADIUS_M
+
+
+def antipode(p: GeoPoint) -> GeoPoint:
+    """Point diametrically opposite ``p``."""
+    return GeoPoint(-p.lat_deg, wrap_longitude(p.lng_deg + 180.0))
 
 
 def _destination(a: GeoPoint, bearing: float, sigma: float) -> GeoPoint:
