@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "GeoPoint": "geo",
     "Quadrilateral": "quad",
-    "Peak": "dem",
     "Tile": "dem",
     "generate_synthetic": "dem",
     "load_hgt": "dem",
@@ -28,12 +27,13 @@ _EXPORTS = {
     "EllipsoidMetric": "spatial_index",
     "GreatCircleMetric": "spatial_index",
     "SphereKdTree": "spatial_index",
-    "IlpResult": "sweep",
+    "ResultArrays": "sweep",
     "run_sweep": "sweep",
     "SampleUniverse": "oracle",
     "brute_force_all": "oracle",
     "run_merged_sweep": "multipass",
     "run_pipeline": "multipass",
+    "result_differences": "multipass",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -33,7 +33,6 @@ from .dem import (
     load_hgt,
     save_hgt,
 )
-from .geo import GeoPoint
 from .multipass import (
     MissingTilesError,
     PipelineStats,
@@ -45,12 +44,12 @@ from .multipass import (
     run_merged_sweep,
     run_pipeline,
     final_metric,
-    result_arrays,
+    result_differences,
 )
 from .oracle import SampleUniverse, brute_force_all
 from .quad import Quadrilateral
 from .spatial_index import NonFiniteDistanceError
-from .sweep import IlpResult, SweepConsistencyError, SweepInvariantError
+from .sweep import SweepConsistencyError, SweepInvariantError
 
 CSV_HEADER = "latitude,longitude,elevation_m,isolation_km,ilp_latitude,ilp_longitude"
 
@@ -167,9 +166,7 @@ def load_area_tiles(data_dir: Path, area: Quadrilateral) -> dict[tuple[int, int]
     return tiles
 
 
-def write_csv(
-    results: ResultArrays | Sequence[IlpResult], stream: TextIO, min_isolation_m: float
-) -> int:
+def write_csv(results: ResultArrays | Sequence, stream: TextIO, min_isolation_m: float) -> int:
     """Emit result rows sorted by descending isolation; returns the row count.
 
     ``results`` are the peaks and answers as arrays, or ``IlpResult``
@@ -179,6 +176,7 @@ def write_csv(
     ordered by (-isolation_km, lat, lng).
     """
     if not isinstance(results, ResultArrays):
+        from .multipass import result_arrays
         results = result_arrays(results)
     peaks, answers = results
     iso_km = answers["distance"] / 1000.0
@@ -265,33 +263,6 @@ def _run_mode(config: RunConfig, tiles) -> tuple[ResultArrays, PipelineStats]:
     raise ValueError(f"unknown mode {config.mode!r}")
 
 
-def _differences(label_a: str, a: ResultArrays, label_b: str, b: ResultArrays) -> list[str]:
-    """A line for each peak location that only one of ``a`` and ``b`` holds,
-    and for each where they differ in a field, NaNs being equal; the bound,
-    which only the pipeline finds, is not compared."""
-    rows_a, rows_b = _by_location(a), _by_location(b)
-    problems = []
-    for loc in sorted(rows_a.keys() | rows_b.keys()):
-        ra, rb = rows_a.get(loc), rows_b.get(loc)
-        if ra is None or rb is None:
-            problems.append(f"peak {loc}: only in {label_a if rb is None else label_b}")
-        elif ra != rb:
-            problems.append(f"peak {loc}: {label_a} {ra} vs {label_b} {rb}")
-    return problems
-
-
-def _by_location(arrays: ResultArrays) -> dict[GeoPoint, dict]:
-    """Each peak's elevation, home tile and answer, a NaN as None, by its location."""
-    peaks, answers = arrays
-    columns = {name: peaks[name] for name in ("elevation", "home_lat", "home_lng")}
-    columns.update(isolation_m=answers["distance"], ilp_lat=answers["lat"], ilp_lng=answers["lng"])
-    rows = zip(*(c.tolist() for c in columns.values()))
-    return {
-        GeoPoint(lat, lng): {name: None if v != v else v for name, v in zip(columns, row)}
-        for lat, lng, row in zip(peaks["lat"].tolist(), peaks["lng"].tolist(), rows)
-    }
-
-
 def cmd_compute(args) -> int:
     config = _config_from_args(args)
     t0 = time.perf_counter()
@@ -321,8 +292,8 @@ def _oracle_check(config: RunConfig, tiles, io_s: float) -> int:
     universe = SampleUniverse.from_tiles(tiles.values())
     reference = brute_force_all(swept.peaks, universe, metric)
 
-    problems = _differences("pipeline", outcome.arrays, "sweep", swept)
-    problems += _differences("sweep", swept, "oracle", reference)
+    problems = result_differences("pipeline", outcome.arrays, "sweep", swept)
+    problems += result_differences("sweep", swept, "oracle", reference)
     problems += audit_pipeline(outcome)
     if problems:
         for p in problems:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +26,6 @@ __all__ = [
     "VOID_VALUE",
     "HgtFormatError",
     "Tile",
-    "Peak",
     "PEAK_DTYPE",
     "EVENT_DTYPE",
     "EVENT_PEAK",
@@ -178,15 +176,6 @@ class Tile:
         spd = self.steps_per_degree
         deg, rem = np.divmod(np.arange(cols, dtype=np.int64), spd)
         return (self.origin_lng + deg).astype(np.float64) + rem.astype(np.float64) / spd
-
-
-@dataclass(frozen=True)
-class Peak:
-    """A grid sample that is at least as high as its eight neighbors."""
-
-    location: GeoPoint
-    elevation_m: int
-    home_tile: tuple[int, int]
 
 
 # One peak as found by one tile, as the pipeline, the sweep and the oracle

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "GeoPoint",
-    "Vec3",
     "MEAN_RADIUS_M",
     "EQUATORIAL_RADIUS_M",
     "FLATTENING",
@@ -37,7 +35,6 @@ __all__ = [
     "great_circle_distance",
     "great_circle_distance_many",
     "ellipsoid_distance",
-    "to_cartesian",
 ]
 
 
@@ -78,14 +75,6 @@ class GeoPoint(namedtuple("GeoPoint", ["lat_deg", "lng_deg"])):
         return super().__new__(cls, lat_deg, lng_deg)
 
 
-class Vec3(NamedTuple):
-    """Unit-sphere Cartesian coordinates."""
-
-    x: float
-    y: float
-    z: float
-
-
 # Mean Earth radius: the sphere of the great-circle distance.
 MEAN_RADIUS_M = 6_371_000.0
 # Semi-major axis and flattening of the reference ellipsoid: the ellipsoid distance.
@@ -123,9 +112,11 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     sin_dphi = math.sin(math.radians(lat2 - lat1) * 0.5)
     sin_dlng = math.sin(math.radians(lng2 - lng1) * 0.5)
     h = sin_dphi * sin_dphi + math.cos(phi1) * math.cos(phi2) * sin_dlng * sin_dlng
-    if h >= 1.0:
-        return math.pi * MEAN_RADIUS_M
-    return 2.0 * MEAN_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    c = 1.0 - h
+    if h > 0.5:  # 1 - h cancels toward the antipode; the sum of squares it equals does not
+        cos_dphi, cos_dlng = (math.cos(math.radians(d) * 0.5) for d in (lat2 - lat1, lng2 - lng1))
+        c = (cos_dphi * cos_dlng) ** 2 + (math.sin((phi1 + phi2) * 0.5) * sin_dlng) ** 2
+    return 2.0 * MEAN_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(c))
 
 
 def great_circle_distance_many(
@@ -147,8 +138,13 @@ def great_circle_distance_many(
     sin_dphi = np.sin((phi_p - phi) * 0.5)
     sin_dlng = np.sin(np.radians(p_lngs_deg - lngs_deg) * 0.5)
     h = sin_dphi * sin_dphi + np.cos(phi) * np.cos(phi_p) * sin_dlng * sin_dlng
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * MEAN_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+    c = 1.0 - h
+    if (h > 0.5).any():  # as in great_circle_distance
+        cos_dphi = np.cos((phi_p - phi) * 0.5)
+        cos_dlng = np.cos(np.radians(p_lngs_deg - lngs_deg) * 0.5)
+        c_far = (cos_dphi * cos_dlng) ** 2 + (np.sin((phi + phi_p) * 0.5) * sin_dlng) ** 2
+        c = np.where(h > 0.5, c_far, c)
+    return 2.0 * MEAN_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(c))
 
 
 def _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2):
@@ -201,11 +197,3 @@ def ellipsoid_distance(a: GeoPoint, b: GeoPoint) -> float:
     else:
         correction -= _subnormal_s_term(f, r, s, cos_mean2, sin_dphi2)
     return 2.0 * EQUATORIAL_RADIUS_M * w * (1.0 + correction)
-
-
-def to_cartesian(p: GeoPoint) -> Vec3:
-    """Unit vector for a surface point: x east at Greenwich, z toward the north pole."""
-    lat = math.radians(p.lat_deg)
-    lng = math.radians(p.lng_deg)
-    cos_lat = math.cos(lat)
-    return Vec3(cos_lat * math.cos(lng), cos_lat * math.sin(lng), math.sin(lat))

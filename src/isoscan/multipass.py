@@ -49,10 +49,9 @@ Peaks and candidates cross between the passes, and to and from the worker
 processes, as structured numpy arrays (:data:`PEAK_DTYPE`, and
 :data:`CANDIDATE_DTYPE`, the rows the pyramid search returns, defined in
 :mod:`~isoscan.spatial_index`), and the answers leave the pipeline as
-arrays too (:data:`ANSWER_DTYPE`), from which the CSV is written and which
-``oracle-check`` compares; ``Peak`` and ``IlpResult`` objects are made only
-on demand (``PipelineResult.results``), for the audit and for callers that
-read the results peak by peak.
+arrays too (:data:`ANSWER_DTYPE`), which the CSV, :func:`result_differences`
+and :func:`audit_pipeline` read; ``Peak`` and ``IlpResult`` objects are made
+only on demand (``PipelineResult.results``), for the benchmark's tracer and tests.
 Bounding and finalization run batch-parallel in worker processes: each
 pass cuts its tiles, in key order, into batches of consecutive same-shape
 tiles (:func:`_batches`), and builds one stacked pyramid and makes one
@@ -79,7 +78,6 @@ import numpy as np
 
 from .dem import (
     PEAK_DTYPE,
-    Peak,
     Tile,
     build_events,
     detect_peaks,
@@ -89,7 +87,7 @@ from .dem import (
     qualifying_samples,
 )
 from .geo import MEAN_RADIUS_M, GeoPoint, wrap_longitude_many
-from .quad import Quadrilateral, min_distance
+from .quad import Quadrilateral, min_distance, min_distance_many
 from .spatial_index import (
     CANDIDATE_DTYPE,
     ElevationPyramid,
@@ -100,7 +98,7 @@ from .spatial_index import (
     TileKey,
     nearest_per_peak,
 )
-from .sweep import ANSWER_DTYPE, IlpResult, PeakTrace, ResultArrays, run_sweep
+from .sweep import ANSWER_DTYPE, PeakTrace, ResultArrays, run_sweep
 
 __all__ = [
     "BOUND_INFLATION",
@@ -118,10 +116,13 @@ __all__ = [
     "bounding_pass",
     "highpoint_pass",
     "distinct_peaks",
+    "result_differences",
     "assign_tiles",
     "finalization_pass",
     "finalize",
     "ResultArrays",
+    "Peak",
+    "IlpResult",
     "ilp_results",
     "result_arrays",
     "final_metric",
@@ -172,21 +173,9 @@ def area_tile_keys(area: Quadrilateral) -> list[TileKey]:
 
 
 def tile_keys_within(area: Quadrilateral, center: GeoPoint, radius_m: float) -> list[TileKey]:
-    """Keys of area tiles whose quadrilateral is within ``radius_m`` of ``center``.
-
-    A linear scan over the area's tiles: the audit's check on the pipeline's
-    ``TileIndex.tiles_within`` assignment.
-    """
-    pad_deg = math.degrees(radius_m / MEAN_RADIUS_M) + 1e-9
-    keys = []
-    lat_lo = max(int(area.lat_min), int(math.floor(center.lat_deg - pad_deg)))
-    lat_hi = min(int(area.lat_max), int(math.ceil(center.lat_deg + pad_deg)))
-    for lat in range(lat_lo, lat_hi):
-        for lng in range(int(area.lng_min), int(area.lng_max)):
-            key = (lat, lng)
-            if min_distance(tile_quad(key), center) <= radius_m:
-                keys.append(key)
-    return keys
+    """Keys of area tiles whose quadrilateral is within ``radius_m`` of ``center``:
+    a linear scan, the scalar reference for ``TileIndex.tiles_within``."""
+    return [k for k in area_tile_keys(area) if min_distance(tile_quad(k), center) <= radius_m]
 
 
 def _footprint(tile: Tile, radius_m: float) -> list[tuple[int, int]]:
@@ -324,9 +313,7 @@ def count_qualifying(parts: Iterable[Qualifying]) -> int:
     ``parts``, each location once: the ``peaks=`` of the run summary."""
     parts = list(parts)
     on_edge = np.concatenate([np.empty(0, dtype=PEAK_DTYPE)] + [p.on_edge for p in parts])
-    order = np.lexsort((on_edge["lng"], on_edge["lat"]))
-    distinct = _starts(on_edge["lat"][order], on_edge["lng"][order])
-    return sum(p.interior for p in parts) + int(np.count_nonzero(distinct))
+    return sum(p.interior for p in parts) + len(distinct_peaks(on_edge)[0])
 
 
 @dataclass
@@ -432,6 +419,44 @@ def distinct_peaks(peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], ids
 
 
+def result_differences(label_a: str, a: ResultArrays, label_b: str, b: ResultArrays) -> list[str]:
+    """A line for each peak location, in location order, that only one of
+    ``a`` and ``b`` holds or where they differ in a field.
+
+    Each side holds a location once.  The fields are the elevation, the home
+    tile and the answer: floats compare with ``==``, NaNs are equal and shown
+    as None.  The bound, which only the pipeline finds, is not compared.
+    """
+    locations, ids = distinct_peaks(np.concatenate([a.peaks, b.peaks]))
+    # Each location's row on each side, -1 where that side lacks it.
+    rows = np.full((2, len(locations)), -1)
+    rows[0, ids[: len(a.peaks)]] = np.arange(len(a.peaks))
+    rows[1, ids[len(a.peaks) :]] = np.arange(len(b.peaks))
+    report = (rows < 0).any(axis=0)
+    both = np.flatnonzero(~report)
+    columns = [
+        {**{n: p[n] for n in ("elevation", "home_lat", "home_lng")},
+         "isolation_m": v["distance"], "ilp_lat": v["lat"], "ilp_lng": v["lng"]}
+        for p, v in (a, b)
+    ]
+    for x, y in zip(*(c.values() for c in columns)):
+        x, y = x[rows[0, both]], y[rows[1, both]]
+        report[both] |= (x != y) & ((x == x) | (y == y))
+
+    def shown(side: int, row: int) -> dict:
+        return {n: None if c[row] != c[row] else c[row].item() for n, c in columns[side].items()}
+
+    problems = []
+    for k in np.flatnonzero(report).tolist():
+        loc = GeoPoint(locations["lat"][k].item(), locations["lng"][k].item())
+        ra, rb = rows[:, k].tolist()
+        if ra < 0 or rb < 0:
+            problems.append(f"peak {loc}: only in {label_a if rb < 0 else label_b}")
+        else:
+            problems.append(f"peak {loc}: {label_a} {shown(0, ra)} vs {label_b} {shown(1, rb)}")
+    return problems
+
+
 class Assignment(NamedTuple):
     """(tile, peak) pairs: parallel arrays of tile ordinals (into
     ``TileIndex.keys``), peak ids and each pair's smallest bound, in (tile,
@@ -509,6 +534,24 @@ def finalize(peaks: np.ndarray, candidates: np.ndarray) -> ResultArrays:
     return ResultArrays(peaks, answers)
 
 
+@dataclass(frozen=True)
+class Peak:
+    """A grid sample that is at least as high as its eight neighbors."""
+
+    location: GeoPoint
+    elevation_m: int
+    home_tile: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class IlpResult:
+    """A peak's isolation limit point, or none for the area's highest point."""
+
+    peak: Peak
+    ilp: Optional[GeoPoint]
+    isolation_m: Optional[float]
+
+
 def ilp_results(arrays: ResultArrays) -> list[IlpResult]:
     """One :class:`IlpResult` per peak of ``arrays``."""
     results = []
@@ -578,9 +621,8 @@ class PipelineResult:
     arrays: ResultArrays
     stats: PipelineStats
     area: Quadrilateral
-    # What the audit views below are built from, on first use: every bound
-    # found (PEAK_DTYPE rows, in the order found), and the assignment of the
-    # peaks of ``arrays`` to the tiles of tile_keys.
+    # What the audit reads and the views below are built from: every bound found
+    # (PEAK_DTYPE rows, in the order found), and the peaks' tiles of tile_keys.
     found: np.ndarray
     assignment: Assignment
     tile_keys: list[TileKey]
@@ -593,11 +635,8 @@ class PipelineResult:
     @cached_property
     def bounds_by_peak(self) -> dict[GeoPoint, list[float]]:
         """Every bound found per peak location, in the order found."""
-        found = self.found
         out: dict[GeoPoint, list[float]] = {}
-        for lat, lng, bound in zip(
-            found["lat"].tolist(), found["lng"].tolist(), found["bound"].tolist()
-        ):
+        for lat, lng, bound in self.found[["lat", "lng", "bound"]].tolist():
             out.setdefault(GeoPoint(lat, lng), []).append(bound)
         return out
 
@@ -605,10 +644,7 @@ class PipelineResult:
     def map_snapshot(self) -> dict[TileKey, list[tuple[GeoPoint, float]]]:
         """Per tile, the (location, smallest bound) of each peak assigned to it,
         in location order."""
-        peaks = self.arrays.peaks
-        locations = [
-            GeoPoint(lat, lng) for lat, lng in zip(peaks["lat"].tolist(), peaks["lng"].tolist())
-        ]
+        locations = [GeoPoint(*p) for p in self.arrays.peaks[["lat", "lng"]].tolist()]
         out: dict[TileKey, list[tuple[GeoPoint, float]]] = {}
         for t, k, bound in zip(*(a.tolist() for a in self.assignment)):
             out.setdefault(self.tile_keys[t], []).append((locations[k], bound))
@@ -884,30 +920,49 @@ def run_merged_sweep(
     return finalize(peaks, candidates)
 
 
+# (peak, tile) pairs audit_pipeline measures at a time.
+_AUDIT_PAIRS = 1 << 18
+
+
 def audit_pipeline(outcome: PipelineResult) -> list[str]:
     """Post-hoc validity audit of bounds and tile assignments.
 
-    Checks that every recorded upper bound is at least the final isolation
-    and that every tile within a peak's final isolation received the peak
-    in the map.  The tiles are found by :func:`tile_keys_within`, a linear
-    scan independent of the ``TileIndex`` the pipeline assigns with.
-    Returns human-readable violation descriptions.
+    Checks that every bound found is at least its peak's final isolation,
+    and that each area tile within that isolation (closed) was assigned the
+    peak: a linear scan of every (peak, tile) pair with
+    ``quad.min_distance_many``, independent of the pipeline's ``TileIndex``.
+    Returns a line per violation: peaks in location order, each with its
+    low bounds in the order found, then its missing tiles in key order.
     """
-    problems: list[str] = []
-    assigned_locations: dict[TileKey, set[GeoPoint]] = {
-        key: {loc for loc, _ in entries} for key, entries in outcome.map_snapshot.items()
-    }
-    for res in outcome.results:
-        if res.isolation_m is None:
-            continue
-        loc = res.peak.location
-        for bound in outcome.bounds_by_peak.get(loc, []):
-            if bound < res.isolation_m:
-                problems.append(
-                    f"bound {bound:.3f} m below final isolation "
-                    f"{res.isolation_m:.3f} m for peak {loc}"
-                )
-        for key in tile_keys_within(outcome.area, loc, res.isolation_m):
-            if loc not in assigned_locations.get(key, set()):
-                problems.append(f"peak {loc} missing from tile {key} within its isolation")
-    return problems
+    peaks, answers = outcome.arrays
+    isolation, found, keys = answers["distance"], outcome.found, area_tile_keys(outcome.area)
+    # Each found row's peak, -1 for none: a peak is its location.
+    _, ids = distinct_peaks(np.concatenate([peaks, found]))
+    peak_at = np.full(len(ids), -1)
+    peak_at[ids[: len(peaks)]] = np.arange(len(peaks))
+    found_peak = peak_at[ids[len(peaks) :]]
+    low = np.flatnonzero(found["bound"] < np.where(found_peak >= 0, isolation[found_peak], np.nan))
+    # (peak, tile) pairs are numbered peak * len(keys) + tile.
+    corners = np.array(keys, dtype=np.float64).reshape(-1, 2)
+    within = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(peaks) * len(keys), _AUDIT_PAIRS):
+        pair = np.arange(start, min(start + _AUDIT_PAIRS, len(peaks) * len(keys)))
+        peak, (lat, lng) = pair // len(keys), corners[pair % len(keys)].T
+        dist = min_distance_many(lat, lat + 1, lng, lng + 1, peaks["lat"][peak], peaks["lng"][peak])
+        within.append(pair[dist <= isolation[peak]])
+    tile_at = np.array([keys.index(key) for key in outcome.tile_keys], dtype=np.intp)
+    assigned = outcome.assignment.peak_rows * len(keys) + tile_at[outcome.assignment.tiles]
+    missing = np.setdiff1d(np.concatenate(within), assigned).tolist()
+
+    def at(k: int) -> GeoPoint:
+        return GeoPoint(peaks["lat"][k].item(), peaks["lng"][k].item())
+
+    reported = [
+        (k, 0, r, f"bound {found['bound'][r]:.3f} m below final isolation "
+         f"{isolation[k]:.3f} m for peak {at(k)}")
+        for r, k in zip(low.tolist(), found_peak[low].tolist())
+    ]
+    for m in missing:
+        k, t = divmod(m, len(keys))
+        reported.append((k, 1, t, f"peak {at(k)} missing from tile {keys[t]} within its isolation"))
+    return [line for *_, line in sorted(reported)]

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .dem import Tile
-from .geo import MEAN_RADIUS_M, GeoPoint, to_cartesian
+from .geo import MEAN_RADIUS_M, GeoPoint
 from .sweep import ANSWER_DTYPE, ResultArrays
 
 __all__ = ["SampleUniverse", "brute_force_all"]
@@ -73,6 +73,14 @@ class SampleUniverse:
         return self._units
 
 
+def _to_cartesian(p: GeoPoint) -> tuple[float, float, float]:
+    """Unit vector (x, y, z) of a surface point: x east at Greenwich, z toward the north pole."""
+    lat = math.radians(p.lat_deg)
+    lng = math.radians(p.lng_deg)
+    cos_lat = math.cos(lat)
+    return cos_lat * math.cos(lng), cos_lat * math.sin(lng), math.sin(lat)
+
+
 def _nearest_higher(
     location: GeoPoint, elevation_m: int, universe: SampleUniverse, metric
 ) -> Optional[tuple[float, GeoPoint]]:
@@ -90,8 +98,8 @@ def _nearest_higher(
     if start == len(universe.elevations):
         return None
     ux, uy, uz = universe.unit_vectors()
-    pv = to_cartesian(location)
-    dot = ux[start:] * pv.x + uy[start:] * pv.y + uz[start:] * pv.z
+    px, py, pz = _to_cartesian(location)
+    dot = ux[start:] * px + uy[start:] * py + uz[start:] * pz
     chord2 = np.clip(2.0 - 2.0 * dot, 0.0, 4.0)
     sigma_min = 2.0 * math.asin(min(1.0, math.sqrt(float(chord2.min())) * 0.5))
     slack = (1e-3 + sigma_min * MEAN_RADIUS_M * 1e-9) / MEAN_RADIUS_M

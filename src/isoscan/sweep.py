@@ -16,20 +16,18 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dem import EVENT_INSERT, EVENT_PEAK, Peak, Tile
+from .dem import EVENT_INSERT, EVENT_PEAK, Tile
 from .geo import GeoPoint, wrap_longitude_many
 from .spatial_index import CANDIDATE_DTYPE, SampleStateError, SphereKdTree
 
 __all__ = [
     "ANSWER_DTYPE",
     "ResultArrays",
-    "IlpResult",
     "PeakTrace",
     "SweepConsistencyError",
     "SweepInvariantError",
@@ -61,15 +59,6 @@ class SweepConsistencyError(RuntimeError):
 
 class SweepInvariantError(AssertionError):
     """An active point was not strictly higher than a processed peak."""
-
-
-@dataclass(frozen=True)
-class IlpResult:
-    """A peak's isolation limit point, or none for the area's highest point."""
-
-    peak: Peak
-    ilp: Optional[GeoPoint]
-    isolation_m: Optional[float]
 
 
 class PeakTrace(NamedTuple):

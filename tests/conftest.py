@@ -8,20 +8,23 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from isoscan.dem import Peak, Tile, detect_peaks, generate_synthetic
+from isoscan.dem import Tile, detect_peaks, generate_synthetic
 from isoscan.geo import METRIC_ANISOTROPY, GeoPoint, great_circle_distance_many
 from isoscan.multipass import (
     PipelineResult,
     ResultArrays,
+    audit_pipeline,
     distinct_peaks,
+    final_metric,
     peak_rows,
+    result_differences,
     run_merged_sweep,
     run_pipeline,
 )
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
-from isoscan.sweep import IlpResult, PeakTrace
+from isoscan.sweep import PeakTrace
 
 ACCEPTANCE_WORLD_COUNT = 20
 WORLD_ROWS = 2
@@ -104,22 +107,66 @@ def area_peaks(tiles) -> np.ndarray:
     """The tiles' peaks, a seam peak once with its smallest home tile: the
     PEAK_DTYPE rows of the pipeline's and the sweep's peak set, in location
     order."""
-    rows = [peak_rows(t, *np.divmod(detect_peaks(t), t.shape[1])) for t in tiles]
-    return distinct_peaks(np.concatenate(rows))[0]
+    return distinct_peaks(np.concatenate([tile_peaks(t) for t in tiles]))[0]
 
 
-def peaks_of(tile: Tile, samples: np.ndarray) -> list[Peak]:
-    """The Peak of each of the tile's ``samples``, row-major indices into its grid."""
-    return [
-        Peak(tile.sample_point(*divmod(k, tile.shape[1])), int(tile.elevations.flat[k]), tile.key)
-        for k in samples.tolist()
-    ]
+def tile_peaks(tile: Tile, samples: np.ndarray | None = None) -> np.ndarray:
+    """The PEAK_DTYPE rows of the tile's ``samples``, row-major indices into
+    its grid, by default its peaks in detection order."""
+    if samples is None:
+        samples = detect_peaks(tile)
+    return peak_rows(tile, *np.divmod(samples, tile.shape[1]))
 
 
-def results_by_location(results) -> dict[GeoPoint, IlpResult]:
-    out = {r.peak.location: r for r in results}
-    assert len(out) == len(results), "duplicate peak locations in result list"
-    return out
+def locate(peaks: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The row of the distinct PEAK_DTYPE rows ``peaks``, in location order,
+    at the location of each row of ``points``; -1 where there is none.
+    Complex numbers order as (lat, lng) pairs do."""
+    keys = peaks["lat"] + 1j * peaks["lng"]
+    wanted = points["lat"] + 1j * points["lng"]
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def answer_at(arrays: ResultArrays, location) -> tuple[float, float, float]:
+    """The (distance, lat, lng) answer of the peak of ``arrays`` at ``location``."""
+    peaks = arrays.peaks
+    (row,) = np.flatnonzero((peaks["lat"] == location[0]) & (peaks["lng"] == location[1]))
+    return tuple(arrays.answers[row].tolist())
+
+
+def assert_bounds_hold(outcome: PipelineResult) -> int:
+    """Each bound a pipeline run found is at least its peak's final isolation,
+    where that is defined; returns the count of bounds checked."""
+    rows = locate(outcome.arrays.peaks, outcome.found)
+    assert (rows >= 0).all()
+    isolation = outcome.arrays.answers["distance"][rows]
+    defined = ~np.isnan(isolation)
+    assert (outcome.found["bound"][defined] >= isolation[defined]).all()
+    return int(defined.sum())
+
+
+def assert_legs_agree(area: Quadrilateral, tiles, distance_mode: str = "staged") -> PipelineResult:
+    """Pipeline, single sweep and brute force agree exactly on the area's
+    peaks, found by each tile on its own, and the pipeline passes its audit."""
+    tiles = tiles if isinstance(tiles, dict) else {t.key: t for t in tiles}
+    metric = final_metric(distance_mode)
+    outcome = run_pipeline(area, tiles, i_min=0.0, threads=1, distance_mode=distance_mode)
+    swept = run_merged_sweep(area, tiles, metric)
+    universe = SampleUniverse.from_tiles(tiles.values())
+    reference = brute_force_all(area_peaks(tiles.values()), universe, metric)
+    assert result_differences("pipeline", outcome.arrays, "sweep", swept) == []
+    assert result_differences("sweep", swept, "oracle", reference) == []
+    assert audit_pipeline(outcome) == []
+    return outcome
+
+
+def assert_same_run(a: PipelineResult, b: PipelineResult) -> None:
+    """Two pipeline runs give the same answers and the same tile assignment."""
+    assert result_differences("a", a.arrays, "b", b.arrays) == []
+    assert a.tile_keys == b.tile_keys
+    for x, y in zip(a.assignment, b.assignment):
+        assert np.array_equal(x, y)
 
 
 def exact_nearest(lats: np.ndarray, lngs: np.ndarray, query: GeoPoint, metric):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WorldRun, exact_nearest, results_by_location
+from conftest import WorldRun, assert_bounds_hold, assert_same_run, exact_nearest
 from geodesic_oracle import VincentyNoConvergence, vincenty_inverse
 from isoscan.cli import main, write_csv
 from isoscan.dem import (
@@ -32,7 +32,7 @@ from isoscan.geo import (
     great_circle_distance,
     great_circle_distance_many,
 )
-from isoscan.multipass import audit_pipeline, ilp_results, run_pipeline
+from isoscan.multipass import audit_pipeline, result_differences, run_pipeline
 from isoscan.quad import Quadrilateral, min_distance
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric, SphereKdTree
 from isoscan.sweep import assert_sweep_invariant
@@ -48,13 +48,9 @@ def test_c01_single_sweep_matches_oracle(acceptance_runs: list[WorldRun]):
     total_peaks = 0
     for run in acceptance_runs:
         total_seconds += run.sweep_seconds + run.oracle_seconds
-        swept, reference = ilp_results(run.sweep_results), ilp_results(run.oracle_results)
-        assert len(swept) == len(reference)
-        for got, want in zip(swept, reference):
-            assert got.peak == want.peak
-            assert got.isolation_m == want.isolation_m  # bit-exact
-            assert got.ilp == want.ilp
-        total_peaks += len(swept)
+        # Same peaks, elevations, home tiles and answers, bit-exact.
+        assert result_differences("sweep", run.sweep_results, "oracle", run.oracle_results) == []
+        total_peaks += len(run.sweep_results.peaks)
     assert len(acceptance_runs) >= 20
     assert total_seconds < 60.0
     _verdict(
@@ -67,12 +63,10 @@ def test_c01_single_sweep_matches_oracle(acceptance_runs: list[WorldRun]):
 def test_c02_pipeline_equivalence(acceptance_runs: list[WorldRun]):
     """Pipeline == single sweep == oracle, one undefined isolation per world."""
     for run in acceptance_runs:
-        triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
-        swept, reference = ilp_results(run.sweep_results), ilp_results(run.oracle_results)
-        assert triples(run.pipeline.results) == triples(swept)
-        assert triples(swept) == triples(reference)
-        undefined = [r for r in run.pipeline.results if r.isolation_m is None]
-        assert len(undefined) == 1
+        pipeline, swept = run.pipeline.arrays, run.sweep_results
+        assert result_differences("pipeline", pipeline, "sweep", swept) == []
+        assert result_differences("sweep", swept, "oracle", run.oracle_results) == []
+        assert np.isnan(pipeline.answers["distance"]).sum() == 1
     _verdict(2, f"three-way equivalence on {len(acceptance_runs)} worlds")
 
 
@@ -80,14 +74,7 @@ def test_c03_bound_validity_and_assignment_audit(acceptance_runs: list[WorldRun]
     """All upper bounds dominate final isolation; assignments are complete."""
     bounds_checked = 0
     for run in acceptance_runs:
-        by_loc = results_by_location(run.pipeline.results)
-        for loc, bounds in run.pipeline.bounds_by_peak.items():
-            res = by_loc[loc]
-            if res.isolation_m is None:
-                continue
-            for bound in bounds:
-                assert bound >= res.isolation_m
-                bounds_checked += 1
+        bounds_checked += assert_bounds_hold(run.pipeline)
         assert audit_pipeline(run.pipeline) == []
     _verdict(3, f"{bounds_checked} bounds valid, 0 assignment violations")
 
@@ -231,7 +218,7 @@ def _world_csv(threads: int, rows: int, cols: int, seed: int) -> bytes:
         area, {t.key: t for t in tiles}, i_min=1000.0, threads=threads
     )
     buf = io.StringIO()
-    write_csv(outcome.results, buf, min_isolation_m=1000.0)
+    write_csv(outcome.arrays, buf, min_isolation_m=1000.0)
     return buf.getvalue().encode()
 
 
@@ -263,7 +250,7 @@ def test_c08b_parallel_speedup():
     parallel = run_pipeline(area, by_key, i_min=1000.0, threads=8)
     parallel_s = time.perf_counter() - t0
 
-    assert serial.results == parallel.results
+    assert_same_run(serial, parallel)
     speedup = serial_s / parallel_s
     assert speedup >= 3.0, (
         f"speedup {speedup:.2f}x at 8 workers vs 1 on {os.cpu_count()} CPUs "

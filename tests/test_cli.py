@@ -15,11 +15,11 @@ import pytest
 from conftest import area_peaks
 from isoscan import cli
 from isoscan.cli import CSV_HEADER, main, write_csv
-from isoscan.dem import Peak, Tile, generate_synthetic, hgt_filename, load_hgt, save_hgt
+from isoscan.dem import Tile, generate_synthetic, hgt_filename, load_hgt, save_hgt
 from isoscan.geo import GeoPoint
+from isoscan.multipass import ANSWER_DTYPE, PEAK_DTYPE, IlpResult, Peak, ResultArrays
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.spatial_index import EllipsoidMetric
-from isoscan.sweep import IlpResult
 
 MINI = 121
 
@@ -546,15 +546,13 @@ class TestOracleCheckMode:
 
 
 class TestWriteCsv:
-    def test_formatting(self, tmp_path):
+    def test_formatting_of_result_objects(self, tmp_path):
         peak = Peak(GeoPoint(45.123456789, 7.1), 2000, (45, 7))
         results = [
             IlpResult(peak, GeoPoint(45.2, 7.2), 12345.6789),
             IlpResult(Peak(GeoPoint(45.9, 7.9), 3000, (45, 7)), None, None),
             IlpResult(Peak(GeoPoint(45.5, 7.5), 1500, (45, 7)), GeoPoint(45.6, 7.6), 500.0),
         ]
-        import io
-
         buf = io.StringIO()
         count = write_csv(results, buf, min_isolation_m=1000.0)
         lines = buf.getvalue().splitlines()
@@ -596,8 +594,6 @@ class TestWriteCsv:
     def test_matches_row_by_row_formatting(self, monkeypatch, slice_rows):
         # Zero of both signs, negative coordinates, shared and distinct
         # values, and two undefined rows, written 3 rows at a time too.
-        from isoscan.multipass import ANSWER_DTYPE, PEAK_DTYPE, ResultArrays
-
         nan = float("nan")
         peaks = np.array(
             [
@@ -635,20 +631,12 @@ class TestWriteCsv:
         assert text.endswith(",-1,,\n")
 
     def test_order_is_isolation_then_location_with_the_high_point_last(self):
-        def result(lat, lng, isolation_m):
-            ilp = None if isolation_m is None else GeoPoint(lat + 0.1, lng)
-            return IlpResult(Peak(GeoPoint(lat, lng), 100, (45, 7)), ilp, isolation_m)
-
-        results = [
-            result(45.5, 7.2, 2000.0),
-            result(45.1, 7.9, None),
-            result(45.5, 7.1, 2000.0),
-            result(45.2, 7.3, 0.0),
-            result(45.3, 7.3, 3000.0),
-            result(45.4, 7.3, 2000.0),
-        ]
-        import io
-
+        located = [(45.5, 7.2), (45.1, 7.9), (45.5, 7.1), (45.2, 7.3), (45.3, 7.3), (45.4, 7.3)]
+        isolation = np.array([2000.0, np.nan, 2000.0, 0.0, 3000.0, 2000.0])
+        peaks = np.array([(lat, lng, 100, 45, 7, np.inf) for lat, lng in located], dtype=PEAK_DTYPE)
+        answers = np.array([*zip(isolation, peaks["lat"] + 0.1, peaks["lng"])], dtype=ANSWER_DTYPE)
+        answers[np.isnan(isolation)] = (np.nan, np.nan, np.nan)
+        results = ResultArrays(peaks, answers)
         buf = io.StringIO()
         assert write_csv(results, buf, min_isolation_m=0.0) == 6
         located = [tuple(line.split(",")[:2]) for line in buf.getvalue().splitlines()[1:]]

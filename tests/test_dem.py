@@ -29,7 +29,7 @@ from isoscan.dem import (
     qualifying_samples,
     save_hgt,
 )
-from conftest import area_peaks, peaks_of
+from conftest import area_peaks, tile_peaks
 from isoscan.geo import GeoPoint
 from isoscan.multipass import BOUND_INFLATION, _footprint, dominated_samples
 
@@ -261,36 +261,31 @@ class TestDetectPeaks:
         grid = np.full((3, 3), 90, dtype=np.int16)
         grid[1, 1] = 100
         tile = Tile(45, 7, grid, 2)
-        peaks = peaks_of(tile, detect_peaks(tile))
-        assert len(peaks) == 1
-        assert peaks[0].elevation_m == 100
-        assert peaks[0].location == GeoPoint(45.5, 7.5)
+        assert tile_peaks(tile)[["lat", "lng", "elevation"]].tolist() == [(45.5, 7.5, 100)]
 
     def test_monotone_ramp_peaks_only_on_high_edge(self):
         grid = np.tile(np.arange(9, dtype=np.int16) * 10, (9, 1))
         tile = Tile(45, 7, grid, 8)
-        peaks = peaks_of(tile, detect_peaks(tile))
-        assert peaks, "the high edge qualifies via existing neighbors"
-        for pk in peaks:
-            assert pk.location.lng_deg == 8.0  # east edge is the high one
+        lngs = tile_peaks(tile)["lng"]
+        assert len(lngs), "the high edge qualifies via existing neighbors"
+        assert (lngs == 8.0).all()  # east edge is the high one
 
     def test_flat_summit_single_nw_representative(self):
         grid = np.full((5, 5), 10, dtype=np.int16)
         grid[2:4, 2:4] = 50  # 2x2 flat summit
         t = Tile(45, 7, grid, 4)
-        peaks = peaks_of(t, detect_peaks(t))
+        peaks = tile_peaks(t)
         assert len(peaks) == 2  # the summit plus the surrounding flat sea ring
-        summit = [p for p in peaks if p.elevation_m == 50]
-        assert len(summit) == 1
-        assert summit[0].location == t.sample_point(2, 2)  # NW-most, then W-most
+        summit = peaks[peaks["elevation"] == 50][["lat", "lng"]].tolist()
+        assert summit == [t.sample_point(2, 2)]  # NW-most, then W-most
 
     def test_flat_region_next_to_higher_ground_uses_qualifying_representative(self):
         grid = np.full((5, 5), 10, dtype=np.int16)
         grid[0, 0] = 99  # NW corner of the flat region's component is disqualified
         t = Tile(45, 7, grid, 4)
-        flat_reps = [p for p in peaks_of(t, detect_peaks(t)) if p.elevation_m == 10]
-        assert len(flat_reps) == 1
-        assert flat_reps[0].location == t.sample_point(0, 2)  # first qualifying in scan order
+        peaks = tile_peaks(t)
+        flat_reps = peaks[peaks["elevation"] == 10][["lat", "lng"]].tolist()
+        assert flat_reps == [t.sample_point(0, 2)]  # first qualifying in scan order
 
     @given(
         arrays(
@@ -302,9 +297,8 @@ class TestDetectPeaks:
     @settings(max_examples=120, deadline=None)
     def test_detection_invariant(self, grid):
         tile = Tile(45, 7, grid, 6)
-        peaks = peaks_of(tile, detect_peaks(tile))
         elev = grid.astype(np.int32)
-        locations = {p.location for p in peaks}
+        locations = set(tile_peaks(tile)[["lat", "lng"]].tolist())
 
         def neighbors(i, j):
             for di in (-1, 0, 1):

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import area_peaks, peaks_of, results_by_location
+from conftest import (
+    answer_at,
+    area_peaks,
+    assert_bounds_hold,
+    assert_legs_agree,
+    assert_same_run,
+    locate,
+    tile_peaks,
+)
 from isoscan import dem, multipass, spatial_index
 from isoscan.cli import write_csv
 from isoscan.dem import (
-    Peak,
     Tile,
     detect_peaks,
     generate_synthetic,
@@ -24,10 +33,13 @@ from isoscan.dem import (
 )
 from isoscan.geo import GeoPoint, great_circle_distance, great_circle_distance_many
 from isoscan.multipass import (
+    ANSWER_DTYPE,
     BOUND_INFLATION,
     CANDIDATE_DTYPE,
     PEAK_DTYPE,
+    Assignment,
     MissingTilesError,
+    ResultArrays,
     area_tile_keys,
     assign_tiles,
     audit_pipeline,
@@ -39,6 +51,8 @@ from isoscan.multipass import (
     highpoint_pass,
     ilp_results,
     peak_rows,
+    result_arrays,
+    result_differences,
     run_merged_sweep,
     run_pipeline,
     tile_keys_within,
@@ -53,7 +67,6 @@ from isoscan.spatial_index import (
     SearchWork,
     TileIndex,
 )
-from isoscan.sweep import IlpResult
 
 
 def world(rows, cols, seed, profile="fractal", n=61, **kw):
@@ -62,17 +75,16 @@ def world(rows, cols, seed, profile="fractal", n=61, **kw):
     return area, {t.key: t for t in tiles}
 
 
-def as_peaks(rows: np.ndarray) -> list[Peak]:
-    """The Peak of each PEAK_DTYPE row."""
-    return [
-        Peak(GeoPoint(lat, lng), elevation, (home_lat, home_lng))
-        for lat, lng, elevation, home_lat, home_lng, _bound in rows.tolist()
-    ]
-
-
 def locations(rows: np.ndarray) -> list[GeoPoint]:
     """The location of each PEAK_DTYPE row."""
     return [GeoPoint(lat, lng) for lat, lng in zip(rows["lat"].tolist(), rows["lng"].tolist())]
+
+
+def assigned_pairs(outcome) -> set[tuple[tuple[int, int], GeoPoint]]:
+    """The (tile key, peak location) pairs of a pipeline run's assignment."""
+    peak_at = locations(outcome.arrays.peaks)
+    tiles, peaks, _bounds = (a.tolist() for a in outcome.assignment)
+    return {(outcome.tile_keys[t], peak_at[k]) for t, k in zip(tiles, peaks)}
 
 
 def qualifying_locations(tiles) -> set[GeoPoint]:
@@ -107,14 +119,9 @@ class TestBoundingPass:
         universe = SampleUniverse.from_tiles(tiles.values())
         for tile in tiles.values():
             rows, _deferred, _discarded = fates(bounding_pass([tile], 0.0, "staged"), 0.0)
-            bounded = as_peaks(rows)
-            reference = {
-                r.peak.location: r for r in ilp_results(brute_force_all(rows, universe, metric))
-            }
-            for peak, bound in zip(bounded, rows["bound"].tolist()):
-                ref = reference[peak.location]
-                assert ref.isolation_m is not None
-                assert bound >= ref.isolation_m
+            reference = brute_force_all(rows, universe, metric)
+            isolation = reference.answers["distance"][locate(reference.peaks, rows)]
+            assert (rows["bound"] >= isolation).all()  # False for a NaN
 
     def test_infinite_threshold_discards_all_bounded(self):
         area, tiles = world(1, 1, seed=41)
@@ -144,17 +151,14 @@ class TestBoundingPass:
         outcome = bounding_pass([tile], 0.0, mode)
         bounded, _deferred, _discarded = fates(outcome, 0.0)
         universe = SampleUniverse.from_tiles([tile])
-        reference = {
-            r.peak.location: r
-            for r in ilp_results(brute_force_all(outcome.searched, universe, metric))
-        }
+        reference = brute_force_all(outcome.searched, universe, metric)
         assert len(bounded) > 0
-        for loc, bound in zip(locations(bounded), bounded["bound"].tolist()):
-            assert bound == reference[loc].isolation_m * BOUND_INFLATION
-        searched = locations(outcome.searched)
-        for k, dist, lat, lng in outcome.answers.tolist():
-            ref = reference[searched[k]]
-            assert (dist, GeoPoint(lat, lng)) == (ref.isolation_m, ref.ilp)
+        isolation = reference.answers["distance"][locate(reference.peaks, bounded)]
+        assert np.array_equal(bounded["bound"], isolation * BOUND_INFLATION)
+        answers = outcome.answers
+        at = locate(reference.peaks, outcome.searched[answers["peak"]])
+        for name in ("distance", "lat", "lng"):
+            assert np.array_equal(answers[name], reference.answers[name][at])
 
 
 @st.composite
@@ -191,10 +195,10 @@ class TestDilationDiscard:
         lats, lngs = tile.sample_lats(), tile.sample_lngs()
         higher_rows, higher_cols = np.nonzero(tile.elevations)
         heights = tile.elevations[higher_rows, higher_cols]
-        for peak in peaks_of(tile, samples[dominated]):
-            higher = heights > peak.elevation_m
+        for lat, lng, elevation, *_ in tile_peaks(tile, samples[dominated]).tolist():
+            higher = heights > elevation
             dists = great_circle_distance_many(
-                lats[higher_rows[higher]], lngs[higher_cols[higher]], *peak.location
+                lats[higher_rows[higher]], lngs[higher_cols[higher]], lat, lng
             )
             assert dists.min() < radius
 
@@ -213,7 +217,7 @@ class TestDilationDiscard:
         search = SearchWork()
         outcome = bounding_pass([tile], i_min, "staged", search)
         assert search.queries == len(cells) - int(discarded)
-        bounded = [pk.location for pk in as_peaks(fates(outcome, i_min)[0])]
+        bounded = locations(fates(outcome, i_min)[0])
         assert (tile.sample_point(120, 40) in bounded) == (not discarded)
 
     def test_counts_add_up_without_flat_samples(self):
@@ -275,8 +279,7 @@ class TestDilationDiscard:
         # members are labelled, and its representative, the dominated member,
         # is discarded as before.
         tile, i_min = self.flat_summit_tile(37)
-        peaks = peaks_of(tile, detect_peaks(tile))
-        assert tile.sample_point(120, 40) in [p.location for p in peaks]
+        assert tile.sample_point(120, 40) in locations(tile_peaks(tile))
         seeded, labelled = self.record_labelling(monkeypatch)
         outcome = bounding_pass([tile], i_min, "staged")
         assert seeded.count(100) == 1
@@ -315,7 +318,7 @@ class TestDilationDiscard:
         stats = outcome.stats
         # In one tile the bounding pass answers every pair: every kept peak
         # but the high point has its candidate from there.
-        candidates = sum(1 for r in outcome.results if r.ilp is not None)
+        candidates = np.count_nonzero(~np.isnan(outcome.arrays.answers["distance"]))
         answered = stats.bounding.queries - stats.deferred
         assert answered >= candidates > 0
         assert stats.finalization.queries == 0
@@ -346,6 +349,19 @@ def seam_world(*spikes: tuple[int, int, int]) -> tuple[Quadrilateral, dict]:
     return Quadrilateral(45, 46, 7, 9), {west.key: west, east.key: east}
 
 
+def recorded_finalization(monkeypatch) -> list:
+    """The (tile key, peak location) of every pair the finalization pass is sent."""
+    sent = []
+    real = multipass.finalization_pass
+
+    def recording(tiles, peaks, positions, metric, search=None):
+        sent.extend((tiles[t].key, loc) for t, loc in zip(positions, locations(peaks)))
+        return real(tiles, peaks, positions, metric, search)
+
+    monkeypatch.setattr(multipass, "finalization_pass", recording)
+    return sent
+
+
 class TestSearchOnce:
     @pytest.mark.parametrize("foreign_col, foreign_wins", [(22, True), (26, False)])
     def test_closest_candidate_over_home_and_foreign_tiles(self, foreign_col, foreign_wins):
@@ -353,35 +369,23 @@ class TestSearchOnce:
         # in its home tile, and one across the seam, 5 or 9 columns east.
         area, tiles = seam_world((10, 17, 100), (10, 10, 200), (10, foreign_col, 300))
         west = tiles[(45, 7)]
-        outcome = run_pipeline(area, tiles, i_min=0.0)
+        outcome = assert_legs_agree(area, tiles)
         home = west.sample_point(10, 10)
         foreign = tiles[(45, 8)].sample_point(10, foreign_col - 20)
-        got = results_by_location(outcome.results)[west.sample_point(10, 17)]
-        assert got.ilp == (foreign if foreign_wins else home)
-        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
-        assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
-            (r.peak.location, r.isolation_m, r.ilp) for r in swept
-        ]
+        got = answer_at(outcome.arrays, west.sample_point(10, 17))
+        assert got[1:] == (foreign if foreign_wins else home)
 
     def test_seam_peak_is_not_searched_again(self, monkeypatch):
         # A seam peak qualifies in both tiles, so both search it in the
         # bounding pass; both pairs are assigned and neither goes to
         # finalization.
         area, tiles = seam_world((10, 20, 100), (10, 14, 200), (10, 27, 300))
-        sent = []
-        real = multipass.finalization_pass
-
-        def recording(tiles, peaks, positions, metric, search=None):
-            sent.extend((tiles[t].key, loc) for t, loc in zip(positions, locations(peaks)))
-            return real(tiles, peaks, positions, metric, search)
-
-        monkeypatch.setattr(multipass, "finalization_pass", recording)
+        sent = recorded_finalization(monkeypatch)
         outcome = run_pipeline(area, tiles, i_min=0.0)
         seam = tiles[(45, 7)].sample_point(10, 20)
-        pairs = {(key, loc) for key, entries in outcome.map_snapshot.items() for loc, _ in entries}
-        assert {((45, 7), seam), ((45, 8), seam)} <= pairs
+        assert {((45, 7), seam), ((45, 8), seam)} <= assigned_pairs(outcome)
         assert sent and seam not in [loc for _key, loc in sent]
-        assert results_by_location(outcome.results)[seam].ilp == tiles[(45, 7)].sample_point(10, 14)
+        assert answer_at(outcome.arrays, seam)[1:] == tiles[(45, 7)].sample_point(10, 14)
 
     def test_seam_peak_one_tile_discards_keeps_its_smallest_home_tile(self, monkeypatch):
         # Tiles (45, 7) and (46, 7) of 21 samples a side on flat ground,
@@ -398,20 +402,14 @@ class TestSearchOnce:
         i_min = BOUND_INFLATION * (great_circle_distance(seam, below) - 3.0)
         rows = bounding_pass([south], i_min, "staged").searched
         assert rows["bound"][locations(rows).index(seam)] < i_min
-        sent = []
-        real = multipass.finalization_pass
-
-        def recording(tiles, peaks, positions, metric, search=None):
-            sent.extend((tiles[t].key, loc) for t, loc in zip(positions, locations(peaks)))
-            return real(tiles, peaks, positions, metric, search)
-
-        monkeypatch.setattr(multipass, "finalization_pass", recording)
+        sent = recorded_finalization(monkeypatch)
         outcome = run_pipeline(area, tiles, i_min=i_min)
-        got = results_by_location(outcome.results)[seam]
-        assert got.ilp == below
+        assert answer_at(outcome.arrays, seam)[1:] == below
         assert (south.key, seam) not in sent
-        swept = results_by_location(ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric())))
-        assert got.peak.home_tile == swept[seam].peak.home_tile == south.key
+        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        for peaks in (outcome.arrays.peaks, swept.peaks):
+            at_seam = (peaks["lat"] == seam[0]) & (peaks["lng"] == seam[1])
+            assert peaks[["home_lat", "home_lng"]][at_seam].tolist() == [south.key]
         assert stats_counts(outcome.stats) == {
             "tiles": 2,
             "samples": 882,
@@ -434,15 +432,15 @@ class TestSearchOnce:
             key: set(locations(bounding_pass([t], 0.0, "staged").searched))
             for key, t in tiles.items()
         }
-        elevation = {r.peak.location: r.peak.elevation_m for r in outcome.results}
+        peaks = outcome.arrays.peaks
         answered = skipped = 0
-        for key, entries in outcome.map_snapshot.items():
-            for loc, _bound in entries:
-                if loc in searched[key]:
-                    answered += 1
-                elif elevation[loc] >= tiles[key].max_elevation_m:
-                    # Nothing in the tile is higher: skipped without a query.
-                    skipped += 1
+        for t, k in zip(*(a.tolist() for a in outcome.assignment[:2])):
+            key = outcome.tile_keys[t]
+            if GeoPoint(peaks["lat"][k], peaks["lng"][k]) in searched[key]:
+                answered += 1
+            elif peaks["elevation"][k] >= tiles[key].max_elevation_m:
+                # Nothing in the tile is higher: skipped without a query.
+                skipped += 1
         assert answered > 0 and stats.finalization.queries > 0
         assert stats.finalization.queries == stats.assigned_pairs - answered - skipped
 
@@ -492,20 +490,13 @@ class TestHighpointPass:
         )
         bounds = highpoint_pass(index, np.concatenate([high_a, high_b]))
         assert np.isinf(bounds[1])  # b's high point is the area's
-        (peak,), (higher,) = as_peaks(high_a), as_peaks(high_b)
-        assert higher.elevation_m > peak.elevation_m
-        want = great_circle_distance(peak.location, higher.location) * BOUND_INFLATION
+        assert high_b["elevation"][0] > high_a["elevation"][0]
+        want = great_circle_distance(*locations(high_a), *locations(high_b)) * BOUND_INFLATION
         assert bounds[0] == pytest.approx(want, rel=1e-12)
 
     def test_final_isolation_below_highpoint_bound(self):
         area, tiles = world(3, 3, seed=46, n=41)
-        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        by_loc = results_by_location(outcome.results)
-        for loc, bounds in outcome.bounds_by_peak.items():
-            res = by_loc[loc]
-            if res.isolation_m is not None:
-                for bound in bounds:
-                    assert bound >= res.isolation_m
+        assert assert_bounds_hold(run_pipeline(area, tiles, i_min=0.0, threads=1)) > 0
 
 
 def recorded_high_points(monkeypatch) -> list:
@@ -578,10 +569,9 @@ class TestTileHighPoints:
 
 
 class TestPointObjects:
-    @pytest.mark.parametrize("i_min", [0.0, 1000.0])
-    def test_pipeline_makes_no_points(self, monkeypatch, i_min):
-        # Every pass works on arrays: not one GeoPoint is made, in any
-        # module, by a multi-tile run.
+    @staticmethod
+    def count_points(monkeypatch) -> list:
+        """The arguments of every GeoPoint made from now on, in any module."""
         made = []
         new = GeoPoint.__new__
 
@@ -589,13 +579,34 @@ class TestPointObjects:
             made.append(args)
             return new(cls, *args)
 
-        area, tiles = world(3, 3, seed=46, n=41)
         monkeypatch.setattr(GeoPoint, "__new__", counting)
+        return made
+
+    @pytest.mark.parametrize("i_min", [0.0, 1000.0])
+    def test_pipeline_makes_no_points(self, monkeypatch, i_min):
+        # Every pass works on arrays: not one GeoPoint is made, in any
+        # module, by a multi-tile run.
+        area, tiles = world(3, 3, seed=46, n=41)
+        made = self.count_points(monkeypatch)
         outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
         assert made == []
         assert outcome.stats.deferred >= len(tiles) > 1
         assert outcome.stats.finalization.queries > 0
-        assert outcome.results and made  # the objects made on demand are counted
+        assert tiles[(45, 7)].sample_point(0, 0) and made  # the points made are counted
+
+    def test_checks_make_points_only_for_what_they_report(self, monkeypatch):
+        area, tiles = world(2, 2, seed=67, n=41)
+        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
+        swept = run_merged_sweep(area, tiles, EllipsoidMetric())
+        made = self.count_points(monkeypatch)
+        monkeypatch.setattr(multipass, "ilp_results", None)  # nor IlpResult objects
+        assert audit_pipeline(outcome) == []
+        assert result_differences("pipeline", outcome.arrays, "sweep", swept) == []
+        assert made == []
+        swept.answers["distance"][3] += 1.0
+        outcome.found["bound"][:2] = 0.0
+        reported = audit_pipeline(outcome) + result_differences("a", outcome.arrays, "b", swept)
+        assert len(reported) == len(made) == 3
 
 
 class TestFinalizationPass:
@@ -610,48 +621,41 @@ class TestFinalizationPass:
         area, tiles = world(1, 1, seed=48)
         tile = next(iter(tiles.values()))
         metric = EllipsoidMetric()
-        peaks = peaks_of(tile, detect_peaks(tile))
-        swept = ilp_results(run_merged_sweep(area, tiles, metric))
+        swept = run_merged_sweep(area, tiles, metric)
         search = SearchWork()
-        rows = peak_rows(tile, *np.divmod(detect_peaks(tile), tile.shape[1]))
+        rows = tile_peaks(tile)
         cands = finalization_pass([tile], rows, np.zeros(len(rows), dtype=int), metric, search)
         assert search.queries == len(cands)
-        by_loc = {
-            peaks[k].location: (d, GeoPoint(lat, lng)) for k, d, lat, lng in cands.tolist()
-        }
-        for res in swept:
-            if res.ilp is None:
-                assert res.peak.location not in by_loc
-            else:
-                assert by_loc[res.peak.location] == (res.isolation_m, res.ilp)
+        # Every peak with a higher sample gets the sweep's answer, and no other.
+        at = locate(swept.peaks, rows[cands["peak"]])
+        assert sorted(at.tolist()) == np.flatnonzero(~np.isnan(swept.answers["distance"])).tolist()
+        for name in ("distance", "lat", "lng"):
+            assert np.array_equal(cands[name], swept.answers[name][at])
 
 
-def one_peak(seed: int) -> tuple[Peak, np.ndarray]:
-    """The first peak of a one-tile world, as a Peak and as its PEAK_DTYPE row."""
+def one_peak(seed: int) -> np.ndarray:
+    """The PEAK_DTYPE row of the first peak of a one-tile world."""
     area, tiles = world(1, 1, seed=seed)
     tile = next(iter(tiles.values()))
-    first = detect_peaks(tile)[:1]
-    return peaks_of(tile, first)[0], peak_rows(tile, *np.divmod(first, tile.shape[1]))
+    return tile_peaks(tile, detect_peaks(tile)[:1])
 
 
 class TestFinalize:
     def test_single_candidate(self):
-        peak, peaks = one_peak(49)
-        ilp = GeoPoint(45.5, 7.5)
+        peaks = one_peak(49)
         arrays = finalize(peaks, np.array([(0, 123.0, 45.5, 7.5)], dtype=CANDIDATE_DTYPE))
-        assert ilp_results(arrays) == [IlpResult(peak, ilp, 123.0)]
+        assert arrays.peaks is peaks
+        assert arrays.answers.tolist() == [(123.0, 45.5, 7.5)]
 
     def test_tie_breaks_by_lat_lng(self):
-        _peak, peaks = one_peak(50)
+        peaks = one_peak(50)
         cands = np.array([(0, 99.0, 45.5, 7.5), (0, 99.0, 45.5, 7.25)], dtype=CANDIDATE_DTYPE)
         answers = finalize(peaks, cands).answers
         assert answers[["distance", "lat", "lng"]].tolist() == [(99.0, 45.5, 7.25)]
 
     def test_no_candidates_is_undefined(self):
-        _peak, peaks = one_peak(51)
-        arrays = finalize(peaks, np.empty(0, dtype=CANDIDATE_DTYPE))
-        assert np.isnan(arrays.answers["distance"]).all()
-        assert ilp_results(arrays)[0].isolation_m is None
+        arrays = finalize(one_peak(51), np.empty(0, dtype=CANDIDATE_DTYPE))
+        assert np.isnan(arrays.answers.tolist()).all()
 
     def test_each_peak_gets_its_own_nearest_candidate(self):
         _area, tiles = world(1, 1, seed=52)
@@ -694,7 +698,7 @@ class TestAssignTiles:
         )
         peaks, ids = distinct_peaks(found)
         assignment = assign_tiles(self.INDEX, found, ids)
-        assert as_peaks(peaks) == [Peak(GeoPoint(45.5, 8.0), 50, (45, 7))]
+        assert peaks.tolist() == [(45.5, 8.0, 50, 45, 7, 6000.0)]
         assert assignment.tiles.tolist() == [0, 1]
         assert assignment.peak_rows.tolist() == [0, 0]
 
@@ -703,34 +707,13 @@ class TestAssignTiles:
         high_point = peak_array((45.2, 7.2, 90, 45, 7, math.inf))
         peaks, ids = distinct_peaks(np.concatenate([found, high_point]))
         assignment = assign_tiles(self.INDEX, found, ids[: len(found)])
-        assert [p.location for p in as_peaks(peaks)] == [
-            GeoPoint(45.2, 7.2),
-            GeoPoint(45.5, 7.5),
-        ]
+        assert locations(peaks) == [(45.2, 7.2), (45.5, 7.5)]
         assert assignment.tiles.tolist() == [0]
         assert assignment.peak_rows.tolist() == [1]
         assert assignment.bounds.tolist() == [3000.0]
 
 
-class TestTileKeysWithin:
-    def test_matches_tile_index_semantics(self):
-        # The batched assignment holds every tile of the scalar scan, and
-        # any extra tile lies within the slack of the radius.
-        area = Quadrilateral(40, 50, 0, 10)
-        keys = area_tile_keys(area)
-        index = TileIndex([(k, k[0], k[1], 100) for k in keys])
-        rng = np.random.default_rng(6)
-        lats, lngs = rng.uniform(35, 55, 60), rng.uniform(-5, 15, 60)
-        radii = rng.uniform(0, 1.5e6, 60)
-        queries, found = index.tiles_within(lats, lngs, radii)
-        for k in range(60):
-            p, radius = GeoPoint(float(lats[k]), float(lngs[k])), float(radii[k])
-            got = [index.keys[t] for t in found[queries == k].tolist()]
-            exact = tile_keys_within(area, p, radius)
-            assert set(exact) <= set(got)
-            for key in set(got) - set(exact):
-                assert min_distance(tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9
-
+class TestAreaTileKeys:
     def test_area_must_be_integer_aligned(self):
         with pytest.raises(ValueError):
             area_tile_keys(Quadrilateral(40.5, 41.5, 0, 1))
@@ -769,41 +752,18 @@ class TestRunPipeline:
         assert err.value.missing == [(46, 8)]
 
     def test_single_tile_pipeline_equals_single_sweep(self):
-        area, tiles = world(1, 1, seed=55)
-        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
-        assert [(r.peak.location, r.isolation_m, r.ilp) for r in outcome.results] == [
-            (r.peak.location, r.isolation_m, r.ilp) for r in swept
-        ]
+        assert_legs_agree(*world(1, 1, seed=55))
 
     def test_three_way_equivalence_with_audit(self):
-        area, tiles = world(2, 2, seed=56, n=41)
-        metric = EllipsoidMetric()
-        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = ilp_results(run_merged_sweep(area, tiles, metric))
-        universe = SampleUniverse.from_tiles(tiles.values())
-        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
-        triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
-        assert triples(outcome.results) == triples(swept) == triples(reference)
-        assert audit_pipeline(outcome) == []
+        assert_legs_agree(*world(2, 2, seed=56, n=41))
 
     def test_great_circle_only_mode(self):
-        area, tiles = world(2, 1, seed=57, n=41)
-        metric = GreatCircleMetric()
-        outcome = run_pipeline(
-            area, tiles, i_min=0.0, threads=1, distance_mode="great-circle-only"
-        )
-        swept = ilp_results(run_merged_sweep(area, tiles, metric))
-        assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
-            (r.isolation_m, r.ilp) for r in swept
-        ]
+        assert_legs_agree(*world(2, 1, seed=57, n=41), "great-circle-only")
 
     def test_worker_count_does_not_change_results(self):
         area, tiles = world(2, 2, seed=59, n=41)
         serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
-        parallel = run_pipeline(area, tiles, i_min=500.0, threads=2)
-        assert serial.results == parallel.results
-        assert serial.map_snapshot == parallel.map_snapshot
+        assert_same_run(serial, run_pipeline(area, tiles, i_min=500.0, threads=2))
 
     @pytest.mark.parametrize(
         "rows, cols, threads, workers", [(1, 1, 8, None), (2, 1, 8, 2), (2, 2, 3, 3)]
@@ -814,8 +774,7 @@ class TestRunPipeline:
         area, tiles = world(rows, cols, seed=61, n=21)
         pooled = run_pipeline(area, tiles, i_min=500.0, threads=threads)
         assert sizes == ([] if workers is None else [workers])
-        serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
-        assert pooled.results == serial.results
+        assert_same_run(pooled, run_pipeline(area, tiles, i_min=500.0, threads=1))
 
     @pytest.mark.parametrize("cpus, threads, workers", [(1, 8, None), (3, 8, 3), (3, 2, 2)])
     def test_at_most_one_worker_per_usable_cpu(self, monkeypatch, cpus, threads, workers):
@@ -823,8 +782,7 @@ class TestRunPipeline:
         area, tiles = world(2, 2, seed=61, n=21)
         pooled = run_pipeline(area, tiles, i_min=500.0, threads=threads)
         assert sizes == ([] if workers is None else [workers])
-        serial = run_pipeline(area, tiles, i_min=500.0, threads=1)
-        assert pooled.results == serial.results
+        assert_same_run(pooled, run_pipeline(area, tiles, i_min=500.0, threads=1))
 
     def test_threshold_keeps_all_significant_peaks(self):
         area, tiles = world(2, 2, seed=60, n=41)
@@ -832,13 +790,8 @@ class TestRunPipeline:
         metric = EllipsoidMetric()
         outcome = run_pipeline(area, tiles, i_min=i_min, threads=1)
         universe = SampleUniverse.from_tiles(tiles.values())
-        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
-        kept = results_by_location(outcome.results)
-        for ref in reference:
-            significant = ref.isolation_m is None or ref.isolation_m >= i_min
-            if significant:
-                got = kept[ref.peak.location]
-                assert (got.isolation_m, got.ilp) == (ref.isolation_m, ref.ilp)
+        reference = brute_force_all(area_peaks(tiles.values()), universe, metric)
+        assert_significant_kept(outcome.arrays, reference, i_min)
 
     def test_heavy_discard_preserves_significant_peaks(self):
         # a threshold well above the sample spacing discards most peaks
@@ -850,31 +803,21 @@ class TestRunPipeline:
         assert outcome.stats.peaks_kept < outcome.stats.peaks_found
         metric = EllipsoidMetric()
         universe = SampleUniverse.from_tiles(tiles.values())
-        reference = ilp_results(brute_force_all(area_peaks(tiles.values()), universe, metric))
+        reference = brute_force_all(area_peaks(tiles.values()), universe, metric)
         assert outcome.stats.peaks_found == len(qualifying_locations(tiles.values()))
-        kept = results_by_location(outcome.results)
-        for ref in reference:
-            if ref.isolation_m is None or ref.isolation_m >= i_min:
-                got = kept[ref.peak.location]
-                assert (got.isolation_m, got.ilp) == (ref.isolation_m, ref.ilp)
+        assert_significant_kept(outcome.arrays, reference, i_min)
 
     def test_exactly_one_undefined_per_world(self):
         for seed in (61, 62):
             area, tiles = world(2, 2, seed=seed, n=41)
             outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-            undefined = [r for r in outcome.results if r.isolation_m is None]
-            assert len(undefined) == 1
+            assert np.isnan(outcome.arrays.answers["distance"]).sum() == 1
 
     def test_plateau_world_equivalence_with_ties(self):
         # a constant world: every per-tile flat representative ties at the
         # maximum, so all peaks have undefined isolation
-        area, tiles = world(2, 2, seed=63, profile="plateau", n=31)
-        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
-        swept = ilp_results(run_merged_sweep(area, tiles, EllipsoidMetric()))
-        assert [(r.isolation_m, r.ilp) for r in outcome.results] == [
-            (r.isolation_m, r.ilp) for r in swept
-        ]
-        assert all(r.isolation_m is None for r in outcome.results)
+        outcome = assert_legs_agree(*world(2, 2, seed=63, profile="plateau", n=31))
+        assert np.isnan(outcome.arrays.answers["distance"]).all()
 
     def test_unknown_distance_mode_rejected_early(self):
         area, tiles = world(1, 1, seed=65, n=31)
@@ -898,7 +841,7 @@ class TestRunPipeline:
         outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
         assert outcome.stats.tiles == 2
         assert outcome.stats.samples == 2 * 31 * 31
-        assert outcome.stats.peaks_kept == len(outcome.results)
+        assert outcome.stats.peaks_kept == len(outcome.arrays.peaks)
         assert outcome.stats.peaks_found == len(qualifying_locations(tiles.values()))
         assert outcome.stats.total_s > 0
 
@@ -908,6 +851,18 @@ class TestRunPipeline:
         stages = [stats.bounding_s, stats.assign_s, stats.highpoint_s, stats.finalization_s]
         assert all(s > 0 for s in stages)
         assert sum(stages) <= stats.total_s
+
+
+def assert_significant_kept(kept: ResultArrays, reference: ResultArrays, i_min: float) -> None:
+    """Every peak of ``reference`` with isolation undefined or at least
+    ``i_min`` is among ``kept``, with the same answer."""
+    distance = reference.answers["distance"]
+    significant = np.isnan(distance) | (distance >= i_min)
+    reference = ResultArrays(*(part[significant] for part in reference))
+    at = locate(kept.peaks, reference.peaks)
+    assert (at >= 0).all()
+    got = ResultArrays(*(part[at] for part in kept))
+    assert result_differences("pipeline", got, "oracle", reference) == []
 
 
 def stats_counts(stats) -> dict:
@@ -986,18 +941,110 @@ class TestBatches:
 
 
 class TestAudit:
-    def test_reports_missing_assignment_and_low_bound(self):
-        area, tiles = world(2, 2, seed=67, n=41)
-        outcome = run_pipeline(area, tiles, i_min=0.0, threads=1)
+    @staticmethod
+    def without_pair(outcome, peak: int, key) -> multipass.PipelineResult:
+        """``outcome`` with the assignment pair of ``peak`` and tile ``key`` dropped."""
+        tiles, peaks, _bounds = outcome.assignment
+        keep = (tiles != outcome.tile_keys.index(key)) | (peaks != peak)
+        assert not keep.all()
+        pairs = Assignment(*(a[keep] for a in outcome.assignment))
+        return dataclasses.replace(outcome, assignment=pairs)
+
+    def test_reports_missing_assignment_and_low_bound(self, monkeypatch):
+        outcome = run_pipeline(*world(2, 2, seed=67, n=41), i_min=0.0, threads=1)
         assert audit_pipeline(outcome) == []
-        res = next(r for r in outcome.results if r.isolation_m is not None)
-        loc = res.peak.location
-        key = tile_keys_within(area, loc, 0.0)[0]
-        entries = outcome.map_snapshot[key]
-        outcome.map_snapshot[key] = [(l, b) for l, b in entries if l != loc]
-        low = res.isolation_m - 1.0
-        outcome.bounds_by_peak[loc][0] = low
-        assert audit_pipeline(outcome) == [
-            f"bound {low:.3f} m below final isolation {res.isolation_m:.3f} m for peak {loc}",
+        isolation = outcome.arrays.answers["distance"]
+        k = int(np.flatnonzero(~np.isnan(isolation))[0])
+        loc = locations(outcome.arrays.peaks)[k]
+        key = tile_keys_within(outcome.area, loc, 0.0)[0]
+        outcome = self.without_pair(outcome, k, key)
+        low = isolation[k] - 1.0
+        first_bound = np.flatnonzero(locate(outcome.arrays.peaks, outcome.found) == k)[0]
+        outcome.found["bound"][first_bound] = low
+        expected = [
+            f"bound {low:.3f} m below final isolation {isolation[k]:.3f} m for peak {loc}",
             f"peak {loc} missing from tile {key} within its isolation",
         ]
+        assert audit_pipeline(outcome) == expected
+        monkeypatch.setattr(multipass, "_AUDIT_PAIRS", 7)  # chunks that split a peak's tiles
+        assert audit_pipeline(outcome) == expected
+
+    def test_reports_a_pair_missing_off_the_home_tile(self):
+        outcome = run_pipeline(*world(2, 2, seed=67, n=41), i_min=0.0, threads=1)
+        peaks, isolation = outcome.arrays.peaks, outcome.arrays.answers["distance"]
+        # The first pair whose tile is within its peak's isolation and not its home tile.
+        key, k = next(
+            (key, k)
+            for key, loc in sorted(assigned_pairs(outcome))
+            for k in [locations(peaks).index(loc)]
+            if key != tuple(peaks[["home_lat", "home_lng"]][k].tolist())
+            and min_distance(tile_quad(key), loc) < isolation[k]
+        )
+        assert audit_pipeline(self.without_pair(outcome, k, key)) == [
+            f"peak {locations(peaks)[k]} missing from tile {key} within its isolation"
+        ]
+
+
+class TestResultDifferences:
+    @staticmethod
+    def arrays(*rows) -> ResultArrays:
+        """Peaks of home tile (45, 7) from (lat, lng, elevation, distance, ilp lat, ilp lng)."""
+        peaks = np.array([(*r[:3], 45, 7, np.inf) for r in rows], dtype=PEAK_DTYPE)
+        return ResultArrays(peaks, np.array([tuple(r[3:]) for r in rows], dtype=ANSWER_DTYPE))
+
+    HIGH, LOW = (45.5, 7.5, 100, math.nan, math.nan, math.nan), (45.25, 7.5, 50, 1000.0, 45.5, 7.5)
+
+    def test_nans_are_equal_and_a_row_one_side_holds_is_named(self):
+        a, b = self.arrays(self.HIGH, self.LOW), self.arrays(self.LOW, self.HIGH)
+        b.peaks["bound"] = 5.0  # not compared
+        assert result_differences("a", a, "b", b) == []
+        only = "peak GeoPoint(lat_deg=45.25, lng_deg=7.5): only in "
+        assert result_differences("left", a, "right", self.arrays(self.HIGH)) == [only + "left"]
+        assert result_differences("left", self.arrays(self.HIGH), "right", a) == [only + "right"]
+
+    def test_field_differences_show_both_rows_in_location_order(self):
+        a, b = self.arrays(self.HIGH, self.LOW), self.arrays(self.HIGH, self.LOW)
+        b.answers[0] = (10.0, 45.75, 7.0)
+        b.answers["distance"][1] += 0.5
+        shown = "{'elevation': %d, 'home_lat': 45, 'home_lng': 7, 'isolation_m': %s, "
+        shown += "'ilp_lat': %s, 'ilp_lng': %s}"
+        assert result_differences("pipeline", a, "sweep", b) == [
+            f"peak GeoPoint(lat_deg=45.25, lng_deg=7.5): pipeline {shown % (50, 1000.0, 45.5, 7.5)}"
+            f" vs sweep {shown % (50, 1000.5, 45.5, 7.5)}",
+            f"peak GeoPoint(lat_deg=45.5, lng_deg=7.5): pipeline {shown % (100, None, None, None)}"
+            f" vs sweep {shown % (100, 10.0, 45.75, 7.0)}",
+        ]
+
+
+class TestObjectLayer:
+    def test_views_match_the_arrays(self):
+        outcome = run_pipeline(*world(2, 2, seed=67, n=41), i_min=0.0, threads=1)
+        results, peak_at, found = outcome.results, locations(outcome.arrays.peaks), outcome.found
+        assert results == ilp_results(outcome.arrays)
+        back = result_arrays(results)  # locations, elevations, home tiles and answers
+        assert result_differences("objects", back, "arrays", outcome.arrays) == []
+        assert np.isinf(back.peaks["bound"]).all()
+        assert sum(map(len, outcome.bounds_by_peak.values())) == len(found)
+        for (lat, lng), bounds in outcome.bounds_by_peak.items():
+            assert bounds == found["bound"][(found["lat"] == lat) & (found["lng"] == lng)].tolist()
+        snapshot = [(key, *pair) for key, pairs in outcome.map_snapshot.items() for pair in pairs]
+        tiles, peaks, bounds = (a.tolist() for a in outcome.assignment)
+        keys = [outcome.tile_keys[t] for t in tiles]
+        assert snapshot == [(key, peak_at[k], b) for key, k, b in zip(keys, peaks, bounds)]
+
+    def test_src_names_the_layer_only_in_its_adapter(self):
+        # Until the benchmark stops reading them, these names live in multipass's
+        # adapter (PipelineResult holds its views) and in write_csv, which takes objects.
+        layer = set("Peak IlpResult ilp_results result_arrays bounds_by_peak map_snapshot".split())
+        adapter = {"multipass.py": layer | {"PipelineResult"}, "cli.py": {"write_csv"}}
+        found = []
+        for path in sorted(Path(multipass.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(), str(path)).body:
+                if getattr(top, "name", None) in adapter.get(path.name, ()):
+                    continue
+                for node in ast.walk(top):
+                    # A name, an attribute, a definition or an imported name.
+                    name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                    if name in layer:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+        assert not found, "object layer named outside its adapter: " + "; ".join(found)

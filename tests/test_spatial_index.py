@@ -20,7 +20,7 @@ from isoscan.geo import (
     great_circle_distance_many,
     wrap_longitude,
 )
-from isoscan.multipass import area_tile_keys, tile_keys_within
+from isoscan.multipass import area_tile_keys, tile_keys_within, tile_quad
 from isoscan.quad import Quadrilateral, contains, min_distance
 from isoscan.spatial_index import (
     CANDIDATE_DTYPE,
@@ -332,10 +332,6 @@ def _flat_index(keys) -> TileIndex:
     return TileIndex([(key, key[0], key[1], 0) for key in keys])
 
 
-def _tile_quad(key) -> Quadrilateral:
-    return Quadrilateral(key[0], key[0] + 1, key[1], key[1] + 1)
-
-
 def _nearest_one(index: TileIndex, p: GeoPoint, elevation: int):
     """One query of the batched nearest_higher_tile: its distance, or None for inf."""
     (dist,) = index.nearest_higher_tile([p.lat_deg], [p.lng_deg], [elevation]).tolist()
@@ -353,7 +349,7 @@ def _assert_superset_within_slack(got, exact, p, radius):
     assert set(exact) <= set(got)
     assert len(set(got)) == len(got)
     for key in set(got) - set(exact):
-        assert min_distance(_tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9 + 1e-6
+        assert min_distance(tile_quad(key), p) <= radius + 1e-3 + radius * 1e-9 + 1e-6
 
 
 # Offsets in degrees on a half-degree lattice: of a high point from its
@@ -414,7 +410,7 @@ class TestTileIndex:
         entries = _random_tile_entries(60, seed=15)
         index = TileIndex(entries)
         p = GeoPoint(10.25, 10.25)
-        containing = [key for key, *_ in entries if contains(_tile_quad(key), p)]
+        containing = [key for key, *_ in entries if contains(tile_quad(key), p)]
         _assert_superset_within_slack(_within_one(index, p, 0.0), containing, p, 0.0)
         assert _within_one(index, p, math.pi * MEAN_RADIUS_M) == sorted(k for k, *_ in entries)
 
@@ -428,7 +424,7 @@ class TestTileIndex:
             [p.lat_deg for p in points], [p.lng_deg for p in points], radii
         )
         for k, (p, radius) in enumerate(zip(points, radii)):
-            expected = [key for key, *_ in entries if min_distance(_tile_quad(key), p) <= radius]
+            expected = [key for key, *_ in entries if min_distance(tile_quad(key), p) <= radius]
             got = [index.keys[t] for t in tiles[queries == k].tolist()]
             assert got == sorted(got)
             _assert_superset_within_slack(got, expected, p, radius)

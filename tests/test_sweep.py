@@ -17,7 +17,7 @@ from isoscan.dem import (
 )
 from isoscan import spatial_index, sweep
 from isoscan.geo import GeoPoint, great_circle_distance
-from isoscan.multipass import ilp_results, run_merged_sweep
+from isoscan.multipass import result_differences, run_merged_sweep
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.spatial_index import EllipsoidMetric, GreatCircleMetric
 from isoscan.sweep import (
@@ -29,10 +29,8 @@ from isoscan.sweep import (
 
 
 def sweep_tile(tile: Tile, metric):
-    """The sweep's results on one tile, one per peak in location order, and
-    its result arrays."""
-    arrays = run_merged_sweep(tile.quad, [tile], metric)
-    return ilp_results(arrays), arrays
+    """The sweep's result arrays on one tile, one row per peak in location order."""
+    return run_merged_sweep(tile.quad, [tile], metric)
 
 
 def tile_events(tile: Tile):
@@ -59,30 +57,26 @@ class TestHandBuiltGrids:
             dtype=np.int16,
         )
         tile = Tile(45, 7, grid, 4)
-        results, _arrays = sweep_tile(tile, GreatCircleMetric())
+        peaks, answers = sweep_tile(tile, GreatCircleMetric())
         # the flat 0-level background also yields one representative peak
-        assert sorted(r.peak.elevation_m for r in results) == [0, 80, 100]
-        by_elev = {r.peak.elevation_m: r for r in results}
-        assert by_elev[100].ilp is None  # grid maximum
-        bump = by_elev[80]
+        assert sorted(peaks["elevation"].tolist()) == [0, 80, 100]
+        by_elev = dict(zip(peaks["elevation"].tolist(), answers.tolist()))
+        assert np.isnan(by_elev[100]).all()  # grid maximum
         expected_ilp = tile.sample_point(2, 2)
-        assert bump.ilp == expected_ilp
-        assert bump.isolation_m == great_circle_distance(
-            tile.sample_point(4, 3), expected_ilp
-        )
+        distance = great_circle_distance(tile.sample_point(4, 3), expected_ilp)
+        assert by_elev[80] == (distance, *expected_ilp)
 
     def test_every_non_maximum_peak_has_higher_ilp(self):
         tiles = generate_synthetic(1, 1, seed=20, profile="cones", samples_per_side=81, n_cones=6)
         tile = tiles[0]
-        results, _ = sweep_tile(tile, GreatCircleMetric())
+        peaks, answers = sweep_tile(tile, GreatCircleMetric())
         elevation_at = {tile.sample_point(i, j): e for (i, j), e in np.ndenumerate(tile.elevations)}
-        top = max(r.peak.elevation_m for r in results)
-        for r in results:
-            if r.peak.elevation_m == top:
-                assert r.ilp is None
+        top = peaks["elevation"].max()
+        for elevation, (_distance, lat, lng) in zip(peaks["elevation"].tolist(), answers.tolist()):
+            if elevation == top:
+                assert np.isnan(lat)
             else:
-                assert r.ilp is not None
-                assert elevation_at[r.ilp] > r.peak.elevation_m
+                assert elevation_at[GeoPoint(lat, lng)] > elevation
 
     def test_two_cones_ilp_on_flank(self):
         # cone A high, cone B lower: B's limit point is a flank sample of A,
@@ -90,12 +84,9 @@ class TestHandBuiltGrids:
         tiles = generate_synthetic(1, 1, seed=21, profile="cones", samples_per_side=61, n_cones=2)
         tile = tiles[0]
         metric = GreatCircleMetric()
-        results, arrays = sweep_tile(tile, metric)
-        universe = SampleUniverse.from_tiles([tile])
-        reference = ilp_results(brute_force_all(arrays.peaks, universe, metric))
-        assert [(r.isolation_m, r.ilp) for r in results] == [
-            (r.isolation_m, r.ilp) for r in reference
-        ]
+        arrays = sweep_tile(tile, metric)
+        reference = brute_force_all(arrays.peaks, SampleUniverse.from_tiles([tile]), metric)
+        assert result_differences("sweep", arrays, "oracle", reference) == []
 
 
 class TestOracleEquivalence:
@@ -105,15 +96,10 @@ class TestOracleEquivalence:
         tiles = generate_synthetic(1, 1, seed=seed, profile=profile, samples_per_side=41)
         tile = tiles[0]
         metric = EllipsoidMetric()
-        results, arrays = sweep_tile(tile, metric)
-        reference = ilp_results(
-            brute_force_all(arrays.peaks, SampleUniverse.from_tiles([tile]), metric)
-        )
-        assert len(results) == len(detect_peaks(tile)) == len(reference)
-        for got, want in zip(results, reference):
-            assert got.peak == want.peak
-            assert got.ilp == want.ilp
-            assert got.isolation_m == want.isolation_m
+        arrays = sweep_tile(tile, metric)
+        reference = brute_force_all(arrays.peaks, SampleUniverse.from_tiles([tile]), metric)
+        assert len(arrays.peaks) == len(detect_peaks(tile))
+        assert result_differences("sweep", arrays, "oracle", reference) == []
 
 
 class TestEventStreamErrors:
@@ -219,10 +205,9 @@ class TestDeterminism:
         tiles = generate_synthetic(1, 1, seed=22, profile="fractal", samples_per_side=41)
         tile = tiles[0]
         metric = EllipsoidMetric()
-        first, _ = sweep_tile(tile, metric)
-        second, _ = sweep_tile(tile, metric)
-        assert first == second
+        first = sweep_tile(tile, metric)
+        assert result_differences("first", first, "second", sweep_tile(tile, metric)) == []
         stream = tile_events(tile)
         assert np.array_equal(run_sweep(stream, tile, metric), run_sweep(stream, tile, metric))
-        locations = [r.peak.location for r in first]
+        locations = first.peaks[["lat", "lng"]].tolist()
         assert locations == sorted(locations)

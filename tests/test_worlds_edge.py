@@ -5,16 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import area_peaks
+from conftest import assert_legs_agree, assert_same_run
 from isoscan.cli import main
 from isoscan.dem import Tile, downsample, generate_synthetic, hgt_filename, save_hgt
-from isoscan.multipass import (
-    audit_pipeline,
-    final_metric,
-    ilp_results,
-    run_merged_sweep,
-    run_pipeline,
-)
+from isoscan.multipass import audit_pipeline, result_differences, run_pipeline
 from isoscan.oracle import SampleUniverse, brute_force_all
 from isoscan.quad import Quadrilateral
 from isoscan.spatial_index import EllipsoidMetric
@@ -25,16 +19,7 @@ def check_world(rows, cols, seed, origin, profile="fractal", n=41, distance_mode
         rows, cols, seed=seed, profile=profile, samples_per_side=n, origin=origin
     )
     area = Quadrilateral(origin[0], origin[0] + rows, origin[1], origin[1] + cols)
-    by_key = {t.key: t for t in tiles}
-    metric = final_metric(distance_mode)
-    outcome = run_pipeline(area, by_key, i_min=0.0, threads=1, distance_mode=distance_mode)
-    swept = ilp_results(run_merged_sweep(area, by_key, metric))
-    universe = SampleUniverse.from_tiles(tiles)
-    reference = ilp_results(brute_force_all(area_peaks(tiles), universe, metric))
-    triples = lambda rs: [(r.peak.location, r.isolation_m, r.ilp) for r in rs]
-    assert triples(outcome.results) == triples(swept) == triples(reference)
-    assert audit_pipeline(outcome) == []
-    return outcome
+    return assert_legs_agree(area, tiles, distance_mode)
 
 
 class TestGeographies:
@@ -82,11 +67,11 @@ class TestMixedResolutions:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pipeline_matches_the_oracle(self, threads):
         tiles = self.tiles()
-        metric = EllipsoidMetric()
         outcome = run_pipeline(self.AREA, {t.key: t for t in tiles}, i_min=0.0, threads=threads)
-        reference = brute_force_all(outcome.arrays.peaks, SampleUniverse.from_tiles(tiles), metric)
+        universe = SampleUniverse.from_tiles(tiles)
+        reference = brute_force_all(outcome.arrays.peaks, universe, EllipsoidMetric())
         assert len(outcome.arrays.peaks) == 151
-        assert ilp_results(outcome.arrays) == ilp_results(reference)
+        assert result_differences("pipeline", outcome.arrays, "oracle", reference) == []
         assert audit_pipeline(outcome) == []
 
     @pytest.mark.parametrize("mode", ["single-sweep", "oracle-check"])
@@ -115,8 +100,7 @@ class TestParameters:
 
     def test_cones_world_southern(self):
         outcome = check_world(2, 2, seed=78, origin=(-30, 100), profile="cones", n=61)
-        undefined = [r for r in outcome.results if r.isolation_m is None]
-        assert len(undefined) == 1
+        assert np.isnan(outcome.arrays.answers["distance"]).sum() == 1
 
 
 class TestExtremeDeferral:
@@ -127,17 +111,10 @@ class TestExtremeDeferral:
         tiles = generate_synthetic(2, 2, seed=79, samples_per_side=41, profile="fractal")
         area = Quadrilateral(45, 47, 7, 9)
         by_key = {t.key: t for t in tiles}
-        serial = run_pipeline(area, by_key, i_min=0.0, threads=1)
-        parallel = run_pipeline(area, by_key, i_min=0.0, threads=2)
+        serial = assert_legs_agree(area, by_key)
         highs = {t.sample_point(*np.unravel_index(t.elevations.argmax(), t.shape)) for t in tiles}
         assert serial.stats.deferred >= len(highs) >= 2
-        assert serial.results == parallel.results
-        assert serial.map_snapshot == parallel.map_snapshot
-        swept = ilp_results(run_merged_sweep(area, by_key, EllipsoidMetric()))
-        assert [(r.isolation_m, r.ilp) for r in serial.results] == [
-            (r.isolation_m, r.ilp) for r in swept
-        ]
-        assert audit_pipeline(serial) == []
+        assert_same_run(serial, run_pipeline(area, by_key, i_min=0.0, threads=2))
 
 
 class TestWorldBoundsGuards:
